@@ -291,14 +291,23 @@ def _cmd_quasi(args) -> int:
 
 
 def _cmd_selfcheck(args) -> int:
-    from tuttekit.selfcheck import format_report, run_all
+    from tuttekit.selfcheck import CRITERIA, format_report, run_all
 
     ids = None
     if args.only:
-        ids = [int(x) for x in args.only.split(",")]
+        ids = []
+        for chunk in args.only.split(","):
+            try:
+                i = int(chunk)
+            except ValueError:
+                raise DomainError(f"--only expects comma-separated criterion ids, got {chunk!r}")
+            if not 1 <= i <= len(CRITERIA):
+                raise DomainError(f"no criterion {i}; ids run from 1 to {len(CRITERIA)}")
+            ids.append(i)
     results = run_all(ids)
     print(format_report(results))
-    return 0 if all(r["passed"] for r in results) else 1
+    # a run of zero suites checked nothing, so it is not a pass
+    return 0 if results and all(r["passed"] for r in results) else 1
 
 
 #### parser ####################################################################

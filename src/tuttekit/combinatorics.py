@@ -1,9 +1,11 @@
 """Exact rationals, polynomials in t, and partition primitives.
 
-Every module above this one works with Fraction coefficients, dense
-polynomials in the single variable t, integer partitions stored as weakly
-decreasing tuples, and set partitions stored as tuples of blocks (each block
-an ascending tuple, blocks ordered by minimum element).
+Every module above this one works with exact coefficients under the policy
+of `lincomb.exact` (an int stays an int, a Fraction stays a Fraction,
+nothing else is accepted), sparse polynomials in the single variable t,
+integer partitions stored as weakly decreasing tuples, and set partitions
+stored as tuples of blocks (each block an ascending tuple, blocks ordered by
+minimum element).
 """
 
 from __future__ import annotations
@@ -14,6 +16,8 @@ from functools import lru_cache
 from math import comb, factorial
 from typing import Iterable, Iterator, Sequence
 
+from tuttekit.lincomb import DomainError, Poly, exact
+
 #### bounds ####################################################################
 
 # Set-partition enumeration is the complexity wall (Bell numbers), so the
@@ -23,10 +27,8 @@ DEFAULT_ENUMERATION_BOUND = 10
 DEFAULT_REDUCTION_BOUND = 7
 DEFAULT_CANONICAL_BOUND = 12
 DEFAULT_DEGREE_BOUND = 12
-
-
-class DomainError(ValueError):
-    """A documented precondition on caller-supplied data failed."""
+# Expansions over all edge (or arc) subsets walk 2^m of them.
+MAX_SUBSET_EDGES = 16
 
 
 def resolve_bound(default: int, override: int | None = None) -> int:
@@ -53,157 +55,87 @@ def parse_rational(s: str) -> Fraction:
     return Fraction(int(text))
 
 
-def format_rational(q: Fraction) -> str:
-    """Serialize a Fraction as 'num/den', denominator always present."""
+def format_rational(q: Fraction | int) -> str:
+    """Serialize an exact number as 'num/den', denominator always present."""
     q = Fraction(q)
     return f"{q.numerator}/{q.denominator}"
 
 
+def as_rational(value) -> Fraction | int:
+    """A value to substitute for a variable: exact, or a string like '2/3'."""
+    return parse_rational(value) if isinstance(value, str) else exact(value)
+
+
 #### polynomials in t ##########################################################
 
-class TPoly:
-    """Dense polynomial in t with Fraction coefficients, immutable.
+class TPoly(Poly):
+    """Polynomial in t with exact coefficients, immutable and sparse.
 
-    coeffs[i] is the coefficient of t^i; trailing zeros are stripped so the
-    zero polynomial is the empty tuple.
+    terms maps a power of t to its nonzero coefficient, an int or a
+    Fraction (see `lincomb.exact`).  TPoly(coeffs) reads a dense list, with
+    coeffs[i] the coefficient of t^i, and `.coeffs` gives that dense view
+    back without trailing zeros, so the zero polynomial has coeffs ().
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ()
 
     def __init__(self, coeffs: Iterable[Fraction | int] = ()):
-        cs = [Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        super().__init__(enumerate(coeffs))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("TPoly is immutable")
-
-    @staticmethod
-    def of(value) -> TPoly:
-        """Coerce an int, Fraction, or TPoly into a TPoly."""
-        if isinstance(value, TPoly):
-            return value
-        return TPoly([Fraction(value)])
-
-    @staticmethod
-    def zero() -> TPoly:
-        return TPoly()
-
-    @staticmethod
-    def one() -> TPoly:
-        return TPoly([1])
+    # Bound in TPoly's own namespace so that instrumentation wrapping
+    # TPoly.__dict__ entries (bench/tracer.py) sees every polynomial operation.
+    __add__ = Poly.__add__
+    __radd__ = Poly.__radd__
+    __sub__ = Poly.__sub__
+    __rsub__ = Poly.__rsub__
+    __neg__ = Poly.__neg__
+    __mul__ = Poly.__mul__
+    __rmul__ = Poly.__rmul__
+    __pow__ = Poly.__pow__
 
     @staticmethod
     def t() -> TPoly:
         return TPoly([0, 1])
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
+    @property
+    def coeffs(self) -> tuple[Fraction | int, ...]:
+        return tuple(self.terms.get(i, 0) for i in range(self.degree() + 1))
 
     def degree(self) -> int:
         """Degree, with the convention that the zero polynomial has degree -1."""
-        return len(self.coeffs) - 1
+        return max(self.terms, default=-1)
 
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = TPoly.of(other)
-        if not isinstance(other, TPoly):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
-    def __add__(self, other) -> TPoly:
-        other = TPoly.of(other)
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return TPoly(out)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> TPoly:
-        return TPoly([-c for c in self.coeffs])
-
-    def __sub__(self, other) -> TPoly:
-        return self + (-TPoly.of(other))
-
-    def __rsub__(self, other) -> TPoly:
-        return TPoly.of(other) + (-self)
-
-    def __mul__(self, other) -> TPoly:
-        other = TPoly.of(other)
-        if not self.coeffs or not other.coeffs:
-            return TPoly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return TPoly(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int) -> TPoly:
-        assert k >= 0
-        result = TPoly.one()
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
-
-    def evaluate(self, v: Fraction | int) -> Fraction:
-        """Exact value at t = v (Horner)."""
-        v = Fraction(v)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * v + c
-        return acc
+    def evaluate(self, v) -> Fraction | int:
+        """Exact value at t = v (a number, or a string such as '1/2')."""
+        v = as_rational(v)
+        return sum(c * v**i for i, c in self.terms.items())
 
     def constant_value(self) -> Fraction:
         """The value of a constant polynomial; error if t actually appears."""
-        if len(self.coeffs) > 1:
+        if self.degree() > 0:
             raise DomainError(f"polynomial depends on t: {self}")
-        return self.coeffs[0] if self.coeffs else Fraction(0)
+        return Fraction(self.terms.get(0, 0))
 
-    def onep_t_powers(self) -> tuple[Fraction, ...]:
+    def onep_t_powers(self) -> tuple[Fraction | int, ...]:
         """Coefficients c_0..c_d with p(t) = sum c_k (1+t)^k.
 
         Obtained by substituting t = u - 1 and expanding in u, exactly.
         """
-        d = len(self.coeffs)
-        out = [Fraction(0)] * d
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
+        out = [0] * (self.degree() + 1)
+        for i, a in self.terms.items():
             for k in range(i + 1):
-                out[k] += a * comb(i, k) * (-1) ** (i - k)
-        while out and out[-1] == 0:
-            out.pop()
+                term = a * comb(i, k)
+                out[k] += -term if (i - k) & 1 else term
         return tuple(out)
 
     @staticmethod
     def from_onep_t_powers(cs: Sequence[Fraction | int]) -> TPoly:
         """Inverse of onep_t_powers: rebuild sum c_k (1+t)^k as a TPoly."""
-        out = [Fraction(0)] * len(cs)
+        out = [0] * len(cs)
         for k, c in enumerate(cs):
-            if c == 0:
-                continue
-            c = Fraction(c)
-            for i in range(k + 1):
-                out[i] += c * comb(k, i)
+            if c:
+                for i in range(k + 1):
+                    out[i] += c * comb(k, i)
         return TPoly(out)
 
     def to_strings(self) -> list[str]:
@@ -214,12 +146,10 @@ class TPoly:
         return TPoly([parse_rational(s) for s in items])
 
     def __repr__(self) -> str:
-        if not self.coeffs:
+        if not self.terms:
             return "TPoly(0)"
         parts = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
+        for i, c in self.sorted_terms():
             if i == 0:
                 parts.append(str(c))
             elif i == 1:
@@ -232,7 +162,8 @@ class TPoly:
 @lru_cache(maxsize=None)
 def onep_t_power(k: int) -> TPoly:
     """(1+t)^k as a TPoly, cached."""
-    assert k >= 0
+    if k < 0:
+        raise DomainError(f"negative power {k} of (1+t)")
     return TPoly([comb(k, i) for i in range(k + 1)])
 
 
@@ -240,7 +171,8 @@ def onep_t_power(k: int) -> TPoly:
 
 def partitions_of(n: int) -> Iterator[tuple[int, ...]]:
     """All partitions of n as weakly decreasing tuples, largest part first."""
-    assert n >= 0
+    if n < 0:
+        raise DomainError(f"cannot partition a negative integer {n}")
 
     def gen(remaining: int, cap: int, prefix: tuple[int, ...]):
         if remaining == 0:
@@ -271,7 +203,8 @@ def augmentation_factor(lam: Sequence[int]) -> int:
 def sorted_partition(parts: Iterable[int]) -> tuple[int, ...]:
     """Weakly decreasing tuple from any iterable of positive parts."""
     lam = tuple(sorted(parts, reverse=True))
-    assert all(p >= 1 for p in lam)
+    if lam and lam[-1] < 1:
+        raise DomainError(f"partition parts must be positive: {lam!r}")
     return lam
 
 
@@ -299,7 +232,8 @@ def enumerate_set_partitions(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
     single-block partition (string 00...0) comes first and all-singletons
     (string 012...) last.  n = 0 yields the one empty partition.
     """
-    assert n >= 0
+    if n < 0:
+        raise DomainError(f"no set partitions of a negative count {n}")
     if n == 0:
         yield ()
         return
@@ -342,23 +276,10 @@ def normalize_blocks(n: int, blocks: Iterable[Iterable[int]]) -> tuple[tuple[int
 
 def p_shorthand(n: int, blocks: Iterable[Iterable[int]]) -> tuple[tuple[int, ...], ...]:
     """Partition of [n] with the listed nontrivial blocks, singletons elsewhere."""
-    seen: set[int] = set()
-    out = []
-    for b in blocks:
-        bt = tuple(sorted(set(b)))
-        for v in bt:
-            if not (1 <= v <= n):
-                raise DomainError(f"element {v} outside ground set [{n}]")
-            if v in seen:
-                raise DomainError(f"element {v} appears in two blocks")
-            seen.add(v)
-        if bt:
-            out.append(bt)
-    for v in range(1, n + 1):
-        if v not in seen:
-            out.append((v,))
-    out.sort(key=lambda b: b[0])
-    return tuple(out)
+    listed = [b for b in (tuple(sorted(set(b))) for b in blocks) if b]
+    covered = {v for b in listed for v in b}
+    singletons = [(v,) for v in range(1, n + 1) if v not in covered]
+    return normalize_blocks(n, listed + singletons)
 
 
 def lambda_of(blocks: Iterable[Iterable[int]], weights: Sequence[int] | None = None) -> tuple[int, ...]:
@@ -378,21 +299,6 @@ def block_index_map(blocks: Sequence[Sequence[int]]) -> dict[int, int]:
 
 
 #### counting helpers ##########################################################
-
-def compositions(total: int, k: int) -> Iterator[tuple[int, ...]]:
-    """All k-tuples of nonnegative integers summing to total."""
-    assert total >= 0 and k >= 0
-    if k == 0:
-        if total == 0:
-            yield ()
-        return
-    if k == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in compositions(total - first, k - 1):
-            yield (first,) + rest
-
 
 def multinomial(counts: Sequence[int]) -> int:
     """Multinomial coefficient (sum counts)! / prod counts!."""

@@ -8,7 +8,6 @@ right-endpoint termination order all live here.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
@@ -76,9 +75,6 @@ class Multigraph:
         w = "" if all(x == 1 for x in self.weights) else f", weights={self.weights}"
         return f"Multigraph({self.n}, {list(self.edges)}{w})"
 
-    def edge_count(self) -> int:
-        return len(self.edges)
-
     def total_weight(self) -> int:
         return sum(self.weights)
 
@@ -107,18 +103,6 @@ class Multigraph:
 
     def unit_weights(self) -> bool:
         return all(w == 1 for w in self.weights)
-
-    def neighbors(self, v: int) -> set[int]:
-        out = set()
-        for a, b in self.edges:
-            if a == v and b != v:
-                out.add(b)
-            elif b == v and a != v:
-                out.add(a)
-        return out
-
-    def with_weights(self, weights: Sequence[int]) -> Multigraph:
-        return Multigraph(self.n, self.edges, weights)
 
 
 #### basic operations ##########################################################
@@ -201,8 +185,9 @@ def contract_partition(G: Multigraph, blocks: Iterable[Iterable[int]]) -> Multig
     connected subgraphs.
     """
     blocks = normalize_blocks(G.n, blocks)
+    adj = _adjacency(G)
     for b in blocks:
-        if not _block_connected(G, b):
+        if not _block_connected(adj, b):
             raise DomainError(f"block {b} does not induce a connected subgraph")
     idx = block_index_map(blocks)
     new_weights = [0] * len(blocks)
@@ -260,9 +245,9 @@ def _adjacency(G: Multigraph) -> list[set[int]]:
     return adj
 
 
-def _block_connected(G: Multigraph, block: Sequence[int]) -> bool:
+def _block_connected(adj: list[set[int]], block: Sequence[int]) -> bool:
+    """Does the block induce a connected subgraph, given the adjacency sets?"""
     block_set = set(block)
-    adj = _adjacency(G)
     seen = {block[0]}
     stack = [block[0]]
     while stack:
@@ -299,20 +284,8 @@ def connected_partitions(G: Multigraph) -> Iterator[tuple[tuple[int, ...], ...]]
     """Set partitions of [n] whose every block induces a connected subgraph."""
     adj = _adjacency(G)
 
-    def block_ok(block: tuple[int, ...]) -> bool:
-        block_set = set(block)
-        seen = {block[0]}
-        stack = [block[0]]
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if y in block_set and y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        return len(seen) == len(block)
-
     for pi in enumerate_set_partitions(G.n):
-        if all(block_ok(b) for b in pi):
+        if all(_block_connected(adj, b) for b in pi):
             yield pi
 
 
@@ -441,7 +414,8 @@ def star_forest_canonical_map(G: Multigraph) -> tuple[tuple[int, ...], tuple[int
             for offset, v in enumerate(leaves):
                 perm[v - 1] = start + offset
         start = hub + 1
-    assert relabel(G, perm) == canonical_star_forest(lam)
+    if relabel(G, perm) != canonical_star_forest(lam):
+        raise RuntimeError(f"internal fault: canonical map {perm} does not carry {G!r} onto R{list(lam)}")
     return lam, tuple(perm)
 
 
@@ -621,11 +595,6 @@ def right_endpoint_key(G: Multigraph) -> tuple[int, tuple[int, ...]]:
     Every reduction rewrite strictly increases this key on its products.
     """
     return (-len(G.edges), tuple(sorted(v for _, v in G.edges)))
-
-
-def right_endpoint_precedes(G: Multigraph, H: Multigraph) -> bool:
-    """True when G comes strictly earlier than H in the termination order."""
-    return right_endpoint_key(G) < right_endpoint_key(H)
 
 
 #### JSON ######################################################################

@@ -13,12 +13,14 @@ Four independent routes to XB are provided and must agree:
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from math import comb
 
 from tuttekit.combinatorics import (
     DEFAULT_ENUMERATION_BOUND,
+    MAX_SUBSET_EDGES,
     DomainError,
     TPoly,
     enumerate_set_partitions,
@@ -72,22 +74,24 @@ def chromatic_sym(G: Multigraph, max_n: int | None = None) -> SymFunc:
     _check_enum_bound(G, max_n)
     if G.has_loop():
         return SymFunc.zero("mtilde")
-    terms: dict[tuple[int, ...], TPoly] = {}
-    for pi in enumerate_set_partitions(G.n):
-        if internal_edge_count(G, pi) == 0:
-            lam = lambda_of(pi, G.weights)
-            terms[lam] = terms.get(lam, TPoly.zero()) + 1
-    return SymFunc("mtilde", terms)
+    return SymFunc(
+        "mtilde",
+        Counter(
+            lambda_of(pi, G.weights)
+            for pi in enumerate_set_partitions(G.n)
+            if internal_edge_count(G, pi) == 0
+        ),
+    )
 
 
 def tutte_sym(G: Multigraph, max_n: int | None = None) -> SymFunc:
     """XB of (G, w): the full partition sum with (1+t)^(internal edges)."""
     _check_enum_bound(G, max_n)
-    terms: dict[tuple[int, ...], TPoly] = {}
-    for pi in enumerate_set_partitions(G.n):
-        lam = lambda_of(pi, G.weights)
-        terms[lam] = terms.get(lam, TPoly.zero()) + onep_t_power(internal_edge_count(G, pi))
-    return SymFunc("mtilde", terms)
+    counts = Counter(
+        (lambda_of(pi, G.weights), internal_edge_count(G, pi))
+        for pi in enumerate_set_partitions(G.n)
+    )
+    return SymFunc("mtilde", [(lam, onep_t_power(e) * c) for (lam, e), c in counts.items()])
 
 
 #### deletion-contraction ######################################################
@@ -96,11 +100,7 @@ _delcon_memo: dict[tuple[str, bytes], SymFunc] = {}
 
 
 def _edgeless_partition_sum(G: Multigraph) -> SymFunc:
-    terms: dict[tuple[int, ...], TPoly] = {}
-    for pi in enumerate_set_partitions(G.n):
-        lam = lambda_of(pi, G.weights)
-        terms[lam] = terms.get(lam, TPoly.zero()) + 1
-    return SymFunc("mtilde", terms)
+    return SymFunc("mtilde", Counter(lambda_of(pi, G.weights) for pi in enumerate_set_partitions(G.n)))
 
 
 def _first_nonloop(G: Multigraph):
@@ -163,8 +163,8 @@ def tutte_from_contractions(G: Multigraph, max_n: int | None = None) -> SymFunc:
     own element.  Contractions that leave a loop contribute X = 0.
     """
     _check_enum_bound(G, max_n)
-    if len(G.edges) > 16:
-        raise DomainError("edge-subset expansion limited to 16 edges")
+    if len(G.edges) > MAX_SUBSET_EDGES:
+        raise DomainError(f"edge-subset expansion limited to {MAX_SUBSET_EDGES} edges")
     total = SymFunc.zero("mtilde")
     m = len(G.edges)
     # distinct subsets often contract to the same labelled graph
@@ -228,12 +228,12 @@ def sigma_l_formula(G: Multigraph, k: int, l: int, max_n: int | None = None) -> 
     XB(G), exactly.
     """
     _check_enum_bound(G, max_n)
-    if len(G.edges) > 16:
-        raise DomainError("edge-subset expansion limited to 16 edges")
+    if len(G.edges) > MAX_SUBSET_EDGES:
+        raise DomainError(f"edge-subset expansion limited to {MAX_SUBSET_EDGES} edges")
     if k < 0 or l < 0:
         raise DomainError("indices must be nonnegative")
     wG = G.total_weight()
-    total = Fraction(0)
+    total = 0
     m = len(G.edges)
     for idx in combinations(range(m), k):
         H = contract_edge_set(G, [G.edges[i] for i in idx])
@@ -246,7 +246,7 @@ def sigma_l_formula(G: Multigraph, k: int, l: int, max_n: int | None = None) -> 
             if c:
                 inner = -1 if (l - len(sinks)) % 2 else 1
                 total += sign_A * inner * c
-    return total
+    return Fraction(total)
 
 
 def sigma_l_direct(G: Multigraph, k: int, l: int, max_n: int | None = None) -> Fraction:

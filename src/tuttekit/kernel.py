@@ -18,15 +18,16 @@ from typing import Iterable, Sequence
 from tuttekit.combinatorics import (
     DEFAULT_ENUMERATION_BOUND,
     DEFAULT_REDUCTION_BOUND,
+    MAX_SUBSET_EDGES,
     DomainError,
     TPoly,
+    augmentation_factor,
     block_index_map,
     enumerate_set_partitions,
     format_rational,
     multinomial,
     normalize_blocks,
     onep_t_power,
-    parse_rational,
     resolve_bound,
 )
 from tuttekit.graphs import (
@@ -48,6 +49,7 @@ from tuttekit.graphs import (
     two_edge_connected,
 )
 from tuttekit.invariants import tutte_sym
+from tuttekit.lincomb import LinComb, merge_terms
 from tuttekit.symfun import SymFunc
 
 _T = TPoly.t()
@@ -56,61 +58,27 @@ _ONE = TPoly.one()
 
 #### combinations ##############################################################
 
-class GraphCombination:
+class GraphCombination(LinComb):
     """TPoly-linear combination of unit-weight multigraphs on [n].
 
     Identical labelled graphs merge; zero coefficients drop.
     """
 
-    __slots__ = ("n", "terms")
+    __slots__ = ("n",)
+    _fields = ("n",)
+    _coeff = staticmethod(TPoly.of)
+    _order = staticmethod(Multigraph.key)
 
     def __init__(self, n: int, terms: Iterable[tuple[Multigraph, TPoly]] | dict = ()):
-        items = terms.items() if isinstance(terms, dict) else terms
-        clean: dict[Multigraph, TPoly] = {}
-        for g, c in items:
-            if g.n != n:
-                raise DomainError(f"graph on [{g.n}] in a combination on [{n}]")
-            if not g.unit_weights():
-                raise DomainError("combinations carry unit-weight graphs only")
-            c = TPoly.of(c)
-            if c.is_zero():
-                continue
-            acc = clean.get(g, TPoly.zero()) + c
-            if acc.is_zero():
-                clean.pop(g, None)
-            else:
-                clean[g] = acc
         object.__setattr__(self, "n", int(n))
-        object.__setattr__(self, "terms", clean)
+        super().__init__(terms)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("GraphCombination is immutable")
-
-    def sorted_terms(self) -> list[tuple[Multigraph, TPoly]]:
-        return sorted(self.terms.items(), key=lambda kv: kv[0].key())
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, GraphCombination):
-            return NotImplemented
-        return self.n == other.n and self.terms == other.terms
-
-    def __add__(self, other: GraphCombination) -> GraphCombination:
-        if self.n != other.n:
-            raise DomainError("vertex-set mismatch")
-        out = dict(self.terms)
-        for g, c in other.terms.items():
-            out[g] = out.get(g, TPoly.zero()) + c
-        return GraphCombination(self.n, out)
-
-    def __sub__(self, other: GraphCombination) -> GraphCombination:
-        return self + other.scale(-1)
-
-    def scale(self, c) -> GraphCombination:
-        c = TPoly.of(c)
-        return GraphCombination(self.n, {g: coeff * c for g, coeff in self.terms.items()})
+    def _key(self, g: Multigraph) -> Multigraph:
+        if g.n != self.n:
+            raise DomainError(f"graph on [{g.n}] in a combination on [{self.n}]")
+        if not g.unit_weights():
+            raise DomainError("combinations carry unit-weight graphs only")
+        return g
 
     def __repr__(self) -> str:
         bits = [f"{c!r} * {g!r}" for g, c in self.sorted_terms()]
@@ -392,7 +360,7 @@ def witness_mtilde_coefficient(
     if est > budget:
         raise DomainError(f"witness coefficient enumeration too large ({est} nodes)")
     terms = list(sf.terms)
-    powers: dict[int, Fraction] = {}
+    powers: dict[int, Fraction | int] = {}
 
     for phi in iproduct(range(l), repeat=n0):
         caps = list(sizes)
@@ -422,7 +390,7 @@ def witness_mtilde_coefficient(
                     return
                 for idx, (c, k, _) in enumerate(terms):
                     key = k + e_base[idx] + shared
-                    powers[key] = powers.get(key, Fraction(0)) + c * weight
+                    powers[key] = powers.get(key, 0) + c * weight
                 return
 
             def cols(b: int, left: int, vec: list[int]):
@@ -451,14 +419,12 @@ def witness_mtilde_coefficient(
 
         rec(0, caps, [0] * l, 1, 0)
 
-    from tuttekit.combinatorics import augmentation_factor
-
     aug = augmentation_factor(sizes)
     if not powers:
         return TPoly.zero()
-    arr = [Fraction(0)] * (max(powers) + 1)
+    arr = [0] * (max(powers) + 1)
     for k, c in powers.items():
-        arr[k] = c / aug
+        arr[k] = Fraction(c, aug)
     return TPoly.from_onep_t_powers(arr)
 
 
@@ -550,18 +516,19 @@ def _step_products(step: ReductionStep) -> list[tuple[Multigraph, TPoly]]:
 
 
 def _apply_step(terms: dict[Multigraph, TPoly], step: ReductionStep) -> None:
-    c = terms.pop(step.graph, TPoly.zero())
-    if c.is_zero():
+    c = terms.pop(step.graph, None)
+    if c is None:
         return
-    src_key = right_endpoint_key(step.graph)
-    for h, mult in _step_products(step):
-        if step.gen != "iso":
-            assert right_endpoint_key(h) > src_key, "rewrite failed to increase the order"
-        acc = terms.get(h, TPoly.zero()) + c * mult
-        if acc.is_zero():
-            terms.pop(h, None)
-        else:
-            terms[h] = acc
+    products = _step_products(step)
+    if step.gen != "iso":
+        src_key = right_endpoint_key(step.graph)
+        for h, _ in products:
+            if right_endpoint_key(h) <= src_key:
+                raise RuntimeError(
+                    f"internal fault: {step.gen} rewrite of {step.graph!r} "
+                    f"failed to increase the order at {h!r}"
+                )
+    merge_terms(terms, ((h, c * mult) for h, mult in products))
 
 
 def _smallest_multi_pair(g: Multigraph):
@@ -635,14 +602,10 @@ def reduce_to_star_forests(
         if perm != tuple(range(1, g.n + 1)):
             record(ReductionStep("iso", g, perm=perm))
 
-    rows: list[tuple[Fraction, int, Multigraph]] = []
-    for g, coeff in terms.items():
-        assert g == canonical_star_forest(star_forest_shape(g))
-        for k, c in enumerate(coeff.onep_t_powers()):
-            if c != 0:
-                rows.append((c, k, g))
-    rows.sort(key=lambda r: (r[2].key(), r[1]))
-    result = StandardForm(L.n, tuple(rows))
+    for g in terms:
+        if g != canonical_star_forest(star_forest_shape(g)):
+            raise RuntimeError(f"internal fault: reduction left {g!r}, not a canonical star forest")
+    result = standard_form(GraphCombination(L.n, terms))
     return result, ReductionCertificate(tuple(steps), result)
 
 
@@ -698,8 +661,8 @@ def two_edge_connected_relation(G: Multigraph, e_i, e_j) -> GraphCombination:
         raise DomainError("relation graphs must have unit weights")
     if not two_edge_connected(G):
         raise DomainError("graph is not two-edge-connected")
-    if len(G.edges) > 16:
-        raise DomainError("edge-subset expansion limited to 16 edges")
+    if len(G.edges) > MAX_SUBSET_EDGES:
+        raise DomainError(f"edge-subset expansion limited to {MAX_SUBSET_EDGES} edges")
     i = _edge_instance_index(G, e_i)
     j = _edge_instance_index(G, e_j)
     m = len(G.edges)

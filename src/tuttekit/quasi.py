@@ -9,6 +9,7 @@ polynomials in q and t over the rationals.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations as icombinations
@@ -17,135 +18,71 @@ from math import comb
 from typing import Iterable, Sequence
 
 from tuttekit.combinatorics import (
+    MAX_SUBSET_EDGES,
     DomainError,
     TPoly,
+    as_rational,
     augmentation_factor,
     format_rational,
     parse_rational,
 )
 from tuttekit.graphs import Multigraph, _components_of, connected_partitions
-from tuttekit.symfun import SymFunc
+from tuttekit.lincomb import LinComb, Poly
+from tuttekit.symfun import SymFunc, _arrangements
 
 DEFAULT_COLORING_BUDGET = 5_000_000
 
 
 #### bivariate coefficients ####################################################
 
-class QTPoly:
+class QTPoly(Poly):
     """Exact polynomial in q and t; keys are (q-degree, t-degree)."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
+    _unit = (0, 0)
 
-    def __init__(self, terms: dict[tuple[int, int], Fraction] | None = None):
-        clean = {}
-        for key, c in (terms or {}).items():
-            c = Fraction(c)
-            if c:
-                clean[(int(key[0]), int(key[1]))] = c
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("QTPoly is immutable")
+    def __init__(self, terms: dict[tuple[int, int], Fraction | int] | Iterable | None = None):
+        super().__init__(terms or {})
 
     @staticmethod
-    def of(value) -> QTPoly:
-        if isinstance(value, QTPoly):
+    def _key(key) -> tuple[int, int]:
+        return (int(key[0]), int(key[1]))
+
+    @staticmethod
+    def _key_sum(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
+        return (a[0] + b[0], a[1] + b[1])
+
+    @classmethod
+    def of(cls, value) -> QTPoly:
+        """A QTPoly, a TPoly (as a q-free value) or a scalar, as a QTPoly."""
+        if type(value) is QTPoly:
             return value
         if isinstance(value, TPoly):
-            return QTPoly({(0, i): c for i, c in enumerate(value.coeffs)})
-        return QTPoly({(0, 0): Fraction(value)})
-
-    @staticmethod
-    def zero() -> QTPoly:
-        return QTPoly()
-
-    @staticmethod
-    def one() -> QTPoly:
-        return QTPoly({(0, 0): Fraction(1)})
+            return QTPoly({(0, i): c for i, c in value.terms.items()})
+        return super().of(value)
 
     @staticmethod
     def q(power: int = 1) -> QTPoly:
-        return QTPoly({(power, 0): Fraction(1)})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, QTPoly):
-            other = QTPoly.of(other)
-        return self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash(tuple(sorted(self.terms.items())))
-
-    def __add__(self, other) -> QTPoly:
-        other = QTPoly.of(other)
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            out[key] = out.get(key, Fraction(0)) + c
-        return QTPoly(out)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> QTPoly:
-        return QTPoly({key: -c for key, c in self.terms.items()})
-
-    def __sub__(self, other) -> QTPoly:
-        return self + (-QTPoly.of(other))
-
-    def __mul__(self, other) -> QTPoly:
-        other = QTPoly.of(other)
-        out: dict[tuple[int, int], Fraction] = {}
-        for (a1, b1), c1 in self.terms.items():
-            for (a2, b2), c2 in other.terms.items():
-                key = (a1 + a2, b1 + b2)
-                out[key] = out.get(key, Fraction(0)) + c1 * c2
-        return QTPoly(out)
-
-    __rmul__ = __mul__
+        return QTPoly({(power, 0): 1})
 
     def at_q(self, value) -> QTPoly:
-        """Substitute a rational for q; result involves t only."""
-        value = Fraction(value)
-        out: dict[tuple[int, int], Fraction] = {}
-        for (a, b), c in self.terms.items():
-            out[(0, b)] = out.get((0, b), Fraction(0)) + c * value**a
-        return QTPoly(out)
+        """Substitute a rational (or a string such as '2/3') for q; t remains."""
+        value = as_rational(value)
+        return QTPoly((((0, b), c * value**a) for (a, b), c in self.terms.items()))
 
     def at_t(self, value) -> QTPoly:
-        """Substitute a rational for t; result involves q only."""
-        value = Fraction(value)
-        out: dict[tuple[int, int], Fraction] = {}
-        for (a, b), c in self.terms.items():
-            out[(a, 0)] = out.get((a, 0), Fraction(0)) + c * value**b
-        return QTPoly(out)
-
-    def to_tpoly(self) -> TPoly:
-        """View a q-free value as a polynomial in t."""
-        if any(a for a, _ in self.terms):
-            raise DomainError("coefficient still involves q")
-        top = max((b for _, b in self.terms), default=0)
-        arr = [Fraction(0)] * (top + 1)
-        for (_, b), c in self.terms.items():
-            arr[b] = c
-        return TPoly(arr)
+        """Substitute a rational (or a string such as '2/3') for t; q remains."""
+        value = as_rational(value)
+        return QTPoly((((a, 0), c * value**b) for (a, b), c in self.terms.items()))
 
     def __repr__(self) -> str:
         if not self.terms:
             return "QTPoly(0)"
-        bits = [
-            f"{c}*q^{a}*t^{b}" for (a, b), c in sorted(self.terms.items())
-        ]
+        bits = [f"{c}*q^{a}*t^{b}" for (a, b), c in self.sorted_terms()]
         return f"QTPoly({' + '.join(bits)})"
 
     def to_json_obj(self) -> list:
-        return [
-            {"q": a, "t": b, "c": format_rational(c)}
-            for (a, b), c in sorted(self.terms.items())
-        ]
+        return [{"q": a, "t": b, "c": format_rational(c)} for (a, b), c in self.sorted_terms()]
 
     @staticmethod
     def from_json_obj(obj: Iterable[dict]) -> QTPoly:
@@ -154,7 +91,7 @@ class QTPoly:
 
 @lru_cache(maxsize=None)
 def qt_onep_t_power(k: int) -> QTPoly:
-    return QTPoly({(0, j): Fraction(comb(k, j)) for j in range(k + 1)})
+    return QTPoly({(0, j): comb(k, j) for j in range(k + 1)})
 
 
 #### digraphs ##################################################################
@@ -295,64 +232,29 @@ def digraph_from_json_obj(obj: dict) -> Digraph:
 
 #### truncated quasisymmetric values ###########################################
 
-class TruncatedQFunc:
+class TruncatedQFunc(LinComb):
     """Polynomial in x_1..x_N with QTPoly coefficients, keyed by exponents."""
 
-    __slots__ = ("N", "terms")
+    __slots__ = ("N",)
+    _fields = ("N",)
+    _coeff = staticmethod(QTPoly.of)
+    _descending = True
 
     def __init__(self, N: int, terms: dict[tuple[int, ...], QTPoly] | Iterable = ()):
-        N = int(N)
-        items = terms.items() if isinstance(terms, dict) else terms
-        clean: dict[tuple[int, ...], QTPoly] = {}
-        for exps, c in items:
-            exps = tuple(int(e) for e in exps)
-            if len(exps) != N or any(e < 0 for e in exps):
-                raise DomainError("exponent vector does not fit the variable count")
-            c = QTPoly.of(c)
-            if c.is_zero():
-                continue
-            acc = clean.get(exps, QTPoly.zero()) + c
-            if acc.is_zero():
-                clean.pop(exps, None)
-            else:
-                clean[exps] = acc
-        object.__setattr__(self, "N", N)
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "N", int(N))
+        super().__init__(terms)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("TruncatedQFunc is immutable")
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TruncatedQFunc):
-            return NotImplemented
-        return self.N == other.N and self.terms == other.terms
-
-    def __add__(self, other: TruncatedQFunc) -> TruncatedQFunc:
-        if self.N != other.N:
-            raise DomainError("variable-count mismatch")
-        out = dict(self.terms)
-        for exps, c in other.terms.items():
-            out[exps] = out.get(exps, QTPoly.zero()) + c
-        return TruncatedQFunc(self.N, out)
-
-    def __sub__(self, other: TruncatedQFunc) -> TruncatedQFunc:
-        return self + other.scale(Fraction(-1))
-
-    def scale(self, c) -> TruncatedQFunc:
-        c = QTPoly.of(c)
-        return TruncatedQFunc(self.N, {e: v * c for e, v in self.terms.items()})
+    def _key(self, exps) -> tuple[int, ...]:
+        exps = tuple(map(int, exps))
+        if len(exps) != self.N or min(exps, default=0) < 0:
+            raise DomainError("exponent vector does not fit the variable count")
+        return exps
 
     def at_q(self, value) -> TruncatedQFunc:
         return TruncatedQFunc(self.N, {e: v.at_q(value) for e, v in self.terms.items()})
 
     def at_t(self, value) -> TruncatedQFunc:
         return TruncatedQFunc(self.N, {e: v.at_t(value) for e, v in self.terms.items()})
-
-    def sorted_terms(self) -> list[tuple[tuple[int, ...], QTPoly]]:
-        return sorted(self.terms.items(), key=lambda kv: kv[0], reverse=True)
 
     def __repr__(self) -> str:
         bits = [f"x^{list(e)}: {c!r}" for e, c in self.sorted_terms()]
@@ -398,6 +300,15 @@ def _exponents(D: Digraph, kappa: Sequence[int], N: int) -> tuple[int, ...]:
     return tuple(exps)
 
 
+def _coloring_counts(D: Digraph, N: int) -> Counter:
+    """Colorings [n] -> [N] counted by (exponent vector, ascents, monochromatic arcs)."""
+    counts: Counter = Counter()
+    for kappa in iproduct(range(1, N + 1), repeat=D.n):
+        asc, _, mono = arc_statistics(D, kappa)
+        counts[_exponents(D, kappa, N), asc, mono] += 1
+    return counts
+
+
 def xq(D: Digraph, N: int) -> TruncatedQFunc:
     """Sum of q^asc(kappa) x_kappa over proper colorings kappa: [n] -> [N].
 
@@ -407,26 +318,23 @@ def xq(D: Digraph, N: int) -> TruncatedQFunc:
     _check_coloring_budget(D, N)
     if D.has_loop():
         return TruncatedQFunc(N)
-    acc: dict[tuple[int, ...], QTPoly] = {}
-    for kappa in iproduct(range(1, N + 1), repeat=D.n):
-        asc, _, mono = arc_statistics(D, kappa)
-        if mono:
-            continue
-        exps = _exponents(D, kappa, N)
-        acc[exps] = acc.get(exps, QTPoly.zero()) + QTPoly.q(asc)
-    return TruncatedQFunc(N, acc)
+    counts = _coloring_counts(D, N)
+    return TruncatedQFunc(
+        N, [(exps, QTPoly.q(asc) * c) for (exps, asc, mono), c in counts.items() if not mono]
+    )
 
 
 def tq(D: Digraph, N: int) -> TruncatedQFunc:
     """Sum of q^asc(kappa) (1+t)^e(kappa) x_kappa over all colorings."""
     _check_coloring_budget(D, N)
-    acc: dict[tuple[int, ...], QTPoly] = {}
-    for kappa in iproduct(range(1, N + 1), repeat=D.n):
-        asc, _, mono = arc_statistics(D, kappa)
-        exps = _exponents(D, kappa, N)
-        term = QTPoly.q(asc) * qt_onep_t_power(mono)
-        acc[exps] = acc.get(exps, QTPoly.zero()) + term
-    return TruncatedQFunc(N, acc)
+    counts = _coloring_counts(D, N)
+    return TruncatedQFunc(
+        N,
+        [
+            (exps, QTPoly.q(asc) * qt_onep_t_power(mono) * c)
+            for (exps, asc, mono), c in counts.items()
+        ],
+    )
 
 
 def tq_from_connected_partitions(D: Digraph, N: int) -> TruncatedQFunc:
@@ -454,8 +362,8 @@ def tq_from_arc_subsets(D: Digraph, N: int) -> TruncatedQFunc:
     Contracting a non-induced S leaves a loop, whose XQ vanishes, so the
     sum silently restricts itself to induced sets.
     """
-    if len(D.arcs) > 16:
-        raise DomainError("arc-subset expansion limited to 16 arcs")
+    if len(D.arcs) > MAX_SUBSET_EDGES:
+        raise DomainError(f"arc-subset expansion limited to {MAX_SUBSET_EDGES} arcs")
     _check_coloring_budget(D, N)
     total = TruncatedQFunc(N)
     m = len(D.arcs)
@@ -476,46 +384,8 @@ def truncate_symfunc(f: SymFunc, N: int) -> TruncatedQFunc:
     """
     if f.basis != "mtilde":
         raise DomainError("truncation expects the mtilde basis")
-    acc: dict[tuple[int, ...], QTPoly] = {}
-
-    def arrangements(lam: tuple[int, ...]):
-        """Distinct exponent vectors of length N using lam's parts once each.
-
-        Equal parts fill positions in increasing order, so each vector
-        appears exactly once.
-        """
-        if len(lam) > N:
-            return
-        groups: list[tuple[int, int]] = []
-        for part in lam:
-            if groups and groups[-1][0] == part:
-                groups[-1] = (part, groups[-1][1] + 1)
-            else:
-                groups.append((part, 1))
-        slots = [0] * N
-
-        def place_group(gi: int):
-            if gi == len(groups):
-                yield tuple(slots)
-                return
-            part, count = groups[gi]
-
-            def choose(cnt: int, frm: int):
-                if cnt == 0:
-                    yield from place_group(gi + 1)
-                    return
-                for pos in range(frm, N):
-                    if slots[pos] == 0:
-                        slots[pos] = part
-                        yield from choose(cnt - 1, pos + 1)
-                        slots[pos] = 0
-
-            yield from choose(count, 0)
-
-        yield from place_group(0)
-
+    items = []
     for lam, coeff in f.terms.items():
-        qt = QTPoly.of(coeff) * Fraction(augmentation_factor(lam))
-        for exps in arrangements(lam):
-            acc[exps] = acc.get(exps, QTPoly.zero()) + qt
-    return TruncatedQFunc(N, acc)
+        qt = QTPoly.of(coeff) * augmentation_factor(lam)
+        items += [(exps, qt) for exps in _arrangements(lam, N)]
+    return TruncatedQFunc(N, items)

@@ -2,7 +2,9 @@
 
 m~ denotes the augmented monomial basis: m~_lam = (prod r_i(lam)!) m_lam.
 Conversions go through the monomial basis; m to e is a per-degree exact
-linear solve against the expansion of the e basis in m.
+linear solve against the expansion of the e basis in m.  Coefficients stay
+integer polynomials until a conversion divides: the transition tables are
+integer counts, and only the inverted matrices carry Fractions.
 """
 
 from __future__ import annotations
@@ -16,84 +18,54 @@ from tuttekit.combinatorics import (
     DEFAULT_DEGREE_BOUND,
     DomainError,
     TPoly,
+    as_rational,
     augmentation_factor,
-    parse_rational,
     partitions_of,
-    part_multiplicities,
     sorted_partition,
 )
+from tuttekit.lincomb import LinComb, merge_terms
 
 BASES = ("mtilde", "m", "p", "e")
 
 
-class SymFunc:
+class SymFunc(LinComb):
     """Finite linear combination of basis elements indexed by integer partitions.
 
-    terms maps a weakly decreasing tuple to a nonzero TPoly coefficient.
-    The empty partition () indexes the constant term.
+    terms maps a weakly decreasing tuple to a nonzero TPoly coefficient; an
+    int or a Fraction given as a coefficient becomes a constant TPoly.  The
+    empty partition () indexes the constant term.
     """
 
-    __slots__ = ("basis", "terms")
+    __slots__ = ("basis",)
+    _fields = ("basis",)
+    _coeff = staticmethod(TPoly.of)
 
     def __init__(self, basis: str, terms: dict | Iterable = ()):
         if basis not in BASES:
             raise DomainError(f"unknown basis {basis!r}; expected one of {BASES}")
-        items = terms.items() if isinstance(terms, dict) else terms
-        clean: dict[tuple[int, ...], TPoly] = {}
-        for lam, coeff in items:
-            lam = tuple(int(p) for p in lam)
-            if any(p < 1 for p in lam) or list(lam) != sorted(lam, reverse=True):
-                raise DomainError(f"not a partition: {lam!r}")
-            coeff = TPoly.of(coeff)
-            if coeff.is_zero():
-                continue
-            if lam in clean:
-                coeff = clean[lam] + coeff
-                if coeff.is_zero():
-                    del clean[lam]
-                    continue
-            clean[lam] = coeff
         object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "terms", clean)
+        super().__init__(terms)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("SymFunc is immutable")
+    @staticmethod
+    def _key(lam) -> tuple[int, ...]:
+        lam = tuple(map(int, lam))
+        if min(lam, default=1) < 1 or list(lam) != sorted(lam, reverse=True):
+            raise DomainError(f"not a partition: {lam!r}")
+        return lam
+
+    @staticmethod
+    def _order(lam):
+        return (sum(lam), lam)
 
     @staticmethod
     def zero(basis: str) -> SymFunc:
         return SymFunc(basis)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SymFunc):
-            return NotImplemented
-        return self.basis == other.basis and self.terms == other.terms
-
-    def __add__(self, other: SymFunc) -> SymFunc:
-        if self.basis != other.basis:
-            raise DomainError(f"basis mismatch: {self.basis} vs {other.basis}")
-        out = dict(self.terms)
-        for lam, c in other.terms.items():
-            out[lam] = out.get(lam, TPoly.zero()) + c
-        return SymFunc(self.basis, out)
-
-    def __sub__(self, other: SymFunc) -> SymFunc:
-        return self + other.scale(-1)
-
-    def scale(self, c) -> SymFunc:
-        c = TPoly.of(c)
-        return SymFunc(self.basis, {lam: coeff * c for lam, coeff in self.terms.items()})
 
     def coefficient(self, lam: Sequence[int]) -> TPoly:
         return self.terms.get(sorted_partition(lam) if lam else (), TPoly.zero())
 
     def max_degree(self) -> int:
         return max((sum(lam) for lam in self.terms), default=0)
-
-    def sorted_terms(self) -> list[tuple[tuple[int, ...], TPoly]]:
-        return sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]))
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -182,30 +154,33 @@ def m_pair_product(mu: tuple[int, ...], nu: tuple[int, ...]) -> tuple[tuple[tupl
     return tuple(out)
 
 
-def _m_expansion_product(a: dict[tuple[int, ...], Fraction], b: dict[tuple[int, ...], Fraction]) -> dict:
-    out: dict[tuple[int, ...], Fraction] = {}
-    for mu, ca in a.items():
-        for nu, cb in b.items():
-            for rho, k in m_pair_product(mu, nu):
-                out[rho] = out.get(rho, Fraction(0)) + ca * cb * k
-    return {rho: c for rho, c in out.items() if c}
+def _m_expansion_product(a: dict[tuple[int, ...], int], b: dict[tuple[int, ...], int]) -> dict:
+    return merge_terms(
+        {},
+        (
+            (rho, ca * cb * k)
+            for mu, ca in a.items()
+            for nu, cb in b.items()
+            for rho, k in m_pair_product(mu, nu)
+        ),
+    )
 
 
 @lru_cache(maxsize=None)
-def _e_in_m(lam: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], Fraction], ...]:
+def _e_in_m(lam: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int], ...]:
     """m-expansion of e_lam; e_n is m_(1^n)."""
-    exp: dict[tuple[int, ...], Fraction] = {(): Fraction(1)}
+    exp: dict[tuple[int, ...], int] = {(): 1}
     for part in lam:
-        exp = _m_expansion_product(exp, {(1,) * part: Fraction(1)})
+        exp = _m_expansion_product(exp, {(1,) * part: 1})
     return tuple(sorted(exp.items()))
 
 
 @lru_cache(maxsize=None)
-def _p_in_m(lam: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], Fraction], ...]:
+def _p_in_m(lam: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int], ...]:
     """m-expansion of p_lam; p_n is m_(n)."""
-    exp: dict[tuple[int, ...], Fraction] = {(): Fraction(1)}
+    exp: dict[tuple[int, ...], int] = {(): 1}
     for part in lam:
-        exp = _m_expansion_product(exp, {(part,): Fraction(1)})
+        exp = _m_expansion_product(exp, {(part,): 1})
     return tuple(sorted(exp.items()))
 
 
@@ -236,12 +211,9 @@ def to_m(f: SymFunc, max_degree: int | None = None) -> SymFunc:
     if f.basis not in ("p", "e"):
         raise DomainError(f"cannot expand basis {f.basis}")
     table = _p_in_m if f.basis == "p" else _e_in_m
-    out: dict[tuple[int, ...], TPoly] = {}
-    for lam, c in f.terms.items():
+    for lam in f.terms:
         _check_degree(sum(lam), max_degree)
-        for mu, k in table(lam):
-            out[mu] = out.get(mu, TPoly.zero()) + c * k
-    return SymFunc("m", out)
+    return SymFunc("m", ((mu, c * k) for lam, c in f.terms.items() for mu, k in table(lam)))
 
 
 def _invert(matrix: list[list[Fraction]]) -> list[list[Fraction]]:
@@ -263,33 +235,25 @@ def _invert(matrix: list[list[Fraction]]) -> list[list[Fraction]]:
 
 
 @lru_cache(maxsize=None)
-def _m_to_e_matrix(d: int) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[Fraction, ...], ...]]:
-    """(partitions of d, matrix M) with e-coefficients = M @ m-coefficients."""
+def _m_to_basis_matrix(d: int, table) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple, ...]]:
+    """(partitions of d, matrix M) with target coefficients = M @ m-coefficients.
+
+    table(lam) is the m-expansion of the target basis element indexed by lam.
+    """
     parts = tuple(partitions_of(d))
     index = {lam: i for i, lam in enumerate(parts)}
-    # column j holds the m-expansion of e_{parts[j]}
-    fwd = [[Fraction(0)] * len(parts) for _ in parts]
+    # column j holds the m-expansion of the target element for parts[j]
+    fwd = [[0] * len(parts) for _ in parts]
     for j, lam in enumerate(parts):
-        for mu, c in _e_in_m(lam):
+        for mu, c in table(lam):
             fwd[index[mu]][j] = c
+    # the m-to-e inverse is an integer matrix; integral entries stay ints so
+    # that integer inputs give integer outputs
     inv = _invert(fwd)
-    return parts, tuple(tuple(row) for row in inv)
+    return parts, tuple(tuple(int(x) if x.denominator == 1 else x for x in row) for row in inv)
 
 
-@lru_cache(maxsize=None)
-def _m_to_p_matrix(d: int) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[Fraction, ...], ...]]:
-    """(partitions of d, matrix M) with p-coefficients = M @ m-coefficients."""
-    parts = tuple(partitions_of(d))
-    index = {lam: i for i, lam in enumerate(parts)}
-    fwd = [[Fraction(0)] * len(parts) for _ in parts]
-    for j, lam in enumerate(parts):
-        for mu, c in _p_in_m(lam):
-            fwd[index[mu]][j] = c
-    inv = _invert(fwd)
-    return parts, tuple(tuple(row) for row in inv)
-
-
-def _solve_from_m(f: SymFunc, matrix_fn, target: str, max_degree: int | None) -> SymFunc:
+def _solve_from_m(f: SymFunc, table, target: str, max_degree: int | None) -> SymFunc:
     if f.basis == "mtilde":
         f = mtilde_to_m(f)
     if f.basis != "m":
@@ -297,40 +261,32 @@ def _solve_from_m(f: SymFunc, matrix_fn, target: str, max_degree: int | None) ->
     by_degree: dict[int, dict[tuple[int, ...], TPoly]] = {}
     for lam, c in f.terms.items():
         by_degree.setdefault(sum(lam), {})[lam] = c
-    out: dict[tuple[int, ...], TPoly] = {}
+    out: list[tuple[tuple[int, ...], TPoly]] = []
     for d, terms in by_degree.items():
         _check_degree(d, max_degree)
-        parts, inv = matrix_fn(d)
-        vec = [terms.get(lam, TPoly.zero()) for lam in parts]
-        for i, lam in enumerate(parts):
-            acc = TPoly.zero()
-            for j, c in enumerate(vec):
-                if not c.is_zero() and inv[i][j] != 0:
-                    acc = acc + c * inv[i][j]
-            if not acc.is_zero():
-                out[lam] = acc
+        parts, inv = _m_to_basis_matrix(d, table)
+        for j, mu in enumerate(parts):
+            c = terms.get(mu)
+            if c is not None:
+                out += [(lam, c * inv[i][j]) for i, lam in enumerate(parts) if inv[i][j]]
     return SymFunc(target, out)
 
 
 def m_to_e(f: SymFunc, max_degree: int | None = None) -> SymFunc:
     """Rewrite a monomial-basis function in the elementary basis, exactly."""
-    return _solve_from_m(f, _m_to_e_matrix, "e", max_degree)
+    return _solve_from_m(f, _e_in_m, "e", max_degree)
 
 
 def m_to_p(f: SymFunc, max_degree: int | None = None) -> SymFunc:
     """Rewrite a monomial-basis function in the power-sum basis, exactly."""
-    return _solve_from_m(f, _m_to_p_matrix, "p", max_degree)
+    return _solve_from_m(f, _p_in_m, "p", max_degree)
 
 
 def sigma_l(f: SymFunc, l: int) -> TPoly:
     """Sum of the e-basis coefficients of f over partitions of length l."""
     if f.basis != "e":
         raise DomainError(f"sigma_l needs the e basis, got {f.basis}")
-    acc = TPoly.zero()
-    for lam, c in f.terms.items():
-        if len(lam) == l:
-            acc = acc + c
-    return acc
+    return sum((c for lam, c in f.terms.items() if len(lam) == l), TPoly.zero())
 
 
 def coefficient_in_onep_t(f: SymFunc, k: int) -> SymFunc:
@@ -340,13 +296,12 @@ def coefficient_in_onep_t(f: SymFunc, k: int) -> SymFunc:
     out = {}
     for lam, c in f.terms.items():
         cs = c.onep_t_powers()
-        if k < len(cs) and cs[k] != 0:
-            out[lam] = TPoly([cs[k]])
+        if k < len(cs):
+            out[lam] = cs[k]
     return SymFunc(f.basis, out)
 
 
 def specialize_t(f: SymFunc, v) -> SymFunc:
-    """Evaluate every coefficient at t = v."""
-    if isinstance(v, str):
-        v = parse_rational(v)
-    return SymFunc(f.basis, {lam: TPoly([c.evaluate(v)]) for lam, c in f.terms.items()})
+    """Evaluate every coefficient at t = v (a number, or a string such as '1/2')."""
+    v = as_rational(v)
+    return SymFunc(f.basis, {lam: c.evaluate(v) for lam, c in f.terms.items()})

@@ -261,3 +261,16 @@ def test_selfcheck_reports_failure(monkeypatch, capsys):
     assert main(["selfcheck", "--only", "11"]) == 1
     out = capsys.readouterr().out
     assert "FAIL" in out and "planted failure" in out
+
+def test_selfcheck_refuses_unknown_ids(capsys):
+    for only in ("99", "0", "x", "1,,2"):
+        assert main(["selfcheck", "--only", only]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert "Traceback" not in captured.err and captured.out == ""
+
+
+def test_selfcheck_with_no_suites_is_not_a_pass(monkeypatch, capsys):
+    monkeypatch.setattr(selfcheck, "CRITERIA", [])
+    assert main(["selfcheck"]) == 1
+    assert "0/0 suites passed" in capsys.readouterr().out

@@ -11,7 +11,6 @@ from tuttekit.combinatorics import (
     TPoly,
     augmentation_factor,
     blocks_from_rgs,
-    compositions,
     enumerate_set_partitions,
     format_rational,
     lambda_of,
@@ -147,9 +146,7 @@ def test_tpoly_string_roundtrip():
     assert TPoly.from_strings(p.to_strings()) == p
 
 
-def test_compositions_and_multinomial():
-    assert sorted(compositions(2, 2)) == [(0, 2), (1, 1), (2, 0)]
-    assert sum(1 for _ in compositions(5, 3)) == 21
+def test_multinomial():
     assert multinomial([2, 1, 1]) == 12
     assert multinomial([0, 0]) == 1
 

@@ -1,0 +1,59 @@
+"""CLI output pinned byte for byte against files in tests/data/golden.
+
+Each case runs `tuttekit.cli.main` on one of the input files next to the
+golden outputs.  JSON cases compare the file written by `--output`; text
+cases compare stdout.  Regenerate a golden file only when an output change
+is intended, and say so in CHANGES.md.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from tuttekit.cli import main
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
+
+# name -> argv; "{graph}", "{k5}" and "{dipath5}" name input files in GOLDEN
+CASES = {
+    "xb-def": ["xb", "{graph}"],
+    "xb-delcon": ["xb", "{graph}", "--route", "delcon"],
+    "xb-contract": ["xb", "{graph}", "--route", "contract"],
+    "xb-connparts": ["xb", "{graph}", "--route", "connparts"],
+    "xb-m": ["xb", "{graph}", "--basis", "m"],
+    "xb-p": ["xb", "{graph}", "--basis", "p"],
+    "xb-e": ["xb", "{graph}", "--basis", "e"],
+    "xb-e-t-minus-half": ["xb", "{graph}", "--basis", "e", "--t-eval=-1/2"],
+    "x-mtilde": ["x", "{graph}"],
+    "x-m": ["x", "{graph}", "--basis", "m"],
+    "x-p": ["x", "{graph}", "--basis", "p"],
+    "x-e": ["x", "{graph}", "--basis", "e", "--route", "delcon"],
+    "reduce-k5": ["reduce", "{k5}"],
+    "quasi-tq-dipath5": ["quasi", "tq", "{dipath5}"],
+    "relation-broom-2-2": ["relation", "broom", "--n", "2", "--k", "2"],
+}
+
+TEXT_CASES = ("xb-def", "xb-e", "reduce-k5", "quasi-tq-dipath5", "relation-broom-2-2")
+
+
+def _argv(name: str) -> list[str]:
+    inputs = {stem: str(GOLDEN / f"{stem}.json") for stem in ("graph", "k5", "dipath5")}
+    return [arg.format(**inputs) for arg in CASES[name]]
+
+
+def render_json(name: str, out_path: Path) -> bytes:
+    assert main(_argv(name) + ["--output", str(out_path)]) == 0
+    return out_path.read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_json_output_matches_golden(name, tmp_path):
+    got = render_json(name, tmp_path / "out.json")
+    assert got == (GOLDEN / f"{name}.out.json").read_bytes()
+
+
+@pytest.mark.parametrize("name", TEXT_CASES)
+def test_text_output_matches_golden(name, capsys):
+    assert main(_argv(name)) == 0
+    got = capsys.readouterr().out.encode()
+    assert got == (GOLDEN / f"{name}.out.txt").read_bytes()

@@ -30,7 +30,6 @@ from tuttekit.graphs import (
     path,
     relabel,
     right_endpoint_key,
-    right_endpoint_precedes,
     star,
     star_forest_canonical_map,
     star_forest_shape,
@@ -261,9 +260,9 @@ def test_acyclic_orientation_details():
 
 def test_right_endpoint_order():
     assert right_endpoint_key(complete(3)) == (-3, (2, 3, 3))
-    assert right_endpoint_precedes(complete(3), path(3))
+    assert right_endpoint_key(complete(3)) < right_endpoint_key(path(3))
     # same edge count: compare larger endpoints lexicographically
-    assert right_endpoint_precedes(path(3), Multigraph(3, [(1, 3), (2, 3)]))
+    assert right_endpoint_key(path(3)) < right_endpoint_key(Multigraph(3, [(1, 3), (2, 3)]))
 
 
 def test_json_roundtrip():
