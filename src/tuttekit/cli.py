@@ -97,20 +97,27 @@ def _symfunc_text(f: SymFunc) -> str:
     return "\n".join(lines)
 
 
+def _parse_ints(chunk: str, text: str) -> list[int]:
+    try:
+        return [int(x) for x in chunk.split(",")]
+    except ValueError:
+        raise DomainError(f"non-integer vertex in {text!r}")
+
+
 def _parse_blocks(text: str) -> list[list[int]]:
     blocks = []
     for chunk in text.split("|"):
         chunk = chunk.strip()
         if not chunk:
             raise DomainError(f"empty block in partition {text!r}")
-        blocks.append([int(x) for x in chunk.split(",")])
+        blocks.append(_parse_ints(chunk, text))
     return blocks
 
 
 def _parse_edge_list(text: str) -> list[tuple[int, int]]:
     edges = []
     for chunk in text.split(";"):
-        parts = [int(x) for x in chunk.strip().split(",")]
+        parts = _parse_ints(chunk.strip(), text)
         if len(parts) != 2:
             raise DomainError(f"bad edge {chunk!r}; expected 'u,v'")
         edges.append((parts[0], parts[1]))

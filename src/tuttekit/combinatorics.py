@@ -14,6 +14,7 @@ import os
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
+from operator import index
 from typing import Iterable, Iterator, Sequence
 
 from tuttekit.lincomb import DomainError, Poly, exact
@@ -38,21 +39,39 @@ def resolve_bound(default: int, override: int | None = None) -> int:
     env = os.environ.get("TUTTEKIT_MAX_N")
     if env:
         try:
-            return int(env)
+            bound = int(env)
         except ValueError:
             raise DomainError(f"TUTTEKIT_MAX_N is not an integer: {env!r}")
+        if bound < 0:
+            raise DomainError(f"TUTTEKIT_MAX_N must be nonnegative: {env!r}")
+        return bound
     return default
+
+
+def as_int(value, what: str) -> int:
+    """An integer read from outside (JSON, arguments); DomainError for text, floats, None."""
+    try:
+        return index(value)
+    except TypeError:
+        raise DomainError(f"{what} must be an integer, got {value!r}")
 
 
 #### rationals #################################################################
 
 def parse_rational(s: str) -> Fraction:
-    """Parse 'num/den' (den optional) into an exact Fraction."""
-    text = s.strip()
-    if "/" in text:
-        num, den = text.split("/", 1)
-        return Fraction(int(num), int(den))
-    return Fraction(int(text))
+    """Parse 'num/den' (den optional) into an exact Fraction.
+
+    Malformed text and a zero denominator raise DomainError.
+    """
+    if not isinstance(s, str):
+        raise DomainError(f"expected a rational 'num/den' as text, got {s!r}")
+    num, slash, den = s.strip().partition("/")
+    try:
+        return Fraction(int(num), int(den) if slash else 1)
+    except ValueError:
+        raise DomainError(f"not a rational 'num/den': {s!r}")
+    except ZeroDivisionError:
+        raise DomainError(f"zero denominator in {s!r}")
 
 
 def format_rational(q: Fraction | int) -> str:
@@ -216,36 +235,103 @@ def sorted_partition(parts: Iterable[int]) -> tuple[int, ...]:
 SetPartition = tuple  # alias for readability in signatures
 
 
-def blocks_from_rgs(rgs: Sequence[int]) -> tuple[tuple[int, ...], ...]:
-    """Blocks of the partition encoded by a restricted growth string."""
-    nblocks = max(rgs) + 1 if rgs else 0
-    blocks: list[list[int]] = [[] for _ in range(nblocks)]
-    for i, b in enumerate(rgs):
-        blocks[b].append(i + 1)
-    return tuple(tuple(b) for b in blocks)
-
-
-def enumerate_set_partitions(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
+def enumerate_set_partitions(
+    n: int,
+    *,
+    edge_sets: Sequence[Iterable[Sequence[int]]] | None = None,
+    max_internal: int | None = None,
+) -> Iterator:
     """Every set partition of [n] exactly once.
 
     Enumeration follows restricted-growth-string lexicographic order, so the
     single-block partition (string 00...0) comes first and all-singletons
     (string 012...) last.  n = 0 yields the one empty partition.
+
+    edge_sets, a sequence of edge lists on [n] (loops and repeated pairs
+    allowed), makes each item a pair (blocks, counts): counts[j] is the
+    number of edges of edge_sets[j] with both ends in one block, loops and
+    multiplicity counted.  The counts grow with the recursion: vertex i
+    joining block b adds its loops and its edges to earlier members of b.
+    max_internal (with edge_sets) skips every partition in which
+    edge_sets[0] has more internal edges than that, pruning a branch as soon
+    as it exceeds it; max_internal=0 walks the stable partitions only.
     """
     if n < 0:
         raise DomainError(f"no set partitions of a negative count {n}")
-    if n == 0:
-        yield ()
-        return
-    rgs = [0] * n
+    if max_internal is not None and not edge_sets:
+        raise DomainError("max_internal bounds edge_sets[0]; no edge_sets given")
+    if edge_sets is None:
+        return _plain_partitions(n)
+    return _counted_partitions(n, [list(es) for es in edge_sets], max_internal)
 
-    def rec(i: int, maxseen: int):
-        if i == n:
-            yield blocks_from_rgs(rgs)
+
+def _plain_partitions(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
+    blocks: list[list[int]] = []
+
+    def rec(i: int):
+        if i > n:
+            yield tuple(map(tuple, blocks))
             return
-        for b in range(maxseen + 2):
-            rgs[i] = b
-            yield from rec(i + 1, max(maxseen, b))
+        for b in range(len(blocks)):
+            block = blocks[b]
+            block.append(i)
+            yield from rec(i + 1)
+            block.pop()
+        blocks.append([i])
+        yield from rec(i + 1)
+        blocks.pop()
+
+    yield from rec(1)
+
+
+def _counted_partitions(n: int, edge_sets: list[list], max_internal: int | None) -> Iterator:
+    # The per-set counts travel packed in one int, set j in bits [j*width,
+    # (j+1)*width).  A count never exceeds its set's size, so no field
+    # carries into the next and adding two packed vectors adds fieldwise.
+    width = max((len(es) for es in edge_sets), default=0).bit_length() or 1
+    mask = (1 << width) - 1
+    shifts = range(0, width * len(edge_sets), width)
+    loops = [0] * (n + 1)  # loops[i]: packed loop counts at vertex i
+    back: list[dict[int, int]] = [{} for _ in range(n + 1)]  # back[i][u], u < i: packed edge counts
+    for j, es in enumerate(edge_sets):
+        unit = 1 << (j * width)
+        for u, v in es:
+            if not (1 <= u <= n and 1 <= v <= n):
+                raise DomainError(f"edge {(u, v)!r} leaves the ground set [{n}]")
+            if u > v:
+                u, v = v, u
+            if u == v:
+                loops[v] += unit
+            else:
+                back[v][u] = back[v].get(u, 0) + unit
+    near = [tuple(d.items()) for d in back]
+    cap = mask if max_internal is None else max_internal
+    blocks: list[list[int]] = []
+    where = [0] * (n + 1)  # where[v]: index of v's block
+
+    def rec(i: int, counts: int):
+        if i > n:
+            yield tuple(map(tuple, blocks)), tuple([(counts >> s) & mask for s in shifts])
+            return
+        counts += loops[i]
+        gain: dict[int, int] = {}
+        for u, packed in near[i]:
+            b = where[u]
+            gain[b] = gain.get(b, 0) + packed
+        for b in range(len(blocks)):
+            c = counts + gain.get(b, 0)
+            if c & mask > cap:
+                continue
+            block = blocks[b]
+            block.append(i)
+            where[i] = b
+            yield from rec(i + 1, c)
+            block.pop()
+        if counts & mask <= cap:
+            where[i] = len(blocks)
+            blocks.append([i])
+            yield from rec(i + 1, counts)
+            blocks.pop()
 
     yield from rec(1, 0)
 
@@ -255,9 +341,10 @@ def normalize_blocks(n: int, blocks: Iterable[Iterable[int]]) -> tuple[tuple[int
     seen: set[int] = set()
     out = []
     for b in blocks:
+        b = tuple(b)
         bt = tuple(sorted(set(b)))
-        if len(bt) != len(tuple(b)):
-            raise DomainError(f"repeated element inside block {tuple(b)}")
+        if len(bt) != len(b):
+            raise DomainError(f"repeated element inside block {b}")
         if not bt:
             raise DomainError("empty block")
         for v in bt:

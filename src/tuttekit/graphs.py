@@ -14,6 +14,7 @@ from typing import Iterable, Iterator, Sequence
 from tuttekit.combinatorics import (
     DEFAULT_CANONICAL_BOUND,
     DomainError,
+    as_int,
     block_index_map,
     enumerate_set_partitions,
     normalize_blocks,
@@ -27,7 +28,7 @@ Edge = tuple  # unordered pair stored as (min, max)
 def _norm_edge(e: Sequence[int], n: int) -> tuple[int, int]:
     if len(e) != 2:
         raise DomainError(f"edge must have two endpoints: {e!r}")
-    u, v = int(e[0]), int(e[1])
+    u, v = as_int(e[0], "edge endpoint"), as_int(e[1], "edge endpoint")
     if not (1 <= u <= n and 1 <= v <= n):
         raise DomainError(f"edge {e!r} leaves the vertex set [{n}]")
     return (u, v) if u <= v else (v, u)
@@ -39,14 +40,14 @@ class Multigraph:
     __slots__ = ("n", "edges", "weights", "_canon")
 
     def __init__(self, n: int, edges: Iterable[Sequence[int]] = (), weights: Sequence[int] | None = None):
-        n = int(n)
+        n = as_int(n, "vertex count")
         if n < 0:
             raise DomainError("vertex count must be nonnegative")
         es = tuple(sorted(_norm_edge(e, n) for e in edges))
         if weights is None:
             ws = (1,) * n
         else:
-            ws = tuple(int(w) for w in weights)
+            ws = tuple(as_int(w, "vertex weight") for w in weights)
             if len(ws) != n:
                 raise DomainError(f"expected {n} weights, got {len(ws)}")
             if any(w < 1 for w in ws):
@@ -606,5 +607,12 @@ def graph_to_json_obj(G: Multigraph) -> dict:
     return out
 
 
+def json_field(obj, key: str):
+    """obj[key] of a JSON object read from outside; DomainError if it is absent."""
+    if not isinstance(obj, dict) or key not in obj:
+        raise DomainError(f"JSON object has no {key!r} field: {obj!r}")
+    return obj[key]
+
+
 def graph_from_json_obj(obj: dict) -> Multigraph:
-    return Multigraph(obj["n"], obj.get("edges", ()), obj.get("weights"))
+    return Multigraph(json_field(obj, "n"), obj.get("edges", ()), obj.get("weights"))

@@ -24,7 +24,6 @@ from tuttekit.combinatorics import (
     DomainError,
     TPoly,
     enumerate_set_partitions,
-    lambda_of,
     onep_t_power,
     resolve_bound,
 )
@@ -65,6 +64,14 @@ def _check_enum_bound(G: Multigraph, max_n: int | None):
 
 #### definitional routes #######################################################
 
+def _block_lambda(weights):
+    """lambda_of, unchecked, for the enumerator's blocks: pi -> block weights, largest first."""
+    if all(w == 1 for w in weights):
+        return lambda pi: tuple(sorted(map(len, pi), reverse=True))
+    weight = (0, *weights).__getitem__
+    return lambda pi: tuple(sorted([sum(map(weight, b)) for b in pi], reverse=True))
+
+
 def chromatic_sym(G: Multigraph, max_n: int | None = None) -> SymFunc:
     """X of (G, w) in the augmented monomial basis.
 
@@ -74,33 +81,48 @@ def chromatic_sym(G: Multigraph, max_n: int | None = None) -> SymFunc:
     _check_enum_bound(G, max_n)
     if G.has_loop():
         return SymFunc.zero("mtilde")
-    return SymFunc(
-        "mtilde",
-        Counter(
-            lambda_of(pi, G.weights)
-            for pi in enumerate_set_partitions(G.n)
-            if internal_edge_count(G, pi) == 0
-        ),
-    )
+    shape = _block_lambda(G.weights)
+    stable = enumerate_set_partitions(G.n, edge_sets=[G.edges], max_internal=0)
+    return SymFunc("mtilde", Counter(shape(pi) for pi, _ in stable))
 
 
 def tutte_sym(G: Multigraph, max_n: int | None = None) -> SymFunc:
     """XB of (G, w): the full partition sum with (1+t)^(internal edges)."""
     _check_enum_bound(G, max_n)
+    shape = _block_lambda(G.weights)
     counts = Counter(
-        (lambda_of(pi, G.weights), internal_edge_count(G, pi))
-        for pi in enumerate_set_partitions(G.n)
+        (shape(pi), e)
+        for pi, (e,) in enumerate_set_partitions(G.n, edge_sets=[G.edges])
     )
     return SymFunc("mtilde", [(lam, onep_t_power(e) * c) for (lam, e), c in counts.items()])
 
 
 #### deletion-contraction ######################################################
 
+# Deletion-contraction results by canonical form, shared by every call in
+# the process and kept in least-recently-used order (a hit moves its entry
+# to the end, a full memo drops its first entry).  An entry takes 2 to
+# 4 KB, so the cap holds the memo to roughly 10 to 15 MB.
+DELCON_MEMO_CAP = 4096
 _delcon_memo: dict[tuple[str, bytes], SymFunc] = {}
 
 
+def _memo_get(key) -> SymFunc | None:
+    hit = _delcon_memo.pop(key, None)
+    if hit is not None:
+        _delcon_memo[key] = hit
+    return hit
+
+
+def _memo_put(key, value: SymFunc) -> None:
+    if len(_delcon_memo) >= DELCON_MEMO_CAP:
+        del _delcon_memo[next(iter(_delcon_memo))]
+    _delcon_memo[key] = value
+
+
 def _edgeless_partition_sum(G: Multigraph) -> SymFunc:
-    return SymFunc("mtilde", Counter(lambda_of(pi, G.weights) for pi in enumerate_set_partitions(G.n)))
+    shape = _block_lambda(G.weights)
+    return SymFunc("mtilde", Counter(map(shape, enumerate_set_partitions(G.n))))
 
 
 def _first_nonloop(G: Multigraph):
@@ -119,7 +141,7 @@ def tutte_sym_delcon(G: Multigraph, max_n: int | None = None) -> SymFunc:
     """
     _check_enum_bound(G, max_n)
     key = ("xb", canonical_form(G, max(G.n, 1)))
-    hit = _delcon_memo.get(key)
+    hit = _memo_get(key)
     if hit is not None:
         return hit
     e = _first_nonloop(G)
@@ -130,7 +152,7 @@ def tutte_sym_delcon(G: Multigraph, max_n: int | None = None) -> SymFunc:
         result = tutte_sym_delcon(delete_edges(G, [e]), max_n) + tutte_sym_delcon(
             contract_edge(G, e), max_n
         ).scale(TPoly.t())
-    _delcon_memo[key] = result
+    _memo_put(key, result)
     return result
 
 
@@ -140,7 +162,7 @@ def chromatic_sym_delcon(G: Multigraph, max_n: int | None = None) -> SymFunc:
     if G.has_loop():
         return SymFunc.zero("mtilde")
     key = ("x", canonical_form(G, max(G.n, 1)))
-    hit = _delcon_memo.get(key)
+    hit = _memo_get(key)
     if hit is not None:
         return hit
     e = _first_nonloop(G)
@@ -150,7 +172,7 @@ def chromatic_sym_delcon(G: Multigraph, max_n: int | None = None) -> SymFunc:
         result = chromatic_sym_delcon(delete_edges(G, [e]), max_n) - chromatic_sym_delcon(
             contract_edge(G, e), max_n
         )
-    _delcon_memo[key] = result
+    _memo_put(key, result)
     return result
 
 

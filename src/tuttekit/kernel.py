@@ -21,6 +21,7 @@ from tuttekit.combinatorics import (
     MAX_SUBSET_EDGES,
     DomainError,
     TPoly,
+    as_int,
     augmentation_factor,
     block_index_map,
     enumerate_set_partitions,
@@ -42,6 +43,7 @@ from tuttekit.graphs import (
     graph_to_json_obj,
     internal_edge_count,
     is_bright_star_forest,
+    json_field,
     relabel,
     right_endpoint_key,
     star_forest_canonical_map,
@@ -70,7 +72,7 @@ class GraphCombination(LinComb):
     _order = staticmethod(Multigraph.key)
 
     def __init__(self, n: int, terms: Iterable[tuple[Multigraph, TPoly]] | dict = ()):
-        object.__setattr__(self, "n", int(n))
+        object.__setattr__(self, "n", as_int(n, "vertex count"))
         super().__init__(terms)
 
     def _key(self, g: Multigraph) -> Multigraph:
@@ -96,10 +98,13 @@ class GraphCombination(LinComb):
     @staticmethod
     def from_json_obj(obj: dict) -> GraphCombination:
         return GraphCombination(
-            obj["n"],
+            json_field(obj, "n"),
             [
-                (graph_from_json_obj(t["graph"]), TPoly.from_strings(t["coeff"]))
-                for t in obj["terms"]
+                (
+                    graph_from_json_obj(json_field(t, "graph")),
+                    TPoly.from_strings(json_field(t, "coeff")),
+                )
+                for t in json_field(obj, "terms")
             ],
         )
 
@@ -157,7 +162,11 @@ def standard_form(L: GraphCombination) -> StandardForm:
 #### friendliness ##############################################################
 
 def b_value(L: GraphCombination, blocks: Iterable[Iterable[int]]) -> TPoly:
-    """B(L; pi): sum of coeff * (1+t)^(internal edge count) over the terms."""
+    """B(L; pi): sum of coeff * (1+t)^(internal edge count) over the terms.
+
+    Validates pi and counts from scratch: the reference for the counting
+    scan in `is_tutte_friendly`.
+    """
     blocks = normalize_blocks(L.n, blocks)
     vmap = block_index_map(blocks)
     acc = TPoly.zero()
@@ -168,7 +177,10 @@ def b_value(L: GraphCombination, blocks: Iterable[Iterable[int]]) -> TPoly:
 
 
 def c_value(L: GraphCombination, blocks: Iterable[Iterable[int]]) -> Fraction:
-    """C(L; pi): sum of the scalar coefficients of terms with no internal edge."""
+    """C(L; pi): sum of the scalar coefficients of terms with no internal edge.
+
+    Validates pi and counts from scratch: the reference for `is_x_friendly`.
+    """
     blocks = normalize_blocks(L.n, blocks)
     vmap = block_index_map(blocks)
     acc = Fraction(0)
@@ -191,15 +203,22 @@ def is_tutte_friendly(
 
     On failure returns (False, pi, a) with pi the first violating partition
     in enumeration order and a the least (1+t)-power with nonzero
-    coefficient in B(L; pi).
+    coefficient in B(L; pi).  Each coefficient is expanded in (1+t)-powers
+    once; at pi a term with e internal edges shifts its powers up by e.
     """
     _check_friendly_bound(L.n, max_n)
-    for pi in enumerate_set_partitions(L.n):
-        b = b_value(L, pi)
-        if not b.is_zero():
-            powers = b.onep_t_powers()
-            a = next(i for i, c in enumerate(powers) if c != 0)
-            return False, pi, a
+    graphs = list(L.terms)
+    powers = [
+        [(k, c) for k, c in enumerate(L.terms[g].onep_t_powers()) if c != 0] for g in graphs
+    ]
+    for pi, counts in enumerate_set_partitions(L.n, edge_sets=[g.edges for g in graphs]):
+        b: dict[int, Fraction | int] = {}
+        for p, e in zip(powers, counts):
+            for k, c in p:
+                b[k + e] = b.get(k + e, 0) + c
+        nonzero = [k for k, c in b.items() if c != 0]
+        if nonzero:
+            return False, pi, min(nonzero)
     return True, None, None
 
 
@@ -209,8 +228,10 @@ def is_x_friendly(L: GraphCombination, max_n: int | None = None) -> tuple[bool, 
     for c in L.terms.values():
         if c.degree() > 0:
             raise DomainError("X-friendliness is defined for t-free coefficients")
-    for pi in enumerate_set_partitions(L.n):
-        if c_value(L, pi) != 0:
+    graphs = list(L.terms)
+    scalars = [L.terms[g].terms.get(0, 0) for g in graphs]
+    for pi, counts in enumerate_set_partitions(L.n, edge_sets=[g.edges for g in graphs]):
+        if sum(c for c, e in zip(scalars, counts) if e == 0) != 0:
             return False, pi
     return True, None
 

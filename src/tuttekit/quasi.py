@@ -21,12 +21,13 @@ from tuttekit.combinatorics import (
     MAX_SUBSET_EDGES,
     DomainError,
     TPoly,
+    as_int,
     as_rational,
     augmentation_factor,
     format_rational,
     parse_rational,
 )
-from tuttekit.graphs import Multigraph, _components_of, connected_partitions
+from tuttekit.graphs import Multigraph, _components_of, connected_partitions, json_field
 from tuttekit.lincomb import LinComb, Poly
 from tuttekit.symfun import SymFunc, _arrangements
 
@@ -102,12 +103,12 @@ class Digraph:
     __slots__ = ("n", "arcs", "weights")
 
     def __init__(self, n: int, arcs: Iterable[Sequence[int]] = (), weights: Sequence[int] | None = None):
-        n = int(n)
+        n = as_int(n, "vertex count")
         if n < 0:
             raise DomainError("vertex count must be nonnegative")
         norm = []
         for a in arcs:
-            u, v = int(a[0]), int(a[1])
+            u, v = as_int(a[0], "arc endpoint"), as_int(a[1], "arc endpoint")
             if not (1 <= u <= n and 1 <= v <= n):
                 raise DomainError(f"arc ({u},{v}) leaves [{n}]")
             norm.append((u, v))
@@ -115,7 +116,7 @@ class Digraph:
         if weights is None:
             w = (1,) * n
         else:
-            w = tuple(int(x) for x in weights)
+            w = tuple(as_int(x, "vertex weight") for x in weights)
             if len(w) != n or any(x < 1 for x in w):
                 raise DomainError("weights must list one positive integer per vertex")
         object.__setattr__(self, "n", n)
@@ -227,7 +228,7 @@ def digraph_to_json_obj(D: Digraph) -> dict:
 
 
 def digraph_from_json_obj(obj: dict) -> Digraph:
-    return Digraph(obj["n"], obj.get("arcs", ()), obj.get("weights"))
+    return Digraph(json_field(obj, "n"), obj.get("arcs", ()), obj.get("weights"))
 
 
 #### truncated quasisymmetric values ###########################################

@@ -238,6 +238,33 @@ def test_bound_violation_is_domain_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+_PAIR = {"n": 2, "edges": [[1, 2]]}
+
+
+@pytest.mark.parametrize(
+    "cmd, obj, extra",
+    [
+        ("xb", {"edges": [[1, 2]]}, []),
+        ("xb", {"n": 2, "edges": [["a", 2]]}, []),
+        ("xb", {"n": 2, "edges": [[1, 2]], "weights": ["x", 1]}, []),
+        ("friendly", {"n": 2, "terms": [{"coeff": ["1/0"], "graph": _PAIR}]}, []),
+        ("witness", {"n": 2, "terms": [{"coeff": ["1/1"], "graph": _PAIR}]}, ["--pi", "1,x"]),
+        ("xb", _PAIR, ["--t-eval", "abc"]),
+    ],
+    ids=["missing-n", "edge-endpoint", "weight", "zero-denominator", "pi-vertex", "t-eval"],
+)
+def test_malformed_input_is_one_error_line(tmp_path, capsys, cmd, obj, extra):
+    assert main([cmd, write_json(tmp_path, "bad.json", obj), *extra]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
+def test_negative_bound_override_is_refused(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("TUTTEKIT_MAX_N", "-5")
+    assert main(["xb", graph_file(tmp_path, complete(2))]) == 1
+    assert capsys.readouterr().err.startswith("error: TUTTEKIT_MAX_N")
+
+
 def test_usage_errors(capsys):
     assert main(["no-such-command"]) == 2
     assert main([]) == 2

@@ -10,7 +10,6 @@ from tuttekit.combinatorics import (
     DomainError,
     TPoly,
     augmentation_factor,
-    blocks_from_rgs,
     enumerate_set_partitions,
     format_rational,
     lambda_of,
@@ -60,11 +59,6 @@ def test_empty_ground_set_has_one_partition():
     assert list(enumerate_set_partitions(0)) == [()]
 
 
-def test_blocks_from_rgs():
-    assert blocks_from_rgs([0, 0, 1]) == ((1, 2), (3,))
-    assert blocks_from_rgs([]) == ()
-
-
 def test_partitions_of_counts():
     known = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42]
     for n, want in enumerate(known):
@@ -84,6 +78,10 @@ def test_partition_helpers():
 
 def test_normalize_and_shorthand():
     assert normalize_blocks(3, [[3], [1, 2]]) == ((1, 2), (3,))
+    # a block given as a one-shot iterator is read once
+    assert normalize_blocks(2, [iter((1, 2))]) == ((1, 2),)
+    with pytest.raises(DomainError, match="repeated element inside block \\(1, 1\\)"):
+        normalize_blocks(1, [iter((1, 1))])
     assert p_shorthand(4, [[2, 3]]) == ((1,), (2, 3), (4,))
     with pytest.raises(DomainError):
         normalize_blocks(3, [[1, 2]])
@@ -96,6 +94,9 @@ def test_normalize_and_shorthand():
 def test_rational_strings():
     assert parse_rational("3/4") == Fraction(3, 4)
     assert parse_rational("-2") == Fraction(-2)
+    for bad in ("abc", "1/x", "", "1/0", 3):
+        with pytest.raises(DomainError):
+            parse_rational(bad)
     assert format_rational(Fraction(5, 10)) == "1/2"
     assert format_rational(Fraction(-3)) == "-3/1"
 
@@ -160,4 +161,7 @@ def test_resolve_bound(monkeypatch):
     assert resolve_bound(10, 4) == 4
     monkeypatch.setenv("TUTTEKIT_MAX_N", "junk")
     with pytest.raises(DomainError):
+        resolve_bound(10)
+    monkeypatch.setenv("TUTTEKIT_MAX_N", "-5")
+    with pytest.raises(DomainError, match="nonnegative"):
         resolve_bound(10)

@@ -1,0 +1,205 @@
+"""The set-partition kernel: counted enumeration against the checked references.
+
+`enumerate_set_partitions` with `edge_sets` counts internal edges as it
+walks; these tests compare it with `internal_edge_count`, `b_value` and
+`c_value`, which re-derive every partition from scratch.  Stanley's
+p-expansion is an oracle that shares no code with partition enumeration,
+and the bounded deletion-contraction memo must keep its answers exact
+after evicting.
+"""
+
+from itertools import combinations_with_replacement, islice
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tuttekit import invariants
+from tuttekit.combinatorics import DomainError, TPoly, enumerate_set_partitions
+from tuttekit.graphs import Multigraph, cycle, edgeless, internal_edge_count
+from tuttekit.invariants import DELCON_MEMO_CAP, chromatic_sym, tutte_sym, tutte_sym_delcon
+from tuttekit.kernel import (
+    GraphCombination,
+    b_value,
+    c_value,
+    ell_os_plus,
+    is_tutte_friendly,
+    is_x_friendly,
+)
+from tuttekit.symfun import SymFunc, m_to_p, mtilde_to_m
+
+
+@st.composite
+def edge_lists(draw, n, max_edges=7):
+    """Edges on [n] with loops and repeated pairs."""
+    if n == 0:
+        return []
+    vertex = st.integers(1, n)
+    return draw(st.lists(st.tuples(vertex, vertex), max_size=max_edges))
+
+
+@st.composite
+def multigraphs(draw, max_n=6, max_weight=2):
+    n = draw(st.integers(0, max_n))
+    weights = draw(st.lists(st.integers(1, max_weight), min_size=n, max_size=n))
+    return Multigraph(n, draw(edge_lists(n)), weights)
+
+
+@st.composite
+def combinations(draw, t_free=False):
+    """Random combinations on [n]: unit-weight multigraph terms, small coefficients."""
+    n = draw(st.integers(0, 5))
+    coeff = st.lists(st.integers(-2, 2), min_size=1, max_size=1 if t_free else 3)
+    terms = draw(st.lists(st.tuples(edge_lists(n, 5), coeff), max_size=5))
+    return GraphCombination(n, [(Multigraph(n, es), TPoly(c)) for es, c in terms])
+
+
+#### the kernel against internal_edge_count ####################################
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(0, 6).flatmap(lambda n: st.tuples(st.just(n), st.lists(edge_lists(n), max_size=4))))
+def test_counts_match_internal_edge_count(case):
+    n, edge_sets = case
+    counted = list(enumerate_set_partitions(n, edge_sets=edge_sets))
+    assert [pi for pi, _ in counted] == list(enumerate_set_partitions(n))
+    graphs = [Multigraph(n, es) for es in edge_sets]
+    for pi, counts in counted:
+        assert counts == tuple(internal_edge_count(g, pi) for g in graphs)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(0, 6).flatmap(lambda n: st.tuples(st.just(n), edge_lists(n), st.integers(0, 2))))
+def test_max_internal_keeps_exactly_the_bounded_subsequence(case):
+    n, edges, cap = case
+    G = Multigraph(n, edges)
+    pruned = list(enumerate_set_partitions(n, edge_sets=[edges, []], max_internal=cap))
+    want = [pi for pi in enumerate_set_partitions(n) if internal_edge_count(G, pi) <= cap]
+    assert [pi for pi, _ in pruned] == want
+    assert all(counts == (internal_edge_count(G, pi), 0) for pi, counts in pruned)
+
+
+def test_kernel_option_validation():
+    with pytest.raises(DomainError):
+        enumerate_set_partitions(3, max_internal=0)
+    with pytest.raises(DomainError):
+        enumerate_set_partitions(3, edge_sets=[], max_internal=0)
+    with pytest.raises(DomainError):
+        list(enumerate_set_partitions(2, edge_sets=[[(1, 3)]]))
+    assert list(enumerate_set_partitions(0, edge_sets=[[]])) == [((), (0,))]
+    # a loop is internal to every partition, so the stable walk is empty
+    assert list(enumerate_set_partitions(2, edge_sets=[[(2, 2)]], max_internal=0)) == []
+
+
+#### friendliness scans against b_value / c_value ##############################
+
+def reference_tutte_scan(L):
+    for pi in enumerate_set_partitions(L.n):
+        b = b_value(L, pi)
+        if not b.is_zero():
+            return False, pi, next(i for i, c in enumerate(b.onep_t_powers()) if c != 0)
+    return True, None, None
+
+
+def reference_x_scan(L):
+    for pi in enumerate_set_partitions(L.n):
+        if c_value(L, pi) != 0:
+            return False, pi
+    return True, None
+
+
+@settings(max_examples=150, deadline=None)
+@given(combinations())
+def test_tutte_scan_matches_b_value_reference(L):
+    assert is_tutte_friendly(L) == reference_tutte_scan(L)
+
+
+@settings(max_examples=150, deadline=None)
+@given(combinations(t_free=True))
+def test_x_scan_matches_c_value_reference(L):
+    assert is_x_friendly(L) == reference_x_scan(L)
+
+
+def test_friendly_scans_on_known_cases():
+    assert is_tutte_friendly(ell_os_plus()) == (True, None, None)
+    L = GraphCombination(2, [(Multigraph(2, [(1, 2)]), TPoly([1])), (edgeless(2), TPoly([-1]))])
+    assert is_tutte_friendly(L) == reference_tutte_scan(L) == (False, ((1, 2),), 0)
+    assert is_x_friendly(L) == reference_x_scan(L) == (False, ((1, 2),))
+
+
+#### Stanley's p-expansion #####################################################
+
+def _component_weights(G, subset):
+    """Weights of the components of (V, subset), by union-find."""
+    parent = list(range(G.n + 1))
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for u, v in subset:
+        parent[find(u)] = find(v)
+    totals = {}
+    for v in range(1, G.n + 1):
+        root = find(v)
+        totals[root] = totals.get(root, 0) + G.weights[v - 1]
+    return tuple(sorted(totals.values(), reverse=True))
+
+
+def stanley_p_expansion(G):
+    """XB = sum over edge subsets S of t^|S| p_lambda(S) (Stanley, Discrete Math. 1998)."""
+    terms = []
+    m = len(G.edges)
+    for mask in range(1 << m):
+        subset = [G.edges[i] for i in range(m) if mask >> i & 1]
+        terms.append((_component_weights(G, subset), TPoly([0] * len(subset) + [1])))
+    return SymFunc("p", terms)
+
+
+@settings(max_examples=80, deadline=None)
+@given(multigraphs())
+def test_tutte_sym_matches_stanley_p_expansion(G):
+    assert m_to_p(mtilde_to_m(tutte_sym(G))) == stanley_p_expansion(G)
+
+
+@settings(max_examples=60, deadline=None)
+@given(multigraphs())
+def test_x_is_xb_at_t_minus_one_through_the_stable_walk(G):
+    X = SymFunc("p", [(lam, c.evaluate(-1)) for lam, c in stanley_p_expansion(G).terms.items()])
+    assert m_to_p(mtilde_to_m(chromatic_sym(G))) == X
+
+
+#### the bounded deletion-contraction memo #####################################
+
+def test_delcon_memo_stays_under_its_cap_and_stays_exact(monkeypatch):
+    monkeypatch.setattr(invariants, "_delcon_memo", {})
+    memo = invariants._delcon_memo
+    # edgeless graphs with distinct weight multisets: one memo entry each
+    weight_lists = (w for n in range(1, 6) for w in combinations_with_replacement(range(1, 13), n))
+    filled = 0
+    for weights in islice(weight_lists, DELCON_MEMO_CAP + 50):
+        tutte_sym_delcon(edgeless(len(weights), weights))
+        filled += 1
+        assert len(memo) <= DELCON_MEMO_CAP
+    assert filled > DELCON_MEMO_CAP and len(memo) == DELCON_MEMO_CAP
+    for G in (cycle(5), Multigraph(4, [(1, 2), (1, 2), (2, 3), (3, 4), (4, 4)], [2, 1, 1, 3])):
+        assert tutte_sym_delcon(G) == tutte_sym(G)
+        assert len(memo) == DELCON_MEMO_CAP
+
+
+def test_delcon_memo_evicts_least_recently_used(monkeypatch):
+    monkeypatch.setattr(invariants, "_delcon_memo", {})
+    monkeypatch.setattr(invariants, "DELCON_MEMO_CAP", 3)
+    memo = invariants._delcon_memo
+    graphs = [edgeless(1, [w]) for w in range(1, 5)]
+    for G in graphs[:3]:
+        tutte_sym_delcon(G)
+    first = next(iter(memo))
+    tutte_sym_delcon(graphs[0])  # a hit moves the oldest entry to the end
+    assert next(iter(memo)) != first and list(memo)[-1] == first
+    tutte_sym_delcon(graphs[3])  # evicts graphs[1], now the oldest
+    assert len(memo) == 3 and first in memo
+    for G in graphs:
+        assert tutte_sym_delcon(G) == tutte_sym(G)
+    assert len(memo) == 3
