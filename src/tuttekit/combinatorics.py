@@ -13,6 +13,7 @@ from __future__ import annotations
 import os
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain, combinations
 from math import comb, factorial
 from operator import index
 from typing import Iterable, Iterator, Sequence
@@ -46,6 +47,32 @@ def resolve_bound(default: int, override: int | None = None) -> int:
             raise DomainError(f"TUTTEKIT_MAX_N must be nonnegative: {env!r}")
         return bound
     return default
+
+
+def check_bound(size: int, default: int, max_n: int | None, what: str) -> None:
+    """Refuse a vertex count above the ceiling that resolve_bound gives."""
+    bound = resolve_bound(default, max_n)
+    if size > bound:
+        raise DomainError(
+            f"{what} limited to {bound} vertices, got {size}; "
+            "raise the cap with max_n or TUTTEKIT_MAX_N"
+        )
+
+
+def check_subset_count(m: int, noun: str = "edge") -> None:
+    """Refuse an expansion over all 2^m subsets of more than MAX_SUBSET_EDGES items."""
+    if m > MAX_SUBSET_EDGES:
+        raise DomainError(f"{noun}-subset expansion limited to {MAX_SUBSET_EDGES} {noun}s, got {m}")
+
+
+def subsets_by_size(m: int, noun: str = "edge") -> Iterator[tuple[int, ...]]:
+    """Every subset of range(m) as an ascending tuple, smallest first.
+
+    Subsets of one size come in `itertools.combinations` order.  The cap
+    check runs at the call, before the first subset is asked for.
+    """
+    check_subset_count(m, noun)
+    return chain.from_iterable(combinations(range(m), k) for k in range(m + 1))
 
 
 def as_int(value, what: str) -> int:

@@ -9,6 +9,7 @@ right-endpoint termination order all live here.
 from __future__ import annotations
 
 from itertools import combinations
+from operator import index
 from typing import Iterable, Iterator, Sequence
 
 from tuttekit.combinatorics import (
@@ -16,21 +17,29 @@ from tuttekit.combinatorics import (
     DomainError,
     as_int,
     block_index_map,
+    check_bound,
     enumerate_set_partitions,
     normalize_blocks,
-    resolve_bound,
     sorted_partition,
 )
 
 Edge = tuple  # unordered pair stored as (min, max)
 
 
-def _norm_edge(e: Sequence[int], n: int) -> tuple[int, int]:
-    if len(e) != 2:
-        raise DomainError(f"edge must have two endpoints: {e!r}")
-    u, v = as_int(e[0], "edge endpoint"), as_int(e[1], "edge endpoint")
+def endpoints(e: Sequence[int], n: int, what: str = "edge") -> tuple[int, int]:
+    """(u, v) of an edge or arc on [n], as given; DomainError unless two integers in [n]."""
+    try:
+        u, v = e
+        u, v = index(u), index(v)
+    except (TypeError, ValueError):
+        raise DomainError(f"{what} must have two integer endpoints: {e!r}")
     if not (1 <= u <= n and 1 <= v <= n):
-        raise DomainError(f"edge {e!r} leaves the vertex set [{n}]")
+        raise DomainError(f"{what} {e!r} leaves the vertex set [{n}]")
+    return u, v
+
+
+def _norm_edge(e: Sequence[int], n: int) -> tuple[int, int]:
+    u, v = endpoints(e, n)
     return (u, v) if u <= v else (v, u)
 
 
@@ -314,6 +323,12 @@ def cycle(n: int) -> Multigraph:
     return Multigraph(n, edges)
 
 
+def simple_graph(n: int, mask: int) -> Multigraph:
+    """Simple graph on [n] with pair b of `combinations` over [n] where bit b of mask is set."""
+    pairs = combinations(range(1, n + 1), 2)
+    return Multigraph(n, [p for b, p in enumerate(pairs) if mask >> b & 1])
+
+
 def star(n: int) -> Multigraph:
     """Star on [n] with hub at the largest vertex n."""
     if n < 1:
@@ -461,9 +476,7 @@ def canonical_graph(G: Multigraph, max_n: int | None = None) -> Multigraph:
     """
     if G._canon is not None:
         return G._canon
-    bound = resolve_bound(DEFAULT_CANONICAL_BOUND, max_n)
-    if G.n > bound:
-        raise DomainError(f"canonical form limited to n <= {bound} (got n = {G.n})")
+    check_bound(G.n, DEFAULT_CANONICAL_BOUND, max_n, "canonical form")
     classes = _refined_classes(G)
     class_of_slot: list[int] = []
     for ci, cls in enumerate(classes):
@@ -614,5 +627,16 @@ def json_field(obj, key: str):
     return obj[key]
 
 
+def json_list(obj, key: str, required: bool = True) -> list | None:
+    """obj[key] read from outside, which must be a JSON list; None if optional and absent."""
+    if not required and isinstance(obj, dict) and key not in obj:
+        return None
+    value = json_field(obj, key)
+    if not isinstance(value, list):
+        raise DomainError(f"JSON field {key!r} must be a list, got {value!r}")
+    return value
+
+
 def graph_from_json_obj(obj: dict) -> Multigraph:
-    return Multigraph(json_field(obj, "n"), obj.get("edges", ()), obj.get("weights"))
+    edges = json_list(obj, "edges", required=False) or ()
+    return Multigraph(json_field(obj, "n"), edges, json_list(obj, "weights", required=False))

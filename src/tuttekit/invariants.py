@@ -20,12 +20,13 @@ from math import comb
 
 from tuttekit.combinatorics import (
     DEFAULT_ENUMERATION_BOUND,
-    MAX_SUBSET_EDGES,
     DomainError,
     TPoly,
+    check_bound,
+    check_subset_count,
     enumerate_set_partitions,
     onep_t_power,
-    resolve_bound,
+    subsets_by_size,
 )
 from tuttekit.graphs import (
     Multigraph,
@@ -53,15 +54,6 @@ __all__ = [
 ]
 
 
-def _check_enum_bound(G: Multigraph, max_n: int | None):
-    bound = resolve_bound(DEFAULT_ENUMERATION_BOUND, max_n)
-    if G.n > bound:
-        raise DomainError(
-            f"partition enumeration limited to n <= {bound} (got n = {G.n}); "
-            "raise via argument or TUTTEKIT_MAX_N"
-        )
-
-
 #### definitional routes #######################################################
 
 def _block_lambda(weights):
@@ -78,7 +70,7 @@ def chromatic_sym(G: Multigraph, max_n: int | None = None) -> SymFunc:
     Sums m~ over stable partitions (no internal edges); identically zero as
     soon as G has a loop.
     """
-    _check_enum_bound(G, max_n)
+    check_bound(G.n, DEFAULT_ENUMERATION_BOUND, max_n, "partition enumeration")
     if G.has_loop():
         return SymFunc.zero("mtilde")
     shape = _block_lambda(G.weights)
@@ -88,7 +80,7 @@ def chromatic_sym(G: Multigraph, max_n: int | None = None) -> SymFunc:
 
 def tutte_sym(G: Multigraph, max_n: int | None = None) -> SymFunc:
     """XB of (G, w): the full partition sum with (1+t)^(internal edges)."""
-    _check_enum_bound(G, max_n)
+    check_bound(G.n, DEFAULT_ENUMERATION_BOUND, max_n, "partition enumeration")
     shape = _block_lambda(G.weights)
     counts = Counter(
         (shape(pi), e)
@@ -139,7 +131,7 @@ def tutte_sym_delcon(G: Multigraph, max_n: int | None = None) -> SymFunc:
     the recursion therefore picks the smallest non-loop edge and handles
     loops in one multiplication at the base.  Memoized by canonical form.
     """
-    _check_enum_bound(G, max_n)
+    check_bound(G.n, DEFAULT_ENUMERATION_BOUND, max_n, "partition enumeration")
     key = ("xb", canonical_form(G, max(G.n, 1)))
     hit = _memo_get(key)
     if hit is not None:
@@ -158,7 +150,7 @@ def tutte_sym_delcon(G: Multigraph, max_n: int | None = None) -> SymFunc:
 
 def chromatic_sym_delcon(G: Multigraph, max_n: int | None = None) -> SymFunc:
     """X by deletion-contraction: X(G) = X(G-e) - X(G/e); loops kill X."""
-    _check_enum_bound(G, max_n)
+    check_bound(G.n, DEFAULT_ENUMERATION_BOUND, max_n, "partition enumeration")
     if G.has_loop():
         return SymFunc.zero("mtilde")
     key = ("x", canonical_form(G, max(G.n, 1)))
@@ -184,28 +176,24 @@ def tutte_from_contractions(G: Multigraph, max_n: int | None = None) -> SymFunc:
     Subsets range over edge instances, so each copy of a multi-edge is its
     own element.  Contractions that leave a loop contribute X = 0.
     """
-    _check_enum_bound(G, max_n)
-    if len(G.edges) > MAX_SUBSET_EDGES:
-        raise DomainError(f"edge-subset expansion limited to {MAX_SUBSET_EDGES} edges")
+    check_bound(G.n, DEFAULT_ENUMERATION_BOUND, max_n, "partition enumeration")
     total = SymFunc.zero("mtilde")
-    m = len(G.edges)
     # distinct subsets often contract to the same labelled graph
     x_cache: dict[tuple, SymFunc] = {}
-    for k in range(m + 1):
-        for idx in combinations(range(m), k):
-            H = contract_edge_set(G, [G.edges[i] for i in idx])
-            X = x_cache.get(H.key())
-            if X is None:
-                X = chromatic_sym(H, max_n)
-                x_cache[H.key()] = X
-            if not X.is_zero():
-                total = total + X.scale(onep_t_power(k))
+    for idx in subsets_by_size(len(G.edges)):
+        H = contract_edge_set(G, [G.edges[i] for i in idx])
+        X = x_cache.get(H.key())
+        if X is None:
+            X = chromatic_sym(H, max_n)
+            x_cache[H.key()] = X
+        if not X.is_zero():
+            total = total + X.scale(onep_t_power(len(idx)))
     return total
 
 
 def tutte_from_connected_partitions(G: Multigraph, max_n: int | None = None) -> SymFunc:
     """XB as the sum over connected partitions pi of (1+t)^e(pi) X(G/pi)."""
-    _check_enum_bound(G, max_n)
+    check_bound(G.n, DEFAULT_ENUMERATION_BOUND, max_n, "partition enumeration")
     total = SymFunc.zero("mtilde")
     for pi in connected_partitions(G):
         e = internal_edge_count(G, pi)
@@ -249,9 +237,8 @@ def sigma_l_formula(G: Multigraph, k: int, l: int, max_n: int | None = None) -> 
     Must equal sigma_l of the e-expansion of the (1+t)^k coefficient of
     XB(G), exactly.
     """
-    _check_enum_bound(G, max_n)
-    if len(G.edges) > MAX_SUBSET_EDGES:
-        raise DomainError(f"edge-subset expansion limited to {MAX_SUBSET_EDGES} edges")
+    check_bound(G.n, DEFAULT_ENUMERATION_BOUND, max_n, "partition enumeration")
+    check_subset_count(len(G.edges))
     if k < 0 or l < 0:
         raise DomainError("indices must be nonnegative")
     wG = G.total_weight()

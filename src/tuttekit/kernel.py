@@ -11,25 +11,24 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations as icombinations
 from itertools import product as iproduct
 from typing import Iterable, Sequence
 
 from tuttekit.combinatorics import (
     DEFAULT_ENUMERATION_BOUND,
     DEFAULT_REDUCTION_BOUND,
-    MAX_SUBSET_EDGES,
     DomainError,
     TPoly,
     as_int,
     augmentation_factor,
     block_index_map,
+    check_bound,
     enumerate_set_partitions,
     format_rational,
     multinomial,
     normalize_blocks,
     onep_t_power,
-    resolve_bound,
+    subsets_by_size,
 )
 from tuttekit.graphs import (
     Multigraph,
@@ -44,8 +43,10 @@ from tuttekit.graphs import (
     internal_edge_count,
     is_bright_star_forest,
     json_field,
+    json_list,
     relabel,
     right_endpoint_key,
+    simple_graph,
     star_forest_canonical_map,
     star_forest_shape,
     two_edge_connected,
@@ -102,9 +103,9 @@ class GraphCombination(LinComb):
             [
                 (
                     graph_from_json_obj(json_field(t, "graph")),
-                    TPoly.from_strings(json_field(t, "coeff")),
+                    TPoly.from_strings(json_list(t, "coeff")),
                 )
-                for t in json_field(obj, "terms")
+                for t in json_list(obj, "terms")
             ],
         )
 
@@ -190,12 +191,6 @@ def c_value(L: GraphCombination, blocks: Iterable[Iterable[int]]) -> Fraction:
     return acc
 
 
-def _check_friendly_bound(n: int, max_n: int | None):
-    bound = resolve_bound(DEFAULT_ENUMERATION_BOUND, max_n)
-    if n > bound:
-        raise DomainError(f"friendliness scan limited to n <= {bound} (got n = {n})")
-
-
 def is_tutte_friendly(
     L: GraphCombination, max_n: int | None = None
 ) -> tuple[bool, tuple | None, int | None]:
@@ -206,7 +201,7 @@ def is_tutte_friendly(
     coefficient in B(L; pi).  Each coefficient is expanded in (1+t)-powers
     once; at pi a term with e internal edges shifts its powers up by e.
     """
-    _check_friendly_bound(L.n, max_n)
+    check_bound(L.n, DEFAULT_ENUMERATION_BOUND, max_n, "friendliness scan")
     graphs = list(L.terms)
     powers = [
         [(k, c) for k, c in enumerate(L.terms[g].onep_t_powers()) if c != 0] for g in graphs
@@ -224,7 +219,7 @@ def is_tutte_friendly(
 
 def is_x_friendly(L: GraphCombination, max_n: int | None = None) -> tuple[bool, tuple | None]:
     """Scan all partitions; C(L; pi) must vanish.  Coefficients must be t-free."""
-    _check_friendly_bound(L.n, max_n)
+    check_bound(L.n, DEFAULT_ENUMERATION_BOUND, max_n, "friendliness scan")
     for c in L.terms.values():
         if c.degree() > 0:
             raise DomainError("X-friendliness is defined for t-free coefficients")
@@ -574,9 +569,7 @@ def reduce_to_star_forests(
     right-endpoint order, which forces termination.  XB is preserved at
     every step because each subtraction is a kernel element.
     """
-    bound = resolve_bound(DEFAULT_REDUCTION_BOUND, max_n)
-    if L.n > bound:
-        raise DomainError(f"reduction limited to n <= {bound} (got n = {L.n})")
+    check_bound(L.n, DEFAULT_REDUCTION_BOUND, max_n, "reduction")
     terms: dict[Multigraph, TPoly] = dict(L.terms)
     steps: list[ReductionStep] = []
 
@@ -682,23 +675,15 @@ def two_edge_connected_relation(G: Multigraph, e_i, e_j) -> GraphCombination:
         raise DomainError("relation graphs must have unit weights")
     if not two_edge_connected(G):
         raise DomainError("graph is not two-edge-connected")
-    if len(G.edges) > MAX_SUBSET_EDGES:
-        raise DomainError(f"edge-subset expansion limited to {MAX_SUBSET_EDGES} edges")
     i = _edge_instance_index(G, e_i)
     j = _edge_instance_index(G, e_j)
-    m = len(G.edges)
-    terms: list[tuple[Multigraph, TPoly]] = []
-    for size in range(m + 1):
-        for S in icombinations(range(m), size):
-            sign = -1 if size % 2 else 1
-            coeff = TPoly.zero()
-            if i in S:
-                coeff = coeff + sign
-            if j not in S:
-                coeff = coeff + onep_t_power(1) * sign
-            if not coeff.is_zero():
-                terms.append((Multigraph(G.n, [G.edges[x] for x in S]), coeff))
-    return GraphCombination(G.n, terms)
+    return _signed_subset_sum(
+        G.n,
+        len(G.edges),
+        lambda S: i in S,
+        lambda S: j not in S,
+        lambda S: Multigraph(G.n, [G.edges[x] for x in S]),
+    )
 
 
 def cycle_relation(G: Multigraph, cycle_edges: Sequence[Sequence[int]], i: int, j: int) -> GraphCombination:
@@ -730,18 +715,26 @@ def cycle_relation(G: Multigraph, cycle_edges: Sequence[Sequence[int]], i: int, 
     delete_edges(G, edges)  # validates the multiset is inside E(G)
     if not (1 <= i <= m and 1 <= j <= m):
         raise DomainError(f"cycle edge indices must lie in 1..{m}")
+    return _signed_subset_sum(
+        G.n,
+        m,
+        lambda S: i - 1 not in S,
+        lambda S: j - 1 in S,
+        lambda S: delete_edges(G, [edges[x] for x in S]),
+    )
+
+
+def _signed_subset_sum(n: int, m: int, plain, with_t, graph) -> GraphCombination:
+    """Sum over subsets S of range(m) of (-1)^|S| (plain(S) + (1+t) with_t(S)) graph(S).
+
+    plain and with_t are predicates on S; graph(S) is the term's graph on [n].
+    """
     terms: list[tuple[Multigraph, TPoly]] = []
-    for size in range(m + 1):
-        for S in icombinations(range(m), size):
-            sign = -1 if size % 2 else 1
-            coeff = TPoly.zero()
-            if (i - 1) not in S:
-                coeff = coeff + sign
-            if (j - 1) in S:
-                coeff = coeff + onep_t_power(1) * sign
-            if not coeff.is_zero():
-                terms.append((delete_edges(G, [edges[x] for x in S]), coeff))
-    return GraphCombination(G.n, terms)
+    for S in subsets_by_size(m):
+        coeff = plain(S) + with_t(S) * onep_t_power(1)
+        if coeff:
+            terms.append((graph(S), -coeff if len(S) % 2 else coeff))
+    return GraphCombination(n, terms)
 
 
 def s_pair(H1: Multigraph, H2: Multigraph) -> GraphCombination:
@@ -759,14 +752,6 @@ def s_pair(H1: Multigraph, H2: Multigraph) -> GraphCombination:
     )
 
 
-def _all_simple_graphs(n: int) -> list[Multigraph]:
-    pairs = list(icombinations(range(1, n + 1), 2))
-    out = []
-    for mask in range(1 << len(pairs)):
-        out.append(Multigraph(n, [p for b, p in enumerate(pairs) if mask >> b & 1]))
-    return out
-
-
 def nontrivial_friendly_pair(H1: Multigraph, H2: Multigraph) -> bool:
     """Is s(H1; H2) friendly with H2 distinct from both H1 and its complement?"""
     if H2 == H1 or H2 == complement(H1):
@@ -781,7 +766,7 @@ def classify_n4() -> list[tuple[Multigraph, ...]]:
     and returns the connected families (each closed under complementation),
     sorted for reproducibility.
     """
-    graphs = _all_simple_graphs(4)
+    graphs = [simple_graph(4, mask) for mask in range(1 << 6)]
     index = {g: i for i, g in enumerate(graphs)}
     parent = list(range(len(graphs)))
 
@@ -816,13 +801,11 @@ def sample_friendly_pairs(n: int, count: int, seed: int = 20260817) -> list[tupl
     import random
 
     rng = random.Random(seed)
-    pairs_all = list(icombinations(range(1, n + 1), 2))
+    npairs = n * (n - 1) // 2
     found = []
     for _ in range(count):
-        m1 = rng.getrandbits(len(pairs_all))
-        m2 = rng.getrandbits(len(pairs_all))
-        H1 = Multigraph(n, [p for b, p in enumerate(pairs_all) if m1 >> b & 1])
-        H2 = Multigraph(n, [p for b, p in enumerate(pairs_all) if m2 >> b & 1])
+        H1 = simple_graph(n, rng.getrandbits(npairs))
+        H2 = simple_graph(n, rng.getrandbits(npairs))
         if nontrivial_friendly_pair(H1, H2):
             found.append((H1, H2))
     return found
@@ -874,9 +857,7 @@ def broom_relation(n: int, k: int, max_n: int | None = None) -> GraphCombination
             "k-vertex star, and a star with k < 2 has no bristle"
         )
     N = n + k
-    bound = resolve_bound(DEFAULT_ENUMERATION_BOUND, max_n)
-    if N > bound:
-        raise DomainError(f"broom relation limited to n + k <= {bound}")
+    check_bound(N, DEFAULT_ENUMERATION_BOUND, max_n, "broom relation")
     term1 = broom(n, k)
     path_edges = [(i, i + 1) for i in range(1, n + 1)]
     star_edges = [(j, N) for j in range(n + 2, N)]

@@ -12,22 +12,29 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations as icombinations
 from itertools import product as iproduct
 from math import comb
 from typing import Iterable, Sequence
 
 from tuttekit.combinatorics import (
-    MAX_SUBSET_EDGES,
     DomainError,
     TPoly,
     as_int,
     as_rational,
     augmentation_factor,
+    block_index_map,
     format_rational,
     parse_rational,
+    subsets_by_size,
 )
-from tuttekit.graphs import Multigraph, _components_of, connected_partitions, json_field
+from tuttekit.graphs import (
+    Multigraph,
+    _components_of,
+    connected_partitions,
+    endpoints,
+    json_field,
+    json_list,
+)
 from tuttekit.lincomb import LinComb, Poly
 from tuttekit.symfun import SymFunc, _arrangements
 
@@ -106,13 +113,7 @@ class Digraph:
         n = as_int(n, "vertex count")
         if n < 0:
             raise DomainError("vertex count must be nonnegative")
-        norm = []
-        for a in arcs:
-            u, v = as_int(a[0], "arc endpoint"), as_int(a[1], "arc endpoint")
-            if not (1 <= u <= n and 1 <= v <= n):
-                raise DomainError(f"arc ({u},{v}) leaves [{n}]")
-            norm.append((u, v))
-        norm.sort()
+        norm = sorted(endpoints(a, n, "arc") for a in arcs)
         if weights is None:
             w = (1,) * n
         else:
@@ -228,7 +229,8 @@ def digraph_to_json_obj(D: Digraph) -> dict:
 
 
 def digraph_from_json_obj(obj: dict) -> Digraph:
-    return Digraph(json_field(obj, "n"), obj.get("arcs", ()), obj.get("weights"))
+    arcs = json_list(obj, "arcs", required=False) or ()
+    return Digraph(json_field(obj, "n"), arcs, json_list(obj, "weights", required=False))
 
 
 #### truncated quasisymmetric values ###########################################
@@ -347,10 +349,7 @@ def tq_from_connected_partitions(D: Digraph, N: int) -> TruncatedQFunc:
     _check_coloring_budget(D, N)
     total = TruncatedQFunc(N)
     for blocks in connected_partitions(underlying(D)):
-        label = {}
-        for i, b in enumerate(blocks):
-            for v in b:
-                label[v] = i
+        label = block_index_map(blocks)
         internal = sum(1 for u, v in D.arcs if label[u] == label[v])
         piece = xq(contract_digraph_partition(D, blocks), N)
         total = total + piece.scale(qt_onep_t_power(internal))
@@ -363,16 +362,13 @@ def tq_from_arc_subsets(D: Digraph, N: int) -> TruncatedQFunc:
     Contracting a non-induced S leaves a loop, whose XQ vanishes, so the
     sum silently restricts itself to induced sets.
     """
-    if len(D.arcs) > MAX_SUBSET_EDGES:
-        raise DomainError(f"arc-subset expansion limited to {MAX_SUBSET_EDGES} arcs")
+    subsets = subsets_by_size(len(D.arcs), "arc")
     _check_coloring_budget(D, N)
     total = TruncatedQFunc(N)
-    m = len(D.arcs)
-    for size in range(m + 1):
-        for S in icombinations(range(m), size):
-            piece = xq(contract_arc_set(D, S), N)
-            if not piece.is_zero():
-                total = total + piece.scale(qt_onep_t_power(size))
+    for S in subsets:
+        piece = xq(contract_arc_set(D, S), N)
+        if not piece.is_zero():
+            total = total + piece.scale(qt_onep_t_power(len(S)))
     return total
 
 

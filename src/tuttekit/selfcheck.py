@@ -24,6 +24,7 @@ from tuttekit.graphs import (
     cycle,
     relabel,
     right_endpoint_key,
+    simple_graph,
     star_forest_shape,
 )
 from tuttekit.invariants import (
@@ -81,11 +82,7 @@ SEED = 20260817
 
 def simple_graphs(n: int) -> list[Multigraph]:
     """All labelled simple graphs on [n]."""
-    pairs = list(combinations(range(1, n + 1), 2))
-    return [
-        Multigraph(n, [p for b, p in enumerate(pairs) if mask >> b & 1])
-        for mask in range(1 << len(pairs))
-    ]
+    return [simple_graph(n, mask) for mask in range(1 << (n * (n - 1) // 2))]
 
 
 def multigraphs_on_3(max_edges: int = 4) -> list[Multigraph]:
@@ -119,10 +116,9 @@ def random_multigraph(
 
 
 def random_simple_graph(rng: random.Random, n: int, e_max: int | None = None) -> Multigraph:
-    pairs = list(combinations(range(1, n + 1), 2))
     if e_max is None:
-        mask = rng.getrandbits(len(pairs))
-        return Multigraph(n, [p for b, p in enumerate(pairs) if mask >> b & 1])
+        return simple_graph(n, rng.getrandbits(n * (n - 1) // 2))
+    pairs = list(combinations(range(1, n + 1), 2))
     rng.shuffle(pairs)
     return Multigraph(n, pairs[: rng.randint(0, min(e_max, len(pairs)))])
 

@@ -1,10 +1,11 @@
 """Symmetric functions with TPoly coefficients in the m~, m, p, e bases.
 
 m~ denotes the augmented monomial basis: m~_lam = (prod r_i(lam)!) m_lam.
-Conversions go through the monomial basis; m to e is a per-degree exact
-linear solve against the expansion of the e basis in m.  Coefficients stay
-integer polynomials until a conversion divides: the transition tables are
-integer counts, and only the inverted matrices carry Fractions.
+Conversions go through the monomial basis.  The e and p bases are reached
+by triangular elimination against their integer m-expansions, with no
+matrix to invert.  Coefficients stay integer polynomials until a
+conversion divides: m to e never does, and m to p divides only by the
+multiplicity factorials prod r_i! of the leading term.
 """
 
 from __future__ import annotations
@@ -216,70 +217,54 @@ def to_m(f: SymFunc, max_degree: int | None = None) -> SymFunc:
     return SymFunc("m", ((mu, c * k) for lam, c in f.terms.items() for mu, k in table(lam)))
 
 
-def _invert(matrix: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Exact inverse by Gauss-Jordan elimination; raises on singular input."""
-    n = len(matrix)
-    aug = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(matrix)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise ArithmeticError("singular transition matrix; this is a bug")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = Fraction(1) / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
-
-
-@lru_cache(maxsize=None)
-def _m_to_basis_matrix(d: int, table) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple, ...]]:
-    """(partitions of d, matrix M) with target coefficients = M @ m-coefficients.
-
-    table(lam) is the m-expansion of the target basis element indexed by lam.
-    """
-    parts = tuple(partitions_of(d))
-    index = {lam: i for i, lam in enumerate(parts)}
-    # column j holds the m-expansion of the target element for parts[j]
-    fwd = [[0] * len(parts) for _ in parts]
-    for j, lam in enumerate(parts):
-        for mu, c in table(lam):
-            fwd[index[mu]][j] = c
-    # the m-to-e inverse is an integer matrix; integral entries stay ints so
-    # that integer inputs give integer outputs
-    inv = _invert(fwd)
-    return parts, tuple(tuple(int(x) if x.denominator == 1 else x for x in row) for row in inv)
-
-
-def _solve_from_m(f: SymFunc, table, target: str, max_degree: int | None) -> SymFunc:
+def _m_terms(f: SymFunc, max_degree: int | None) -> dict:
+    """A mutable copy of the m-coefficients of an m- or mtilde-basis function."""
     if f.basis == "mtilde":
         f = mtilde_to_m(f)
     if f.basis != "m":
         raise DomainError(f"expected m (or mtilde) basis, got {f.basis}")
-    by_degree: dict[int, dict[tuple[int, ...], TPoly]] = {}
-    for lam, c in f.terms.items():
-        by_degree.setdefault(sum(lam), {})[lam] = c
-    out: list[tuple[tuple[int, ...], TPoly]] = []
-    for d, terms in by_degree.items():
-        _check_degree(d, max_degree)
-        parts, inv = _m_to_basis_matrix(d, table)
-        for j, mu in enumerate(parts):
-            c = terms.get(mu)
-            if c is not None:
-                out += [(lam, c * inv[i][j]) for i, lam in enumerate(parts) if inv[i][j]]
-    return SymFunc(target, out)
+    for lam in f.terms:
+        _check_degree(sum(lam), max_degree)
+    return dict(f.terms)
+
+
+def _conjugate(mu: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(sum(1 for part in mu if part > i) for i in range(mu[0] if mu else 0))
 
 
 def m_to_e(f: SymFunc, max_degree: int | None = None) -> SymFunc:
-    """Rewrite a monomial-basis function in the elementary basis, exactly."""
-    return _solve_from_m(f, _e_in_m, "e", max_degree)
+    """Rewrite a monomial-basis function in the elementary basis, exactly.
+
+    e_mu' = m_mu + lex-lower terms (Macdonald, Symmetric Functions and Hall
+    Polynomials, ch. I, section 2), so the lex-largest m_mu left carries the
+    coefficient of e_mu'.  No step divides.
+    """
+    rest = _m_terms(f, max_degree)
+    out: list[tuple[tuple[int, ...], TPoly]] = []
+    while rest:
+        mu = max(rest)
+        lam, c = _conjugate(mu), rest[mu]
+        out.append((lam, c))
+        merge_terms(rest, ((nu, c * -k) for nu, k in _e_in_m(lam)))
+    return SymFunc("e", out)
 
 
 def m_to_p(f: SymFunc, max_degree: int | None = None) -> SymFunc:
-    """Rewrite a monomial-basis function in the power-sum basis, exactly."""
-    return _solve_from_m(f, _p_in_m, "p", max_degree)
+    """Rewrite a monomial-basis function in the power-sum basis, exactly.
+
+    p_mu = (prod r_i!) m_mu + lex-higher terms (Macdonald, ch. I, section 6),
+    so the lex-smallest m_mu left, divided by prod r_i!, is the coefficient
+    of p_mu.
+    """
+    rest = _m_terms(f, max_degree)
+    out: list[tuple[tuple[int, ...], TPoly]] = []
+    while rest:
+        mu = min(rest)
+        lead = augmentation_factor(mu)
+        c = rest[mu] if lead == 1 else rest[mu] * Fraction(1, lead)
+        out.append((mu, c))
+        merge_terms(rest, ((nu, c * -k) for nu, k in _p_in_m(mu)))
+    return SymFunc("p", out)
 
 
 def sigma_l(f: SymFunc, l: int) -> TPoly:

@@ -27,7 +27,7 @@ def test_criterion_01_xb_routes_agree():
     _run(1)
 
 
-def test_criterion_02_deletion_contraction():
+def test_criterion_02_t_minus_one_recovers_x():
     _run(2)
 
 
@@ -35,7 +35,7 @@ def test_criterion_03_generators_are_friendly():
     _run(3)
 
 
-def test_criterion_04_friendliness_matches_kernel():
+def test_criterion_04_no_friendly_single_graph_differences():
     _run(4)
 
 
@@ -43,19 +43,19 @@ def test_criterion_05_n4_classification():
     _run(5)
 
 
-def test_criterion_06_witness_construction():
+def test_criterion_06_star_forest_reduction():
     _run(6)
 
 
-def test_criterion_07_reduction_certificates():
+def test_criterion_07_two_edge_connected_and_cycle_relations():
     _run(7)
 
 
-def test_criterion_08_cycle_relations():
+def test_criterion_08_orientation_formula():
     _run(8)
 
 
-def test_criterion_09_sigma_formula():
+def test_criterion_09_witness_construction():
     _run(9)
 
 

@@ -236,6 +236,12 @@ def test_bound_violation_is_domain_error(tmp_path, capsys):
     g = graph_file(tmp_path, edgeless(11))
     assert main(["xb", g]) == 1
     assert "error:" in capsys.readouterr().err
+    # a 17-cycle has 2^17 edge subsets, over the 16-edge cap
+    C17 = cycle(17)
+    spec = ";".join(f"{u},{v}" for u, v in C17.edges)
+    g = graph_file(tmp_path, C17)
+    assert main(["relation", "cycle", g, "--cycle", spec, "--i", "1", "--j", "2"]) == 1
+    assert capsys.readouterr().err.startswith("error:")
 
 
 _PAIR = {"n": 2, "edges": [[1, 2]]}
@@ -250,11 +256,23 @@ _PAIR = {"n": 2, "edges": [[1, 2]]}
         ("friendly", {"n": 2, "terms": [{"coeff": ["1/0"], "graph": _PAIR}]}, []),
         ("witness", {"n": 2, "terms": [{"coeff": ["1/1"], "graph": _PAIR}]}, ["--pi", "1,x"]),
         ("xb", _PAIR, ["--t-eval", "abc"]),
+        ("friendly", {"n": 2, "terms": [{"coeff": "12", "graph": _PAIR}]}, []),
+        ("friendly", {"n": 2, "terms": [{"coeff": 5, "graph": _PAIR}]}, []),
+        ("friendly", {"n": 2, "terms": 5}, []),
+        ("xb", {"n": 2, "edges": 5}, []),
+        ("xb", {"n": 2, "edges": [[1, 2]], "weights": 5}, []),
+        ("quasi tq", {"n": 2, "arcs": 5}, []),
+        ("quasi tq", {"n": 2, "arcs": [[1]]}, []),
+        ("quasi tq", {"n": 2, "arcs": [[1, 2, 3]]}, []),
     ],
-    ids=["missing-n", "edge-endpoint", "weight", "zero-denominator", "pi-vertex", "t-eval"],
+    ids=[
+        "missing-n", "edge-endpoint", "weight", "zero-denominator", "pi-vertex", "t-eval",
+        "coeff-text", "coeff-number", "terms-number", "edges-number", "weights-number",
+        "arcs-number", "arc-one-endpoint", "arc-three-endpoints",
+    ],
 )
 def test_malformed_input_is_one_error_line(tmp_path, capsys, cmd, obj, extra):
-    assert main([cmd, write_json(tmp_path, "bad.json", obj), *extra]) == 1
+    assert main([*cmd.split(), write_json(tmp_path, "bad.json", obj), *extra]) == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
 

@@ -270,6 +270,9 @@ def test_cycle_relation_validation():
     with pytest.raises(DomainError):
         cycle_relation(Multigraph(3, [(1, 1), (1, 2), (2, 3), (1, 3)]),
                        [(1, 1), (1, 2), (2, 3)], 1, 1)
+    # 2^17 signed subsets: over the 16-edge cap
+    with pytest.raises(DomainError, match="limited to 16 edges"):
+        cycle_relation(cycle(17), list(cycle(17).edges), 1, 2)
 
 
 def test_two_edge_connected_relation():
@@ -285,6 +288,8 @@ def test_two_edge_connected_relation():
         two_edge_connected_relation(C3, 0, 1)
     with pytest.raises(DomainError):
         two_edge_connected_relation(C3, (1, 2), (1, 4))
+    with pytest.raises(DomainError, match="limited to 16 edges"):
+        two_edge_connected_relation(cycle(17), 1, 2)
 
 
 def test_s_pair_and_family_pins():

@@ -209,7 +209,8 @@ def test_coefficients_stay_int_or_fraction():
 def test_counts_stay_int_until_a_division():
     f = tutte_sym(cycle(4))
     assert all(type(c) is int for c in _scalars(f))
-    # the m-to-e transition matrix is unimodular, so no denominator appears
+    # e_mu' = m_mu + lex-lower terms: each elimination step has leading
+    # coefficient 1, so m to e never divides
     assert all(type(c) is int for c in _scalars(m_to_e(mtilde_to_m(f))))
 
 

@@ -121,28 +121,38 @@ def test_mtilde_rescaling():
 
 #### roundtrips ################################################################
 
-SMALL_PARTITIONS = [lam for d in range(6) for lam in partitions_of(d)]
+# No second route computes m_to_e or m_to_p: these round trips and the
+# golden files are their checks.
+PARTITIONS = [lam for d in range(9) for lam in partitions_of(d)]
 
-coeffs = st.integers(-4, 4)
-funcs = st.dictionaries(st.sampled_from(SMALL_PARTITIONS), coeffs, max_size=4)
+coeffs = st.lists(
+    st.fractions(min_value=-4, max_value=4, max_denominator=3), max_size=3
+).map(TPoly)
+funcs = st.dictionaries(st.sampled_from(PARTITIONS), coeffs, max_size=4)
 
 
 @given(funcs)
 def test_m_e_roundtrip(data):
-    f = SymFunc("m", {lam: Fraction(c) for lam, c in data.items()})
+    f = SymFunc("m", data)
     assert to_m(m_to_e(f)) == f
 
 
 @given(funcs)
 def test_m_p_roundtrip(data):
-    f = SymFunc("m", {lam: Fraction(c) for lam, c in data.items()})
+    f = SymFunc("m", data)
     assert to_m(m_to_p(f)) == f
 
 
 @given(funcs)
 def test_e_side_roundtrip(data):
-    f = SymFunc("e", {lam: Fraction(c) for lam, c in data.items()})
+    f = SymFunc("e", data)
     assert m_to_e(to_m(f)) == f
+
+
+@given(funcs)
+def test_p_side_roundtrip(data):
+    f = SymFunc("p", data)
+    assert m_to_p(to_m(f)) == f
 
 
 def test_mtilde_roundtrip():
