@@ -167,19 +167,15 @@ def contract_edge_set(G: Multigraph, S: Iterable[Sequence[int]]) -> Multigraph:
             raise DomainError(f"edge {e} not present (with multiplicity) in {G!r}")
         avail[e] -= 1
     comps = _components_of(G.n, [e for e in s_list if e[0] != e[1]])
-    label = {}
-    for i, comp in enumerate(comps):
-        for v in comp:
-            label[v] = i + 1
-    new_n = len(comps)
-    new_weights = [0] * new_n
+    idx = block_index_map(comps)
+    new_weights = [0] * len(comps)
     for v in range(1, G.n + 1):
-        new_weights[label[v] - 1] += G.weights[v - 1]
+        new_weights[idx[v]] += G.weights[v - 1]
     remaining = list(G.edges)
     for e in s_list:
         remaining.remove(e)
-    new_edges = [(label[u], label[v]) for u, v in remaining]
-    return Multigraph(new_n, new_edges, new_weights)
+    new_edges = [(idx[u] + 1, idx[v] + 1) for u, v in remaining]
+    return Multigraph(len(comps), new_edges, new_weights)
 
 
 def contract_edge(G: Multigraph, e: Sequence[int]) -> Multigraph:
@@ -378,19 +374,22 @@ def is_bright_star_forest(G: Multigraph) -> tuple[bool, tuple[int, int, int] | N
     For every a < b < c the edges among {a,b,c} must either number at most one
     or be exactly {ac, bc}.  Returns (True, None) or (False, smallest violating
     triple).  Defined for simple graphs only.
+
+    A triple violates the condition exactly when ab is an edge and c is
+    adjacent to a or b, so the smallest violating triple takes the first
+    edge ab (in lexicographic order) with a neighbour of a or b above b, and
+    the smallest such neighbour as c.  Adjacency is held as bitmasks.
     """
     if G.has_loop() or G.has_multi_edge():
         raise DomainError("bright star forest test requires a simple graph")
-    present = set(G.edges)
-    for a in range(1, G.n + 1):
-        for b in range(a + 1, G.n + 1):
-            for c in range(b + 1, G.n + 1):
-                inside = {e for e in ((a, b), (a, c), (b, c)) if e in present}
-                if len(inside) <= 1:
-                    continue
-                if inside == {(a, c), (b, c)}:
-                    continue
-                return False, (a, b, c)
+    adj = [0] * (G.n + 1)
+    for u, v in G.edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    for a, b in G.edges:
+        above = (adj[a] | adj[b]) >> (b + 1)
+        if above:
+            return False, (a, b, b + (above & -above).bit_length())
     return True, None
 
 

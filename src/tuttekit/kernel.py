@@ -9,6 +9,7 @@ a replayable certificate, and constructs the named modular relations.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
@@ -531,10 +532,11 @@ def _step_products(step: ReductionStep) -> list[tuple[Multigraph, TPoly]]:
     raise DomainError(f"unknown generator tag {step.gen!r}")
 
 
-def _apply_step(terms: dict[Multigraph, TPoly], step: ReductionStep) -> None:
+def _apply_step(terms: dict[Multigraph, TPoly], step: ReductionStep) -> list[Multigraph]:
+    """Replace the step's term by its products in place; return the products."""
     c = terms.pop(step.graph, None)
     if c is None:
-        return
+        return []
     products = _step_products(step)
     if step.gen != "iso":
         src_key = right_endpoint_key(step.graph)
@@ -545,6 +547,7 @@ def _apply_step(terms: dict[Multigraph, TPoly], step: ReductionStep) -> None:
                     f"failed to increase the order at {h!r}"
                 )
     merge_terms(terms, ((h, c * mult) for h, mult in products))
+    return [h for h, _ in products]
 
 
 def _smallest_multi_pair(g: Multigraph):
@@ -555,6 +558,33 @@ def _smallest_multi_pair(g: Multigraph):
                 return e
             seen.add(e)
     return None
+
+
+# rewrite classes in the order the reducer empties them
+_CLASS_RANK = {"loop": 0, "multi": 1, "os_plus": 2}
+
+
+def _rewrite_of(g: Multigraph) -> ReductionStep | None:
+    """The rewrite the reducer applies to g; None for a bright star forest."""
+    if g.has_loop():
+        v = min(u for u, w in g.edges if u == w)
+        return ReductionStep("loop", g, vertex=v)
+    pair = _smallest_multi_pair(g)
+    if pair is not None:
+        return ReductionStep("multi", g, pair=pair)
+    ok, triple = is_bright_star_forest(g)
+    if ok:
+        return None
+    a, b, c = triple
+    present = set(g.edges)
+    inside = {e for e in ((a, b), (a, c), (b, c)) if e in present}
+    if inside == {(a, b), (b, c)}:
+        case, perm = 2, (1, 2, 3)
+    elif inside == {(a, b), (a, c)}:
+        case, perm = 1, (2, 1, 3)
+    else:
+        case, perm = 3, (2, 1, 3)
+    return ReductionStep("os_plus", g, triple=triple, case=case, perm=perm)
 
 
 def reduce_to_star_forests(
@@ -568,47 +598,38 @@ def reduce_to_star_forests(
     representative.  Each rewrite product strictly increases the
     right-endpoint order, which forces termination.  XB is preserved at
     every step because each subtraction is a kernel element.
+
+    Each graph is classified once, when it enters the term map, by the
+    rewrite it needs.  One heap holds those rewrites ordered by (class,
+    graph key), so the three classes act as three heaps emptied in turn;
+    entries whose graph has since left the map are skipped.  The popped
+    rewrite is the one on the smallest-keyed live term of the first
+    non-empty class, the same choice as scanning all terms in key order for
+    a loop, then a multi-edge, then a dull triple, so the certificate does
+    not depend on how the next rewrite is found.
     """
     check_bound(L.n, DEFAULT_REDUCTION_BOUND, max_n, "reduction")
     terms: dict[Multigraph, TPoly] = dict(L.terms)
     steps: list[ReductionStep] = []
+    # (class, key) ties only between entries for one graph, whose steps are
+    # equal, so the heap never orders two steps
+    worklist: list[tuple[int, tuple, ReductionStep]] = []
 
-    def record(step: ReductionStep):
-        _apply_step(terms, step)
+    def enqueue(gs: Iterable[Multigraph]):
+        for g in gs:
+            step = _rewrite_of(g)
+            if step is not None:
+                heapq.heappush(worklist, (_CLASS_RANK[step.gen], g.key(), step))
+
+    def record(step: ReductionStep) -> list[Multigraph]:
         steps.append(step)
+        return _apply_step(terms, step)
 
-    while True:
-        step = None
-        for g in sorted(terms, key=lambda x: x.key()):
-            if g.has_loop():
-                v = min(u for u, w in g.edges if u == w)
-                step = ReductionStep("loop", g, vertex=v)
-                break
-        if step is None:
-            for g in sorted(terms, key=lambda x: x.key()):
-                pair = _smallest_multi_pair(g)
-                if pair is not None:
-                    step = ReductionStep("multi", g, pair=pair)
-                    break
-        if step is None:
-            for g in sorted(terms, key=lambda x: x.key()):
-                ok, triple = is_bright_star_forest(g)
-                if ok:
-                    continue
-                a, b, c = triple
-                present = set(g.edges)
-                inside = {e for e in ((a, b), (a, c), (b, c)) if e in present}
-                if inside == {(a, b), (b, c)}:
-                    case, perm = 2, (1, 2, 3)
-                elif inside == {(a, b), (a, c)}:
-                    case, perm = 1, (2, 1, 3)
-                else:
-                    case, perm = 3, (2, 1, 3)
-                step = ReductionStep("os_plus", g, triple=triple, case=case, perm=perm)
-                break
-        if step is None:
-            break
-        record(step)
+    enqueue(terms)
+    while worklist:
+        step = heapq.heappop(worklist)[2]
+        if step.graph in terms:
+            enqueue(h for h in record(step) if h in terms)
 
     # relabel every remaining star forest onto its canonical representative
     for g in sorted(terms, key=lambda x: x.key()):

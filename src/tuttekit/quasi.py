@@ -187,17 +187,14 @@ def contract_arc_set(D: Digraph, S: Iterable[int]) -> Digraph:
         raise DomainError("arc index out of range")
     pairs = [(min(D.arcs[i]), max(D.arcs[i])) for i in idx]
     comps = _components_of(D.n, pairs)
-    label = {}
-    for new, comp in enumerate(sorted(comps, key=min), start=1):
-        for v in comp:
-            label[v] = new
+    label = block_index_map(comps)
     chosen = set(idx)
     arcs = [
-        (label[u], label[v]) for i, (u, v) in enumerate(D.arcs) if i not in chosen
+        (label[u] + 1, label[v] + 1) for i, (u, v) in enumerate(D.arcs) if i not in chosen
     ]
     weights = [0] * len(comps)
     for v in range(1, D.n + 1):
-        weights[label[v] - 1] += D.weights[v - 1]
+        weights[label[v]] += D.weights[v - 1]
     return Digraph(len(comps), arcs, weights)
 
 
@@ -207,17 +204,14 @@ def contract_digraph_partition(D: Digraph, blocks: Sequence[Sequence[int]]) -> D
     Blocks must be connected in the underlying undirected graph (checked by
     the caller when enumerating connected partitions).
     """
-    label = {}
-    ordered = sorted((tuple(sorted(b)) for b in blocks), key=lambda b: b[0])
-    for new, comp in enumerate(ordered, start=1):
-        for v in comp:
-            label[v] = new
+    ordered = sorted(blocks, key=min)
+    label = block_index_map(ordered)
     arcs = [
-        (label[u], label[v]) for u, v in D.arcs if label[u] != label[v]
+        (label[u] + 1, label[v] + 1) for u, v in D.arcs if label[u] != label[v]
     ]
     weights = [0] * len(ordered)
     for v in range(1, D.n + 1):
-        weights[label[v] - 1] += D.weights[v - 1]
+        weights[label[v]] += D.weights[v - 1]
     return Digraph(len(ordered), arcs, weights)
 
 

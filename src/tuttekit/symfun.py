@@ -100,7 +100,13 @@ def _check_degree(d: int, max_degree: int | None):
         raise DomainError(f"degree {d} exceeds the conversion cap {cap}")
 
 
-@lru_cache(maxsize=None)
+# Entries kept by _arrangements.  The monomial products for every partition
+# up to the degree cap use 1,133 keys; truncate_symfunc adds keys with the
+# caller's variable count N, which nothing else bounds.
+ARRANGEMENTS_CACHE_SIZE = 2048
+
+
+@lru_cache(maxsize=ARRANGEMENTS_CACHE_SIZE)
 def _arrangements(mu: tuple[int, ...], length: int) -> tuple[tuple[int, ...], ...]:
     """Distinct vectors of the given length whose nonzero entries realize mu."""
     if len(mu) > length:

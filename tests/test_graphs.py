@@ -30,6 +30,7 @@ from tuttekit.graphs import (
     path,
     relabel,
     right_endpoint_key,
+    simple_graph,
     star,
     star_forest_canonical_map,
     star_forest_shape,
@@ -160,6 +161,30 @@ def test_bright_star_forest_triples():
     assert not ok
     with pytest.raises(DomainError):
         is_bright_star_forest(Multigraph(1, [(1, 1)]))
+    with pytest.raises(DomainError):
+        is_bright_star_forest(Multigraph(2, [(1, 2), (1, 2)]))
+
+
+def _bright_by_triples(G):
+    """The triple loop is_bright_star_forest once ran, kept as its reference."""
+    present = set(G.edges)
+    for a in range(1, G.n + 1):
+        for b in range(a + 1, G.n + 1):
+            for c in range(b + 1, G.n + 1):
+                inside = {e for e in ((a, b), (a, c), (b, c)) if e in present}
+                if len(inside) <= 1:
+                    continue
+                if inside == {(a, c), (b, c)}:
+                    continue
+                return False, (a, b, c)
+    return True, None
+
+
+def test_bright_star_forest_matches_triple_loop_on_all_small_graphs():
+    for n in range(7):
+        for mask in range(1 << (n * (n - 1) // 2)):
+            G = simple_graph(n, mask)
+            assert is_bright_star_forest(G) == _bright_by_triples(G), G
 
 
 def test_canonical_star_forest_layout():

@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tuttekit.combinatorics import DomainError, TPoly, partitions_of
 from tuttekit.graphs import (
@@ -10,11 +12,18 @@ from tuttekit.graphs import (
     complete,
     cycle,
     edgeless,
+    is_bright_star_forest,
     path,
+    relabel,
     star,
+    star_forest_canonical_map,
 )
 from tuttekit.kernel import (
     GraphCombination,
+    ReductionCertificate,
+    ReductionStep,
+    _apply_step,
+    _smallest_multi_pair,
     broom_relation,
     b_value,
     c_value,
@@ -235,6 +244,83 @@ def test_kernel_membership():
     assert kernel_membership(ell_tri())
     assert kernel_membership(extend(ell_tri(), Multigraph(4, [(3, 4)])))
     assert not kernel_membership(combo(2, (complete(2), 1)))
+
+
+def _reference_reduce(L):
+    """The selector the worklist replaced: every step re-sorts and re-classifies all terms."""
+    terms = dict(L.terms)
+    steps = []
+    while True:
+        step = None
+        for g in sorted(terms, key=lambda x: x.key()):
+            if g.has_loop():
+                v = min(u for u, w in g.edges if u == w)
+                step = ReductionStep("loop", g, vertex=v)
+                break
+        if step is None:
+            for g in sorted(terms, key=lambda x: x.key()):
+                pair = _smallest_multi_pair(g)
+                if pair is not None:
+                    step = ReductionStep("multi", g, pair=pair)
+                    break
+        if step is None:
+            for g in sorted(terms, key=lambda x: x.key()):
+                ok, triple = is_bright_star_forest(g)
+                if ok:
+                    continue
+                a, b, c = triple
+                present = set(g.edges)
+                inside = {e for e in ((a, b), (a, c), (b, c)) if e in present}
+                if inside == {(a, b), (b, c)}:
+                    case, perm = 2, (1, 2, 3)
+                elif inside == {(a, b), (a, c)}:
+                    case, perm = 1, (2, 1, 3)
+                else:
+                    case, perm = 3, (2, 1, 3)
+                step = ReductionStep("os_plus", g, triple=triple, case=case, perm=perm)
+                break
+        if step is None:
+            break
+        _apply_step(terms, step)
+        steps.append(step)
+    for g in sorted(terms, key=lambda x: x.key()):
+        lam, perm = star_forest_canonical_map(g)
+        if perm != tuple(range(1, g.n + 1)):
+            step = ReductionStep("iso", g, perm=perm)
+            _apply_step(terms, step)
+            steps.append(step)
+    return ReductionCertificate(tuple(steps), standard_form(GraphCombination(L.n, terms)))
+
+
+@st.composite
+def reducible_combinations(draw):
+    """1-3 terms on [n], n <= 5, loops and repeated edges allowed, TPoly coefficients."""
+    n = draw(st.integers(1, 5))
+    vertex = st.integers(1, n)
+    edges = st.lists(st.tuples(vertex, vertex), max_size=6)
+    coeff = st.lists(st.integers(-2, 2), min_size=1, max_size=3)
+    terms = draw(st.lists(st.tuples(edges, coeff), min_size=1, max_size=3))
+    L = GraphCombination(n, [(Multigraph(n, es), TPoly(c)) for es, c in terms])
+    if draw(st.booleans()):
+        # minus a relabelled copy: a kernel member, unless the two cancel
+        perm = draw(st.permutations(range(1, n + 1)))
+        L = L - GraphCombination(n, [(relabel(g, perm), c) for g, c in L.terms.items()])
+    return L
+
+
+@settings(max_examples=120, deadline=None)
+@given(reducible_combinations())
+def test_reduction_matches_reference_selector(L):
+    result, cert = reduce_to_star_forests(L)
+    want = _reference_reduce(L)
+    got_steps, want_steps = cert.to_json_obj()["steps"], want.to_json_obj()["steps"]
+    for i, (got, expected) in enumerate(zip(got_steps, want_steps)):
+        assert got == expected, f"step {i}"
+    assert cert.to_json_obj() == want.to_json_obj()
+    assert replay_certificate(L, cert) == result.to_combination()
+    xb = combination_tutte_sym(L)
+    assert combination_tutte_sym(result.to_combination()) == xb
+    assert kernel_membership(L) == xb.is_zero()
 
 
 #### named relations ###########################################################
