@@ -106,12 +106,14 @@ class LinComb:
         return bool(self.terms)
 
     def __eq__(self, other) -> bool:
-        other = self._operand(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.terms == other.terms and all(
-            getattr(self, name) == getattr(other, name) for name in self._fields
-        )
+        if type(other) is not type(self):
+            other = self._operand(other)
+            if other is NotImplemented:
+                return NotImplemented
+        for name in self._fields:
+            if getattr(self, name) != getattr(other, name):
+                return False
+        return self.terms == other.terms
 
     def __hash__(self) -> int:
         fields = tuple(getattr(self, name) for name in self._fields)

@@ -5,14 +5,29 @@ colorings; both are homogeneous of degree w(D), so truncating to
 N >= w(D) variables determines the formal series and exact equality of
 truncations certifies identities.  Coefficients are exact bivariate
 polynomials in q and t over the rationals.
+
+Both are quasisymmetric.  Ascents and monochromatic arcs depend only on
+the relative order of the colours, so the coefficient of
+x_{c_1}^{a_1}...x_{c_k}^{a_k} with c_1 < ... < c_k depends only on the
+composition (a_1, ..., a_k): it is the coefficient of Gessel's monomial
+quasisymmetric function M_alpha.  The coloring sums therefore run over
+packed colorings, the surjections [n] -> [k], which are the ordered set
+partitions of [n] (Fubini(n) of them, against N^n colorings).  Each set
+partition is taken in every order of its blocks, and the colorings are
+counted by (composition, ascents, monochromatic arcs).  `tq`, `xq` and the
+two expansion routes keep one QTPoly per composition, and the routes add
+their contracted pieces keyed by composition.  Each public result is
+expanded into N variables once, at the end: M_alpha becomes one term per
+increasing choice of len(alpha) of the N positions, and all those terms
+share one coefficient object, which `TruncatedQFunc.at_q` and `at_t`
+substitute into once.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product as iproduct
+from itertools import combinations, permutations
 from math import comb
 from typing import Iterable, Sequence
 
@@ -23,6 +38,7 @@ from tuttekit.combinatorics import (
     as_rational,
     augmentation_factor,
     block_index_map,
+    enumerate_set_partitions,
     format_rational,
     parse_rational,
     subsets_by_size,
@@ -35,7 +51,7 @@ from tuttekit.graphs import (
     json_field,
     json_list,
 )
-from tuttekit.lincomb import LinComb, Poly
+from tuttekit.lincomb import LinComb, Poly, merge_terms
 from tuttekit.symfun import SymFunc, _arrangements
 
 DEFAULT_COLORING_BUDGET = 5_000_000
@@ -54,7 +70,14 @@ class QTPoly(Poly):
 
     @staticmethod
     def _key(key) -> tuple[int, int]:
-        return (int(key[0]), int(key[1]))
+        try:
+            a, b = key
+        except (TypeError, ValueError):
+            raise DomainError(f"a QTPoly key is a (q-degree, t-degree) pair, got {key!r}")
+        a, b = as_int(a, "q-degree"), as_int(b, "t-degree")
+        if a < 0 or b < 0:
+            raise DomainError(f"negative degree in the QTPoly key {(a, b)!r}")
+        return (a, b)
 
     @staticmethod
     def _key_sum(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
@@ -238,20 +261,37 @@ class TruncatedQFunc(LinComb):
     _descending = True
 
     def __init__(self, N: int, terms: dict[tuple[int, ...], QTPoly] | Iterable = ()):
-        object.__setattr__(self, "N", int(N))
+        N = as_int(N, "variable count")
+        if N < 0:
+            raise DomainError("variable count must be nonnegative")
+        object.__setattr__(self, "N", N)
         super().__init__(terms)
 
     def _key(self, exps) -> tuple[int, ...]:
-        exps = tuple(map(int, exps))
-        if len(exps) != self.N or min(exps, default=0) < 0:
+        exps = tuple(as_int(e, "exponent") for e in exps)
+        if len(exps) != self.N:
             raise DomainError("exponent vector does not fit the variable count")
+        if min(exps, default=0) < 0:
+            raise DomainError(f"negative exponent in {list(exps)}")
         return exps
 
+    def _substitute(self, sub) -> TruncatedQFunc:
+        """sub applied to each distinct coefficient object once; zeros drop out."""
+        done: dict[int, QTPoly] = {}
+        terms = {}
+        for e, c in self.terms.items():
+            v = done.get(id(c))
+            if v is None:
+                v = done[id(c)] = sub(c)
+            if v:
+                terms[e] = v
+        return self._like(terms)
+
     def at_q(self, value) -> TruncatedQFunc:
-        return TruncatedQFunc(self.N, {e: v.at_q(value) for e, v in self.terms.items()})
+        return self._substitute(lambda c: c.at_q(value))
 
     def at_t(self, value) -> TruncatedQFunc:
-        return TruncatedQFunc(self.N, {e: v.at_t(value) for e, v in self.terms.items()})
+        return self._substitute(lambda c: c.at_t(value))
 
     def __repr__(self) -> str:
         bits = [f"x^{list(e)}: {c!r}" for e, c in self.sorted_terms()]
@@ -277,33 +317,97 @@ class TruncatedQFunc(LinComb):
         )
 
 
-def _check_coloring_budget(D: Digraph, N: int):
+def _fubini(n: int, cap: int) -> int:
+    """Fubini(n), the number of ordered set partitions of [n].
+
+    The sequence increases, so the walk stops at the first value above cap
+    and returns that instead.
+    """
+    fub = [1]
+    while len(fub) <= n and fub[-1] <= cap:
+        m = len(fub)
+        fub.append(sum(comb(m, i) * fub[m - i] for i in range(1, m + 1)))
+    return fub[-1]
+
+
+def _check_coloring_budget(D: Digraph, N: int) -> None:
+    """Refuse N < w(D), and any input whose work exceeds the budget.
+
+    The work is the Fubini(n) packed colorings enumerated and the exponent
+    vectors the expansion can write: a composition of w into k <= n parts
+    (C(w-1, k-1) of them) lands on C(N, k) position sets.
+    """
+    N = as_int(N, "variable count")
     if N < 0:
         raise DomainError("variable count must be nonnegative")
-    if N < D.total_weight():
+    w = D.total_weight()
+    if N < w:
         raise DomainError(
-            f"need N >= w(D) = {D.total_weight()} variables to determine the series"
+            f"need N >= w(D) = {w} variables to determine the series"
         )
-    if N**max(D.n, 1) > DEFAULT_COLORING_BUDGET:
+    if _fubini(D.n, DEFAULT_COLORING_BUDGET) > DEFAULT_COLORING_BUDGET:
         raise DomainError(
-            f"coloring enumeration too large ({N}^{D.n} colorings)"
+            f"coloring enumeration too large (Fubini({D.n}) packed colorings "
+            f"exceed {DEFAULT_COLORING_BUDGET:,})"
+        )
+    vectors = sum(comb(N, k) * comb(w - 1, k - 1) for k in range(1, D.n + 1))
+    if vectors > DEFAULT_COLORING_BUDGET:
+        raise DomainError(
+            f"coloring expansion too large ({vectors:,} exponent vectors in {N:,} "
+            f"variables exceed {DEFAULT_COLORING_BUDGET:,})"
         )
 
 
-def _exponents(D: Digraph, kappa: Sequence[int], N: int) -> tuple[int, ...]:
-    exps = [0] * N
-    for v in range(1, D.n + 1):
-        exps[kappa[v - 1] - 1] += D.weights[v - 1]
-    return tuple(exps)
+def _packed_sum(D: Digraph, proper: bool) -> dict[tuple[int, ...], QTPoly]:
+    """Sum of q^asc (1+t)^mono over packed colorings, keyed by composition.
+
+    Block i of an ordered set partition takes colour i, so its composition
+    lists the block weights in order.  proper keeps only the colorings with
+    no monochromatic arc, walking the stable partitions alone.
+    """
+    stats: dict[tuple[int, ...], dict[tuple[int, int], int]] = {}
+    weights = D.weights
+    walk = enumerate_set_partitions(D.n, edge_sets=[D.arcs], max_internal=0 if proper else None)
+    for blocks, (mono,) in walk:
+        label = block_index_map(blocks)
+        between = [(label[u], label[v]) for u, v in D.arcs if label[u] != label[v]]
+        block_weight = [sum(weights[v - 1] for v in b) for b in blocks]
+        for order in permutations(range(len(blocks))):
+            colour = [0] * len(blocks)
+            for i, b in enumerate(order):
+                colour[b] = i
+            key = (sum(colour[a] < colour[b] for a, b in between), mono)
+            counts = stats.setdefault(tuple([block_weight[b] for b in order]), {})
+            counts[key] = counts.get(key, 0) + 1
+    return {
+        alpha: QTPoly(
+            ((asc, j), c * comb(mono, j))
+            for (asc, mono), c in counts.items()
+            for j in range(mono + 1)
+        )
+        for alpha, counts in stats.items()
+    }
 
 
-def _coloring_counts(D: Digraph, N: int) -> Counter:
-    """Colorings [n] -> [N] counted by (exponent vector, ascents, monochromatic arcs)."""
-    counts: Counter = Counter()
-    for kappa in iproduct(range(1, N + 1), repeat=D.n):
-        asc, _, mono = arc_statistics(D, kappa)
-        counts[_exponents(D, kappa, N), asc, mono] += 1
-    return counts
+def _xq(D: Digraph) -> dict[tuple[int, ...], QTPoly]:
+    """XQ keyed by composition: the coefficient of each M_alpha."""
+    return {} if D.has_loop() else _packed_sum(D, proper=True)
+
+
+def _expand(coeffs: dict[tuple[int, ...], QTPoly], N: int) -> TruncatedQFunc:
+    """sum of coeffs[alpha] M_alpha in x_1..x_N.
+
+    M_alpha puts the parts of alpha, in order, on every increasing choice
+    of len(alpha) positions; those terms share the coefficient object.
+    """
+    terms = {}
+    for alpha, c in coeffs.items():
+        for positions in combinations(range(N), len(alpha)):
+            exps = [0] * N
+            for p, a in zip(positions, alpha):
+                exps[p] = a
+            terms[tuple(exps)] = c
+    return TruncatedQFunc(N)._like(terms)
 
 
 def xq(D: Digraph, N: int) -> TruncatedQFunc:
@@ -313,25 +417,13 @@ def xq(D: Digraph, N: int) -> TruncatedQFunc:
     kills every coloring and the result is zero.
     """
     _check_coloring_budget(D, N)
-    if D.has_loop():
-        return TruncatedQFunc(N)
-    counts = _coloring_counts(D, N)
-    return TruncatedQFunc(
-        N, [(exps, QTPoly.q(asc) * c) for (exps, asc, mono), c in counts.items() if not mono]
-    )
+    return _expand(_xq(D), N)
 
 
 def tq(D: Digraph, N: int) -> TruncatedQFunc:
     """Sum of q^asc(kappa) (1+t)^e(kappa) x_kappa over all colorings."""
     _check_coloring_budget(D, N)
-    counts = _coloring_counts(D, N)
-    return TruncatedQFunc(
-        N,
-        [
-            (exps, QTPoly.q(asc) * qt_onep_t_power(mono) * c)
-            for (exps, asc, mono), c in counts.items()
-        ],
-    )
+    return _expand(_packed_sum(D, proper=False), N)
 
 
 def tq_from_connected_partitions(D: Digraph, N: int) -> TruncatedQFunc:
@@ -341,13 +433,13 @@ def tq_from_connected_partitions(D: Digraph, N: int) -> TruncatedQFunc:
     e(pi) counts intra-block arcs with multiplicity, loops included.
     """
     _check_coloring_budget(D, N)
-    total = TruncatedQFunc(N)
+    total: dict[tuple[int, ...], QTPoly] = {}
     for blocks in connected_partitions(underlying(D)):
         label = block_index_map(blocks)
-        internal = sum(1 for u, v in D.arcs if label[u] == label[v])
-        piece = xq(contract_digraph_partition(D, blocks), N)
-        total = total + piece.scale(qt_onep_t_power(internal))
-    return total
+        factor = qt_onep_t_power(sum(1 for u, v in D.arcs if label[u] == label[v]))
+        piece = _xq(contract_digraph_partition(D, blocks))
+        merge_terms(total, ((alpha, c * factor) for alpha, c in piece.items()))
+    return _expand(total, N)
 
 
 def tq_from_arc_subsets(D: Digraph, N: int) -> TruncatedQFunc:
@@ -358,12 +450,13 @@ def tq_from_arc_subsets(D: Digraph, N: int) -> TruncatedQFunc:
     """
     subsets = subsets_by_size(len(D.arcs), "arc")
     _check_coloring_budget(D, N)
-    total = TruncatedQFunc(N)
+    total: dict[tuple[int, ...], QTPoly] = {}
     for S in subsets:
-        piece = xq(contract_arc_set(D, S), N)
-        if not piece.is_zero():
-            total = total + piece.scale(qt_onep_t_power(len(S)))
-    return total
+        piece = _xq(contract_arc_set(D, S))
+        if piece:
+            factor = qt_onep_t_power(len(S))
+            merge_terms(total, ((alpha, c * factor) for alpha, c in piece.items()))
+    return _expand(total, N)
 
 
 def truncate_symfunc(f: SymFunc, N: int) -> TruncatedQFunc:
@@ -375,8 +468,9 @@ def truncate_symfunc(f: SymFunc, N: int) -> TruncatedQFunc:
     """
     if f.basis != "mtilde":
         raise DomainError("truncation expects the mtilde basis")
-    items = []
+    out = TruncatedQFunc(N)
+    terms = {}
     for lam, coeff in f.terms.items():
         qt = QTPoly.of(coeff) * augmentation_factor(lam)
-        items += [(exps, qt) for exps in _arrangements(lam, N)]
-    return TruncatedQFunc(N, items)
+        terms.update(dict.fromkeys(_arrangements(lam, out.N), qt))
+    return out._like(terms)

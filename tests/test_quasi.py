@@ -3,10 +3,13 @@
 import random
 from fractions import Fraction
 from itertools import product
+from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tuttekit.combinatorics import DomainError, TPoly
+from tuttekit.combinatorics import DomainError, TPoly, multinomial
 from tuttekit.graphs import path
 from tuttekit.invariants import tutte_sym
 from tuttekit.quasi import (
@@ -148,8 +151,22 @@ def test_weighted_exponents():
 
 
 def test_coloring_budget():
-    with pytest.raises(DomainError):
+    # Fubini(9) = 7,087,261 packed colorings
+    with pytest.raises(DomainError, match="packed colorings"):
         tq(Digraph(9), 9)
+    # one vertex, but 5,000,001 exponent vectors to write
+    with pytest.raises(DomainError, match="exponent vectors"):
+        xq(Digraph(1), 5_000_001)
+    assert len(xq(Digraph(1), 500).terms) == 500
+
+
+def test_coloring_budget_counts_packed_colorings():
+    # 22^5 colorings exceed the budget, but only Fubini(5) = 541 packed
+    # colorings and C(26, 5) exponent vectors are worked through
+    f = tq(Digraph(5), 22)
+    assert len(f.terms) == comb(26, 5)
+    assert all(c == QTPoly.of(multinomial(e)) for e, c in f.terms.items())
+    assert xq(Digraph(5), 22) == f
 
 
 #### route agreement ###########################################################
@@ -178,6 +195,20 @@ def test_tq_specializations(D):
     f = tq(D, N)
     assert f.at_t(-1) == xq(D, N)
     assert f.at_q(1) == truncate_symfunc(tutte_sym(underlying(D)), N)
+
+
+def test_substitution_once_per_coefficient_object(monkeypatch):
+    f = tq(Digraph(3, [(1, 2), (3, 2)]), 5)
+    shared = {id(c) for c in f.terms.values()}
+    assert len(shared) < len(f.terms)
+    calls = []
+    at_q = QTPoly.at_q
+    monkeypatch.setattr(QTPoly, "at_q", lambda c, v: calls.append(c) or at_q(c, v))
+    g = f.at_q(1)
+    assert len(calls) == len(shared)
+    assert g == TruncatedQFunc(5, {e: c.at_q(1) for e, c in f.terms.items()})
+    # a coefficient that vanishes under the substitution drops out
+    assert f.at_q(0).at_t(-1) == TruncatedQFunc(5, {e: c.at_q(0).at_t(-1) for e, c in f.terms.items()})
 
 
 def test_truncate_symfunc_pins():
@@ -210,6 +241,34 @@ def test_truncated_qfunc_algebra_and_json():
         TruncatedQFunc(2, {(1, 1, 0): ONE})
 
 
+def test_truncated_qfunc_refuses_inexact_variable_count():
+    with pytest.raises(DomainError):
+        TruncatedQFunc(2.9, {(1.5, "0"): 1})
+    with pytest.raises(DomainError):
+        TruncatedQFunc(-1)
+
+
+def test_truncated_qfunc_refuses_inexact_or_negative_exponents():
+    with pytest.raises(DomainError):
+        TruncatedQFunc(2, {(1.5, "0"): 1})
+    with pytest.raises(DomainError):
+        TruncatedQFunc(2, {(3, -1): 1})
+
+
+def test_qtpoly_refuses_inexact_degrees():
+    with pytest.raises(DomainError):
+        QTPoly({(1.7, "2"): 3})
+    with pytest.raises(DomainError):
+        QTPoly({(1,): 3})
+
+
+def test_qtpoly_refuses_negative_degrees():
+    with pytest.raises(DomainError):
+        QTPoly({(-1, 0): 1})
+    with pytest.raises(DomainError):
+        QTPoly.from_json_obj([{"q": 0, "t": -2, "c": "1/1"}])
+
+
 def test_path_against_undirected_tutte():
     # both orientations of the path agree with XB at q = 1
     fwd = Digraph(3, [(1, 2), (2, 3)])
@@ -219,3 +278,61 @@ def test_path_against_undirected_tutte():
     assert tq(mixed, 3).at_q(1) == target
     # but the q-refinements differ between orientations
     assert tq(fwd, 3) != tq(mixed, 3)
+
+
+#### differential oracle #######################################################
+
+
+def coloring_sum(D, N, proper):
+    """The defining sum over all N^n colorings, built on arc_statistics."""
+    items = []
+    for kappa in product(range(1, N + 1), repeat=D.n):
+        asc, _, mono = arc_statistics(D, kappa)
+        if proper and mono:
+            continue
+        exps = [0] * N
+        for v, c in enumerate(kappa):
+            exps[c - 1] += D.weights[v]
+        items.append((tuple(exps), QTPoly.q(asc) * qt_onep_t_power(mono)))
+    return TruncatedQFunc(N, items)
+
+
+@st.composite
+def weighted_digraphs(draw):
+    """(D, N): n <= 4, loops and parallel arcs, weights <= 2, w <= N <= w + 2."""
+    n = draw(st.integers(0, 4))
+    vertex = st.integers(1, max(n, 1))
+    arcs = draw(st.lists(st.tuples(vertex, vertex), max_size=5)) if n else []
+    weights = draw(st.lists(st.integers(1, 2), min_size=n, max_size=n))
+    D = Digraph(n, arcs, weights)
+    return D, D.total_weight() + draw(st.integers(0, 2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(weighted_digraphs())
+def test_packed_colorings_match_coloring_sum(case):
+    D, N = case
+    assert tq(D, N) == coloring_sum(D, N, proper=False)
+    assert xq(D, N) == coloring_sum(D, N, proper=True)
+
+
+@settings(max_examples=80, deadline=None)
+@given(weighted_digraphs())
+def test_routes_and_specializations_agree(case):
+    D, N = case
+    f = tq(D, N)
+    assert tq_from_connected_partitions(D, N) == f
+    assert tq_from_arc_subsets(D, N) == f
+    assert f.at_q(1) == truncate_symfunc(tutte_sym(underlying(D)), N)
+    assert f.at_t(-1) == xq(D, N)
+
+
+@settings(max_examples=60, deadline=None)
+@given(weighted_digraphs())
+def test_reversal_reverses_exponent_vectors(case):
+    # colour c -> N + 1 - c swaps ascents and descents
+    D, N = case
+    R = reverse(D)
+    for fn in (xq, tq):
+        flipped = TruncatedQFunc(N, {e[::-1]: c for e, c in fn(D, N).terms.items()})
+        assert fn(R, N) == flipped
