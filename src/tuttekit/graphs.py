@@ -18,7 +18,6 @@ from tuttekit.combinatorics import (
     as_int,
     block_index_map,
     check_bound,
-    enumerate_set_partitions,
     normalize_blocks,
     sorted_partition,
 )
@@ -251,6 +250,16 @@ def _adjacency(G: Multigraph) -> list[set[int]]:
     return adj
 
 
+def _neighbour_masks(G: Multigraph) -> list[int]:
+    """adj[v]: bitmask with bit u set for every neighbour u of v; loops ignored."""
+    adj = [0] * (G.n + 1)
+    for u, v in G.edges:
+        if u != v:
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+    return adj
+
+
 def _block_connected(adj: list[set[int]], block: Sequence[int]) -> bool:
     """Does the block induce a connected subgraph, given the adjacency sets?"""
     block_set = set(block)
@@ -287,12 +296,69 @@ def two_edge_connected(G: Multigraph) -> bool:
 
 
 def connected_partitions(G: Multigraph) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """Set partitions of [n] whose every block induces a connected subgraph."""
-    adj = _adjacency(G)
+    """Set partitions of [n] whose every block induces a connected subgraph.
 
-    for pi in enumerate_set_partitions(G.n):
-        if all(_block_connected(adj, b) for b in pi):
-            yield pi
+    Generated directly, never by filtering all set partitions: the block of
+    the smallest unplaced vertex grows as a connected vertex set inside the
+    unplaced vertices (neighbour bitmasks), then the vertices left are
+    partitioned the same way.  Blocks are ascending tuples ordered by their
+    minimum; the order of the partitions is that of the recursion, not
+    restricted-growth order, and callers only sum over them.
+    """
+    nbr = _neighbour_masks(G)
+    as_block: dict[int, tuple[int, ...]] = {}
+
+    def grow(block: int, frontier: int, free: int) -> Iterator[int]:
+        # every connected vertex set that contains block and lies inside
+        # block | frontier | free, once each; frontier holds the undecided
+        # neighbours of block and free the other undecided vertices.  The
+        # lowest frontier vertex is either taken, its free neighbours
+        # joining the frontier, or excluded for good.
+        if not frontier:
+            yield block
+            return
+        w = frontier & -frontier
+        v = w.bit_length() - 1
+        yield from grow(block | w, (frontier & ~w) | (nbr[v] & free), free & ~nbr[v])
+        yield from grow(block, frontier & ~w, free)
+
+    blocks: list[tuple[int, ...]] = []
+
+    def rec(unplaced: int):
+        if not unplaced:
+            yield tuple(blocks)
+            return
+        low = unplaced & -unplaced
+        v = low.bit_length() - 1
+        rest = unplaced & ~low
+        for block in grow(low, nbr[v] & rest, rest & ~nbr[v]):
+            b = as_block.get(block)
+            if b is None:
+                b = as_block[block] = tuple(i for i in range(v, G.n + 1) if block >> i & 1)
+            blocks.append(b)
+            yield from rec(unplaced & ~block)
+            blocks.pop()
+
+    yield from rec(((1 << G.n) - 1) << 1)
+
+
+def contraction_leaves_loop(n: int, pairs: Sequence[tuple[int, int]], chosen: Iterable[int]) -> bool:
+    """Does contracting pairs[i] for every i in chosen leave a loop?
+
+    pairs are the edges (or arcs, read without direction) of a graph on
+    [n]; contraction merges the components of the chosen pairs.  A pair
+    outside chosen becomes a loop exactly when both its ends lie in one
+    component, which a loop already does.  Then X (or XQ) of the
+    contraction vanishes, so the subset expansions skip it unbuilt.
+    """
+    chosen = set(chosen)
+    label = list(range(n + 1))  # label[v]: a representative of v's component
+    for i in chosen:
+        u, v = pairs[i]
+        a, b = label[u], label[v]
+        if a != b:
+            label = [a if x == b else x for x in label]
+    return any(label[u] == label[v] for i, (u, v) in enumerate(pairs) if i not in chosen)
 
 
 #### graph families ############################################################
@@ -382,10 +448,7 @@ def is_bright_star_forest(G: Multigraph) -> tuple[bool, tuple[int, int, int] | N
     """
     if G.has_loop() or G.has_multi_edge():
         raise DomainError("bright star forest test requires a simple graph")
-    adj = [0] * (G.n + 1)
-    for u, v in G.edges:
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
+    adj = _neighbour_masks(G)
     for a, b in G.edges:
         above = (adj[a] | adj[b]) >> (b + 1)
         if above:
@@ -532,7 +595,8 @@ def canonical_graph(G: Multigraph, max_n: int | None = None) -> Multigraph:
             used[v] = False
 
     rec([])
-    assert best_edges is not None
+    if best_edges is None:
+        raise RuntimeError(f"internal fault: the canonical search found no labelling of {G!r}")
     new_weights: list[int] = []
     for cls in classes:
         new_weights += [G.weights[cls[0] - 1]] * len(cls)

@@ -22,6 +22,7 @@ from tuttekit.combinatorics import (
     DEFAULT_ENUMERATION_BOUND,
     DomainError,
     TPoly,
+    block_index_map,
     check_bound,
     check_subset_count,
     enumerate_set_partitions,
@@ -35,11 +36,10 @@ from tuttekit.graphs import (
     connected_partitions,
     contract_edge,
     contract_edge_set,
-    contract_partition,
+    contraction_leaves_loop,
     delete_edges,
-    internal_edge_count,
 )
-from tuttekit.symfun import SymFunc, coefficient_in_onep_t, m_to_e, mtilde_to_m, sigma_l
+from tuttekit.symfun import SymFunc, _from_dicts, coefficient_in_onep_t, m_to_e, mtilde_to_m, sigma_l
 from tuttekit.symfun import specialize_t  # re-exported: evaluation lives with SymFunc
 
 __all__ = [
@@ -64,6 +64,28 @@ def _block_lambda(weights):
     return lambda pi: tuple(sorted([sum(map(weight, b)) for b in pi], reverse=True))
 
 
+def _stable_counts(n: int, edges, weights) -> Counter:
+    """Stable partitions of ([n], edges) counted by weighted shape: X's m~ coefficients as ints."""
+    if any(u == v for u, v in edges):
+        return Counter()
+    shape = _block_lambda(weights)
+    stable = enumerate_set_partitions(n, edge_sets=[edges], max_internal=0)
+    return Counter(shape(pi) for pi, _ in stable)
+
+
+def _onep_t_sum(counts: Counter) -> SymFunc:
+    """sum of c (1+t)^k m~_lam over counts[(lam, k)] = c.
+
+    The coefficients of t add up as ints, and each lam gets its TPoly once.
+    """
+    coeffs: dict[tuple[int, ...], dict[int, int]] = {}
+    for (lam, k), c in counts.items():
+        d = coeffs.setdefault(lam, {})
+        for i, b in onep_t_power(k).terms.items():
+            d[i] = d.get(i, 0) + b * c
+    return _from_dicts("mtilde", coeffs)
+
+
 def chromatic_sym(G: Multigraph, max_n: int | None = None) -> SymFunc:
     """X of (G, w) in the augmented monomial basis.
 
@@ -71,11 +93,7 @@ def chromatic_sym(G: Multigraph, max_n: int | None = None) -> SymFunc:
     soon as G has a loop.
     """
     check_bound(G.n, DEFAULT_ENUMERATION_BOUND, max_n, "partition enumeration")
-    if G.has_loop():
-        return SymFunc.zero("mtilde")
-    shape = _block_lambda(G.weights)
-    stable = enumerate_set_partitions(G.n, edge_sets=[G.edges], max_internal=0)
-    return SymFunc("mtilde", Counter(shape(pi) for pi, _ in stable))
+    return SymFunc("mtilde", _stable_counts(G.n, G.edges, G.weights))
 
 
 def tutte_sym(G: Multigraph, max_n: int | None = None) -> SymFunc:
@@ -86,7 +104,7 @@ def tutte_sym(G: Multigraph, max_n: int | None = None) -> SymFunc:
         (shape(pi), e)
         for pi, (e,) in enumerate_set_partitions(G.n, edge_sets=[G.edges])
     )
-    return SymFunc("mtilde", [(lam, onep_t_power(e) * c) for (lam, e), c in counts.items()])
+    return _onep_t_sum(counts)
 
 
 #### deletion-contraction ######################################################
@@ -174,33 +192,44 @@ def tutte_from_contractions(G: Multigraph, max_n: int | None = None) -> SymFunc:
     """XB as the sum over edge subsets S of (1+t)^|S| X(G/S).
 
     Subsets range over edge instances, so each copy of a multi-edge is its
-    own element.  Contractions that leave a loop contribute X = 0.
+    own element.  X(G/S) vanishes when the contraction leaves a loop, so
+    such an S is skipped before it is contracted; the subsets left are the
+    flats of the cycle matroid.  Stable-partition counts of G/S add up as
+    integers keyed by (shape, |S|), and each shape's TPoly is built once
+    at the end.
     """
     check_bound(G.n, DEFAULT_ENUMERATION_BOUND, max_n, "partition enumeration")
-    total = SymFunc.zero("mtilde")
-    # distinct subsets often contract to the same labelled graph
-    x_cache: dict[tuple, SymFunc] = {}
+    counts: Counter = Counter()
     for idx in subsets_by_size(len(G.edges)):
+        if contraction_leaves_loop(G.n, G.edges, idx):
+            continue
         H = contract_edge_set(G, [G.edges[i] for i in idx])
-        X = x_cache.get(H.key())
-        if X is None:
-            X = chromatic_sym(H, max_n)
-            x_cache[H.key()] = X
-        if not X.is_zero():
-            total = total + X.scale(onep_t_power(len(idx)))
-    return total
+        k = len(idx)
+        for lam, c in _stable_counts(H.n, H.edges, H.weights).items():
+            counts[lam, k] += c
+    return _onep_t_sum(counts)
 
 
 def tutte_from_connected_partitions(G: Multigraph, max_n: int | None = None) -> SymFunc:
-    """XB as the sum over connected partitions pi of (1+t)^e(pi) X(G/pi)."""
+    """XB as the sum over connected partitions pi of (1+t)^e(pi) X(G/pi).
+
+    Each pi is labelled once, and one pass over the edges gives both e(pi)
+    and the edges of G/pi, which has no loop and is never built as a
+    Multigraph.  Stable-partition counts of G/pi add up as integers keyed
+    by (shape, e(pi)), and each shape's TPoly is built once at the end.
+    """
     check_bound(G.n, DEFAULT_ENUMERATION_BOUND, max_n, "partition enumeration")
-    total = SymFunc.zero("mtilde")
+    counts: Counter = Counter()
     for pi in connected_partitions(G):
-        e = internal_edge_count(G, pi)
-        X = chromatic_sym(contract_partition(G, pi), max_n)
-        if not X.is_zero():
-            total = total + X.scale(onep_t_power(e))
-    return total
+        label = block_index_map(pi)
+        between = [(label[u] + 1, label[v] + 1) for u, v in G.edges if label[u] != label[v]]
+        e = len(G.edges) - len(between)
+        weights = [0] * len(pi)
+        for v, w in enumerate(G.weights, 1):
+            weights[label[v]] += w
+        for lam, c in _stable_counts(len(pi), between, weights).items():
+            counts[lam, e] += c
+    return _onep_t_sum(counts)
 
 
 #### e-basis coefficient formula ###############################################
@@ -245,9 +274,9 @@ def sigma_l_formula(G: Multigraph, k: int, l: int, max_n: int | None = None) -> 
     total = 0
     m = len(G.edges)
     for idx in combinations(range(m), k):
-        H = contract_edge_set(G, [G.edges[i] for i in idx])
-        if H.has_loop():
+        if contraction_leaves_loop(G.n, G.edges, idx):
             continue
+        H = contract_edge_set(G, [G.edges[i] for i in idx])
         sign_A = -1 if (H.n + wG) % 2 else 1
         for _, sinks in acyclic_orientations(H):
             counts = _sink_map_counts([H.weights[v - 1] for v in sinks], l)

@@ -47,6 +47,7 @@ from tuttekit.graphs import (
     Multigraph,
     _components_of,
     connected_partitions,
+    contraction_leaves_loop,
     endpoints,
     json_field,
     json_list,
@@ -445,17 +446,19 @@ def tq_from_connected_partitions(D: Digraph, N: int) -> TruncatedQFunc:
 def tq_from_arc_subsets(D: Digraph, N: int) -> TruncatedQFunc:
     """TQ as a sum of (1+t)^|S| XQ(D/S) over arc subsets.
 
-    Contracting a non-induced S leaves a loop, whose XQ vanishes, so the
-    sum silently restricts itself to induced sets.
+    XQ of a contraction that leaves a loop vanishes, so such an S (one
+    that is not a flat of the underlying cycle matroid) is skipped before
+    it is contracted.
     """
     subsets = subsets_by_size(len(D.arcs), "arc")
     _check_coloring_budget(D, N)
     total: dict[tuple[int, ...], QTPoly] = {}
     for S in subsets:
+        if contraction_leaves_loop(D.n, D.arcs, S):
+            continue
+        factor = qt_onep_t_power(len(S))
         piece = _xq(contract_arc_set(D, S))
-        if piece:
-            factor = qt_onep_t_power(len(S))
-            merge_terms(total, ((alpha, c * factor) for alpha, c in piece.items()))
+        merge_terms(total, ((alpha, c * factor) for alpha, c in piece.items()))
     return _expand(total, N)
 
 

@@ -209,8 +209,41 @@ def m_to_mtilde(f: SymFunc) -> SymFunc:
     )
 
 
+def _add_multiples(acc: dict, c: dict, expansion: Iterable[tuple[tuple[int, ...], int]]) -> None:
+    """acc[nu] += k c for each (nu, k) of the expansion, one power of t at a time.
+
+    acc maps partitions to mutable {power of t: coefficient} dicts and c is
+    one such dict.  A coefficient that reaches zero is dropped, and so is a
+    partition left with none, as `merge_terms` does, so an int stays an
+    int until a Fraction is added to it.
+    """
+    items = tuple(c.items())
+    for nu, k in expansion:
+        d = acc.get(nu)
+        if d is None:
+            acc[nu] = {i: ci * k for i, ci in items}
+            continue
+        for i, ci in items:
+            x = d.get(i, 0) + ci * k
+            if x:
+                d[i] = x
+            else:
+                del d[i]
+        if not d:
+            del acc[nu]
+
+
+def _from_dicts(basis: str, terms: dict) -> SymFunc:
+    """A SymFunc over clean {lam: {power of t: coefficient}} dicts, one TPoly per lam."""
+    zero = TPoly.zero()
+    return SymFunc(basis)._like({lam: zero._like(c) for lam, c in terms.items()})
+
+
 def to_m(f: SymFunc, max_degree: int | None = None) -> SymFunc:
-    """Expand a p- or e-basis function into monomials."""
+    """Expand a p- or e-basis function into monomials.
+
+    The m-coefficients add up as plain numbers, power of t by power of t.
+    """
     if f.basis == "m":
         return f
     if f.basis == "mtilde":
@@ -220,18 +253,21 @@ def to_m(f: SymFunc, max_degree: int | None = None) -> SymFunc:
     table = _p_in_m if f.basis == "p" else _e_in_m
     for lam in f.terms:
         _check_degree(sum(lam), max_degree)
-    return SymFunc("m", ((mu, c * k) for lam, c in f.terms.items() for mu, k in table(lam)))
+    out: dict = {}
+    for lam, c in f.terms.items():
+        _add_multiples(out, c.terms, table(lam))
+    return _from_dicts("m", out)
 
 
 def _m_terms(f: SymFunc, max_degree: int | None) -> dict:
-    """A mutable copy of the m-coefficients of an m- or mtilde-basis function."""
+    """The m-coefficients of an m- or mtilde-basis function as mutable {power: coefficient} dicts."""
     if f.basis == "mtilde":
         f = mtilde_to_m(f)
     if f.basis != "m":
         raise DomainError(f"expected m (or mtilde) basis, got {f.basis}")
     for lam in f.terms:
         _check_degree(sum(lam), max_degree)
-    return dict(f.terms)
+    return {lam: dict(c.terms) for lam, c in f.terms.items()}
 
 
 def _conjugate(mu: tuple[int, ...]) -> tuple[int, ...]:
@@ -243,16 +279,18 @@ def m_to_e(f: SymFunc, max_degree: int | None = None) -> SymFunc:
 
     e_mu' = m_mu + lex-lower terms (Macdonald, Symmetric Functions and Hall
     Polynomials, ch. I, section 2), so the lex-largest m_mu left carries the
-    coefficient of e_mu'.  No step divides.
+    coefficient of e_mu'.  Each step subtracts plain numbers, power of t by
+    power of t, and no step divides.
     """
     rest = _m_terms(f, max_degree)
-    out: list[tuple[tuple[int, ...], TPoly]] = []
+    out = {}
     while rest:
         mu = max(rest)
-        lam, c = _conjugate(mu), rest[mu]
-        out.append((lam, c))
-        merge_terms(rest, ((nu, c * -k) for nu, k in _e_in_m(lam)))
-    return SymFunc("e", out)
+        lam, c = _conjugate(mu), rest.pop(mu)
+        out[lam] = c
+        # the m_mu term of e_lam cancels the popped coefficient exactly
+        _add_multiples(rest, c, ((nu, -k) for nu, k in _e_in_m(lam) if nu != mu))
+    return _from_dicts("e", out)
 
 
 def m_to_p(f: SymFunc, max_degree: int | None = None) -> SymFunc:
@@ -260,17 +298,22 @@ def m_to_p(f: SymFunc, max_degree: int | None = None) -> SymFunc:
 
     p_mu = (prod r_i!) m_mu + lex-higher terms (Macdonald, ch. I, section 6),
     so the lex-smallest m_mu left, divided by prod r_i!, is the coefficient
-    of p_mu.
+    of p_mu.  Each step subtracts plain numbers, power of t by power of t,
+    and only that division makes a Fraction.
     """
     rest = _m_terms(f, max_degree)
-    out: list[tuple[tuple[int, ...], TPoly]] = []
+    out = {}
     while rest:
         mu = min(rest)
+        c = rest.pop(mu)
         lead = augmentation_factor(mu)
-        c = rest[mu] if lead == 1 else rest[mu] * Fraction(1, lead)
-        out.append((mu, c))
-        merge_terms(rest, ((nu, c * -k) for nu, k in _p_in_m(mu)))
-    return SymFunc("p", out)
+        if lead != 1:
+            inverse = Fraction(1, lead)
+            c = {i: ci * inverse for i, ci in c.items()}
+        out[mu] = c
+        # the lead * m_mu term of p_mu cancels the popped coefficient exactly
+        _add_multiples(rest, c, ((nu, -k) for nu, k in _p_in_m(mu) if nu != mu))
+    return _from_dicts("p", out)
 
 
 def sigma_l(f: SymFunc, l: int) -> TPoly:

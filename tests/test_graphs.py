@@ -1,10 +1,13 @@
 """Multigraph structure, contraction, canonical forms, orientations."""
 
 import random
+from itertools import combinations_with_replacement
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tuttekit.combinatorics import DomainError
+from tuttekit.combinatorics import DomainError, normalize_blocks
 from tuttekit.graphs import (
     Multigraph,
     acyclic_orientations,
@@ -139,6 +142,82 @@ def test_connected_partitions_of_path():
     parts = list(connected_partitions(path(3)))
     assert ((1, 3), (2,)) not in parts
     assert len(parts) == 4
+
+
+def all_set_partitions(items):
+    """Every set partition of the list items (Bell(len(items)) of them), blocks as lists."""
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for pi in all_set_partitions(rest):
+        yield [[first]] + pi
+        for i in range(len(pi)):
+            yield pi[:i] + [[first] + pi[i]] + pi[i + 1:]
+
+
+def block_is_connected(edges, block):
+    inside = set(block)
+    seen, stack = {block[0]}, [block[0]]
+    while stack:
+        x = stack.pop()
+        for u, v in edges:
+            for a, b in ((u, v), (v, u)):
+                if a == x and b in inside and b not in seen:
+                    seen.add(b)
+                    stack.append(b)
+    return seen == inside
+
+
+def reference_connected_partitions(G):
+    """The definition: all Bell(n) set partitions, kept when every block is connected.
+
+    Each is normalized: blocks are ascending tuples, ordered by minimum.
+    """
+    return {
+        normalize_blocks(G.n, pi)
+        for pi in all_set_partitions(list(range(1, G.n + 1)))
+        if all(block_is_connected(G.edges, b) for b in pi)
+    }
+
+
+def check_connected_partitions(G, expected=None):
+    # the reference holds normalized partitions only, so set equality also
+    # checks that every partition generated is normalized
+    parts = list(connected_partitions(G))
+    assert len(set(parts)) == len(parts), G
+    assert set(parts) == (reference_connected_partitions(G) if expected is None else expected), G
+
+
+def test_connected_partitions_match_definition_on_all_small_multigraphs():
+    # every multigraph on n <= 5 vertices with at most 6 edges, loops and
+    # parallel edges included; connectivity depends on the distinct
+    # non-loop pairs alone, so the reference runs once per such set
+    reference = {}
+    for n in range(6):
+        pairs = [(u, v) for u in range(1, n + 1) for v in range(u, n + 1)]
+        for m in range(7):
+            for edges in combinations_with_replacement(pairs, m):
+                G = Multigraph(n, edges)
+                support = (n, frozenset(e for e in edges if e[0] != e[1]))
+                if support not in reference:
+                    reference[support] = reference_connected_partitions(G)
+                check_connected_partitions(G, reference[support])
+
+
+@st.composite
+def multigraphs(draw, max_n=7, max_edges=12):
+    n = draw(st.integers(0, max_n))
+    if n == 0:
+        return Multigraph(0)
+    vertex = st.integers(1, n)
+    return Multigraph(n, draw(st.lists(st.tuples(vertex, vertex), max_size=max_edges)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(multigraphs())
+def test_connected_partitions_match_definition(G):
+    check_connected_partitions(G)
 
 
 def test_two_edge_connected():

@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tuttekit.combinatorics import DomainError, TPoly
 from tuttekit.graphs import (
@@ -108,6 +110,30 @@ def test_four_routes_agree(G):
 def test_t_minus_one_recovers_chromatic(G):
     assert specialize_t(tutte_sym(G), -1) == chromatic_sym(G)
     assert chromatic_sym_delcon(G) == chromatic_sym(G)
+
+
+@st.composite
+def weighted_multigraphs(draw, max_n=6, max_edges=8):
+    """Multigraphs on at most max_n vertices with loops, parallel edges and weights <= 3."""
+    n = draw(st.integers(0, max_n))
+    weights = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    if n == 0:
+        return Multigraph(0)
+    vertex = st.integers(1, n)
+    edges = draw(st.lists(st.tuples(vertex, vertex), max_size=max_edges))
+    return Multigraph(n, edges, weights)
+
+
+@settings(max_examples=150, deadline=None)
+@given(weighted_multigraphs())
+def test_routes_agree_on_random_multigraphs(G):
+    f = tutte_sym(G)
+    assert tutte_sym_delcon(G) == f
+    assert tutte_from_contractions(G) == f
+    assert tutte_from_connected_partitions(G) == f
+    x = chromatic_sym(G)
+    assert chromatic_sym_delcon(G) == x
+    assert specialize_t(f, -1) == x
 
 
 def test_sigma_formula_pins():

@@ -7,9 +7,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tuttekit.combinatorics import DomainError, TPoly, partitions_of
+from tuttekit.combinatorics import DomainError, TPoly, augmentation_factor, partitions_of
+from tuttekit.lincomb import merge_terms
 from tuttekit.symfun import (
     SymFunc,
+    _e_in_m,
+    _p_in_m,
     coefficient_in_onep_t,
     m_pair_product,
     m_to_e,
@@ -158,6 +161,83 @@ def test_p_side_roundtrip(data):
 def test_mtilde_roundtrip():
     f = SymFunc("mtilde", {(3, 1): TPoly.t(), (2, 2): 1})
     assert m_to_mtilde(mtilde_to_m(f)) == f
+
+
+#### reference: elimination on immutable TPoly coefficients ###################
+
+# The conversions as they were written on TPoly values, each step building
+# new polynomials through scale and +.  The conversions under test add plain
+# numbers in mutable dicts instead; they must give the same values, with
+# the same int or Fraction in every place.
+
+
+def conjugate(mu):
+    return tuple(sum(1 for part in mu if part > i) for i in range(mu[0] if mu else 0))
+
+
+def reference_to_m(f):
+    table = _p_in_m if f.basis == "p" else _e_in_m
+    return SymFunc("m", ((mu, c * k) for lam, c in f.terms.items() for mu, k in table(lam)))
+
+
+def reference_m_to_e(f):
+    rest = dict(f.terms)
+    out = []
+    while rest:
+        mu = max(rest)
+        lam, c = conjugate(mu), rest[mu]
+        out.append((lam, c))
+        merge_terms(rest, ((nu, c * -k) for nu, k in _e_in_m(lam)))
+    return SymFunc("e", out)
+
+
+def reference_m_to_p(f):
+    rest = dict(f.terms)
+    out = []
+    while rest:
+        mu = min(rest)
+        lead = augmentation_factor(mu)
+        c = rest[mu] if lead == 1 else rest[mu] * Fraction(1, lead)
+        out.append((mu, c))
+        merge_terms(rest, ((nu, c * -k) for nu, k in _p_in_m(mu)))
+    return SymFunc("p", out)
+
+
+def typed_terms(f):
+    return {lam: {i: (type(x), x) for i, x in c.terms.items()} for lam, c in f.terms.items()}
+
+
+def assert_same(got, want):
+    assert got.basis == want.basis
+    assert got == want
+    assert typed_terms(got) == typed_terms(want)
+
+
+mixed = st.one_of(
+    st.integers(min_value=-4, max_value=4),
+    st.fractions(min_value=-4, max_value=4, max_denominator=3),
+)
+mixed_funcs = st.dictionaries(st.sampled_from(PARTITIONS), st.lists(mixed, max_size=3).map(TPoly), max_size=5)
+
+
+@given(mixed_funcs)
+def test_m_to_e_and_m_to_p_match_tpoly_elimination(data):
+    f = SymFunc("m", data)
+    assert_same(m_to_e(f), reference_m_to_e(f))
+    assert_same(m_to_p(f), reference_m_to_p(f))
+
+
+@given(st.sampled_from(["e", "p"]), mixed_funcs)
+def test_to_m_matches_tpoly_expansion(basis, data):
+    f = SymFunc(basis, data)
+    assert_same(to_m(f), reference_to_m(f))
+
+
+def test_m_to_e_keeps_int_coefficients_int():
+    f = SymFunc("m", {(2, 1): TPoly([1, 2]), (1, 1, 1): TPoly([0, 3]), (3,): 5})
+    e = m_to_e(f)
+    assert e.terms and all(type(x) is int for c in e.terms.values() for x in c.terms.values())
+    assert to_m(e) == f
 
 
 #### misc operations ###########################################################
