@@ -189,7 +189,9 @@ class TPoly(Poly):
 
     @staticmethod
     def from_strings(items: Sequence[str]) -> TPoly:
-        return TPoly([parse_rational(s) for s in items])
+        """Inverse of to_strings; an integral entry such as '3/1' becomes an int."""
+        coeffs = [parse_rational(s) for s in items]
+        return TPoly([c.numerator if c.denominator == 1 else c for c in coeffs])
 
     def __repr__(self) -> str:
         if not self.terms:

@@ -65,6 +65,17 @@ class Multigraph:
         object.__setattr__(self, "weights", ws)
         object.__setattr__(self, "_canon", None)
 
+    @classmethod
+    def _unchecked(cls, n: int, edges: tuple) -> Multigraph:
+        """Unit-weight graph on [n] from an edge tuple that is already
+        normalized and sorted; nothing is validated."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "edges", edges)
+        object.__setattr__(g, "weights", (1,) * n)
+        object.__setattr__(g, "_canon", None)
+        return g
+
     def __setattr__(self, name, value):
         raise AttributeError("Multigraph is immutable")
 
@@ -250,10 +261,10 @@ def _adjacency(G: Multigraph) -> list[set[int]]:
     return adj
 
 
-def _neighbour_masks(G: Multigraph) -> list[int]:
+def _neighbour_masks(n: int, edges: Iterable[tuple[int, int]]) -> list[int]:
     """adj[v]: bitmask with bit u set for every neighbour u of v; loops ignored."""
-    adj = [0] * (G.n + 1)
-    for u, v in G.edges:
+    adj = [0] * (n + 1)
+    for u, v in edges:
         if u != v:
             adj[u] |= 1 << v
             adj[v] |= 1 << u
@@ -305,7 +316,7 @@ def connected_partitions(G: Multigraph) -> Iterator[tuple[tuple[int, ...], ...]]
     minimum; the order of the partitions is that of the recursion, not
     restricted-growth order, and callers only sum over them.
     """
-    nbr = _neighbour_masks(G)
+    nbr = _neighbour_masks(G.n, G.edges)
     as_block: dict[int, tuple[int, ...]] = {}
 
     def grow(block: int, frontier: int, free: int) -> Iterator[int]:
@@ -351,14 +362,26 @@ def contraction_leaves_loop(n: int, pairs: Sequence[tuple[int, int]], chosen: It
     component, which a loop already does.  Then X (or XQ) of the
     contraction vanishes, so the subset expansions skip it unbuilt.
     """
+    return contraction_labels(n, pairs, chosen) is None
+
+
+def contraction_labels(n: int, pairs: Sequence[tuple[int, int]], chosen: Iterable[int]) -> list[int] | None:
+    """Components after contracting pairs[i] for every i in chosen, or None
+    when that leaves a loop (see `contraction_leaves_loop`).
+
+    label[v] is a representative vertex of v's component (label[0] = 0);
+    u and v merge exactly when label[u] == label[v].
+    """
     chosen = set(chosen)
-    label = list(range(n + 1))  # label[v]: a representative of v's component
+    label = list(range(n + 1))
     for i in chosen:
         u, v = pairs[i]
         a, b = label[u], label[v]
         if a != b:
             label = [a if x == b else x for x in label]
-    return any(label[u] == label[v] for i, (u, v) in enumerate(pairs) if i not in chosen)
+    if any(label[u] == label[v] for i, (u, v) in enumerate(pairs) if i not in chosen):
+        return None
+    return label
 
 
 #### graph families ############################################################
@@ -448,12 +471,18 @@ def is_bright_star_forest(G: Multigraph) -> tuple[bool, tuple[int, int, int] | N
     """
     if G.has_loop() or G.has_multi_edge():
         raise DomainError("bright star forest test requires a simple graph")
-    adj = _neighbour_masks(G)
-    for a, b in G.edges:
+    triple = _dull_triple(G.n, G.edges)
+    return triple is None, triple
+
+
+def _dull_triple(n: int, edges: tuple[tuple[int, int], ...]) -> tuple[int, int, int] | None:
+    """Smallest violating triple of a simple graph given by its sorted edges, or None."""
+    adj = _neighbour_masks(n, edges)
+    for a, b in edges:
         above = (adj[a] | adj[b]) >> (b + 1)
         if above:
-            return False, (a, b, b + (above & -above).bit_length())
-    return True, None
+            return a, b, b + (above & -above).bit_length()
+    return None
 
 
 def star_forest_shape(G: Multigraph) -> tuple[int, ...]:
@@ -472,14 +501,23 @@ def star_forest_canonical_map(G: Multigraph) -> tuple[tuple[int, ...], tuple[int
     ok, _ = is_bright_star_forest(G)
     if not ok:
         raise DomainError("not a bright star forest")
-    comps = connected_components(G)
+    lam, perm = _star_forest_map(G.n, G.edges)
+    if relabel(G, perm) != canonical_star_forest(lam):
+        raise RuntimeError(f"internal fault: canonical map {perm} does not carry {G!r} onto R{list(lam)}")
+    return lam, perm
+
+
+def _star_forest_map(n: int, edges: tuple[tuple[int, int], ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The (lam, perm) of `star_forest_canonical_map` for the edges of a
+    bright star forest on [n]; neither the input nor the map is checked."""
+    comps = _components_of(n, edges)
     comps.sort(key=lambda c: (-len(c), c[0]))
     lam = tuple(len(c) for c in comps)
-    deg = {v: 0 for v in range(1, G.n + 1)}
-    for u, v in G.edges:
+    deg = [0] * (n + 1)
+    for u, v in edges:
         deg[u] += 1
         deg[v] += 1
-    perm = [0] * G.n
+    perm = [0] * n
     start = 1
     for comp in comps:
         hub = start + len(comp) - 1
@@ -492,8 +530,6 @@ def star_forest_canonical_map(G: Multigraph) -> tuple[tuple[int, ...], tuple[int
             for offset, v in enumerate(leaves):
                 perm[v - 1] = start + offset
         start = hub + 1
-    if relabel(G, perm) != canonical_star_forest(lam):
-        raise RuntimeError(f"internal fault: canonical map {perm} does not carry {G!r} onto R{list(lam)}")
     return lam, tuple(perm)
 
 
@@ -671,7 +707,12 @@ def right_endpoint_key(G: Multigraph) -> tuple[int, tuple[int, ...]]:
     ascending list of larger endpoints is compared lexicographically.
     Every reduction rewrite strictly increases this key on its products.
     """
-    return (-len(G.edges), tuple(sorted(v for _, v in G.edges)))
+    return _right_endpoint_key(G.edges)
+
+
+def _right_endpoint_key(edges: Sequence[tuple[int, int]]) -> tuple[int, tuple[int, ...]]:
+    """`right_endpoint_key` of the graph with these (normalized) edges."""
+    return (-len(edges), tuple(sorted(v for _, v in edges)))
 
 
 #### JSON ######################################################################

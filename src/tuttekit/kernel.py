@@ -12,6 +12,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product as iproduct
 from typing import Iterable, Sequence
 
@@ -29,10 +30,15 @@ from tuttekit.combinatorics import (
     multinomial,
     normalize_blocks,
     onep_t_power,
+    sorted_partition,
     subsets_by_size,
 )
 from tuttekit.graphs import (
     Multigraph,
+    _components_of,
+    _dull_triple,
+    _right_endpoint_key,
+    _star_forest_map,
     broom,
     canonical_star_forest,
     complement,
@@ -42,18 +48,15 @@ from tuttekit.graphs import (
     graph_from_json_obj,
     graph_to_json_obj,
     internal_edge_count,
-    is_bright_star_forest,
     json_field,
     json_list,
     relabel,
-    right_endpoint_key,
     simple_graph,
-    star_forest_canonical_map,
     star_forest_shape,
     two_edge_connected,
 )
 from tuttekit.invariants import tutte_sym
-from tuttekit.lincomb import LinComb, merge_terms
+from tuttekit.lincomb import LinComb
 from tuttekit.symfun import SymFunc
 
 _T = TPoly.t()
@@ -491,100 +494,171 @@ class ReductionCertificate:
         }
 
 
-def _with_edges(g: Multigraph, extra: Iterable[tuple[int, int]]) -> Multigraph:
-    return Multigraph(g.n, g.edges + tuple(extra))
+# The reducer works on packed terms.  Every term of a combination lives on
+# one [n] with unit weights, so a term is its sorted edge tuple; its
+# coefficient is the tuple (c_0, ..., c_d) of the sum of c_k (1+t)^k, with
+# c_d nonzero.  Each generator multiplies a coefficient by a polynomial in
+# 1+t, so a rewrite edits edge tuples and convolves coefficient tuples.
+# Multigraphs are built only for the recorded steps and the final terms.
+
+_ONEP_T = (0, 1)  # 1+t
+_T_PLUS_2 = (1, 1)  # (1+t) + 1
+_MINUS_ONEP_T = (0, -1)
+_PLUS = (1,)
+_MINUS = (-1,)
+
+# rewrite classes in the order the reducer empties them
+_CLASSES = ("loop", "multi", "os_plus")
+
+STAR_FOREST_CACHE_SIZE = 128
 
 
-def _step_products(step: ReductionStep) -> list[tuple[Multigraph, TPoly]]:
-    """Graphs (with multipliers) that replace the step's term.
+@lru_cache(maxsize=STAR_FOREST_CACHE_SIZE)
+def _star_forest(lam: tuple[int, ...]) -> Multigraph:
+    """R_lam, shared by every reduction: the last 128 shapes used are kept."""
+    return canonical_star_forest(lam)
+
+
+def _packed(L: GraphCombination) -> dict[tuple, tuple]:
+    return {g.edges: c.onep_t_powers() for g, c in L.terms.items()}
+
+
+def _unpacked(n: int, terms: dict[tuple, tuple]) -> GraphCombination:
+    return GraphCombination(
+        n, [(Multigraph._unchecked(n, h), TPoly.from_onep_t_powers(c)) for h, c in terms.items()]
+    )
+
+
+def _times(c: tuple, m: tuple) -> tuple:
+    """Product of two nonzero coefficient tuples."""
+    if m == _PLUS:
+        return c
+    if m == _MINUS:
+        return tuple(-x for x in c)
+    out = [0] * (len(c) + len(m) - 1)
+    for i, x in enumerate(c):
+        for j, y in enumerate(m):
+            out[i + j] += x * y
+    return tuple(out)
+
+
+def _merge_packed(terms: dict[tuple, tuple], items: Iterable[tuple[tuple, tuple]]) -> None:
+    """Add (edges, coefficient) pairs into terms in place, dropping every zero sum."""
+    for h, c in items:
+        old = terms.get(h)
+        if old is None:
+            terms[h] = c
+            continue
+        if len(old) < len(c):
+            old, c = c, old
+        s = list(old)
+        for i, x in enumerate(c):
+            s[i] += x
+        while s and not s[-1]:
+            s.pop()
+        if s:
+            terms[h] = tuple(s)
+        else:
+            del terms[h]
+
+
+def _pair(u: int, v: int) -> tuple[int, int]:
+    return (u, v) if u <= v else (v, u)
+
+
+def _without(edges: tuple, e: tuple[int, int]) -> tuple:
+    try:
+        i = edges.index(e)
+    except ValueError:
+        raise DomainError(f"edge {e} not present (with multiplicity) in {list(edges)}") from None
+    return edges[:i] + edges[i + 1:]
+
+
+def _with(edges: tuple, *extra: tuple[int, int]) -> tuple:
+    return tuple(sorted(edges + extra))
+
+
+def _relabelled(n: int, edges: tuple, perm: Sequence[int]) -> tuple:
+    if sorted(perm) != list(range(1, n + 1)):
+        raise DomainError(f"not a permutation of [{n}]: {perm!r}")
+    return tuple(sorted(_pair(perm[u - 1], perm[v - 1]) for u, v in edges))
+
+
+def _step_products(step: ReductionStep) -> list[tuple[tuple, tuple]]:
+    """Edge tuples (with multipliers) of the graphs that replace the step's term.
 
     Subtracting coefficient c times the generator extension turns the term
-    c*H into the sum of c*multiplier over these products.
+    c*H into the sum of c*multiplier over these products; a multiplier is
+    a coefficient tuple in powers of (1+t).
     """
-    g = step.graph
+    g = step.graph.edges
     if step.gen == "loop":
         v = step.vertex
-        return [(delete_edges(g, [(v, v)]), onep_t_power(1))]
+        return [(_without(g, (v, v)), _ONEP_T)]
     if step.gen == "multi":
-        u, v = step.pair
-        once = delete_edges(g, [(u, v)])
-        twice = delete_edges(once, [(u, v)])
-        return [(once, _T + 2), (twice, -(_T + 1))]
+        e = _pair(*step.pair)
+        once = _without(g, e)
+        return [(once, _T_PLUS_2), (_without(once, e), _MINUS_ONEP_T)]
     if step.gen == "os_plus":
         a, b, c = step.triple
+        ab, ac, bc = _pair(a, b), _pair(a, c), _pair(b, c)
         if step.case == 2:
-            base = delete_edges(g, [(a, b), (b, c)])
-            return [
-                (_with_edges(base, [(a, c)]), -_ONE),
-                (_with_edges(base, [(a, c), (b, c)]), _ONE),
-                (_with_edges(base, [(a, b)]), _ONE),
-            ]
-        # cases 1 and 3 share the 1<->2 frame swap; in case 3 the edge bc is
-        # still present in the base, so the first product doubles it
-        base = delete_edges(g, [(a, b), (a, c)])
-        return [
-            (_with_edges(base, [(b, c)]), -_ONE),
-            (_with_edges(base, [(a, c), (b, c)]), _ONE),
-            (_with_edges(base, [(a, b)]), _ONE),
-        ]
+            base, first = _without(_without(g, ab), bc), ac
+        else:
+            # cases 1 and 3 share the 1<->2 frame swap; in case 3 the edge bc
+            # is still present in the base, so the first product doubles it
+            base, first = _without(_without(g, ab), ac), bc
+        return [(_with(base, first), _MINUS), (_with(base, ac, bc), _PLUS), (_with(base, ab), _PLUS)]
     if step.gen == "iso":
-        return [(relabel(g, step.perm), _ONE)]
+        return [(_relabelled(step.graph.n, g, step.perm), _PLUS)]
     raise DomainError(f"unknown generator tag {step.gen!r}")
 
 
-def _apply_step(terms: dict[Multigraph, TPoly], step: ReductionStep) -> list[Multigraph]:
-    """Replace the step's term by its products in place; return the products."""
-    c = terms.pop(step.graph, None)
+def _apply_step(terms: dict[tuple, tuple], step: ReductionStep) -> list[tuple]:
+    """Replace the step's term by its products in packed terms, in place;
+    return the products' edge tuples."""
+    c = terms.pop(step.graph.edges, None)
     if c is None:
         return []
     products = _step_products(step)
     if step.gen != "iso":
-        src_key = right_endpoint_key(step.graph)
+        size = len(step.graph.edges)
         for h, _ in products:
-            if right_endpoint_key(h) <= src_key:
+            # fewer edges come later in the order; otherwise compare keys
+            if len(h) >= size and _right_endpoint_key(h) <= _right_endpoint_key(step.graph.edges):
                 raise RuntimeError(
                     f"internal fault: {step.gen} rewrite of {step.graph!r} "
-                    f"failed to increase the order at {h!r}"
+                    f"failed to increase the order at {Multigraph._unchecked(step.graph.n, h)!r}"
                 )
-    merge_terms(terms, ((h, c * mult) for h, mult in products))
+    _merge_packed(terms, ((h, _times(c, m)) for h, m in products))
     return [h for h, _ in products]
 
 
-def _smallest_multi_pair(g: Multigraph):
-    seen = set()
-    for e in g.edges:
-        if e[0] != e[1]:
-            if e in seen:
-                return e
-            seen.add(e)
-    return None
-
-
-# rewrite classes in the order the reducer empties them
-_CLASS_RANK = {"loop": 0, "multi": 1, "os_plus": 2}
-
-
-def _rewrite_of(g: Multigraph) -> ReductionStep | None:
-    """The rewrite the reducer applies to g; None for a bright star forest."""
-    if g.has_loop():
-        v = min(u for u, w in g.edges if u == w)
-        return ReductionStep("loop", g, vertex=v)
-    pair = _smallest_multi_pair(g)
-    if pair is not None:
-        return ReductionStep("multi", g, pair=pair)
-    ok, triple = is_bright_star_forest(g)
-    if ok:
+def _rewrite_of(n: int, edges: tuple) -> tuple[int, dict] | None:
+    """(class, step fields) of the rewrite the reducer applies to a term;
+    None for a bright star forest.  The class indexes `_CLASSES`."""
+    multi = prev = None
+    for e in edges:
+        if e[0] == e[1]:
+            # edges are sorted, so the first loop sits at the least vertex
+            return 0, {"vertex": e[0]}
+        if e == prev and multi is None:
+            multi = e
+        prev = e
+    if multi is not None:
+        return 1, {"pair": multi}
+    triple = _dull_triple(n, edges)
+    if triple is None:
         return None
+    # ab is an edge and so is ac or bc
     a, b, c = triple
-    present = set(g.edges)
-    inside = {e for e in ((a, b), (a, c), (b, c)) if e in present}
-    if inside == {(a, b), (b, c)}:
+    if (a, c) not in edges:
         case, perm = 2, (1, 2, 3)
-    elif inside == {(a, b), (a, c)}:
+    elif (b, c) not in edges:
         case, perm = 1, (2, 1, 3)
     else:
         case, perm = 3, (2, 1, 3)
-    return ReductionStep("os_plus", g, triple=triple, case=case, perm=perm)
+    return 2, {"triple": triple, "case": case, "perm": perm}
 
 
 def reduce_to_star_forests(
@@ -599,57 +673,75 @@ def reduce_to_star_forests(
     right-endpoint order, which forces termination.  XB is preserved at
     every step because each subtraction is a kernel element.
 
-    Each graph is classified once, when it enters the term map, by the
-    rewrite it needs.  One heap holds those rewrites ordered by (class,
-    graph key), so the three classes act as three heaps emptied in turn;
-    entries whose graph has since left the map are skipped.  The popped
-    rewrite is the one on the smallest-keyed live term of the first
-    non-empty class, the same choice as scanning all terms in key order for
-    a loop, then a multi-edge, then a dull triple, so the certificate does
-    not depend on how the next rewrite is found.
+    Terms are packed, as an edge tuple with a tuple of (1+t)-power
+    coefficients.  Each term is classified once, when it enters the term
+    map, by the rewrite it needs.  One heap holds those rewrites ordered
+    by (class, edges), so the three classes act as three heaps
+    emptied in turn; entries whose term has since left the map are
+    skipped.  The popped rewrite is the one on the smallest labelled graph
+    of the first non-empty class, the same choice as scanning all terms in
+    `Multigraph.key` order for a loop, then a multi-edge, then a dull
+    triple, so the certificate does not depend on how the next rewrite is
+    found.
     """
     check_bound(L.n, DEFAULT_REDUCTION_BOUND, max_n, "reduction")
-    terms: dict[Multigraph, TPoly] = dict(L.terms)
+    n = L.n
+    terms = _packed(L)
     steps: list[ReductionStep] = []
-    # (class, key) ties only between entries for one graph, whose steps are
-    # equal, so the heap never orders two steps
-    worklist: list[tuple[int, tuple, ReductionStep]] = []
+    # (class, edges) ties only between entries for one term, whose fields
+    # are equal, so the heap never orders two field dicts
+    worklist: list[tuple[int, tuple, dict]] = []
 
-    def enqueue(gs: Iterable[Multigraph]):
-        for g in gs:
-            step = _rewrite_of(g)
-            if step is not None:
-                heapq.heappush(worklist, (_CLASS_RANK[step.gen], g.key(), step))
+    def enqueue(hs: Iterable[tuple]):
+        for h in hs:
+            rewrite = _rewrite_of(n, h)
+            if rewrite is not None:
+                heapq.heappush(worklist, (rewrite[0], h, rewrite[1]))
 
-    def record(step: ReductionStep) -> list[Multigraph]:
+    def record(step: ReductionStep) -> list[tuple]:
         steps.append(step)
         return _apply_step(terms, step)
 
     enqueue(terms)
     while worklist:
-        step = heapq.heappop(worklist)[2]
-        if step.graph in terms:
-            enqueue(h for h in record(step) if h in terms)
+        cls, h, fields = heapq.heappop(worklist)
+        if h in terms:
+            step = ReductionStep(_CLASSES[cls], Multigraph._unchecked(n, h), **fields)
+            enqueue(p for p in record(step) if p in terms)
 
     # relabel every remaining star forest onto its canonical representative
-    for g in sorted(terms, key=lambda x: x.key()):
-        lam, perm = star_forest_canonical_map(g)
-        if perm != tuple(range(1, g.n + 1)):
-            record(ReductionStep("iso", g, perm=perm))
+    identity = tuple(range(1, n + 1))
+    for h in sorted(terms):
+        lam, perm = _star_forest_map(n, h)
+        if perm != identity:
+            g = Multigraph._unchecked(n, h)
+            if record(ReductionStep("iso", g, perm=perm)) != [_star_forest(lam).edges]:
+                raise RuntimeError(f"internal fault: canonical map {perm} does not carry {g!r} onto R{list(lam)}")
 
-    for g in terms:
-        if g != canonical_star_forest(star_forest_shape(g)):
-            raise RuntimeError(f"internal fault: reduction left {g!r}, not a canonical star forest")
-    result = standard_form(GraphCombination(L.n, terms))
+    rows = []
+    for h in sorted(terms):
+        R = _star_forest(sorted_partition(map(len, _components_of(n, h))))
+        if h != R.edges:
+            raise RuntimeError(
+                f"internal fault: reduction left {Multigraph._unchecked(n, h)!r}, "
+                "not a canonical star forest"
+            )
+        rows += [(c, k, R) for k, c in enumerate(terms[h]) if c]
+    result = StandardForm(n, tuple(rows))
     return result, ReductionCertificate(tuple(steps), result)
 
 
 def replay_certificate(L: GraphCombination, cert: ReductionCertificate) -> GraphCombination:
-    """Re-apply the recorded steps to L and return the final combination."""
-    terms: dict[Multigraph, TPoly] = dict(L.terms)
+    """Re-apply the recorded steps to L and return the final combination.
+
+    A step whose graph lies on another vertex set, or has other weights,
+    is not a term of L and changes nothing.
+    """
+    terms = _packed(L)
     for step in cert.steps:
-        _apply_step(terms, step)
-    return GraphCombination(L.n, terms)
+        if step.graph.n == L.n and step.graph.unit_weights():
+            _apply_step(terms, step)
+    return _unpacked(L.n, terms)
 
 
 def kernel_membership(L: GraphCombination, max_n: int | None = None) -> bool:

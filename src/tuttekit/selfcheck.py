@@ -18,6 +18,7 @@ from itertools import combinations, combinations_with_replacement, product
 from tuttekit.combinatorics import TPoly, enumerate_set_partitions, partitions_of
 from tuttekit.graphs import (
     Multigraph,
+    _right_endpoint_key,
     canonical_star_forest,
     complement,
     complete,
@@ -350,7 +351,7 @@ def criterion_6() -> dict:
                     continue
                 src = right_endpoint_key(step.graph)
                 for h, _ in _step_products(step):
-                    if right_endpoint_key(h) <= src:
+                    if _right_endpoint_key(h) <= src:
                         bad = f"non-increasing rewrite at {step!r}"
                         break
                 if bad:

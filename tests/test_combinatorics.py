@@ -147,6 +147,12 @@ def test_tpoly_string_roundtrip():
     assert TPoly.from_strings(p.to_strings()) == p
 
 
+def test_integral_strings_parse_to_ints():
+    p = TPoly.from_strings(["3/1", "1/2", "-4/2"])
+    assert [type(c) for c in p.coeffs] == [int, Fraction, int]
+    assert p.coeffs == (3, Fraction(1, 2), -2)
+
+
 def test_multinomial():
     assert multinomial([2, 1, 1]) == 12
     assert multinomial([0, 0]) == 1

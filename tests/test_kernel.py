@@ -23,7 +23,8 @@ from tuttekit.kernel import (
     ReductionCertificate,
     ReductionStep,
     _apply_step,
-    _smallest_multi_pair,
+    _packed,
+    _unpacked,
     broom_relation,
     b_value,
     c_value,
@@ -246,25 +247,43 @@ def test_kernel_membership():
     assert not kernel_membership(combo(2, (complete(2), 1)))
 
 
+def _smallest_multi_pair(g):
+    seen = set()
+    for e in g.edges:
+        if e[0] != e[1]:
+            if e in seen:
+                return e
+            seen.add(e)
+    return None
+
+
 def _reference_reduce(L):
-    """The selector the worklist replaced: every step re-sorts and re-classifies all terms."""
-    terms = dict(L.terms)
+    """The selector the worklist replaced: every step re-sorts and re-classifies all terms.
+
+    Terms are classified as Multigraphs; the rewrites go through the
+    reducer's own `_apply_step` on packed terms.
+    """
+    terms = _packed(L)
     steps = []
+
+    def graphs():
+        return sorted((Multigraph(L.n, e) for e in terms), key=Multigraph.key)
+
     while True:
         step = None
-        for g in sorted(terms, key=lambda x: x.key()):
+        for g in graphs():
             if g.has_loop():
                 v = min(u for u, w in g.edges if u == w)
                 step = ReductionStep("loop", g, vertex=v)
                 break
         if step is None:
-            for g in sorted(terms, key=lambda x: x.key()):
+            for g in graphs():
                 pair = _smallest_multi_pair(g)
                 if pair is not None:
                     step = ReductionStep("multi", g, pair=pair)
                     break
         if step is None:
-            for g in sorted(terms, key=lambda x: x.key()):
+            for g in graphs():
                 ok, triple = is_bright_star_forest(g)
                 if ok:
                     continue
@@ -283,32 +302,43 @@ def _reference_reduce(L):
             break
         _apply_step(terms, step)
         steps.append(step)
-    for g in sorted(terms, key=lambda x: x.key()):
+    for g in graphs():
         lam, perm = star_forest_canonical_map(g)
         if perm != tuple(range(1, g.n + 1)):
             step = ReductionStep("iso", g, perm=perm)
             _apply_step(terms, step)
             steps.append(step)
-    return ReductionCertificate(tuple(steps), standard_form(GraphCombination(L.n, terms)))
+    return ReductionCertificate(tuple(steps), standard_form(_unpacked(L.n, terms)))
 
 
 @st.composite
 def reducible_combinations(draw):
-    """1-3 terms on [n], n <= 5, loops and repeated edges allowed, TPoly coefficients."""
+    """1-3 terms on [n], n <= 5, loops and repeated edges allowed, TPoly
+    coefficients with int and Fraction entries."""
     n = draw(st.integers(1, 5))
     vertex = st.integers(1, n)
     edges = st.lists(st.tuples(vertex, vertex), max_size=6)
-    coeff = st.lists(st.integers(-2, 2), min_size=1, max_size=3)
+    entry = st.one_of(st.integers(-2, 2), st.fractions(-2, 2, max_denominator=3))
+    coeff = st.lists(entry, min_size=1, max_size=3)
     terms = draw(st.lists(st.tuples(edges, coeff), min_size=1, max_size=3))
     L = GraphCombination(n, [(Multigraph(n, es), TPoly(c)) for es, c in terms])
     if draw(st.booleans()):
         # minus a relabelled copy: a kernel member, unless the two cancel
         perm = draw(st.permutations(range(1, n + 1)))
         L = L - GraphCombination(n, [(relabel(g, perm), c) for g, c in L.terms.items()])
+    if draw(st.booleans()):
+        # two matchings of one size with opposite coefficients: bright star
+        # forests of one shape, which cancel once relabelled onto R_lambda
+        k = draw(st.integers(0, n // 2))
+        c = TPoly(draw(coeff))
+        for sign in (1, -1):
+            p = draw(st.permutations(range(1, n + 1)))
+            M = Multigraph(n, [(p[2 * i], p[2 * i + 1]) for i in range(k)])
+            L = L + GraphCombination(n, [(M, c.scale(sign))])
     return L
 
 
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(reducible_combinations())
 def test_reduction_matches_reference_selector(L):
     result, cert = reduce_to_star_forests(L)
@@ -317,10 +347,83 @@ def test_reduction_matches_reference_selector(L):
     for i, (got, expected) in enumerate(zip(got_steps, want_steps)):
         assert got == expected, f"step {i}"
     assert cert.to_json_obj() == want.to_json_obj()
+    assert result.terms == want.result.terms
     assert replay_certificate(L, cert) == result.to_combination()
     xb = combination_tutte_sym(L)
     assert combination_tutte_sym(result.to_combination()) == xb
     assert kernel_membership(L) == xb.is_zero()
+
+
+def test_reduce_cancels_in_the_iso_phase():
+    # both edges are bright star forests of shape (2, 1); only their
+    # relabellings onto R_(2,1) = {12} meet, and cancel
+    L = combo(3, (Multigraph(3, [(1, 3)]), Fraction(1, 2)), (Multigraph(3, [(2, 3)]), Fraction(-1, 2)))
+    sf, cert = reduce_to_star_forests(L)
+    assert sf.is_zero()
+    assert [(s.gen, s.perm) for s in cert.steps] == [("iso", (1, 3, 2)), ("iso", (3, 1, 2))]
+    assert replay_certificate(L, cert).is_zero()
+
+
+def test_reduce_drops_a_term_that_cancels_mid_rewrite():
+    # the multi rewrite's -(1+t) * {13} cancels the (1+t) * {13} term, whose
+    # coefficient has two (1+t)-powers; no iso step may then relabel {13}
+    L = combo(3, (Multigraph(3, [(1, 2), (1, 2), (1, 3)]), 1), (Multigraph(3, [(1, 3)]), ONE + T))
+    sf, cert = reduce_to_star_forests(L)
+    assert [(s.gen, s.graph.edges) for s in cert.steps] == [
+        ("multi", ((1, 2), (1, 2), (1, 3))),
+        ("os_plus", ((1, 2), (1, 3))),
+        ("iso", ((2, 3),)),
+    ]
+    assert sf.shape_triples() == [((3,), 0, 1), ((3,), 1, 1)]
+    assert replay_certificate(L, cert) == sf.to_combination()
+
+
+@st.composite
+def small_combinations(draw):
+    """Combinations on [n], n <= 3, of three kinds.
+
+    Friendly generators, relabelled and extended; arbitrary loop-free
+    combinations; and balanced pairs G - (1+t)^d H with d = |E(G)| - |E(H)|,
+    whose B vanishes at the one-block partition, so a violation, if any,
+    comes at a partition with more blocks.  Coefficients involve t only on
+    [2] or less, which keeps every witness coefficient cheap to count.
+    """
+    n = draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(["generator", "arbitrary", "balanced"]))
+    if kind == "generator":
+        gen = draw(st.sampled_from([ell_loop, ell_multi, ell_tri, ell_os_plus]))()
+        n = max(n, gen.n)
+        vertex = st.integers(1, n)
+        host = Multigraph(n, draw(st.lists(st.tuples(vertex, vertex), max_size=2)))
+        perm = draw(st.permutations(range(1, n + 1)))
+        return GraphCombination(n, [(relabel(g, perm), c) for g, c in extend(gen, host).terms.items()])
+    pair = st.tuples(st.integers(1, n), st.integers(1, n)).filter(lambda e: e[0] != e[1])
+    if kind == "balanced":
+        G = draw(st.lists(pair, max_size=3))
+        H = draw(st.lists(pair, min_size=len(G) if n == 3 else 0, max_size=len(G)))
+        c = draw(st.sampled_from([1, -1, 2]))
+        d = len(G) - len(H)
+        return GraphCombination(n, [(Multigraph(n, G), TPoly.of(c)), (Multigraph(n, H), -c * (ONE + T) ** d)])
+    entries = st.lists(st.integers(-2, 2), min_size=1, max_size=2 if n <= 2 else 1)
+    terms = draw(st.lists(st.tuples(st.lists(pair, max_size=3), entries), min_size=1, max_size=3))
+    return GraphCombination(n, [(Multigraph(n, es), TPoly(c)) for es, c in terms])
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_combinations(), st.data())
+def test_friendliness_verdicts_hold(L, data):
+    """Friendly: every extension has XB zero.  Not friendly: the witness
+    graph's extension has a nonzero m~ coefficient."""
+    ok, pi, a = is_tutte_friendly(L)
+    if ok:
+        m = L.n + data.draw(st.integers(0, 2))
+        vertex = st.integers(1, m)
+        host = Multigraph(m, data.draw(st.lists(st.tuples(vertex, vertex), max_size=4)))
+        assert combination_tutte_sym(extend(L, host)).is_zero()
+    else:
+        W = witness_graph(L, pi, a)
+        assert W.n > L.n
+        assert not witness_mtilde_coefficient(L, pi).is_zero()
 
 
 #### named relations ###########################################################

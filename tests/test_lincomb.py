@@ -240,9 +240,10 @@ def test_mismatched_fields_refuse_addition():
 def test_load_bearing_checks_survive_optimized_mode():
     code = textwrap.dedent(
         """
+        from tuttekit import kernel
         from tuttekit.combinatorics import DomainError, TPoly
         from tuttekit.graphs import Multigraph
-        from tuttekit.kernel import ReductionStep, _apply_step
+        from tuttekit.kernel import GraphCombination, ReductionStep, _apply_step
 
         assert False, "asserts must be off"
         try:
@@ -253,9 +254,23 @@ def test_load_bearing_checks_survive_optimized_mode():
         g = Multigraph(3, [(1, 3), (2, 3)])
         step = ReductionStep("os_plus", g, triple=(1, 3, 2), case=2, perm=(1, 2, 3))
         try:
-            _apply_step({g: TPoly.one()}, step)
+            _apply_step({g.edges: (1,)}, step)
         except RuntimeError as exc:
             print("step refused:", exc)
+        # the edge 13 is a bright star forest of shape (2, 1), not R_(2,1)
+        L = GraphCombination(3, [(Multigraph(3, [(1, 3)]), TPoly.one())])
+        # a canonical map whose image is not R_lambda
+        kernel._star_forest_map = lambda n, edges: ((2, 1), (3, 2, 1))
+        try:
+            kernel.reduce_to_star_forests(L)
+        except RuntimeError as exc:
+            print("map refused:", exc)
+        # a canonical map that leaves the term where it is
+        kernel._star_forest_map = lambda n, edges: ((2, 1), (1, 2, 3))
+        try:
+            kernel.reduce_to_star_forests(L)
+        except RuntimeError as exc:
+            print("output refused:", exc)
         """
     )
     src = str(Path(tuttekit.__file__).resolve().parents[1])
@@ -270,3 +285,5 @@ def test_load_bearing_checks_survive_optimized_mode():
     lines = proc.stdout.splitlines()
     assert lines[0] == "pow refused"
     assert lines[1].startswith("step refused: internal fault:")
+    assert lines[2].startswith("map refused: internal fault:") and "onto R[2, 1]" in lines[2]
+    assert lines[3].startswith("output refused: internal fault:") and "not a canonical" in lines[3]
