@@ -3,9 +3,12 @@
 m~ denotes the augmented monomial basis: m~_lam = (prod r_i(lam)!) m_lam.
 Conversions go through the monomial basis.  The e and p bases are reached
 by triangular elimination against their integer m-expansions, with no
-matrix to invert.  Coefficients stay integer polynomials until a
-conversion divides: m to e never does, and m to p divides only by the
-multiplicity factorials prod r_i! of the leading term.
+matrix to invert.  Those expansions are counted from their closed forms,
+0-1 matrices for e and part-merging maps for p, and the tables keep one
+entry per partition converted, so the degree cap bounds them.
+Coefficients stay integer polynomials until a conversion divides: m to e
+never does, and m to p divides only by the multiplicity factorials
+prod r_i! of the leading term.
 """
 
 from __future__ import annotations
@@ -13,6 +16,8 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
+from math import comb
 from typing import Iterable, Sequence
 
 from tuttekit.combinatorics import (
@@ -24,7 +29,7 @@ from tuttekit.combinatorics import (
     partitions_of,
     sorted_partition,
 )
-from tuttekit.lincomb import LinComb, merge_terms
+from tuttekit.lincomb import LinComb
 
 BASES = ("mtilde", "m", "p", "e")
 
@@ -92,7 +97,7 @@ class SymFunc(LinComb):
         )
 
 
-#### monomial products #########################################################
+#### m-expansions of the e and p bases ########################################
 
 def _check_degree(d: int, max_degree: int | None):
     cap = DEFAULT_DEGREE_BOUND if max_degree is None else max_degree
@@ -100,9 +105,8 @@ def _check_degree(d: int, max_degree: int | None):
         raise DomainError(f"degree {d} exceeds the conversion cap {cap}")
 
 
-# Entries kept by _arrangements.  The monomial products for every partition
-# up to the degree cap use 1,133 keys; truncate_symfunc adds keys with the
-# caller's variable count N, which nothing else bounds.
+# Entries kept by _arrangements, which serves only truncate_symfunc; its keys
+# carry the caller's variable count N, which nothing else bounds.
 ARRANGEMENTS_CACHE_SIZE = 2048
 
 
@@ -133,62 +137,50 @@ def _arrangements(mu: tuple[int, ...], length: int) -> tuple[tuple[int, ...], ..
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def m_pair_product(mu: tuple[int, ...], nu: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """Expansion of m_mu * m_nu in the m basis as ((rho, coeff), ...).
+def _m_coefficients(lam: tuple[int, ...], spread: bool) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """m-expansion of e_lam (spread) or p_lam as sorted ((mu, k), ...).
 
-    The coefficient of m_rho counts vectors alpha with nonzero multiset mu
-    such that rho - alpha is entrywise nonnegative with nonzero multiset nu.
+    k counts the matrices with row sums lam and column sums mu whose rows
+    are filled one at a time (Stanley, EC2, Props. 7.4.1 and 7.7.1).  For
+    e_lam a row r puts a 1 in r distinct columns, so the matrices are 0-1;
+    for p_lam it puts all of r in one column, so each mu_j is the sum of
+    the parts sent to it.  Only the multiset of remaining column sums
+    matters, and its total says which row is next.
     """
-    if not mu:
-        return (((nu), 1),) if nu else (((), 1),)
-    if not nu:
-        return ((mu, 1),)
-    total = sum(mu) + sum(nu)
-    out = []
-    for rho in partitions_of(total):
-        if len(rho) > len(mu) + len(nu):
-            continue
-        count = 0
-        for alpha in _arrangements(mu, len(rho)):
-            rest = tuple(r - a for r, a in zip(rho, alpha))
-            if any(x < 0 for x in rest):
-                continue
-            if sorted_partition(x for x in rest if x) == nu:
-                count += 1
-        if count:
-            out.append((rho, count))
-    return tuple(out)
+    row_at = {sum(lam[i:]): part for i, part in enumerate(lam)}
+    memo: dict[tuple[int, ...], int] = {(): 1}
 
+    def count(cols: tuple[int, ...]) -> int:
+        if cols not in memo:
+            r = row_at[sum(cols)]
+            width, amount = (r, 1) if spread else (1, r)
+            groups = sorted(Counter(cols).items())
+            total = 0
+            # the row takes `amount` from ks[i] of the columns at groups[i]'s value
+            for ks in product(*(range(min(c, width) + 1 if v >= amount else 1) for v, c in groups)):
+                if sum(ks) != width:
+                    continue
+                ways, rest = 1, []
+                for (v, c), k in zip(groups, ks):
+                    ways *= comb(c, k)
+                    rest += [v] * (c - k) + [v - amount] * k
+                total += ways * count(tuple(sorted((x for x in rest if x), reverse=True)))
+            memo[cols] = total
+        return memo[cols]
 
-def _m_expansion_product(a: dict[tuple[int, ...], int], b: dict[tuple[int, ...], int]) -> dict:
-    return merge_terms(
-        {},
-        (
-            (rho, ca * cb * k)
-            for mu, ca in a.items()
-            for nu, cb in b.items()
-            for rho, k in m_pair_product(mu, nu)
-        ),
-    )
+    return tuple(sorted((mu, k) for mu in partitions_of(sum(lam)) if (k := count(mu))))
 
 
 @lru_cache(maxsize=None)
 def _e_in_m(lam: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """m-expansion of e_lam; e_n is m_(1^n)."""
-    exp: dict[tuple[int, ...], int] = {(): 1}
-    for part in lam:
-        exp = _m_expansion_product(exp, {(1,) * part: 1})
-    return tuple(sorted(exp.items()))
+    """m-expansion of e_lam: 0-1 matrices with row sums lam and column sums mu."""
+    return _m_coefficients(lam, spread=True)
 
 
 @lru_cache(maxsize=None)
 def _p_in_m(lam: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """m-expansion of p_lam; p_n is m_(n)."""
-    exp: dict[tuple[int, ...], int] = {(): 1}
-    for part in lam:
-        exp = _m_expansion_product(exp, {(part,): 1})
-    return tuple(sorted(exp.items()))
+    """m-expansion of p_lam: maps of the parts of lam onto the parts of mu that sum to each."""
+    return _m_coefficients(lam, spread=False)
 
 
 #### basis conversions #########################################################

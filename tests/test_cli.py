@@ -307,6 +307,21 @@ def test_selfcheck_reports_failure(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "FAIL" in out and "planted failure" in out
 
+
+def test_selfcheck_marks_a_suite_over_its_budget(monkeypatch, capsys):
+    # running long is shown, but a suite over its budget still passes
+    def slow_criterion():
+        return selfcheck._finish(12, "runs long", 0.5, 1, [], time.perf_counter() - 1)
+
+    criteria = list(selfcheck.CRITERIA)
+    criteria[11] = slow_criterion
+    monkeypatch.setattr(selfcheck, "CRITERIA", criteria)
+    assert main(["selfcheck", "--only", "11,12"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "PASS" in lines[1] and "over its 0.5s budget" in lines[1]
+    assert "PASS" in lines[0] and "budget" not in lines[0]
+    assert lines[-1].startswith("2/2 suites passed")
+
 def test_selfcheck_refuses_unknown_ids(capsys):
     for only in ("99", "0", "x", "1,,2"):
         assert main(["selfcheck", "--only", only]) == 1

@@ -1,6 +1,8 @@
 """Symmetric-function bases against a brute-force polynomial oracle."""
 
+from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
 import pytest
@@ -14,7 +16,6 @@ from tuttekit.symfun import (
     _e_in_m,
     _p_in_m,
     coefficient_in_onep_t,
-    m_pair_product,
     m_to_e,
     m_to_mtilde,
     m_to_p,
@@ -86,11 +87,80 @@ def test_expansions_match_polynomial_oracle(kind):
             }, (kind, lam)
 
 
+#### reference: products of monomials #########################################
+
+# The tables were once built as products of monomials, e_n = m_(1^n) and
+# p_n = m_(n), one part at a time.  The counting that builds them now must
+# give the same sorted tables.
+
+
+def arrangements(mu, length):
+    """Distinct vectors of the given length whose nonzero entries realize mu."""
+    if len(mu) > length:
+        return ()
+    counts = Counter(mu)
+    counts[0] = length - len(mu)
+    values = sorted(counts)
+    vec = []
+    out = []
+
+    def rec():
+        if len(vec) == length:
+            out.append(tuple(vec))
+            return
+        for val in values:
+            if counts[val]:
+                counts[val] -= 1
+                vec.append(val)
+                rec()
+                vec.pop()
+                counts[val] += 1
+
+    rec()
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def m_pair_product(mu, nu):
+    """m_mu * m_nu in the m basis as ((rho, coeff), ...).
+
+    The coefficient of m_rho counts vectors alpha with nonzero multiset mu
+    such that rho - alpha is entrywise nonnegative with nonzero multiset nu.
+    """
+    if not mu:
+        return ((nu, 1),)
+    if not nu:
+        return ((mu, 1),)
+    out = []
+    for rho in partitions_of(sum(mu) + sum(nu)):
+        if len(rho) > len(mu) + len(nu):
+            continue
+        count = 0
+        for alpha in arrangements(mu, len(rho)):
+            rest = tuple(r - a for r, a in zip(rho, alpha))
+            if min(rest) >= 0 and tuple(sorted((x for x in rest if x), reverse=True)) == nu:
+                count += 1
+        if count:
+            out.append((rho, count))
+    return tuple(out)
+
+
+def reference_in_m(kind, lam):
+    exp = {(): 1}
+    for part in lam:
+        factor = (1,) * part if kind == "e" else (part,)
+        exp = merge_terms({}, ((rho, c * k) for mu, c in exp.items() for rho, k in m_pair_product(mu, factor)))
+    return tuple(sorted(exp.items()))
+
+
+def test_tables_match_monomial_products():
+    for total in range(11):
+        for lam in partitions_of(total):
+            assert _e_in_m(lam) == reference_in_m("e", lam), lam
+            assert _p_in_m(lam) == reference_in_m("p", lam), lam
+
+
 #### pins ######################################################################
-
-
-def test_m_pair_product_pin():
-    assert dict(m_pair_product((1,), (1,))) == {(2,): 1, (1, 1): 2}
 
 
 def test_e_expansion_pins():
