@@ -76,11 +76,14 @@ def subsets_by_size(m: int, noun: str = "edge") -> Iterator[tuple[int, ...]]:
 
 
 def as_int(value, what: str) -> int:
-    """An integer read from outside (JSON, arguments); DomainError for text, floats, None."""
-    try:
-        return index(value)
-    except TypeError:
-        raise DomainError(f"{what} must be an integer, got {value!r}")
+    """An integer read from outside (JSON, arguments); DomainError for text,
+    floats, None and booleans (JSON true is not 1)."""
+    if type(value) is not bool:
+        try:
+            return index(value)
+        except TypeError:
+            pass
+    raise DomainError(f"{what} must be an integer, got {value!r}")
 
 
 #### rationals #################################################################

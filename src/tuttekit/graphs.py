@@ -9,7 +9,6 @@ right-endpoint termination order all live here.
 from __future__ import annotations
 
 from itertools import combinations
-from operator import index
 from typing import Iterable, Iterator, Sequence
 
 from tuttekit.combinatorics import (
@@ -29,12 +28,28 @@ def endpoints(e: Sequence[int], n: int, what: str = "edge") -> tuple[int, int]:
     """(u, v) of an edge or arc on [n], as given; DomainError unless two integers in [n]."""
     try:
         u, v = e
-        u, v = index(u), index(v)
-    except (TypeError, ValueError):
-        raise DomainError(f"{what} must have two integer endpoints: {e!r}")
+        u, v = as_int(u, what), as_int(v, what)
+    except (TypeError, ValueError):  # DomainError included
+        raise DomainError(f"{what} must have two integer endpoints: {e!r}") from None
     if not (1 <= u <= n and 1 <= v <= n):
         raise DomainError(f"{what} {e!r} leaves the vertex set [{n}]")
     return u, v
+
+
+def _vertex_data(n: int, weights: Sequence[int] | None) -> tuple[int, tuple[int, ...]]:
+    """(n, weights) of a graph or digraph on [n] read from outside; unit
+    weights when None, DomainError unless n >= 0 and n positive integers."""
+    n = as_int(n, "vertex count")
+    if n < 0:
+        raise DomainError("vertex count must be nonnegative")
+    if weights is None:
+        return n, (1,) * n
+    ws = tuple(as_int(w, "vertex weight") for w in weights)
+    if len(ws) != n:
+        raise DomainError(f"expected {n} weights, got {len(ws)}")
+    if any(w < 1 for w in ws):
+        raise DomainError("vertex weights must be positive")
+    return n, ws
 
 
 def _norm_edge(e: Sequence[int], n: int) -> tuple[int, int]:
@@ -48,18 +63,8 @@ class Multigraph:
     __slots__ = ("n", "edges", "weights", "_canon")
 
     def __init__(self, n: int, edges: Iterable[Sequence[int]] = (), weights: Sequence[int] | None = None):
-        n = as_int(n, "vertex count")
-        if n < 0:
-            raise DomainError("vertex count must be nonnegative")
+        n, ws = _vertex_data(n, weights)
         es = tuple(sorted(_norm_edge(e, n) for e in edges))
-        if weights is None:
-            ws = (1,) * n
-        else:
-            ws = tuple(as_int(w, "vertex weight") for w in weights)
-            if len(ws) != n:
-                raise DomainError(f"expected {n} weights, got {len(ws)}")
-            if any(w < 1 for w in ws):
-                raise DomainError("vertex weights must be positive")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", es)
         object.__setattr__(self, "weights", ws)
@@ -127,36 +132,89 @@ class Multigraph:
 
 #### basic operations ##########################################################
 
-def delete_edges(G: Multigraph, S: Iterable[Sequence[int]]) -> Multigraph:
-    """Remove the multiset S of edges; vertices and weights unchanged."""
+def _edges_without(G: Multigraph, pairs: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
+    """G's edges less the multiset of normalized pairs; DomainError unless it is a sub-multiset."""
     remaining = list(G.edges)
-    for e in S:
-        pair = _norm_edge(e, G.n)
+    for pair in pairs:
         try:
             remaining.remove(pair)
         except ValueError:
-            raise DomainError(f"edge {pair} not present (with multiplicity) in {G!r}")
-    return Multigraph(G.n, remaining, G.weights)
+            raise DomainError(f"edge {pair} not present (with multiplicity) in {G!r}") from None
+    return remaining
+
+
+def delete_edges(G: Multigraph, S: Iterable[Sequence[int]]) -> Multigraph:
+    """Remove the multiset S of edges; vertices and weights unchanged."""
+    return Multigraph(G.n, _edges_without(G, [_norm_edge(e, G.n) for e in S]), G.weights)
+
+
+def _component_labels(n: int, pairs: Iterable[tuple[int, int]]) -> tuple[list[int], int]:
+    """(label, k): the components of ([n], pairs) numbered 0..k-1 in order
+    of their least vertex, label[v] that of vertex v (label[0] is unused).
+
+    Merging keeps the smaller representative, so each vertex ends up
+    pointing at its component's least vertex, which is then renumbered in
+    place; pairs may be loops and may repeat.
+    """
+    label = list(range(n + 1))
+    for u, v in pairs:
+        a, b = label[u], label[v]
+        if a != b:
+            if a > b:
+                a, b = b, a
+            label = [a if x == b else x for x in label]
+    k = 0
+    for v in range(1, n + 1):
+        if label[v] == v:
+            label[v] = k
+            k += 1
+        else:
+            label[v] = label[label[v]]
+    return label, k
 
 
 def _components_of(n: int, pairs: Iterable[tuple[int, int]]) -> list[list[int]]:
-    """Connected components of ([n], pairs) as sorted vertex lists."""
-    parent = list(range(n + 1))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, v in pairs:
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-    comps: dict[int, list[int]] = {}
+    """Connected components of ([n], pairs) as sorted vertex lists, ordered by least vertex."""
+    label, k = _component_labels(n, pairs)
+    comps: list[list[int]] = [[] for _ in range(k)]
     for v in range(1, n + 1):
-        comps.setdefault(find(v), []).append(v)
-    return sorted(comps.values(), key=lambda c: c[0])
+        comps[label[v]].append(v)
+    return comps
+
+
+def contraction_labels(n: int, pairs: Sequence[tuple[int, int]],
+                       chosen: Iterable[int]) -> tuple[list[int], int] | None:
+    """`_component_labels` of the pairs[i] with i in chosen, or None when
+    contracting them leaves a loop: some pair outside chosen has both ends
+    in one component.  X (or XQ) of such a contraction vanishes, so the
+    subset expansions skip it unbuilt.  Arcs are read as edges.
+    """
+    chosen = set(chosen)
+    label, k = _component_labels(n, map(pairs.__getitem__, chosen))
+    if any(label[u] == label[v] for i, (u, v) in enumerate(pairs) if i not in chosen):
+        return None
+    return label, k
+
+
+def _quotient(pairs: Iterable[tuple[int, int]], weights: Sequence[int], label, k: int,
+              keep_loops: bool = False) -> tuple[list[tuple[int, int]], list[int]]:
+    """Pairs and weights with each vertex v merged into block label[v] of
+    0..k-1, blocks numbered from 1; a pair inside one block is dropped, or
+    kept as a loop with keep_loops.  Weights add over each block."""
+    if keep_loops:
+        out = [(label[u] + 1, label[v] + 1) for u, v in pairs]
+    else:
+        out = [(label[u] + 1, label[v] + 1) for u, v in pairs if label[u] != label[v]]
+    merged = [0] * k
+    for v, w in enumerate(weights, 1):
+        merged[label[v]] += w
+    return out, merged
+
+
+def _blocks_connected(n: int, pairs: Iterable[tuple[int, int]], label, k: int) -> bool:
+    """Does each of the k blocks (v in block label[v]) induce a connected
+    subgraph?  Exactly when the pairs inside blocks leave k components."""
+    return _component_labels(n, ((u, v) for u, v in pairs if label[u] == label[v]))[1] == k
 
 
 def contract_edge_set(G: Multigraph, S: Iterable[Sequence[int]]) -> Multigraph:
@@ -170,22 +228,8 @@ def contract_edge_set(G: Multigraph, S: Iterable[Sequence[int]]) -> Multigraph:
     already merged is a loop by then, and contracting a loop deletes it).
     """
     s_list = [_norm_edge(e, G.n) for e in S]
-    # validate sub-multiset
-    avail = G.multiplicities()
-    for e in s_list:
-        if avail.get(e, 0) <= 0:
-            raise DomainError(f"edge {e} not present (with multiplicity) in {G!r}")
-        avail[e] -= 1
-    comps = _components_of(G.n, [e for e in s_list if e[0] != e[1]])
-    idx = block_index_map(comps)
-    new_weights = [0] * len(comps)
-    for v in range(1, G.n + 1):
-        new_weights[idx[v]] += G.weights[v - 1]
-    remaining = list(G.edges)
-    for e in s_list:
-        remaining.remove(e)
-    new_edges = [(idx[u] + 1, idx[v] + 1) for u, v in remaining]
-    return Multigraph(len(comps), new_edges, new_weights)
+    label, k = _component_labels(G.n, s_list)
+    return Multigraph(k, *_quotient(_edges_without(G, s_list), G.weights, label, k, keep_loops=True))
 
 
 def contract_edge(G: Multigraph, e: Sequence[int]) -> Multigraph:
@@ -201,20 +245,10 @@ def contract_partition(G: Multigraph, blocks: Iterable[Iterable[int]]) -> Multig
     connected subgraphs.
     """
     blocks = normalize_blocks(G.n, blocks)
-    adj = _adjacency(G)
-    for b in blocks:
-        if not _block_connected(adj, b):
-            raise DomainError(f"block {b} does not induce a connected subgraph")
-    idx = block_index_map(blocks)
-    new_weights = [0] * len(blocks)
-    for v in range(1, G.n + 1):
-        new_weights[idx[v]] += G.weights[v - 1]
-    new_edges = []
-    for u, v in G.edges:
-        bu, bv = idx[u], idx[v]
-        if bu != bv:
-            new_edges.append((bu + 1, bv + 1))
-    return Multigraph(len(blocks), new_edges, new_weights)
+    label, k = block_index_map(blocks), len(blocks)
+    if not _blocks_connected(G.n, G.edges, label, k):
+        raise DomainError(f"a block of {blocks} does not induce a connected subgraph")
+    return Multigraph(k, *_quotient(G.edges, G.weights, label, k))
 
 
 def complement(G: Multigraph) -> Multigraph:
@@ -252,15 +286,6 @@ def internal_edge_count(G: Multigraph, blocks: Iterable[Iterable[int]]) -> int:
 
 #### connectivity ##############################################################
 
-def _adjacency(G: Multigraph) -> list[set[int]]:
-    adj: list[set[int]] = [set() for _ in range(G.n + 1)]
-    for u, v in G.edges:
-        if u != v:
-            adj[u].add(v)
-            adj[v].add(u)
-    return adj
-
-
 def _neighbour_masks(n: int, edges: Iterable[tuple[int, int]]) -> list[int]:
     """adj[v]: bitmask with bit u set for every neighbour u of v; loops ignored."""
     adj = [0] * (n + 1)
@@ -271,26 +296,12 @@ def _neighbour_masks(n: int, edges: Iterable[tuple[int, int]]) -> list[int]:
     return adj
 
 
-def _block_connected(adj: list[set[int]], block: Sequence[int]) -> bool:
-    """Does the block induce a connected subgraph, given the adjacency sets?"""
-    block_set = set(block)
-    seen = {block[0]}
-    stack = [block[0]]
-    while stack:
-        x = stack.pop()
-        for y in adj[x]:
-            if y in block_set and y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return seen == block_set
-
-
 def connected_components(G: Multigraph) -> list[list[int]]:
-    return _components_of(G.n, [e for e in G.edges if e[0] != e[1]])
+    return _components_of(G.n, G.edges)
 
 
 def is_connected(G: Multigraph) -> bool:
-    return len(connected_components(G)) <= 1
+    return _component_labels(G.n, G.edges)[1] <= 1
 
 
 def two_edge_connected(G: Multigraph) -> bool:
@@ -298,10 +309,7 @@ def two_edge_connected(G: Multigraph) -> bool:
     if not is_connected(G):
         return False
     for i, e in enumerate(G.edges):
-        if e[0] == e[1]:
-            continue
-        rest = G.edges[:i] + G.edges[i + 1:]
-        if len(_components_of(G.n, [f for f in rest if f[0] != f[1]])) > 1:
+        if e[0] != e[1] and _component_labels(G.n, G.edges[:i] + G.edges[i + 1:])[1] > 1:
             return False
     return True
 
@@ -351,37 +359,6 @@ def connected_partitions(G: Multigraph) -> Iterator[tuple[tuple[int, ...], ...]]
             blocks.pop()
 
     yield from rec(((1 << G.n) - 1) << 1)
-
-
-def contraction_leaves_loop(n: int, pairs: Sequence[tuple[int, int]], chosen: Iterable[int]) -> bool:
-    """Does contracting pairs[i] for every i in chosen leave a loop?
-
-    pairs are the edges (or arcs, read without direction) of a graph on
-    [n]; contraction merges the components of the chosen pairs.  A pair
-    outside chosen becomes a loop exactly when both its ends lie in one
-    component, which a loop already does.  Then X (or XQ) of the
-    contraction vanishes, so the subset expansions skip it unbuilt.
-    """
-    return contraction_labels(n, pairs, chosen) is None
-
-
-def contraction_labels(n: int, pairs: Sequence[tuple[int, int]], chosen: Iterable[int]) -> list[int] | None:
-    """Components after contracting pairs[i] for every i in chosen, or None
-    when that leaves a loop (see `contraction_leaves_loop`).
-
-    label[v] is a representative vertex of v's component (label[0] = 0);
-    u and v merge exactly when label[u] == label[v].
-    """
-    chosen = set(chosen)
-    label = list(range(n + 1))
-    for i in chosen:
-        u, v = pairs[i]
-        a, b = label[u], label[v]
-        if a != b:
-            label = [a if x == b else x for x in label]
-    if any(label[u] == label[v] for i, (u, v) in enumerate(pairs) if i not in chosen):
-        return None
-    return label
 
 
 #### graph families ############################################################

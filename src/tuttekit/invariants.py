@@ -33,11 +33,10 @@ from tuttekit.graphs import (
     Multigraph,
     acyclic_orientations,
     canonical_form,
+    _quotient,
     connected_partitions,
     contract_edge,
-    contract_edge_set,
     contraction_labels,
-    contraction_leaves_loop,
     delete_edges,
 )
 from tuttekit.symfun import SymFunc, _from_dicts, coefficient_in_onep_t, m_to_e, mtilde_to_m, sigma_l
@@ -194,9 +193,9 @@ def tutte_from_contractions(G: Multigraph, max_n: int | None = None) -> SymFunc:
 
     Subsets range over edge instances, so each copy of a multi-edge is its
     own element.  X(G/S) vanishes when the contraction leaves a loop, so
-    such an S is skipped before it is contracted; the subsets left are the
-    flats of the cycle matroid.  A flat's components, found by that test,
-    label the vertices of G/S, whose edges are those of G between two
+    `contraction_labels` skips such an S before it is contracted; the
+    subsets left are the flats of the cycle matroid.  The labels of a
+    flat's components give G/S, whose edges are those of G between two
     components; G/S is never built as a Multigraph.  Stable-partition
     counts of G/S add up as integers keyed by (shape, |S|), and each
     shape's TPoly is built once at the end.
@@ -204,29 +203,14 @@ def tutte_from_contractions(G: Multigraph, max_n: int | None = None) -> SymFunc:
     check_bound(G.n, DEFAULT_ENUMERATION_BOUND, max_n, "partition enumeration")
     counts: Counter = Counter()
     for idx in subsets_by_size(len(G.edges)):
-        rep = contraction_labels(G.n, G.edges, idx)
-        if rep is None:
+        labels = contraction_labels(G.n, G.edges, idx)
+        if labels is None:
             continue
-        block: dict[int, int] = {}  # representative -> index of its component
-        label = [0] * (G.n + 1)
-        for v in range(1, G.n + 1):
-            label[v] = block.setdefault(rep[v], len(block))
-        # no loop is left, so exactly the edges outside S join two components
-        between, weights = _quotient(G, label, len(block))
-        k = len(idx)
-        for lam, c in _stable_counts(len(block), between, weights).items():
-            counts[lam, k] += c
+        label, k = labels
+        between, weights = _quotient(G.edges, G.weights, label, k)
+        for lam, c in _stable_counts(k, between, weights).items():
+            counts[lam, len(idx)] += c
     return _onep_t_sum(counts)
-
-
-def _quotient(G: Multigraph, label, k: int) -> tuple[list[tuple[int, int]], list[int]]:
-    """Edges and weights of G with each vertex v merged into block label[v]
-    of 0..k-1, blocks numbered from 1; edges inside a block are dropped."""
-    between = [(label[u] + 1, label[v] + 1) for u, v in G.edges if label[u] != label[v]]
-    weights = [0] * k
-    for v, w in enumerate(G.weights, 1):
-        weights[label[v]] += w
-    return between, weights
 
 
 def tutte_from_connected_partitions(G: Multigraph, max_n: int | None = None) -> SymFunc:
@@ -240,7 +224,7 @@ def tutte_from_connected_partitions(G: Multigraph, max_n: int | None = None) -> 
     check_bound(G.n, DEFAULT_ENUMERATION_BOUND, max_n, "partition enumeration")
     counts: Counter = Counter()
     for pi in connected_partitions(G):
-        between, weights = _quotient(G, block_index_map(pi), len(pi))
+        between, weights = _quotient(G.edges, G.weights, block_index_map(pi), len(pi))
         e = len(G.edges) - len(between)
         for lam, c in _stable_counts(len(pi), between, weights).items():
             counts[lam, e] += c
@@ -289,9 +273,11 @@ def sigma_l_formula(G: Multigraph, k: int, l: int, max_n: int | None = None) -> 
     total = 0
     m = len(G.edges)
     for idx in combinations(range(m), k):
-        if contraction_leaves_loop(G.n, G.edges, idx):
+        labels = contraction_labels(G.n, G.edges, idx)
+        if labels is None:
             continue
-        H = contract_edge_set(G, [G.edges[i] for i in idx])
+        label, n_A = labels
+        H = Multigraph(n_A, *_quotient(G.edges, G.weights, label, n_A))
         sign_A = -1 if (H.n + wG) % 2 else 1
         for _, sinks in acyclic_orientations(H):
             counts = _sink_map_counts([H.weights[v - 1] for v in sinks], l)

@@ -13,7 +13,7 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product as iproduct
+from itertools import combinations, product as iproduct
 from typing import Iterable, Sequence
 
 from tuttekit.combinatorics import (
@@ -37,6 +37,7 @@ from tuttekit.graphs import (
     Multigraph,
     _components_of,
     _dull_triple,
+    _norm_edge,
     _right_endpoint_key,
     _star_forest_map,
     broom,
@@ -766,15 +767,16 @@ def kernel_membership(L: GraphCombination, max_n: int | None = None) -> bool:
 
 def _edge_instance_index(G: Multigraph, e) -> int:
     """Resolve an edge given as 1-based index or endpoint pair to an index."""
-    if isinstance(e, int):
-        if not (1 <= e <= len(G.edges)):
-            raise DomainError(f"edge index {e} out of range 1..{len(G.edges)}")
-        return e - 1
-    pair = (min(e), max(e))
-    try:
-        return G.edges.index(pair)
-    except ValueError:
-        raise DomainError(f"edge {pair} not present in the graph")
+    if isinstance(e, (tuple, list)):
+        pair = _norm_edge(e, G.n)
+        try:
+            return G.edges.index(pair)
+        except ValueError:
+            raise DomainError(f"edge {pair} not present in the graph") from None
+    e = as_int(e, "edge index")
+    if not (1 <= e <= len(G.edges)):
+        raise DomainError(f"edge index {e} out of range 1..{len(G.edges)}")
+    return e - 1
 
 
 def two_edge_connected_relation(G: Multigraph, e_i, e_j) -> GraphCombination:
@@ -880,31 +882,15 @@ def classify_n4() -> list[tuple[Multigraph, ...]]:
     sorted for reproducibility.
     """
     graphs = [simple_graph(4, mask) for mask in range(1 << 6)]
-    index = {g: i for i, g in enumerate(graphs)}
-    parent = list(range(len(graphs)))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    linked = set()
-    for a in range(len(graphs)):
-        for b in range(a + 1, len(graphs)):
-            if nontrivial_friendly_pair(graphs[a], graphs[b]):
-                ra, rb = find(a), find(b)
-                if ra != rb:
-                    parent[ra] = rb
-                linked.add(a)
-                linked.add(b)
-    groups: dict[int, list[Multigraph]] = {}
-    for a in linked:
-        groups.setdefault(find(a), []).append(graphs[a])
+    # friendly pairs link graphs, numbered from 1, into families
+    links = [(a + 1, b + 1) for a, b in combinations(range(len(graphs)), 2)
+             if nontrivial_friendly_pair(graphs[a], graphs[b])]
     families = []
-    for members in groups.values():
-        members = sorted(set(members) | {complement(g) for g in members}, key=lambda g: g.key())
-        families.append(tuple(members))
+    for comp in _components_of(len(graphs), links):
+        if len(comp) > 1:
+            members = {graphs[a - 1] for a in comp}
+            members |= {complement(g) for g in members}
+            families.append(tuple(sorted(members, key=lambda g: g.key())))
     families.sort(key=lambda fam: fam[0].key())
     return families
 

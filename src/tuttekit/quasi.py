@@ -40,14 +40,18 @@ from tuttekit.combinatorics import (
     block_index_map,
     enumerate_set_partitions,
     format_rational,
+    normalize_blocks,
     parse_rational,
     subsets_by_size,
 )
 from tuttekit.graphs import (
     Multigraph,
-    _components_of,
+    _blocks_connected,
+    _component_labels,
+    _quotient,
+    _vertex_data,
     connected_partitions,
-    contraction_leaves_loop,
+    contraction_labels,
     endpoints,
     json_field,
     json_list,
@@ -134,16 +138,8 @@ class Digraph:
     __slots__ = ("n", "arcs", "weights")
 
     def __init__(self, n: int, arcs: Iterable[Sequence[int]] = (), weights: Sequence[int] | None = None):
-        n = as_int(n, "vertex count")
-        if n < 0:
-            raise DomainError("vertex count must be nonnegative")
+        n, w = _vertex_data(n, weights)
         norm = sorted(endpoints(a, n, "arc") for a in arcs)
-        if weights is None:
-            w = (1,) * n
-        else:
-            w = tuple(as_int(x, "vertex weight") for x in weights)
-            if len(w) != n or any(x < 1 for x in w):
-                raise DomainError("weights must list one positive integer per vertex")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "arcs", tuple(norm))
         object.__setattr__(self, "weights", w)
@@ -206,37 +202,25 @@ def contract_arc_set(D: Digraph, S: Iterable[int]) -> Digraph:
     pushed forward and kept even when they become loops, so contracting a
     non-induced set leaves a loop.  Weights add over merged vertices.
     """
-    idx = sorted(set(int(i) for i in S))
-    if any(not (0 <= i < len(D.arcs)) for i in idx):
+    chosen = {as_int(i, "arc index") for i in S}
+    if any(not (0 <= i < len(D.arcs)) for i in chosen):
         raise DomainError("arc index out of range")
-    pairs = [(min(D.arcs[i]), max(D.arcs[i])) for i in idx]
-    comps = _components_of(D.n, pairs)
-    label = block_index_map(comps)
-    chosen = set(idx)
-    arcs = [
-        (label[u] + 1, label[v] + 1) for i, (u, v) in enumerate(D.arcs) if i not in chosen
-    ]
-    weights = [0] * len(comps)
-    for v in range(1, D.n + 1):
-        weights[label[v]] += D.weights[v - 1]
-    return Digraph(len(comps), arcs, weights)
+    label, k = _component_labels(D.n, map(D.arcs.__getitem__, chosen))
+    rest = [a for i, a in enumerate(D.arcs) if i not in chosen]
+    return Digraph(k, *_quotient(rest, D.weights, label, k, keep_loops=True))
 
 
-def contract_digraph_partition(D: Digraph, blocks: Sequence[Sequence[int]]) -> Digraph:
+def contract_digraph_partition(D: Digraph, blocks: Iterable[Iterable[int]]) -> Digraph:
     """Contract each block to a point; every intra-block arc vanishes.
 
-    Blocks must be connected in the underlying undirected graph (checked by
-    the caller when enumerating connected partitions).
+    Blocks must form a partition of [n] and be connected in the underlying
+    undirected graph.
     """
-    ordered = sorted(blocks, key=min)
-    label = block_index_map(ordered)
-    arcs = [
-        (label[u] + 1, label[v] + 1) for u, v in D.arcs if label[u] != label[v]
-    ]
-    weights = [0] * len(ordered)
-    for v in range(1, D.n + 1):
-        weights[label[v]] += D.weights[v - 1]
-    return Digraph(len(ordered), arcs, weights)
+    blocks = normalize_blocks(D.n, blocks)
+    label, k = block_index_map(blocks), len(blocks)
+    if not _blocks_connected(D.n, D.arcs, label, k):
+        raise DomainError(f"a block of {blocks} is not connected in the underlying graph")
+    return Digraph(k, *_quotient(D.arcs, D.weights, label, k))
 
 
 def digraph_to_json_obj(D: Digraph) -> dict:
@@ -431,14 +415,15 @@ def tq_from_connected_partitions(D: Digraph, N: int) -> TruncatedQFunc:
     """TQ as a sum of (1+t)^e(pi) XQ(D/pi) over connected partitions.
 
     Connectivity of blocks is judged in the underlying undirected graph;
-    e(pi) counts intra-block arcs with multiplicity, loops included.
+    e(pi) counts intra-block arcs with multiplicity, loops included, and
+    one pass over the arcs gives both e(pi) and the arcs of D/pi.
     """
     _check_coloring_budget(D, N)
     total: dict[tuple[int, ...], QTPoly] = {}
     for blocks in connected_partitions(underlying(D)):
-        label = block_index_map(blocks)
-        factor = qt_onep_t_power(sum(1 for u, v in D.arcs if label[u] == label[v]))
-        piece = _xq(contract_digraph_partition(D, blocks))
+        arcs, weights = _quotient(D.arcs, D.weights, block_index_map(blocks), len(blocks))
+        factor = qt_onep_t_power(len(D.arcs) - len(arcs))
+        piece = _xq(Digraph(len(blocks), arcs, weights))
         merge_terms(total, ((alpha, c * factor) for alpha, c in piece.items()))
     return _expand(total, N)
 
@@ -446,18 +431,20 @@ def tq_from_connected_partitions(D: Digraph, N: int) -> TruncatedQFunc:
 def tq_from_arc_subsets(D: Digraph, N: int) -> TruncatedQFunc:
     """TQ as a sum of (1+t)^|S| XQ(D/S) over arc subsets.
 
-    XQ of a contraction that leaves a loop vanishes, so such an S (one
-    that is not a flat of the underlying cycle matroid) is skipped before
-    it is contracted.
+    XQ of a contraction that leaves a loop vanishes, so `contraction_labels`
+    skips such an S (one that is not a flat of the underlying cycle
+    matroid) before it is contracted, and D/S is built from its labels.
     """
     subsets = subsets_by_size(len(D.arcs), "arc")
     _check_coloring_budget(D, N)
     total: dict[tuple[int, ...], QTPoly] = {}
     for S in subsets:
-        if contraction_leaves_loop(D.n, D.arcs, S):
+        labels = contraction_labels(D.n, D.arcs, S)
+        if labels is None:
             continue
+        label, k = labels
         factor = qt_onep_t_power(len(S))
-        piece = _xq(contract_arc_set(D, S))
+        piece = _xq(Digraph(k, *_quotient(D.arcs, D.weights, label, k)))
         merge_terms(total, ((alpha, c * factor) for alpha, c in piece.items()))
     return _expand(total, N)
 

@@ -1,10 +1,15 @@
 """CLI surface: JSON contracts, text output, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import tuttekit
 from tuttekit import selfcheck
 from tuttekit.cli import main
 from tuttekit.graphs import complete, cycle, edgeless, graph_to_json_obj, path
@@ -264,11 +269,15 @@ _PAIR = {"n": 2, "edges": [[1, 2]]}
         ("quasi tq", {"n": 2, "arcs": 5}, []),
         ("quasi tq", {"n": 2, "arcs": [[1]]}, []),
         ("quasi tq", {"n": 2, "arcs": [[1, 2, 3]]}, []),
+        ("xb", {"n": 3, "edges": [[1, 2]], "weights": [True, 1, 1]}, []),
+        ("x", {"n": True, "edges": []}, []),
+        ("xb", {"n": 2, "edges": [[True, 2]]}, []),
     ],
     ids=[
         "missing-n", "edge-endpoint", "weight", "zero-denominator", "pi-vertex", "t-eval",
         "coeff-text", "coeff-number", "terms-number", "edges-number", "weights-number",
-        "arcs-number", "arc-one-endpoint", "arc-three-endpoints",
+        "arcs-number", "arc-one-endpoint", "arc-three-endpoints", "weight-true", "n-true",
+        "endpoint-true",
     ],
 )
 def test_malformed_input_is_one_error_line(tmp_path, capsys, cmd, obj, extra):
@@ -281,6 +290,28 @@ def test_negative_bound_override_is_refused(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("TUTTEKIT_MAX_N", "-5")
     assert main(["xb", graph_file(tmp_path, complete(2))]) == 1
     assert capsys.readouterr().err.startswith("error: TUTTEKIT_MAX_N")
+
+
+@pytest.mark.parametrize("cmd", ["selfcheck --only 12", "xb"])
+def test_closed_pipe_exits_one_without_traceback(tmp_path, cmd):
+    # the reader closes its end before the program writes anything
+    argv = cmd.split() + ([graph_file(tmp_path, path(3))] if cmd == "xb" else [])
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = str(Path(tuttekit.__file__).resolve().parents[1])
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "tuttekit.cli", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr and proc.stderr == ""
 
 
 def test_usage_errors(capsys):

@@ -112,6 +112,29 @@ def test_contract_digraph_partition():
     assert C == Digraph(2, [(1, 2)], weights=[2, 1])
 
 
+_DIPATH = Digraph(3, [(1, 2), (2, 3)])
+
+
+def test_contract_digraph_partition_refuses_uncovered_vertex():
+    with pytest.raises(DomainError, match="not covered"):
+        contract_digraph_partition(_DIPATH, [[1, 2]])
+
+
+def test_contract_digraph_partition_refuses_disconnected_block():
+    with pytest.raises(DomainError, match="not connected"):
+        contract_digraph_partition(_DIPATH, [[1, 3], [2]])
+
+
+def test_contract_arc_set_refuses_float_index():
+    with pytest.raises(DomainError, match="arc index must be an integer"):
+        contract_arc_set(_DIPATH, [1.7])
+
+
+def test_contract_arc_set_refuses_text_index():
+    with pytest.raises(DomainError, match="arc index must be an integer"):
+        contract_arc_set(_DIPATH, ["1"])
+
+
 def test_digraph_json_roundtrip():
     D = Digraph(2, [(2, 1)], weights=[1, 3])
     obj = digraph_to_json_obj(D)
