@@ -677,18 +677,14 @@ def acyclic_orientations(G: Multigraph) -> Iterator[tuple[tuple[tuple[int, int],
 
 #### right-endpoint order ######################################################
 
-def right_endpoint_key(G: Multigraph) -> tuple[int, tuple[int, ...]]:
-    """Sort key for the termination order on labelled graphs.
+def right_endpoint_key(edges: Sequence[tuple[int, int]]) -> tuple[int, tuple[int, ...]]:
+    """Sort key for the termination order on labelled graphs, read from a
+    graph's (normalized) edges.
 
     Graphs with more edges come earlier; among equal edge counts the
     ascending list of larger endpoints is compared lexicographically.
     Every reduction rewrite strictly increases this key on its products.
     """
-    return _right_endpoint_key(G.edges)
-
-
-def _right_endpoint_key(edges: Sequence[tuple[int, int]]) -> tuple[int, tuple[int, ...]]:
-    """`right_endpoint_key` of the graph with these (normalized) edges."""
     return (-len(edges), tuple(sorted(v for _, v in edges)))
 
 

@@ -38,7 +38,6 @@ from tuttekit.graphs import (
     _components_of,
     _dull_triple,
     _norm_edge,
-    _right_endpoint_key,
     _star_forest_map,
     broom,
     canonical_star_forest,
@@ -52,6 +51,7 @@ from tuttekit.graphs import (
     json_field,
     json_list,
     relabel,
+    right_endpoint_key,
     simple_graph,
     star_forest_shape,
     two_edge_connected,
@@ -626,7 +626,7 @@ def _apply_step(terms: dict[tuple, tuple], step: ReductionStep) -> list[tuple]:
         size = len(step.graph.edges)
         for h, _ in products:
             # fewer edges come later in the order; otherwise compare keys
-            if len(h) >= size and _right_endpoint_key(h) <= _right_endpoint_key(step.graph.edges):
+            if len(h) >= size and right_endpoint_key(h) <= right_endpoint_key(step.graph.edges):
                 raise RuntimeError(
                     f"internal fault: {step.gen} rewrite of {step.graph!r} "
                     f"failed to increase the order at {Multigraph._unchecked(step.graph.n, h)!r}"

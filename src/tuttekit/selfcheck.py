@@ -1,10 +1,12 @@
 """Cross-route verification suites behind `tuttekit selfcheck`.
 
 Each suite exercises one acceptance property end to end with exact
-arithmetic and returns a small report dict; the test suite asserts on the
-same runners, so the CLI and pytest always agree about what is checked.
-Budgets are expectations, recorded in the report for visibility rather
-than enforced as hard failures.
+arithmetic and yields one verdict per check: None when the check holds, a
+failure message when it does not.  `SUITES` gives each suite its id, name
+and budget, and `Suite.run` counts its verdicts into a small report dict;
+the test suite runs the same table, so the CLI and pytest always agree
+about what is checked.  Budgets are expectations, recorded in the report
+for visibility rather than enforced as hard failures.
 """
 
 from __future__ import annotations
@@ -13,17 +15,16 @@ import random
 import time
 import traceback
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement, product, repeat
+from typing import Callable, Iterator, NamedTuple
 
 from tuttekit.combinatorics import TPoly, enumerate_set_partitions, onep_t_power, partitions_of
 from tuttekit.graphs import (
     Multigraph,
-    _right_endpoint_key,
     canonical_star_forest,
     complement,
     complete,
     cycle,
-    relabel,
     right_endpoint_key,
     simple_graph,
     star_forest_shape,
@@ -101,18 +102,14 @@ def random_multigraph(
     n_min: int = 1,
     n_max: int = 6,
     e_max: int = 8,
-    w_max: int = 3,
-    allow_loops: bool = True,
 ) -> Multigraph:
     n = rng.randint(n_min, n_max)
     edges = []
     for _ in range(rng.randint(0, e_max)):
         u = rng.randint(1, n)
         v = rng.randint(1, n)
-        if u == v and not allow_loops:
-            continue
         edges.append((u, v))
-    weights = [rng.randint(1, w_max) for _ in range(n)]
+    weights = [rng.randint(1, 3) for _ in range(n)]
     return Multigraph(n, edges, weights)
 
 
@@ -172,57 +169,27 @@ def _random_combination(rng: random.Random) -> GraphCombination:
     return arbitrary()
 
 
-#### report plumbing ###########################################################
-
-def _finish(cid: int, name: str, budget: float, checks: int, failures: list[str], t0: float) -> dict:
-    elapsed = time.perf_counter() - t0
-    return {
-        "id": cid,
-        "name": name,
-        "passed": not failures,
-        "checks": checks,
-        "failure_count": len(failures),
-        "failures": failures[:8],
-        "seconds": round(elapsed, 2),
-        "budget_seconds": budget,
-    }
-
-
 #### suites ####################################################################
 
-def criterion_1() -> dict:
+def xb_routes_agree() -> Iterator[str | None]:
     """Four XB routes agree on simple, multi, and random weighted graphs."""
-    t0 = time.perf_counter()
-    failures: list[str] = []
-    checks = 0
     for G in xb_corpus():
         a = tutte_sym(G)
         b = tutte_sym_delcon(G)
         c = tutte_from_contractions(G)
         d = tutte_from_connected_partitions(G)
-        checks += 1
-        if not (a == b == c == d):
-            failures.append(f"route mismatch on {G!r}")
-    return _finish(1, "four-route XB agreement", 60, checks, failures, t0)
+        yield None if a == b == c == d else f"route mismatch on {G!r}"
 
 
-def criterion_2() -> dict:
+def t_minus_one_recovers_x() -> Iterator[str | None]:
     """XB at t = -1 equals X on the same corpus."""
-    t0 = time.perf_counter()
-    failures: list[str] = []
-    checks = 0
     for G in xb_corpus():
-        checks += 1
-        if specialize_t(tutte_sym(G), Fraction(-1)) != chromatic_sym(G):
-            failures.append(f"t=-1 mismatch on {G!r}")
-    return _finish(2, "t = -1 recovers X", 60, checks, failures, t0)
+        ok = specialize_t(tutte_sym(G), Fraction(-1)) == chromatic_sym(G)
+        yield None if ok else f"t=-1 mismatch on {G!r}"
 
 
-def criterion_3() -> dict:
+def generators_are_friendly() -> Iterator[str | None]:
     """Generators are friendly and random extensions stay in the kernel."""
-    t0 = time.perf_counter()
-    failures: list[str] = []
-    checks = 0
     gens = [
         ("ell_loop", ell_loop()),
         ("ell_multi", ell_multi()),
@@ -230,12 +197,8 @@ def criterion_3() -> dict:
         ("ell_os_plus", ell_os_plus()),
     ]
     for name, L in gens:
-        checks += 1
-        if not is_tutte_friendly(L)[0]:
-            failures.append(f"{name} is not Tutte-friendly")
-    checks += 1
-    if not is_x_friendly(ell_os())[0]:
-        failures.append("ell_os is not X-friendly")
+        yield None if is_tutte_friendly(L)[0] else f"{name} is not Tutte-friendly"
+    yield None if is_x_friendly(ell_os())[0] else "ell_os is not X-friendly"
 
     rng = random.Random(SEED + 3)
 
@@ -249,35 +212,29 @@ def criterion_3() -> dict:
     for name, L in gens:
         for _ in range(50):
             ext = extend(L, host_for(L))
-            checks += 1
-            if not combination_tutte_sym(ext).is_zero():
-                failures.append(f"extension of {name} has nonzero XB sum")
+            ok = combination_tutte_sym(ext).is_zero()
+            yield None if ok else f"extension of {name} has nonzero XB sum"
     Los = ell_os()
     for _ in range(50):
         ext = extend(Los, host_for(Los))
         total = SymFunc.zero("mtilde")
         for g, c in ext.terms.items():
             total = total + chromatic_sym(g).scale(c)
-        checks += 1
-        if not total.is_zero():
-            failures.append("extension of ell_os has nonzero X sum")
-    return _finish(3, "generator friendliness and extensions", 10, checks, failures, t0)
+        yield None if total.is_zero() else "extension of ell_os has nonzero X sum"
 
 
-def criterion_4() -> dict:
+def no_friendly_single_graph_differences() -> Iterator[str | None]:
     """Differences of distinct simple graphs are never X-friendly."""
-    t0 = time.perf_counter()
-    failures: list[str] = []
-    checks = 0
+
+    def verdict(n: int, H1: Multigraph, H2: Multigraph) -> str | None:
+        L = GraphCombination(n, [(H1, TPoly.one()), (H2, TPoly.of(-1))])
+        return f"{H1!r} - {H2!r} is X-friendly" if is_x_friendly(L)[0] else None
+
     gs = simple_graphs(3)
     for H1 in gs:
         for H2 in gs:
-            if H1 == H2:
-                continue
-            checks += 1
-            L = GraphCombination(3, [(H1, TPoly.one()), (H2, TPoly.of(-1))])
-            if is_x_friendly(L)[0]:
-                failures.append(f"{H1!r} - {H2!r} is X-friendly")
+            if H1 != H2:
+                yield verdict(3, H1, H2)
     rng = random.Random(SEED + 4)
     done = 0
     while done < 500:
@@ -286,11 +243,7 @@ def criterion_4() -> dict:
         if H1 == H2:
             continue
         done += 1
-        checks += 1
-        L = GraphCombination(5, [(H1, TPoly.one()), (H2, TPoly.of(-1))])
-        if is_x_friendly(L)[0]:
-            failures.append(f"{H1!r} - {H2!r} is X-friendly")
-    return _finish(4, "no friendly single-graph differences", 30, checks, failures, t0)
+        yield verdict(5, H1, H2)
 
 
 def expected_n4_families() -> list[frozenset[Multigraph]]:
@@ -311,85 +264,72 @@ def expected_n4_families() -> list[frozenset[Multigraph]]:
     return [fam(T1, T2), fam(T3, T4), fam(T5, T6), fam(U1, U2, U3)]
 
 
-def criterion_5() -> dict:
-    """classify_n4 finds exactly the four known families; n=5 sample finds none."""
-    t0 = time.perf_counter()
-    failures: list[str] = []
+def n4_classification() -> Iterator[str | None]:
+    """classify_n4 finds exactly the four known families; n=5 sample finds none.
+
+    Each verdict decides many pairs (all 2,016 pairs of the 64 graphs on
+    [4], 500 sampled pairs on [5]), so passes for the rest follow it."""
     found = {frozenset(f) for f in classify_n4()}
     expected = set(expected_n4_families())
-    checks = 2016  # unordered pairs of the 64 graphs
-    if found != expected:
-        missing = len(expected - found)
-        extra = len(found - expected)
-        failures.append(
-            f"families differ from the known four (missing {missing}, extra {extra})"
-        )
+    missing = len(expected - found)
+    extra = len(found - expected)
+    yield None if found == expected else (
+        f"families differ from the known four (missing {missing}, extra {extra})"
+    )
+    yield from repeat(None, 2015)
     stray = sample_friendly_pairs(5, 500, seed=SEED + 5)
-    checks += 500
-    if stray:
-        failures.append(f"unexpected friendly pair on [5]: {stray[0]!r}")
-    return _finish(5, "n=4 classification and n=5 sample", 300, checks, failures, t0)
+    yield f"unexpected friendly pair on [5]: {stray[0]!r}" if stray else None
+    yield from repeat(None, 499)
 
 
-def criterion_6() -> dict:
+def _reduction_fault(G: Multigraph, xb_of: dict[Multigraph, SymFunc]) -> str | None:
+    """Why reducing G is unsound, or None; xb_of caches XB of each R_lambda."""
+    L = GraphCombination(G.n, [(G, TPoly.one())])
+    result, cert = reduce_to_star_forests(L)
+    for _, _, g in result.terms:
+        if g != canonical_star_forest(star_forest_shape(g)):
+            return f"non-canonical output term {g!r}"
+    for step in cert.steps:
+        if step.gen != "iso":
+            src = right_endpoint_key(step.graph.edges)
+            if any(right_endpoint_key(h) <= src for h, _ in _step_products(step)):
+                return f"non-increasing rewrite at {step!r}"
+    xb = SymFunc.zero("mtilde")
+    for c, k, g in result.terms:
+        if g not in xb_of:
+            xb_of[g] = tutte_sym(g)
+        xb = xb + xb_of[g].scale(onep_t_power(k) * c)
+    if xb != tutte_sym(G):
+        return "XB not preserved"
+    if replay_certificate(L, cert) != result.to_combination():
+        return "certificate replay mismatch"
+    return None
+
+
+def star_forest_reduction() -> Iterator[str | None]:
     """Reduction terminates on all simple [5] graphs, preserving XB and order."""
-    t0 = time.perf_counter()
-    failures: list[str] = []
-    checks = 0
-    xb_of: dict[Multigraph, SymFunc] = {}  # XB of each output star forest R_lambda
+    xb_of: dict[Multigraph, SymFunc] = {}
     for G in simple_graphs(5):
-        L = GraphCombination(5, [(G, TPoly.one())])
-        result, cert = reduce_to_star_forests(L)
-        checks += 1
-        bad = None
-        for _, _, g in result.terms:
-            if g != canonical_star_forest(star_forest_shape(g)):
-                bad = f"non-canonical output term {g!r}"
-                break
-        if bad is None:
-            for step in cert.steps:
-                if step.gen == "iso":
-                    continue
-                src = right_endpoint_key(step.graph)
-                for h, _ in _step_products(step):
-                    if _right_endpoint_key(h) <= src:
-                        bad = f"non-increasing rewrite at {step!r}"
-                        break
-                if bad:
-                    break
-        if bad is None:
-            xb = SymFunc.zero("mtilde")
-            for c, k, g in result.terms:
-                if g not in xb_of:
-                    xb_of[g] = tutte_sym(g)
-                xb = xb + xb_of[g].scale(onep_t_power(k) * c)
-            if xb != tutte_sym(G):
-                bad = "XB not preserved"
-        if bad is None and replay_certificate(L, cert) != result.to_combination():
-            bad = "certificate replay mismatch"
-        if bad:
-            failures.append(f"{G!r}: {bad}")
+        bad = _reduction_fault(G, xb_of)
+        yield None if bad is None else f"{G!r}: {bad}"
     rng = random.Random(SEED + 6)
     members = 0
     for _ in range(200):
         L = _random_combination(rng)
-        checks += 1
         try:
             # raises RuntimeError when the two routes disagree
-            if kernel_membership(L):
-                members += 1
+            members += kernel_membership(L)
         except RuntimeError as exc:
-            failures.append(str(exc))
+            yield str(exc)
+        else:
+            yield None
     if members == 0 or members == 200:
-        failures.append(f"membership sample is degenerate ({members}/200 members)")
-    return _finish(6, "star-forest reduction and membership", 300, checks, failures, t0)
+        # yielded only on failure, so that a pass counts 1,024 + 200 checks
+        yield f"membership sample is degenerate ({members}/200 members)"
 
 
-def criterion_7() -> dict:
+def two_edge_connected_and_cycle_relations() -> Iterator[str | None]:
     """Cycle-family relations are friendly / lie in the kernel."""
-    t0 = time.perf_counter()
-    failures: list[str] = []
-    checks = 0
     theta = Multigraph(4, [(1, 2), (1, 3), (2, 3), (1, 4), (2, 4)])
     hosts = [
         ("C3", cycle(3)),
@@ -404,10 +344,9 @@ def criterion_7() -> dict:
         m = len(G.edges)
         for i in range(1, m + 1):
             for j in range(1, m + 1):
-                checks += 1
                 R = two_edge_connected_relation(G, i, j)
-                if not is_tutte_friendly(R)[0]:
-                    failures.append(f"{name} relation (e_{i}, e_{j}) not friendly")
+                ok = is_tutte_friendly(R)[0]
+                yield None if ok else f"{name} relation (e_{i}, e_{j}) not friendly"
 
     rng = random.Random(SEED + 7)
     for m in (3, 4, 5):
@@ -423,25 +362,19 @@ def criterion_7() -> dict:
             rng.shuffle(pool)
             G = Multigraph(host_n, cyc + pool[:3])
             for i, j in ((1, 2), (2, 1), (1, m)):
-                checks += 1
                 R = cycle_relation(G, cyc, i, j)
-                if not combination_tutte_sym(R).is_zero():
-                    failures.append(
-                        f"cycle relation C{m} in host n={host_n}, (i,j)=({i},{j}) escapes the kernel"
-                    )
+                ok = combination_tutte_sym(R).is_zero()
+                yield None if ok else (
+                    f"cycle relation C{m} in host n={host_n}, (i,j)=({i},{j}) escapes the kernel"
+                )
 
-    checks += 1
     fig = cycle_relation(cycle(3), [(1, 2), (2, 3), (1, 3)], 2, 1)
-    if fig != ell_tri():
-        failures.append("C3 cycle relation does not match the six-term triangle pattern")
-    return _finish(7, "two-edge-connected and cycle relations", 60, checks, failures, t0)
+    ok = fig == ell_tri()
+    yield None if ok else "C3 cycle relation does not match the six-term triangle pattern"
 
 
-def criterion_8() -> dict:
+def orientation_formula() -> Iterator[str | None]:
     """Orientation-counting formula matches the e-expansion route for all (k,l)."""
-    t0 = time.perf_counter()
-    failures: list[str] = []
-    checks = 0
     corpus: list[Multigraph] = []
     for n in range(1, 5):
         corpus.extend(simple_graphs(n))
@@ -455,24 +388,18 @@ def criterion_8() -> dict:
         w = G.total_weight()
         for k in range(len(G.edges) + 2):
             for l in range(1, w + 1):
-                checks += 1
                 lhs = sigma_l_formula(G, k, l)
                 rhs = sigma_l_direct(G, k, l)
-                if lhs != rhs:
-                    failures.append(f"{G!r} (k={k}, l={l}): {lhs} != {rhs}")
-    return _finish(8, "orientation formula for sigma_l", 60, checks, failures, t0)
+                yield None if lhs == rhs else f"{G!r} (k={k}, l={l}): {lhs} != {rhs}"
 
 
-def criterion_9() -> dict:
+def witness_construction() -> Iterator[str | None]:
     """Witness graphs certify non-friendliness by direct evaluation.
 
     Half the sample prefers a two-block violating partition when one
     exists, so the cloud joins are exercised and not only the edgeless
     single-block witnesses that enumeration order would always pick.
     """
-    t0 = time.perf_counter()
-    failures: list[str] = []
-    checks = 0
     rng = random.Random(SEED + 9)
     coeff_pool = [TPoly.of(1), TPoly.of(-1), TPoly.of(2), TPoly.one() + TPoly.t()]
     done = 0
@@ -501,22 +428,20 @@ def criterion_9() -> dict:
             pick = violations[0]
         pi, a = pick
         done += 1
-        checks += 1
         W = witness_graph(L, pi, a)
         coeff = witness_mtilde_coefficient(L, pi)
+        bad = None
         if coeff.is_zero():
-            failures.append(f"witness for {L!r} at pi={pi} has zero target coefficient")
-            continue
-        if W.n <= 8:
-            ext = extend(L, W)
-            total = combination_tutte_sym(ext)
+            bad = f"witness for {L!r} at pi={pi} has zero target coefficient"
+        elif W.n <= 8:
+            total = combination_tutte_sym(extend(L, W))
             M = _witness_M(L, pi)
             lam_star = tuple(sorted((len(b) + M for b in pi), reverse=True))
             if total.coefficient(lam_star) != coeff:
-                failures.append(f"profile sum disagrees with full XB for {L!r}")
+                bad = f"profile sum disagrees with full XB for {L!r}"
             elif total.is_zero():
-                failures.append(f"extension of {L!r} has zero XB")
-    return _finish(9, "witness construction", 60, checks, failures, t0)
+                bad = f"extension of {L!r} has zero XB"
+        yield bad
 
 
 def _digraphs_exhaustive(n: int, arc_counts: range, weight_choices: tuple[int, ...]):
@@ -527,7 +452,7 @@ def _digraphs_exhaustive(n: int, arc_counts: range, weight_choices: tuple[int, .
                 yield Digraph(n, arcs, wv)
 
 
-def criterion_10() -> dict:
+def quasisymmetric_routes() -> Iterator[str | None]:
     """Three TQ routes agree; q=1 gives XB and t=-1 gives XQ.
 
     The stated corpus is every digraph with n <= 4, <= 5 arcs (loops and
@@ -537,9 +462,6 @@ def criterion_10() -> dict:
     arcs and unit weights (495); for n = 4, a seeded random slice of 100
     with <= 5 arcs and w(D) <= 7.
     """
-    t0 = time.perf_counter()
-    failures: list[str] = []
-    checks = 0
     corpus: list[Digraph] = []
     corpus.extend(_digraphs_exhaustive(1, range(6), (1, 2)))
     corpus.extend(_digraphs_exhaustive(2, range(6), (1, 2)))
@@ -560,7 +482,6 @@ def criterion_10() -> dict:
     for D in corpus:
         N = D.total_weight()
         a = tq(D, N)
-        checks += 1
         bad = None
         if a != tq_from_connected_partitions(D, N):
             bad = "connected-partition route"
@@ -570,77 +491,93 @@ def criterion_10() -> dict:
             bad = "q=1 vs XB truncation"
         elif a.at_t(-1) != xq(D, N):
             bad = "t=-1 vs XQ"
-        if bad:
-            failures.append(f"{D!r}: {bad} mismatch")
-    return _finish(10, "quasisymmetric routes", 120, checks, failures, t0)
+        yield None if bad is None else f"{D!r}: {bad} mismatch"
 
 
-def criterion_11() -> dict:
+def broom_relations() -> Iterator[str | None]:
     """Broom relations lie in the kernel for n <= 3, 2 <= k <= 3 (dual route).
 
     k = 1 is outside the family: `broom_relation` refuses it, since a
     one-vertex star has no bristle to exchange.
     """
-    t0 = time.perf_counter()
-    failures: list[str] = []
-    checks = 0
     for n in range(0, 4):
         for k in range(2, 4):
             L = broom_relation(n, k)
             result, _ = reduce_to_star_forests(L)
             by_reduction = result.is_zero()
             direct = combination_tutte_sym(L).is_zero()
-            checks += 1
             if by_reduction != direct:
-                failures.append(f"broom({n},{k}): reduction and direct evaluation disagree")
+                yield f"broom({n},{k}): reduction and direct evaluation disagree"
             elif not by_reduction:
-                failures.append(f"broom_relation({n},{k}) is not in the kernel of XB")
-    return _finish(11, "broom relations in the kernel", 30, checks, failures, t0)
+                yield f"broom_relation({n},{k}) is not in the kernel of XB"
+            else:
+                yield None
 
 
-def criterion_12() -> dict:
+def star_forest_rank() -> Iterator[str | None]:
     """Chromatic star-forest matrix is full rank for n <= 7."""
-    t0 = time.perf_counter()
-    failures: list[str] = []
-    checks = 0
     for n in range(1, 8):
-        checks += 1
         want = len(list(partitions_of(n)))
         got = star_forest_basis_rank(n)
-        if got != want:
-            failures.append(f"n={n}: rank {got} of {want}")
-    return _finish(12, "star-forest basis full rank", 30, checks, failures, t0)
+        yield None if got == want else f"n={n}: rank {got} of {want}"
 
 
-#### entry points ##############################################################
+#### the table and its runner ##################################################
 
-CRITERIA = [
-    criterion_1,
-    criterion_2,
-    criterion_3,
-    criterion_4,
-    criterion_5,
-    criterion_6,
-    criterion_7,
-    criterion_8,
-    criterion_9,
-    criterion_10,
-    criterion_11,
-    criterion_12,
+class Suite(NamedTuple):
+    """One acceptance suite.  The budget is shown in the report, never
+    enforced; `checks` yields one verdict per check."""
+
+    id: int
+    name: str
+    budget_seconds: float
+    checks: Callable[[], Iterator[str | None]]
+
+    def run(self) -> dict:
+        """The suite's report.  A suite that raises fails under its own
+        name and budget, with the checks made so far and its traceback."""
+        t0 = time.perf_counter()
+        count = 0
+        failures: list[str] = []
+        crash: list[str] = []
+        try:
+            for count, verdict in enumerate(self.checks(), start=1):
+                if verdict is not None:
+                    failures.append(verdict)
+        except Exception:
+            crash.append(traceback.format_exc(limit=3))
+        return {
+            "id": self.id,
+            "name": self.name,
+            "passed": not failures and not crash,
+            "checks": count,
+            "failure_count": len(failures) + len(crash),
+            # the first eight failures, and a crash even past them
+            "failures": failures[:8] + crash,
+            "seconds": round(time.perf_counter() - t0, 2),
+            "budget_seconds": self.budget_seconds,
+        }
+
+
+SUITES = [
+    Suite(1, "four-route XB agreement", 60, xb_routes_agree),
+    Suite(2, "t = -1 recovers X", 60, t_minus_one_recovers_x),
+    Suite(3, "generator friendliness and extensions", 10, generators_are_friendly),
+    Suite(4, "no friendly single-graph differences", 30, no_friendly_single_graph_differences),
+    Suite(5, "n=4 classification and n=5 sample", 300, n4_classification),
+    Suite(6, "star-forest reduction and membership", 300, star_forest_reduction),
+    Suite(7, "two-edge-connected and cycle relations", 60, two_edge_connected_and_cycle_relations),
+    Suite(8, "orientation formula for sigma_l", 60, orientation_formula),
+    Suite(9, "witness construction", 60, witness_construction),
+    Suite(10, "quasisymmetric routes", 120, quasisymmetric_routes),
+    Suite(11, "broom relations in the kernel", 30, broom_relations),
+    Suite(12, "star-forest basis full rank", 30, star_forest_rank),
 ]
 
 
 def run_all(ids: list[int] | None = None) -> list[dict]:
-    results = []
-    for i, fn in enumerate(CRITERIA, start=1):
-        if ids and i not in ids:
-            continue
-        try:
-            results.append(fn())
-        except Exception:
-            name = fn.__doc__.splitlines()[0] if fn.__doc__ else f"criterion {i}"
-            results.append(_finish(i, name, 0, 0, [traceback.format_exc(limit=3)], time.perf_counter()))
-    return results
+    """Reports of the suites with these ids, or of every suite."""
+    return [suite.run() for suite in SUITES if not ids or suite.id in ids]
 
 
 def format_report(results: list[dict]) -> str:

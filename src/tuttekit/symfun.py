@@ -24,6 +24,7 @@ from tuttekit.combinatorics import (
     DEFAULT_DEGREE_BOUND,
     DomainError,
     TPoly,
+    as_int,
     as_rational,
     augmentation_factor,
     partitions_of,
@@ -54,7 +55,7 @@ class SymFunc(LinComb):
 
     @staticmethod
     def _key(lam) -> tuple[int, ...]:
-        lam = tuple(map(int, lam))
+        lam = tuple(as_int(part, "partition part") for part in lam)
         if min(lam, default=1) < 1 or list(lam) != sorted(lam, reverse=True):
             raise DomainError(f"not a partition: {lam!r}")
         return lam

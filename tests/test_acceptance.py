@@ -1,26 +1,46 @@
-"""Acceptance gate: one test per selfcheck criterion, exact arithmetic throughout.
+"""Acceptance gate: one test per selfcheck suite, exact arithmetic throughout.
 
-Each test prints a single PASS/FAIL line (run with -s or -v to see them) and
-fails with the recorded counterexamples when a criterion does not hold.
-Criterion 11 sweeps the broom family over its domain k >= 2; `broom_relation`
-refuses k = 1, where the star has no bristle to exchange (see README, known
-limitations).
+Each test runs its suite from `selfcheck.SUITES`, prints a single PASS/FAIL
+line (run with -s or -v to see them), fails with the recorded
+counterexamples when the suite does not hold, and pins the suite's check
+count, so that no suite can lose checks unseen.  Suite 11 sweeps the broom
+family over its domain k >= 2; `broom_relation` refuses k = 1, where the
+star has no bristle to exchange (see README, known limitations).
 """
 
-import pytest
+from tuttekit.selfcheck import SUITES
 
-from tuttekit import selfcheck
+CHECKS = {
+    1: 474,
+    2: 474,
+    3: 255,
+    4: 556,
+    5: 2516,
+    6: 1224,
+    7: 170,
+    8: 2354,
+    9: 20,
+    10: 2871,
+    11: 8,  # both routes on every (n, k) with 0 <= n <= 3 and 2 <= k <= 3
+    12: 7,
+}
 
 
-def _run(cid: int) -> dict:
-    r = selfcheck.CRITERIA[cid - 1]()
+def _run(cid: int) -> None:
+    (suite,) = [s for s in SUITES if s.id == cid]
+    r = suite.run()
     status = "PASS" if r["passed"] else "FAIL"
     print(
         f"ACCEPTANCE {r['id']:2d}: {status}  {r['name']}"
         f"  ({r['checks']} checks, {r['seconds']}s)"
     )
-    assert r["passed"], f"criterion {cid} failed: {r['failures']}"
-    return r
+    assert r["passed"], f"suite {cid} failed: {r['failures']}"
+    assert r["checks"] == CHECKS[cid]
+
+
+def test_every_suite_has_a_test_and_a_pinned_count():
+    # ids run 1..12 in table order, as `selfcheck --only` reports them
+    assert [s.id for s in SUITES] == list(CHECKS) == list(range(1, 13))
 
 
 def test_criterion_01_xb_routes_agree():
@@ -64,8 +84,7 @@ def test_criterion_10_quasisymmetric_routes():
 
 
 def test_criterion_11_broom_relations():
-    # both routes on every (n, k) with 0 <= n <= 3 and 2 <= k <= 3
-    assert _run(11)["checks"] == 8
+    _run(11)
 
 
 def test_criterion_12_star_forest_rank():

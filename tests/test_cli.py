@@ -22,6 +22,7 @@ from tuttekit.kernel import (
     two_edge_connected_relation,
 )
 from tuttekit.quasi import Digraph, digraph_to_json_obj, tq, xq
+from tuttekit.selfcheck import Suite
 from tuttekit.symfun import m_to_e, mtilde_to_m
 
 
@@ -326,32 +327,64 @@ def test_selfcheck_single_criterion(capsys):
     assert "PASS" in capsys.readouterr().out
 
 
+def _with_suite(monkeypatch, planted: Suite) -> None:
+    """Put a planted suite in the table in place of the one with its id."""
+    suites = [planted if s.id == planted.id else s for s in selfcheck.SUITES]
+    monkeypatch.setattr(selfcheck, "SUITES", suites)
+
+
 def test_selfcheck_reports_failure(monkeypatch, capsys):
     # a suite that records a failure must turn the exit code red
-    def failing_criterion():
-        return selfcheck._finish(11, "always fails", 1, 1, ["planted failure"], time.perf_counter())
-
-    criteria = list(selfcheck.CRITERIA)
-    criteria[10] = failing_criterion
-    monkeypatch.setattr(selfcheck, "CRITERIA", criteria)
+    _with_suite(monkeypatch, Suite(11, "always fails", 1, lambda: iter([None, "planted failure"])))
     assert main(["selfcheck", "--only", "11"]) == 1
     out = capsys.readouterr().out
-    assert "FAIL" in out and "planted failure" in out
+    assert "FAIL" in out and "planted failure" in out and "(2 checks," in out
 
 
 def test_selfcheck_marks_a_suite_over_its_budget(monkeypatch, capsys):
     # running long is shown, but a suite over its budget still passes
-    def slow_criterion():
-        return selfcheck._finish(12, "runs long", 0.5, 1, [], time.perf_counter() - 1)
+    def slow_checks():
+        time.sleep(0.05)
+        yield None
 
-    criteria = list(selfcheck.CRITERIA)
-    criteria[11] = slow_criterion
-    monkeypatch.setattr(selfcheck, "CRITERIA", criteria)
+    _with_suite(monkeypatch, Suite(12, "runs long", 0.01, slow_checks))
     assert main(["selfcheck", "--only", "11,12"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert "PASS" in lines[1] and "over its 0.5s budget" in lines[1]
+    assert "PASS" in lines[1] and "over its 0.01s budget" in lines[1]
     assert "PASS" in lines[0] and "budget" not in lines[0]
     assert lines[-1].startswith("2/2 suites passed")
+
+
+def test_selfcheck_reports_a_suite_that_raises_under_its_own_name(monkeypatch, capsys):
+    def crashing_checks():
+        yield None
+        yield "planted failure"
+        raise ZeroDivisionError("planted crash")
+
+    planted = Suite(3, "crashes partway", 7, crashing_checks)
+    r = planted.run()
+    assert (r["id"], r["name"], r["budget_seconds"]) == (3, "crashes partway", 7)
+    assert not r["passed"] and r["checks"] == 2 and r["failure_count"] == 2
+    assert r["failures"][0] == "planted failure"
+    assert r["failures"][1].startswith("Traceback") and "planted crash" in r["failures"][1]
+
+    _with_suite(monkeypatch, planted)
+    assert main(["selfcheck", "--only", "3"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].startswith("criterion  3: FAIL  crashes partway  (2 checks,")
+    assert any("ZeroDivisionError: planted crash" in line for line in out)
+    assert out[-1] == "0/1 suites passed, 2 checks total"
+
+
+def test_a_crash_is_shown_past_the_failure_cap():
+    def many_failures():
+        yield from (f"failure {i}" for i in range(10))
+        raise ValueError("planted crash")
+
+    r = Suite(1, "fails and crashes", 1, many_failures).run()
+    assert r["failure_count"] == 11 and len(r["failures"]) == 9
+    assert r["failures"][7] == "failure 7" and "planted crash" in r["failures"][8]
+    assert "... and 2 more" in selfcheck.format_report([r])
 
 def test_selfcheck_refuses_unknown_ids(capsys):
     for only in ("99", "0", "x", "1,,2"):
@@ -362,6 +395,6 @@ def test_selfcheck_refuses_unknown_ids(capsys):
 
 
 def test_selfcheck_with_no_suites_is_not_a_pass(monkeypatch, capsys):
-    monkeypatch.setattr(selfcheck, "CRITERIA", [])
+    monkeypatch.setattr(selfcheck, "SUITES", [])
     assert main(["selfcheck"]) == 1
     assert "0/0 suites passed" in capsys.readouterr().out

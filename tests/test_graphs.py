@@ -363,10 +363,10 @@ def test_acyclic_orientation_details():
 
 
 def test_right_endpoint_order():
-    assert right_endpoint_key(complete(3)) == (-3, (2, 3, 3))
-    assert right_endpoint_key(complete(3)) < right_endpoint_key(path(3))
+    assert right_endpoint_key(complete(3).edges) == (-3, (2, 3, 3))
+    assert right_endpoint_key(complete(3).edges) < right_endpoint_key(path(3).edges)
     # same edge count: compare larger endpoints lexicographically
-    assert right_endpoint_key(path(3)) < right_endpoint_key(Multigraph(3, [(1, 3), (2, 3)]))
+    assert right_endpoint_key(path(3).edges) < right_endpoint_key(((1, 3), (2, 3)))
 
 
 def test_json_roundtrip():

@@ -323,6 +323,13 @@ def test_symfunc_constructor_merges_and_validates():
         SymFunc("schur", {})
 
 
+@pytest.mark.parametrize("part", [2.5, True, "3"])
+def test_symfunc_refuses_parts_that_are_not_integers(part):
+    # int() would read these as 2, 1 and 3
+    with pytest.raises(DomainError, match="partition part must be an integer"):
+        SymFunc("m", {(part,): 1})
+
+
 def test_add_sub_scale_coefficient():
     a = SymFunc("m", {(2,): 1})
     b = SymFunc("m", {(2,): TPoly.t(), (1, 1): 2})
