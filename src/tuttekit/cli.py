@@ -48,7 +48,7 @@ from tuttekit.quasi import (
     tq_from_connected_partitions,
     xq,
 )
-from tuttekit.symfun import SymFunc, m_to_e, m_to_p, mtilde_to_m
+from tuttekit.symfun import BASES, SymFunc, m_to_e, m_to_p, mtilde_to_m
 
 
 #### I/O helpers ###############################################################
@@ -138,10 +138,13 @@ def _basis_view(f: SymFunc, basis: str) -> SymFunc:
 
 #### subcommand handlers #######################################################
 
+# each route table is flat, so that a tracer can rebind its functions
+_X_ROUTES = {"def": chromatic_sym, "delcon": chromatic_sym_delcon}
+
+
 def _cmd_x(args) -> int:
     G = graph_from_json_obj(_load(args.graph))
-    f = chromatic_sym(G) if args.route == "def" else chromatic_sym_delcon(G)
-    f = _basis_view(f, args.basis)
+    f = _basis_view(_X_ROUTES[args.route](G), args.basis)
     _emit(f.to_json_obj(), _symfunc_text(f), args.output)
     return 0
 
@@ -225,33 +228,27 @@ def _cmd_member(args) -> int:
     return 0
 
 
-_FIXED_RELATIONS = {
-    "os-plus": ell_os_plus,
-    "tri": ell_tri,
-    "multi": ell_multi,
-    "loop": ell_loop,
-    "os": ell_os,
+# relation kind -> (builder, the options it takes in order, their usage)
+_RELATIONS = {
+    "os-plus": (ell_os_plus, (), ""),
+    "tri": (ell_tri, (), ""),
+    "multi": (ell_multi, (), ""),
+    "loop": (ell_loop, (), ""),
+    "os": (ell_os, (), ""),
+    "cycle": (cycle_relation, ("graph", "cycle", "i", "j"), "GRAPH --cycle 'u,v;...' --i I --j J"),
+    "two-edge-connected": (two_edge_connected_relation, ("graph", "i", "j"), "GRAPH --i I --j J"),
+    "broom": (broom_relation, ("n", "k"), "--n N --k K"),
 }
 
 
 def _cmd_relation(args) -> int:
-    kind = args.kind
-    if kind in _FIXED_RELATIONS:
-        L = _FIXED_RELATIONS[kind]()
-    elif kind == "two-edge-connected":
-        if args.graph is None or args.i is None or args.j is None:
-            raise DomainError("two-edge-connected relation needs GRAPH --i I --j J")
-        G = graph_from_json_obj(_load(args.graph))
-        L = two_edge_connected_relation(G, args.i, args.j)
-    elif kind == "cycle":
-        if args.graph is None or args.cycle is None or args.i is None or args.j is None:
-            raise DomainError("cycle relation needs GRAPH --cycle 'u,v;...' --i I --j J")
-        G = graph_from_json_obj(_load(args.graph))
-        L = cycle_relation(G, _parse_edge_list(args.cycle), args.i, args.j)
-    else:  # broom
-        if args.n is None or args.k is None:
-            raise DomainError("broom relation needs --n N --k K")
-        L = broom_relation(args.n, args.k)
+    build, names, usage = _RELATIONS[args.kind]
+    values = [getattr(args, name) for name in names]
+    if None in values:
+        raise DomainError(f"{args.kind} relation needs {usage}")
+    # the graph option names a JSON file and the cycle option lists edges
+    read = {"graph": lambda path: graph_from_json_obj(_load(path)), "cycle": _parse_edge_list}
+    L = build(*(read.get(name, lambda v: v)(v) for name, v in zip(names, values)))
     lines = [
         f"{_tpoly_text(c)}  *  {g!r}" for g, c in L.sorted_terms()
     ] or ["0"]
@@ -273,6 +270,9 @@ def _cmd_classify_n4(args) -> int:
     return 0
 
 
+_TQ_ROUTES = {"def": tq, "connparts": tq_from_connected_partitions, "subsets": tq_from_arc_subsets}
+
+
 def _cmd_quasi(args) -> int:
     D = digraph_from_json_obj(_load(args.digraph))
     N = args.vars if args.vars is not None else D.total_weight()
@@ -281,12 +281,7 @@ def _cmd_quasi(args) -> int:
             raise DomainError("xq has a single route; use --route def")
         F = xq(D, N)
     else:
-        route = {
-            "def": tq,
-            "connparts": tq_from_connected_partitions,
-            "subsets": tq_from_arc_subsets,
-        }[args.route]
-        F = route(D, N)
+        F = _TQ_ROUTES[args.route](D, N)
     lines = []
     for exps, c in F.sorted_terms():
         mono = " ".join(f"x{i+1}^{e}" for i, e in enumerate(exps) if e)
@@ -333,15 +328,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("x", help="chromatic symmetric function of a graph")
     p.add_argument("graph", help="graph JSON file")
-    p.add_argument("--route", choices=("def", "delcon"), default="def")
-    p.add_argument("--basis", choices=("mtilde", "m", "p", "e"), default="mtilde")
+    p.add_argument("--route", choices=tuple(_X_ROUTES), default="def")
+    p.add_argument("--basis", choices=BASES, default="mtilde")
     add_output(p)
     p.set_defaults(func=_cmd_x)
 
     p = sub.add_parser("xb", help="Tutte symmetric function of a graph")
     p.add_argument("graph", help="graph JSON file")
-    p.add_argument("--route", choices=("def", "delcon", "contract", "connparts"), default="def")
-    p.add_argument("--basis", choices=("mtilde", "m", "p", "e"), default="mtilde")
+    p.add_argument("--route", choices=tuple(_XB_ROUTES), default="def")
+    p.add_argument("--basis", choices=BASES, default="mtilde")
     p.add_argument("--t-eval", dest="t_eval", help="evaluate t at this rational, e.g. -1 or 1/2")
     add_output(p)
     p.set_defaults(func=_cmd_xb)
@@ -381,10 +376,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_member)
 
     p = sub.add_parser("relation", help="named kernel relations")
-    p.add_argument(
-        "kind",
-        choices=("os-plus", "tri", "multi", "loop", "os", "cycle", "two-edge-connected", "broom"),
-    )
+    p.add_argument("kind", choices=tuple(_RELATIONS))
     p.add_argument("graph", nargs="?", help="graph JSON file (cycle / two-edge-connected)")
     p.add_argument("--cycle", help="cycle edges 'u,v;u,v;...' (cycle relation)")
     p.add_argument("--i", type=int, help="1-based edge index")
@@ -402,7 +394,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("kind", choices=("xq", "tq"))
     p.add_argument("digraph", help="digraph JSON file")
     p.add_argument("--vars", type=int, default=None, help="variable count N (default w(D))")
-    p.add_argument("--route", choices=("def", "connparts", "subsets"), default="def")
+    p.add_argument("--route", choices=tuple(_TQ_ROUTES), default="def")
     add_output(p)
     p.set_defaults(func=_cmd_quasi)
 

@@ -86,6 +86,23 @@ def as_int(value, what: str) -> int:
     raise DomainError(f"{what} must be an integer, got {value!r}")
 
 
+def json_field(obj, key: str):
+    """obj[key] of a JSON object read from outside; DomainError if it is absent."""
+    if not isinstance(obj, dict) or key not in obj:
+        raise DomainError(f"JSON object has no {key!r} field: {obj!r}")
+    return obj[key]
+
+
+def json_list(obj, key: str, required: bool = True) -> list | None:
+    """obj[key] read from outside, which must be a JSON list; None if optional and absent."""
+    if not required and isinstance(obj, dict) and key not in obj:
+        return None
+    value = json_field(obj, key)
+    if not isinstance(value, list):
+        raise DomainError(f"JSON field {key!r} must be a list, got {value!r}")
+    return value
+
+
 #### rationals #################################################################
 
 def parse_rational(s: str) -> Fraction:

@@ -3,7 +3,8 @@
 Vertices are always 1..n.  Edges form a multiset of unordered pairs stored
 sorted, loops as (v, v).  Deletion, contraction, complement, families,
 bounded canonical forms, star-forest predicates, orientations, and the
-right-endpoint termination order all live here.
+right-endpoint termination order all live here, as do the edge-tuple
+edits of the reducer and the record that `quasi.Digraph` shares.
 """
 
 from __future__ import annotations
@@ -17,11 +18,11 @@ from tuttekit.combinatorics import (
     as_int,
     block_index_map,
     check_bound,
+    json_field,
+    json_list,
     normalize_blocks,
     sorted_partition,
 )
-
-Edge = tuple  # unordered pair stored as (min, max)
 
 
 def endpoints(e: Sequence[int], n: int, what: str = "edge") -> tuple[int, int]:
@@ -52,68 +53,86 @@ def _vertex_data(n: int, weights: Sequence[int] | None) -> tuple[int, tuple[int,
     return n, ws
 
 
+def _pair(u: int, v: int) -> tuple[int, int]:
+    return (u, v) if u <= v else (v, u)
+
+
 def _norm_edge(e: Sequence[int], n: int) -> tuple[int, int]:
     u, v = endpoints(e, n)
     return (u, v) if u <= v else (v, u)
 
 
-class Multigraph:
-    """Immutable labelled multigraph on [n] with positive vertex weights."""
+class _LabelledGraph:
+    """Immutable vertex count n, sorted tuple of pairs in [n] (loops and
+    repeats allowed) and positive weights.  A kind names its pair field,
+    `class K(_LabelledGraph, field=...)`, and reads a pair with
+    `_read_pair(pair, n)`; records of two kinds are never equal."""
 
-    __slots__ = ("n", "edges", "weights", "_canon")
+    __slots__ = ("n", "_pairs", "weights")
+    _field: str
 
-    def __init__(self, n: int, edges: Iterable[Sequence[int]] = (), weights: Sequence[int] | None = None):
+    def __init_subclass__(cls, field: str, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._field = field
+        setattr(cls, field, _LabelledGraph._pairs)
+
+    def __init__(self, n: int, pairs: Iterable[Sequence[int]] = (), weights: Sequence[int] | None = None):
         n, ws = _vertex_data(n, weights)
-        es = tuple(sorted(_norm_edge(e, n) for e in edges))
+        read = self._read_pair
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "edges", es)
+        object.__setattr__(self, "_pairs", tuple(sorted(read(p, n) for p in pairs)))
         object.__setattr__(self, "weights", ws)
-        object.__setattr__(self, "_canon", None)
 
     @classmethod
-    def _unchecked(cls, n: int, edges: tuple) -> Multigraph:
-        """Unit-weight graph on [n] from an edge tuple that is already
-        normalized and sorted; nothing is validated."""
+    def _unchecked(cls, n: int, pairs: tuple, weights: tuple[int, ...] | None = None):
+        """The record on [n] of a pair tuple that is already read and
+        sorted, unit weights when None; nothing is validated."""
         g = object.__new__(cls)
         object.__setattr__(g, "n", n)
-        object.__setattr__(g, "edges", edges)
-        object.__setattr__(g, "weights", (1,) * n)
-        object.__setattr__(g, "_canon", None)
+        object.__setattr__(g, "_pairs", pairs)
+        object.__setattr__(g, "weights", (1,) * n if weights is None else weights)
         return g
 
     def __setattr__(self, name, value):
-        raise AttributeError("Multigraph is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
-    # labelled identity: same vertex count, same edge multiset, same weights
+    # labelled identity: same vertex count, same pair multiset, same weights
     def key(self) -> tuple:
-        return (self.n, self.edges, self.weights)
+        return (self.n, self._pairs, self.weights)
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, Multigraph):
+        if type(other) is not type(self):
             return NotImplemented
         return self.key() == other.key()
 
     def __hash__(self) -> int:
         return hash(self.key())
 
-    def __repr__(self) -> str:
-        w = "" if all(x == 1 for x in self.weights) else f", weights={self.weights}"
-        return f"Multigraph({self.n}, {list(self.edges)}{w})"
-
     def total_weight(self) -> int:
         return sum(self.weights)
+
+    def unit_weights(self) -> bool:
+        return all(w == 1 for w in self.weights)
+
+    def has_loop(self) -> bool:
+        return any(u == v for u, v in self._pairs)
+
+
+class Multigraph(_LabelledGraph, field="edges"):
+    """Immutable labelled multigraph on [n] with positive vertex weights."""
+
+    __slots__ = ("_canon",)  # canonical_graph's memo, unset until asked for
+    _read_pair = staticmethod(_norm_edge)
+
+    def __repr__(self) -> str:
+        w = "" if self.unit_weights() else f", weights={self.weights}"
+        return f"Multigraph({self.n}, {list(self.edges)}{w})"
 
     def multiplicities(self) -> dict[tuple[int, int], int]:
         out: dict[tuple[int, int], int] = {}
         for e in self.edges:
             out[e] = out.get(e, 0) + 1
         return out
-
-    def loops(self) -> tuple[tuple[int, int], ...]:
-        return tuple(e for e in self.edges if e[0] == e[1])
-
-    def has_loop(self) -> bool:
-        return any(u == v for u, v in self.edges)
 
     def has_multi_edge(self) -> bool:
         seen = set()
@@ -126,26 +145,34 @@ class Multigraph:
     def is_simple(self) -> bool:
         return not self.has_loop() and not self.has_multi_edge()
 
-    def unit_weights(self) -> bool:
-        return all(w == 1 for w in self.weights)
-
 
 #### basic operations ##########################################################
 
-def _edges_without(G: Multigraph, pairs: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
-    """G's edges less the multiset of normalized pairs; DomainError unless it is a sub-multiset."""
-    remaining = list(G.edges)
-    for pair in pairs:
+def _without(edges: tuple, pairs: Iterable[tuple[int, int]]) -> tuple:
+    """The sorted tuple edges less the multiset of stored pairs, still
+    sorted; DomainError unless it is a sub-multiset."""
+    rest = edges
+    for e in pairs:
         try:
-            remaining.remove(pair)
+            i = rest.index(e)
         except ValueError:
-            raise DomainError(f"edge {pair} not present (with multiplicity) in {G!r}") from None
-    return remaining
+            raise DomainError(f"edge {e} not present (with multiplicity) in {list(edges)}") from None
+        rest = rest[:i] + rest[i + 1:]
+    return rest
+
+
+def _relabelled(n: int, edges: Iterable[tuple[int, int]], perm: Sequence[int]) -> tuple:
+    """The edges with each vertex v renamed perm[v-1], sorted; DomainError
+    unless perm is a permutation of [n]."""
+    p = [as_int(x, "permutation entry") for x in perm]
+    if sorted(p) != list(range(1, n + 1)):
+        raise DomainError(f"not a permutation of [{n}]: {perm!r}")
+    return tuple(sorted(_pair(p[u - 1], p[v - 1]) for u, v in edges))
 
 
 def delete_edges(G: Multigraph, S: Iterable[Sequence[int]]) -> Multigraph:
     """Remove the multiset S of edges; vertices and weights unchanged."""
-    return Multigraph(G.n, _edges_without(G, [_norm_edge(e, G.n) for e in S]), G.weights)
+    return Multigraph._unchecked(G.n, _without(G.edges, [_norm_edge(e, G.n) for e in S]), G.weights)
 
 
 def _component_labels(n: int, pairs: Iterable[tuple[int, int]]) -> tuple[list[int], int]:
@@ -229,7 +256,7 @@ def contract_edge_set(G: Multigraph, S: Iterable[Sequence[int]]) -> Multigraph:
     """
     s_list = [_norm_edge(e, G.n) for e in S]
     label, k = _component_labels(G.n, s_list)
-    return Multigraph(k, *_quotient(_edges_without(G, s_list), G.weights, label, k, keep_loops=True))
+    return Multigraph(k, *_quotient(_without(G.edges, s_list), G.weights, label, k, keep_loops=True))
 
 
 def contract_edge(G: Multigraph, e: Sequence[int]) -> Multigraph:
@@ -237,18 +264,18 @@ def contract_edge(G: Multigraph, e: Sequence[int]) -> Multigraph:
     return contract_edge_set(G, [e])
 
 
-def contract_partition(G: Multigraph, blocks: Iterable[Iterable[int]]) -> Multigraph:
+def contract_partition(G: _LabelledGraph, blocks: Iterable[Iterable[int]]) -> _LabelledGraph:
     """Contract each block of a connected partition to a single vertex.
 
-    Every edge with both endpoints in one block disappears (loops included);
-    edges between blocks keep their multiplicity.  Blocks must induce
-    connected subgraphs.
+    Every edge or arc with both ends in one block disappears (loops
+    included); the others keep their multiplicity.  Blocks must induce
+    connected subgraphs, of a digraph's underlying graph.
     """
     blocks = normalize_blocks(G.n, blocks)
     label, k = block_index_map(blocks), len(blocks)
-    if not _blocks_connected(G.n, G.edges, label, k):
-        raise DomainError(f"a block of {blocks} does not induce a connected subgraph")
-    return Multigraph(k, *_quotient(G.edges, G.weights, label, k))
+    if not _blocks_connected(G.n, G._pairs, label, k):
+        raise DomainError(f"a block of {blocks} is not connected")
+    return type(G)(k, *_quotient(G._pairs, G.weights, label, k))
 
 
 def complement(G: Multigraph) -> Multigraph:
@@ -262,13 +289,11 @@ def complement(G: Multigraph) -> Multigraph:
 
 def relabel(G: Multigraph, perm: Sequence[int]) -> Multigraph:
     """Apply the permutation perm (perm[i-1] is the image of vertex i)."""
-    if sorted(perm) != list(range(1, G.n + 1)):
-        raise DomainError(f"not a permutation of [{G.n}]: {perm!r}")
-    new_weights = [0] * G.n
-    for v in range(1, G.n + 1):
-        new_weights[perm[v - 1] - 1] = G.weights[v - 1]
-    new_edges = [(perm[u - 1], perm[v - 1]) for u, v in G.edges]
-    return Multigraph(G.n, new_edges, new_weights)
+    edges = _relabelled(G.n, G.edges, perm)
+    weights = [0] * G.n
+    for p, w in zip(perm, G.weights):
+        weights[p - 1] = w
+    return Multigraph._unchecked(G.n, edges, tuple(weights))
 
 
 def disjoint_union(G: Multigraph, H: Multigraph) -> Multigraph:
@@ -549,8 +574,9 @@ def canonical_graph(G: Multigraph, max_n: int | None = None) -> Multigraph:
     what makes prefix pruning sound.  Two graphs are isomorphic exactly when
     their canonical graphs are equal.
     """
-    if G._canon is not None:
-        return G._canon
+    memo = getattr(G, "_canon", None)
+    if memo is not None:
+        return memo
     check_bound(G.n, DEFAULT_CANONICAL_BOUND, max_n, "canonical form")
     classes = _refined_classes(G)
     class_of_slot: list[int] = []
@@ -690,30 +716,14 @@ def right_endpoint_key(edges: Sequence[tuple[int, int]]) -> tuple[int, tuple[int
 
 #### JSON ######################################################################
 
-def graph_to_json_obj(G: Multigraph) -> dict:
-    out: dict = {"n": G.n, "edges": [list(e) for e in G.edges]}
+def graph_to_json_obj(G: _LabelledGraph) -> dict:
+    out: dict = {"n": G.n, G._field: [list(e) for e in G._pairs]}
     if not G.unit_weights():
         out["weights"] = list(G.weights)
     return out
 
 
-def json_field(obj, key: str):
-    """obj[key] of a JSON object read from outside; DomainError if it is absent."""
-    if not isinstance(obj, dict) or key not in obj:
-        raise DomainError(f"JSON object has no {key!r} field: {obj!r}")
-    return obj[key]
-
-
-def json_list(obj, key: str, required: bool = True) -> list | None:
-    """obj[key] read from outside, which must be a JSON list; None if optional and absent."""
-    if not required and isinstance(obj, dict) and key not in obj:
-        return None
-    value = json_field(obj, key)
-    if not isinstance(value, list):
-        raise DomainError(f"JSON field {key!r} must be a list, got {value!r}")
-    return value
-
-
-def graph_from_json_obj(obj: dict) -> Multigraph:
-    edges = json_list(obj, "edges", required=False) or ()
-    return Multigraph(json_field(obj, "n"), edges, json_list(obj, "weights", required=False))
+def graph_from_json_obj(obj: dict, kind: type[_LabelledGraph] = Multigraph) -> _LabelledGraph:
+    """A graph, or a record of another kind such as `quasi.Digraph`."""
+    pairs = json_list(obj, kind._field, required=False) or ()
+    return kind(json_field(obj, "n"), pairs, json_list(obj, "weights", required=False))

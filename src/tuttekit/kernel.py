@@ -27,6 +27,8 @@ from tuttekit.combinatorics import (
     check_bound,
     enumerate_set_partitions,
     format_rational,
+    json_field,
+    json_list,
     multinomial,
     normalize_blocks,
     onep_t_power,
@@ -38,7 +40,10 @@ from tuttekit.graphs import (
     _components_of,
     _dull_triple,
     _norm_edge,
+    _pair,
+    _relabelled,
     _star_forest_map,
+    _without,
     broom,
     canonical_star_forest,
     complement,
@@ -48,8 +53,6 @@ from tuttekit.graphs import (
     graph_from_json_obj,
     graph_to_json_obj,
     internal_edge_count,
-    json_field,
-    json_list,
     relabel,
     right_endpoint_key,
     simple_graph,
@@ -563,26 +566,8 @@ def _merge_packed(terms: dict[tuple, tuple], items: Iterable[tuple[tuple, tuple]
             del terms[h]
 
 
-def _pair(u: int, v: int) -> tuple[int, int]:
-    return (u, v) if u <= v else (v, u)
-
-
-def _without(edges: tuple, e: tuple[int, int]) -> tuple:
-    try:
-        i = edges.index(e)
-    except ValueError:
-        raise DomainError(f"edge {e} not present (with multiplicity) in {list(edges)}") from None
-    return edges[:i] + edges[i + 1:]
-
-
 def _with(edges: tuple, *extra: tuple[int, int]) -> tuple:
     return tuple(sorted(edges + extra))
-
-
-def _relabelled(n: int, edges: tuple, perm: Sequence[int]) -> tuple:
-    if sorted(perm) != list(range(1, n + 1)):
-        raise DomainError(f"not a permutation of [{n}]: {perm!r}")
-    return tuple(sorted(_pair(perm[u - 1], perm[v - 1]) for u, v in edges))
 
 
 def _step_products(step: ReductionStep) -> list[tuple[tuple, tuple]]:
@@ -595,20 +580,20 @@ def _step_products(step: ReductionStep) -> list[tuple[tuple, tuple]]:
     g = step.graph.edges
     if step.gen == "loop":
         v = step.vertex
-        return [(_without(g, (v, v)), _ONEP_T)]
+        return [(_without(g, [(v, v)]), _ONEP_T)]
     if step.gen == "multi":
         e = _pair(*step.pair)
-        once = _without(g, e)
-        return [(once, _T_PLUS_2), (_without(once, e), _MINUS_ONEP_T)]
+        once = _without(g, [e])
+        return [(once, _T_PLUS_2), (_without(once, [e]), _MINUS_ONEP_T)]
     if step.gen == "os_plus":
         a, b, c = step.triple
         ab, ac, bc = _pair(a, b), _pair(a, c), _pair(b, c)
         if step.case == 2:
-            base, first = _without(_without(g, ab), bc), ac
+            base, first = _without(g, (ab, bc)), ac
         else:
             # cases 1 and 3 share the 1<->2 frame swap; in case 3 the edge bc
             # is still present in the base, so the first product doubles it
-            base, first = _without(_without(g, ab), ac), bc
+            base, first = _without(g, (ab, ac)), bc
         return [(_with(base, first), _MINUS), (_with(base, ac, bc), _PLUS), (_with(base, ab), _PLUS)]
     if step.gen == "iso":
         return [(_relabelled(step.graph.n, g, step.perm), _PLUS)]
@@ -810,7 +795,8 @@ def cycle_relation(G: Multigraph, cycle_edges: Sequence[Sequence[int]], i: int, 
     """
     if not G.unit_weights():
         raise DomainError("relation graphs must have unit weights")
-    edges = [(min(e), max(e)) for e in cycle_edges]
+    edges = [_norm_edge(e, G.n) for e in cycle_edges]
+    i, j = as_int(i, "cycle edge index"), as_int(j, "cycle edge index")
     m = len(edges)
     if m < 3:
         raise DomainError("cycle relation needs a cycle of length at least 3")

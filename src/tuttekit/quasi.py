@@ -40,21 +40,22 @@ from tuttekit.combinatorics import (
     block_index_map,
     enumerate_set_partitions,
     format_rational,
-    normalize_blocks,
+    json_field,
+    json_list,
     parse_rational,
     subsets_by_size,
 )
 from tuttekit.graphs import (
     Multigraph,
-    _blocks_connected,
+    _LabelledGraph,
     _component_labels,
     _quotient,
-    _vertex_data,
     connected_partitions,
+    contract_partition,
     contraction_labels,
     endpoints,
-    json_field,
-    json_list,
+    graph_from_json_obj,
+    graph_to_json_obj,
 )
 from tuttekit.lincomb import LinComb, Poly, merge_terms
 from tuttekit.symfun import SymFunc, _arrangements
@@ -122,7 +123,8 @@ class QTPoly(Poly):
 
     @staticmethod
     def from_json_obj(obj: Iterable[dict]) -> QTPoly:
-        return QTPoly({(row["q"], row["t"]): parse_rational(row["c"]) for row in obj})
+        rows = ((json_field(r, "q"), json_field(r, "t"), json_field(r, "c")) for r in obj)
+        return QTPoly({(q, t): parse_rational(c) for q, t, c in rows})
 
 
 @lru_cache(maxsize=None)
@@ -132,49 +134,23 @@ def qt_onep_t_power(k: int) -> QTPoly:
 
 #### digraphs ##################################################################
 
-class Digraph:
+class Digraph(_LabelledGraph, field="arcs"):
     """Vertex-weighted digraph on [n]; arcs are ordered pairs, loops allowed."""
 
-    __slots__ = ("n", "arcs", "weights")
+    __slots__ = ()
 
-    def __init__(self, n: int, arcs: Iterable[Sequence[int]] = (), weights: Sequence[int] | None = None):
-        n, w = _vertex_data(n, weights)
-        norm = sorted(endpoints(a, n, "arc") for a in arcs)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "arcs", tuple(norm))
-        object.__setattr__(self, "weights", w)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Digraph is immutable")
-
-    def key(self):
-        return (self.n, self.arcs, self.weights)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Digraph):
-            return NotImplemented
-        return self.key() == other.key()
-
-    def __hash__(self) -> int:
-        return hash(self.key())
+    @staticmethod
+    def _read_pair(a: Sequence[int], n: int) -> tuple[int, int]:
+        return endpoints(a, n, "arc")
 
     def __repr__(self) -> str:
         w = "" if self.unit_weights() else f", weights={list(self.weights)}"
         return f"Digraph({self.n}, {list(self.arcs)}{w})"
 
-    def unit_weights(self) -> bool:
-        return all(x == 1 for x in self.weights)
-
-    def total_weight(self) -> int:
-        return sum(self.weights)
-
-    def has_loop(self) -> bool:
-        return any(u == v for u, v in self.arcs)
-
 
 def underlying(D: Digraph) -> Multigraph:
     """Forget orientations; weights carry over."""
-    return Multigraph(D.n, [(min(u, v), max(u, v)) for u, v in D.arcs], D.weights)
+    return Multigraph(D.n, D.arcs, D.weights)
 
 
 def reverse(D: Digraph) -> Digraph:
@@ -210,29 +186,13 @@ def contract_arc_set(D: Digraph, S: Iterable[int]) -> Digraph:
     return Digraph(k, *_quotient(rest, D.weights, label, k, keep_loops=True))
 
 
-def contract_digraph_partition(D: Digraph, blocks: Iterable[Iterable[int]]) -> Digraph:
-    """Contract each block to a point; every intra-block arc vanishes.
-
-    Blocks must form a partition of [n] and be connected in the underlying
-    undirected graph.
-    """
-    blocks = normalize_blocks(D.n, blocks)
-    label, k = block_index_map(blocks), len(blocks)
-    if not _blocks_connected(D.n, D.arcs, label, k):
-        raise DomainError(f"a block of {blocks} is not connected in the underlying graph")
-    return Digraph(k, *_quotient(D.arcs, D.weights, label, k))
-
-
-def digraph_to_json_obj(D: Digraph) -> dict:
-    out: dict = {"n": D.n, "arcs": [list(a) for a in D.arcs]}
-    if not D.unit_weights():
-        out["weights"] = list(D.weights)
-    return out
+# the block contraction and the JSON codec are the shared record's
+contract_digraph_partition = contract_partition
+digraph_to_json_obj = graph_to_json_obj
 
 
 def digraph_from_json_obj(obj: dict) -> Digraph:
-    arcs = json_list(obj, "arcs", required=False) or ()
-    return Digraph(json_field(obj, "n"), arcs, json_list(obj, "weights", required=False))
+    return graph_from_json_obj(obj, Digraph)
 
 
 #### truncated quasisymmetric values ###########################################
@@ -294,10 +254,10 @@ class TruncatedQFunc(LinComb):
     @staticmethod
     def from_json_obj(obj: dict) -> TruncatedQFunc:
         return TruncatedQFunc(
-            obj["N"],
+            json_field(obj, "N"),
             [
-                (tuple(t["exponents"]), QTPoly.from_json_obj(t["coeff"]))
-                for t in obj["terms"]
+                (tuple(json_list(t, "exponents")), QTPoly.from_json_obj(json_list(t, "coeff")))
+                for t in json_list(obj, "terms")
             ],
         )
 

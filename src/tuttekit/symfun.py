@@ -27,6 +27,8 @@ from tuttekit.combinatorics import (
     as_int,
     as_rational,
     augmentation_factor,
+    json_field,
+    json_list,
     partitions_of,
     sorted_partition,
 )
@@ -93,8 +95,11 @@ class SymFunc(LinComb):
     @staticmethod
     def from_json_obj(obj: dict) -> SymFunc:
         return SymFunc(
-            obj["basis"],
-            [(tuple(t["lambda"]), TPoly.from_strings(t["coeff"])) for t in obj["terms"]],
+            json_field(obj, "basis"),
+            [
+                (tuple(json_list(t, "lambda")), TPoly.from_strings(json_list(t, "coeff")))
+                for t in json_list(obj, "terms")
+            ],
         )
 
 

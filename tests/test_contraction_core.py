@@ -13,6 +13,7 @@ from tuttekit.graphs import (
     Multigraph,
     _components_of,
     contract_edge_set,
+    contract_partition,
     contraction_labels,
 )
 from tuttekit.quasi import Digraph, contract_arc_set
@@ -83,6 +84,12 @@ def test_contractions_match_scratch_build(case):
     G = Multigraph(n, pairs, weights)
     S = [pairs[i] for i in chosen]
     assert contract_edge_set(G, S) == Multigraph(k, rest, merged)
+    # the blocks the chosen pairs span are connected, and contracting them
+    # as a partition drops the loops that contracting the pairs leaves
+    blocks = bfs_components(n, S)
+    between = [(u, v) for u, v in rest if u != v]
+    assert contract_partition(G, blocks) == Multigraph(k, between, merged)
+    assert contract_partition(Digraph(n, pairs, weights), blocks) == Digraph(k, between, merged)
     # the pairs as arcs, in the sorted order in which a Digraph keeps them
     arcs = sorted(pairs)
     k, rest, merged = contract_from_scratch(n, arcs, weights, chosen)

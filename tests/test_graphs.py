@@ -129,6 +129,12 @@ def test_complement_and_relabel():
     assert H == Multigraph(3, [(1, 3)], weights=[1, 1, 5])
     with pytest.raises(DomainError):
         relabel(G, [1, 1, 2])
+    # each entry is read as an integer: True is not 1, nor 1.0
+    for bad in ([2, True], [2, 1.0]):
+        with pytest.raises(DomainError):
+            relabel(Multigraph(2, [], [1, 2]), bad)
+    with pytest.raises(DomainError):
+        relabel(path(2), [2, True])
 
 
 def test_disjoint_union_and_internal_edges():

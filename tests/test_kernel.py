@@ -464,6 +464,15 @@ def test_cycle_relation_validation():
         cycle_relation(cycle(17), list(cycle(17).edges), 1, 2)
 
 
+def test_cycle_relation_reads_indices_and_edges_as_integers():
+    C4 = cycle(4)
+    for i in (True, 1.0):
+        with pytest.raises(DomainError, match="must be an integer"):
+            cycle_relation(C4, C4.edges, i, 2)
+    with pytest.raises(DomainError, match="two integer endpoints"):
+        cycle_relation(C4, [(1, 2, 2), (2, 3), (3, 4), (1, 4)], 1, 2)
+
+
 def test_two_edge_connected_relation():
     C3 = cycle(3)
     by_index = two_edge_connected_relation(C3, 1, 3)

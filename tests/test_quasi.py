@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tuttekit.combinatorics import DomainError, TPoly, multinomial
-from tuttekit.graphs import path
+from tuttekit.graphs import Multigraph, path
 from tuttekit.invariants import tutte_sym
 from tuttekit.quasi import (
     Digraph,
@@ -68,6 +68,14 @@ def test_digraph_basics():
         Digraph(2, [(1, 3)])
     with pytest.raises(DomainError):
         Digraph(2, [], weights=[1])
+
+
+def test_record_reprs_and_kinds():
+    # the CLI relation text and selfcheck failure lines print these
+    assert repr(Multigraph(3, [(1, 2)], weights=(1, 2, 1))) == "Multigraph(3, [(1, 2)], weights=(1, 2, 1))"
+    assert repr(Digraph(2, [(2, 1)], weights=[1, 3])) == "Digraph(2, [(2, 1)], weights=[1, 3])"
+    # one vertex count, pair tuple and weights, but two kinds
+    assert Multigraph(2, [(1, 2)], [1, 3]) != Digraph(2, [(1, 2)], [1, 3])
 
 
 def test_underlying_and_reverse():
@@ -133,6 +141,24 @@ def test_contract_arc_set_refuses_float_index():
 def test_contract_arc_set_refuses_text_index():
     with pytest.raises(DomainError, match="arc index must be an integer"):
         contract_arc_set(_DIPATH, ["1"])
+
+
+@pytest.mark.parametrize(
+    "read, obj",
+    [
+        (SymFunc.from_json_obj, {"basis": "m"}),
+        (SymFunc.from_json_obj, {"terms": []}),
+        (SymFunc.from_json_obj, {"basis": "m", "terms": [{"lambda": [1]}]}),
+        (TruncatedQFunc.from_json_obj, {"terms": []}),
+        (TruncatedQFunc.from_json_obj, {"N": 1, "terms": [{"exponents": [1], "coeff": {}}]}),
+        (QTPoly.from_json_obj, [{"q": 0}]),
+        (QTPoly.from_json_obj, [{"q": 0, "t": 0}]),
+    ],
+    ids=["sym-terms", "sym-basis", "sym-coeff", "tq-N", "tq-coeff", "qt-t", "qt-c"],
+)
+def test_value_json_readers_refuse_missing_fields(read, obj):
+    with pytest.raises(DomainError, match="JSON"):
+        read(obj)
 
 
 def test_digraph_json_roundtrip():
