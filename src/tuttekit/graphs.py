@@ -96,6 +96,14 @@ class _LabelledGraph:
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
+    # an immutable record is its own copy; the default copy would restore
+    # its slots through __setattr__
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
+
     # labelled identity: same vertex count, same pair multiset, same weights
     def key(self) -> tuple:
         return (self.n, self._pairs, self.weights)

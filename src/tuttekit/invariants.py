@@ -33,6 +33,7 @@ from tuttekit.graphs import (
     Multigraph,
     acyclic_orientations,
     canonical_form,
+    _neighbour_masks,
     _quotient,
     connected_partitions,
     contract_edge,
@@ -65,12 +66,45 @@ def _block_lambda(weights):
 
 
 def _stable_counts(n: int, edges, weights) -> Counter:
-    """Stable partitions of ([n], edges) counted by weighted shape: X's m~ coefficients as ints."""
+    """Stable partitions of ([n], edges) counted by weighted shape: X's m~ coefficients as ints.
+
+    A restricted-growth walk of its own, apart from `enumerate_set_partitions`:
+    each block keeps a vertex bitmask and a weight sum, and vertex i may join
+    a block holding none of its neighbours or open a new one.  Complete
+    partitions are tallied by their vector of block weights, and each
+    distinct vector is sorted into its shape once at the end.
+    """
     if any(u == v for u, v in edges):
         return Counter()
-    shape = _block_lambda(weights)
-    stable = enumerate_set_partitions(n, edge_sets=[edges], max_internal=0)
-    return Counter(shape(pi) for pi, _ in stable)
+    adj = _neighbour_masks(n, edges)
+    masks: list[int] = []
+    sums: list[int] = []
+    vectors: dict[tuple[int, ...], int] = {}
+
+    def rec(i: int) -> None:
+        if i > n:
+            key = tuple(sums)
+            vectors[key] = vectors.get(key, 0) + 1
+            return
+        a, w, bit = adj[i], weights[i - 1], 1 << i
+        for b in range(len(masks)):
+            if not masks[b] & a:
+                masks[b] |= bit
+                sums[b] += w
+                rec(i + 1)
+                masks[b] ^= bit
+                sums[b] -= w
+        masks.append(bit)
+        sums.append(w)
+        rec(i + 1)
+        masks.pop()
+        sums.pop()
+
+    rec(1)
+    counts: Counter = Counter()
+    for vector, c in vectors.items():
+        counts[tuple(sorted(vector, reverse=True))] += c
+    return counts
 
 
 def _onep_t_sum(counts: Counter) -> SymFunc:

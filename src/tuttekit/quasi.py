@@ -122,9 +122,13 @@ class QTPoly(Poly):
         return [{"q": a, "t": b, "c": format_rational(c)} for (a, b), c in self.sorted_terms()]
 
     @staticmethod
-    def from_json_obj(obj: Iterable[dict]) -> QTPoly:
-        rows = ((json_field(r, "q"), json_field(r, "t"), json_field(r, "c")) for r in obj)
-        return QTPoly({(q, t): parse_rational(c) for q, t, c in rows})
+    def from_json_obj(obj: list[dict]) -> QTPoly:
+        """Rows {"q", "t", "c"}; rows with the same (q, t) add up."""
+        if not isinstance(obj, list):
+            raise DomainError(f"a QTPoly's JSON form is a list of rows, got {obj!r}")
+        return QTPoly(
+            [((json_field(r, "q"), json_field(r, "t")), parse_rational(json_field(r, "c"))) for r in obj]
+        )
 
 
 @lru_cache(maxsize=None)

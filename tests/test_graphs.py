@@ -1,5 +1,6 @@
 """Multigraph structure, contraction, canonical forms, orientations."""
 
+import copy
 import random
 from itertools import combinations_with_replacement
 
@@ -39,6 +40,7 @@ from tuttekit.graphs import (
     star_forest_shape,
     two_edge_connected,
 )
+from tuttekit.quasi import Digraph
 
 
 def test_constructor_normalizes_and_validates():
@@ -52,6 +54,18 @@ def test_constructor_normalizes_and_validates():
         Multigraph(2, [], weights=[1, 0])
     with pytest.raises(DomainError):
         Multigraph(2, [], weights=[1])
+
+
+def test_records_are_their_own_copies():
+    # the default slot copy would go through the immutable __setattr__
+    G = Multigraph(3, [(1, 2), (2, 2)], weights=[1, 2, 1])
+    D = Digraph(2, [(1, 2)])
+    canonical_form(G)  # sets the canonical-form memo slot
+    for record in (G, path(2), D):
+        assert copy.copy(record) is record
+        assert copy.deepcopy(record) is record
+    holder = copy.deepcopy({"g": G, "d": [D]})
+    assert holder["g"] is G and holder["d"][0] is D
 
 
 def test_families():

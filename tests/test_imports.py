@@ -1,4 +1,5 @@
-"""Source guard: no library module imports a name it never uses."""
+"""Source guards: no library module imports a name it never uses, and no
+private top-level helper is left with no caller."""
 
 import ast
 from pathlib import Path
@@ -36,3 +37,40 @@ def test_no_module_imports_a_name_it_never_uses():
         and (unused := _unused_imports(ast.parse(path.read_text(), str(path))))
     }
     assert not found, f"unused imports in src/tuttekit: {found}"
+
+
+def _names_used(node: ast.AST) -> set[str]:
+    """Identifiers node reads: names, attributes and imported names."""
+    used: set[str] = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            used.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            used.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            used.add(sub.name)
+    return used
+
+
+def test_every_private_top_level_helper_is_referenced_elsewhere_in_src():
+    root = Path(tuttekit.__file__).resolve().parent
+    defined: list[tuple[str, str, ast.stmt]] = []
+    statements: list[ast.stmt] = []
+    for path in sorted(root.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        statements += tree.body
+        for node in tree.body:
+            if (
+                isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                and node.name.startswith("_")
+                and not node.name.startswith("__")
+            ):
+                defined.append((path.name, node.name, node))
+    # a use inside the helper's own definition (recursion) does not count
+    uses = [(stmt, _names_used(stmt)) for stmt in statements]
+    orphans = [
+        f"{module}:{name}"
+        for module, name, node in defined
+        if not any(name in used for stmt, used in uses if stmt is not node)
+    ]
+    assert not orphans, f"private helpers nobody in src/tuttekit calls: {orphans}"

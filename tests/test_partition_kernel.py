@@ -2,12 +2,15 @@
 
 `enumerate_set_partitions` with `edge_sets` counts internal edges as it
 walks; these tests compare it with `internal_edge_count`, `b_value` and
-`c_value`, which re-derive every partition from scratch.  Stanley's
+`c_value`, which re-derive every partition from scratch.  X's own stable
+walk, `invariants._stable_counts`, is checked against the kernel and
+`internal_edge_count` the same way.  Stanley's
 p-expansion is an oracle that shares no code with partition enumeration,
 and the bounded deletion-contraction memo must keep its answers exact
 after evicting.
 """
 
+from collections import Counter
 from itertools import combinations_with_replacement, islice
 
 import pytest
@@ -15,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tuttekit import invariants
-from tuttekit.combinatorics import DomainError, TPoly, enumerate_set_partitions
+from tuttekit.combinatorics import DomainError, TPoly, enumerate_set_partitions, lambda_of
 from tuttekit.graphs import Multigraph, cycle, edgeless, internal_edge_count
 from tuttekit.invariants import DELCON_MEMO_CAP, chromatic_sym, tutte_sym, tutte_sym_delcon
 from tuttekit.kernel import (
@@ -88,6 +91,32 @@ def test_kernel_option_validation():
     assert list(enumerate_set_partitions(0, edge_sets=[[]])) == [((), (0,))]
     # a loop is internal to every partition, so the stable walk is empty
     assert list(enumerate_set_partitions(2, edge_sets=[[(2, 2)]], max_internal=0)) == []
+
+
+#### X's stable walk against the kernel ########################################
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 7).flatmap(lambda n: st.tuples(
+    edge_lists(n, max_edges=9), st.lists(st.integers(1, 3), min_size=n, max_size=n))))
+def test_stable_counts_match_filtered_kernel(case):
+    edges, weights = case
+    n = len(weights)
+    G = Multigraph(n, edges, weights)
+    want = Counter(
+        lambda_of(pi, weights) for pi in enumerate_set_partitions(n) if internal_edge_count(G, pi) == 0
+    )
+    got = invariants._stable_counts(n, edges, weights)
+    assert got == want
+    assert all(type(c) is int for c in got.values())
+
+
+def test_stable_counts_pins():
+    assert invariants._stable_counts(0, [], []) == Counter({(): 1})
+    assert invariants._stable_counts(2, [(2, 2)], [1, 1]) == Counter()
+    # parallel and reversed edges forbid the same pair once
+    assert invariants._stable_counts(3, [(2, 1), (1, 2), (2, 3)], [2, 1, 1]) == Counter(
+        {(3, 1): 1, (2, 1, 1): 1}
+    )
 
 
 #### friendliness scans against b_value / c_value ##############################

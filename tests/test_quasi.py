@@ -55,6 +55,20 @@ def test_qtpoly_json_roundtrip():
     assert QTPoly.from_json_obj(p.to_json_obj()) == p
 
 
+def test_qtpoly_json_rows_add_up_like_symfunc_terms():
+    rows = [{"q": 0, "t": 0, "c": "1"}, {"q": 1, "t": 2, "c": "1/2"}, {"q": 0, "t": 0, "c": "2"}]
+    assert QTPoly.from_json_obj(rows) == 3 * ONE + Q * T * T * Fraction(1, 2)
+    assert QTPoly.from_json_obj(rows[:1] + [{"q": 0, "t": 0, "c": "-1"}]).is_zero()
+    twice = SymFunc.from_json_obj({"basis": "m", "terms": [{"lambda": [1], "coeff": ["1"]}, {"lambda": [1], "coeff": ["2"]}]})
+    assert twice.terms == {(1,): TPoly([3])}
+
+
+@pytest.mark.parametrize("obj", [5, None, "rows", {"q": 0, "t": 0, "c": "1"}])
+def test_qtpoly_json_reader_refuses_a_non_list(obj):
+    with pytest.raises(DomainError, match="list of rows"):
+        QTPoly.from_json_obj(obj)
+
+
 #### digraphs ##################################################################
 
 
