@@ -59,15 +59,20 @@ def _load(path: str) -> dict:
             return json.load(fh)
     except OSError as exc:
         raise DomainError(f"cannot read {path}: {exc}")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError among them
         raise DomainError(f"{path} is not valid JSON: {exc}")
+    except RecursionError:
+        raise DomainError(f"{path} nests too deeply to read")
 
 
 def _emit(obj: dict, text: str, output: str | None) -> None:
     if output:
-        with open(output, "w") as fh:
-            json.dump(obj, fh, indent=2)
-            fh.write("\n")
+        try:
+            with open(output, "w") as fh:
+                json.dump(obj, fh, indent=2)
+                fh.write("\n")
+        except OSError as exc:
+            raise DomainError(f"cannot write {output}: {exc}")
     else:
         print(text)
 

@@ -129,7 +129,7 @@ class _LabelledGraph:
 class Multigraph(_LabelledGraph, field="edges"):
     """Immutable labelled multigraph on [n] with positive vertex weights."""
 
-    __slots__ = ("_canon",)  # canonical_graph's memo, unset until asked for
+    __slots__ = ("_canon",)  # the canonical labelling's memo, unset until asked for
     _read_pair = staticmethod(_norm_edge)
 
     def __repr__(self) -> str:
@@ -545,123 +545,145 @@ def _star_forest_map(n: int, edges: tuple[tuple[int, int], ...]) -> tuple[tuple[
 
 #### canonical form ############################################################
 
-def _refined_classes(G: Multigraph) -> list[list[int]]:
-    """Isomorphism-invariant vertex classes by iterated neighborhood refinement."""
-    mult = G.multiplicities()
-    loops = {v: mult.get((v, v), 0) for v in range(1, G.n + 1)}
-    nbr: dict[int, list[tuple[int, int]]] = {v: [] for v in range(1, G.n + 1)}
-    for (u, v), m in mult.items():
+def _canonical_labelling(n: int, pairs: Sequence[tuple[int, int]],
+                         weights: Sequence[int]) -> tuple[tuple, tuple[int, ...]]:
+    """(form, perm): a hashable form, equal for two weighted multigraphs on
+    [n] exactly when they are isomorphic, and a permutation (perm[v-1] the
+    new label of vertex v) that carries ([n], pairs, weights) onto it.
+
+    A[u][v] counts the pairs joining u and v, A[v][v] the loops at v.
+    Colour refinement splits the vertices into invariant classes: colours
+    are ints, ranked first by (weight, loops, degree) and then by a
+    vertex's colour and its number of edges into each class (a loop
+    counted twice), until no class splits.  Slots 1..n are filled class by
+    class in colour order, and the vertex v put in slot k appends its row
+    (A[v][u] for the vertices u of slots 1..k-1, then A[v][v]) to a code.
+    The form is the weights in slot order and the largest code over all
+    such orders.
+
+    A depth-first search extends the code in place.  At each slot only the
+    candidates with the largest row can lead to the largest code; a prefix
+    below that of the best code found is cut; and of two twin candidates,
+    whose swap is an automorphism, only the first is tried.
+    """
+    adj = [[0] * n for _ in range(n)]
+    for u, v in pairs:
+        adj[u - 1][v - 1] += 1
         if u != v:
-            nbr[u].append((v, m))
-            nbr[v].append((u, m))
-    color = {v: (G.weights[v - 1], loops[v], sum(m for _, m in nbr[v])) for v in range(1, G.n + 1)}
-    for _ in range(G.n):
-        key = {
-            v: (color[v], tuple(sorted((color[u], m) for u, m in nbr[v])))
-            for v in range(1, G.n + 1)
-        }
-        ranks = {k: i for i, k in enumerate(sorted(set(key.values())))}
-        new_color = {v: (color[v], ranks[key[v]]) for v in range(1, G.n + 1)}
-        if len(set(new_color.values())) == len(set(color.values())):
+            adj[v - 1][u - 1] += 1
+
+    def ranks(keys: list) -> list[int]:
+        index = {key: i for i, key in enumerate(sorted(set(keys)))}
+        return [index[key] for key in keys]
+
+    colour = ranks([(weights[v], adj[v][v], sum(adj[v])) for v in range(n)])
+    classes = len(set(colour))
+    while classes < n:
+        sent = [[0] * classes for _ in range(n)]
+        for u, v in pairs:
+            sent[u - 1][colour[v - 1]] += 1
+            sent[v - 1][colour[u - 1]] += 1
+        refined = ranks([(colour[v], *sent[v]) for v in range(n)])
+        split = len(set(refined))
+        if split == classes:
             break
-        color = new_color
-    classes: dict[tuple, list[int]] = {}
-    for v in range(1, G.n + 1):
-        classes.setdefault(color[v], []).append(v)
-    return [classes[c] for c in sorted(classes)]
+        colour, classes = refined, split
+
+    cells: list[list[int]] = [[] for _ in range(classes)]
+    for v in range(n):
+        cells[colour[v]].append(v)
+    slot_cell = [cell for cell in cells for _ in cell]
+    order: list[int] = []  # order[k]: the vertex (0-based) in slot k + 1
+    free = [True] * n
+    code: list[int] = []
+    best: list[int] | None = None
+    best_order: list[int] = []
+
+    def twins(u: int, v: int) -> bool:
+        # candidates share a colour, so their weights and loop counts agree
+        a, b = adj[u], adj[v]
+        return all(a[x] == b[x] for x in range(n) if x != u and x != v)
+
+    def rec(ahead: bool) -> None:
+        # ahead: the code so far already exceeds the best code's prefix
+        nonlocal best, best_order
+        k = len(order)
+        if k == n:
+            if ahead or best is None:
+                best, best_order = code[:], order[:]
+            return
+        top: list[int] = []
+        cands: list[int] = []
+        for v in slot_cell[k]:
+            if free[v]:
+                a = adj[v]
+                row = [a[u] for u in order]
+                row.append(a[v])
+                if not cands or row > top:
+                    top, cands = row, [v]
+                elif row == top:
+                    cands.append(v)
+        start = len(code)
+        if best is not None and not ahead:
+            seg = best[start:start + len(top)]
+            if top < seg:
+                return
+            ahead = top > seg
+        code.extend(top)
+        tried: list[int] = []
+        for v in cands:
+            if any(twins(u, v) for u in tried):
+                continue
+            tried.append(v)
+            free[v] = False
+            order.append(v)
+            found = best
+            rec(ahead)
+            if best is not found:  # best now shares this prefix
+                ahead = False
+            order.pop()
+            free[v] = True
+        del code[start:]
+
+    if classes == n:  # one vertex per class leaves one order to take
+        best_order = [cell[0] for cell in cells]
+        best = [adj[v][u] for k, v in enumerate(best_order) for u in best_order[:k] + [v]]
+    else:
+        rec(False)
+    perm = [0] * n
+    for slot, v in enumerate(best_order, 1):
+        perm[v] = slot
+    return (tuple(weights[v] for v in best_order), tuple(best)), tuple(perm)
+
+
+def _labelling_of(G: Multigraph, max_n: int | None) -> tuple[tuple, tuple[int, ...]]:
+    """G's `_canonical_labelling`, kept in its `_canon` slot once found."""
+    memo = getattr(G, "_canon", None)
+    if memo is None:
+        check_bound(G.n, DEFAULT_CANONICAL_BOUND, max_n, "canonical form")
+        memo = _canonical_labelling(G.n, G.edges, G.weights)
+        object.__setattr__(G, "_canon", memo)
+    return memo
 
 
 def canonical_graph(G: Multigraph, max_n: int | None = None) -> Multigraph:
-    """Canonical representative of the isomorphism class of G.
-
-    Vertices first split into invariant classes; the representative minimizes
-    the (weights, edge list) encoding over all class-respecting relabellings,
-    found by depth-first search with prefix pruning and twin skipping.  Edges
-    are encoded as (larger endpoint, smaller endpoint) so that every edge
-    created by assigning a new label sorts after all earlier edges, which is
-    what makes prefix pruning sound.  Two graphs are isomorphic exactly when
-    their canonical graphs are equal.
-    """
-    memo = getattr(G, "_canon", None)
-    if memo is not None:
-        return memo
-    check_bound(G.n, DEFAULT_CANONICAL_BOUND, max_n, "canonical form")
-    classes = _refined_classes(G)
-    class_of_slot: list[int] = []
-    for ci, cls in enumerate(classes):
-        class_of_slot += [ci] * len(cls)
-    mult = G.multiplicities()
-
-    def m_between(a: int, b: int) -> int:
-        return mult.get((a, b) if a <= b else (b, a), 0)
-
-    n = G.n
-    best_edges: list[tuple[int, int]] | None = None
-    assigned: list[int] = []  # assigned[i] = original vertex receiving label i+1
-    used = [False] * (n + 1)
-
-    def new_edge_batch() -> list[tuple[int, int]]:
-        # edges from the freshly labelled vertex to earlier labels, then its
-        # loops; ascending, and entirely after every previously emitted edge
-        k = len(assigned)
-        v = assigned[-1]
-        out = []
-        for i, u in enumerate(assigned[:-1]):
-            out += [(k, i + 1)] * m_between(u, v)
-        out += [(k, k)] * mult.get((v, v), 0)
-        return out
-
-    def rec(edge_prefix: list[tuple[int, int]]):
-        nonlocal best_edges
-        if best_edges is not None and edge_prefix > best_edges[: len(edge_prefix)]:
-            return
-        k = len(assigned)
-        if k == n:
-            if best_edges is None or edge_prefix < best_edges:
-                best_edges = edge_prefix
-            return
-        tried: list[int] = []
-        for v in classes[class_of_slot[k]]:
-            if used[v]:
-                continue
-            # twin skipping: swapping v with a tried candidate is an automorphism
-            twin = False
-            for u in tried:
-                if mult.get((u, u), 0) == mult.get((v, v), 0) and all(
-                    m_between(u, x) == m_between(v, x) for x in range(1, n + 1) if x not in (u, v)
-                ):
-                    twin = True
-                    break
-            if twin:
-                continue
-            tried.append(v)
-            used[v] = True
-            assigned.append(v)
-            rec(edge_prefix + new_edge_batch())
-            assigned.pop()
-            used[v] = False
-
-    rec([])
-    if best_edges is None:
-        raise RuntimeError(f"internal fault: the canonical search found no labelling of {G!r}")
-    new_weights: list[int] = []
-    for cls in classes:
-        new_weights += [G.weights[cls[0] - 1]] * len(cls)
-    result = Multigraph(n, [(b, a) for a, b in best_edges], new_weights)
-    object.__setattr__(G, "_canon", result)
-    return result
+    """Canonical representative of the isomorphism class of G: G relabelled
+    by its canonical labelling.  Two graphs are isomorphic exactly when
+    their canonical graphs are equal."""
+    (weights, _), perm = _labelling_of(G, max_n)
+    edges = tuple(sorted(_pair(perm[u - 1], perm[v - 1]) for u, v in G.edges))
+    return Multigraph._unchecked(G.n, edges, weights)
 
 
 def canonical_form(G: Multigraph, max_n: int | None = None) -> bytes:
     """Opaque byte string equal for two graphs iff they are isomorphic."""
-    C = canonical_graph(G, max_n)
-    return repr((C.n, C.edges, C.weights)).encode()
+    return repr(_labelling_of(G, max_n)[0]).encode()
 
 
 def is_isomorphic(G: Multigraph, H: Multigraph, max_n: int | None = None) -> bool:
     if G.n != H.n or len(G.edges) != len(H.edges) or sorted(G.weights) != sorted(H.weights):
         return False
-    return canonical_graph(G, max_n) == canonical_graph(H, max_n)
+    return _labelling_of(G, max_n)[0] == _labelling_of(H, max_n)[0]
 
 
 #### orientations ##############################################################

@@ -21,7 +21,6 @@ from math import comb
 from tuttekit.combinatorics import (
     DEFAULT_ENUMERATION_BOUND,
     DomainError,
-    TPoly,
     block_index_map,
     check_bound,
     check_subset_count,
@@ -32,13 +31,13 @@ from tuttekit.combinatorics import (
 from tuttekit.graphs import (
     Multigraph,
     acyclic_orientations,
-    canonical_form,
+    _canonical_labelling,
+    _component_labels,
     _neighbour_masks,
+    _pair,
     _quotient,
     connected_partitions,
-    contract_edge,
     contraction_labels,
-    delete_edges,
 )
 from tuttekit.symfun import SymFunc, _from_dicts, coefficient_in_onep_t, m_to_e, mtilde_to_m, sigma_l
 from tuttekit.symfun import specialize_t  # re-exported: evaluation lives with SymFunc
@@ -143,37 +142,78 @@ def tutte_sym(G: Multigraph, max_n: int | None = None) -> SymFunc:
 
 #### deletion-contraction ######################################################
 
-# Deletion-contraction results by canonical form, shared by every call in
-# the process and kept in least-recently-used order (a hit moves its entry
-# to the end, a full memo drops its first entry).  An entry takes 2 to
-# 4 KB, so the cap holds the memo to roughly 10 to 15 MB.
+# Deletion-contraction values by (route, canonical form), shared by every
+# call in the process and kept in least-recently-used order (a hit moves
+# its entry to the end, a full memo drops its first entry).  Filled to the
+# cap from the weighted multigraphs on 4 to 7 vertices of the benchmark's
+# invariants workload, an entry takes about 2.1 KB on 64-bit CPython 3.11
+# (a 0.3 KB key; values share the coefficient dicts they leave unchanged),
+# so the memo holds about 9 MB; entries of larger total weight have more
+# terms.
 DELCON_MEMO_CAP = 4096
-_delcon_memo: dict[tuple[str, bytes], SymFunc] = {}
+_delcon_memo: dict[tuple[str, tuple], dict] = {}
 
 
-def _memo_get(key) -> SymFunc | None:
+def _memo_get(key) -> dict | None:
     hit = _delcon_memo.pop(key, None)
     if hit is not None:
         _delcon_memo[key] = hit
     return hit
 
 
-def _memo_put(key, value: SymFunc) -> None:
+def _memo_put(key, value: dict) -> None:
     if len(_delcon_memo) >= DELCON_MEMO_CAP:
         del _delcon_memo[next(iter(_delcon_memo))]
     _delcon_memo[key] = value
 
 
-def _edgeless_partition_sum(G: Multigraph) -> SymFunc:
-    shape = _block_lambda(G.weights)
-    return SymFunc("mtilde", Counter(map(shape, enumerate_set_partitions(G.n))))
+def _delcon(route: str, n: int, edges: tuple, weights: tuple) -> dict:
+    """XB (route "xb") or X (route "x") of the packed graph ([n], edges,
+    weights), edges a sorted tuple of pairs, as {lam: {power of t: int}}.
 
-
-def _first_nonloop(G: Multigraph):
-    for e in G.edges:
-        if e[0] != e[1]:
-            return e
-    return None
+    The smallest non-loop edge e gives XB(G) = XB(G-e) + t XB(G/e) and
+    X(G) = X(G-e) - X(G/e).  A loop has G/e = G-e, so with only loops left
+    XB is the edgeless partition sum times (1+t)^loops, while any loop
+    makes X zero.  Values are memoised by canonical form and never changed
+    once stored; callers copy what they hand out.
+    """
+    xb = route == "xb"
+    if not xb and any(u == v for u, v in edges):
+        return {}
+    key = (route, _canonical_labelling(n, edges, weights)[0])
+    hit = _memo_get(key)
+    if hit is not None:
+        return hit
+    i = next((i for i, (u, v) in enumerate(edges) if u != v), None)
+    if i is None:
+        shape = _block_lambda(weights)
+        scale = onep_t_power(len(edges)).terms
+        result = {
+            lam: {p: c * b for p, b in scale.items()}
+            for lam, c in Counter(map(shape, enumerate_set_partitions(n))).items()
+        }
+    else:
+        rest = edges[:i] + edges[i + 1:]
+        label, k = _component_labels(n, (edges[i],))
+        pairs, merged = _quotient(rest, weights, label, k, keep_loops=True)
+        # the deleted graph's coefficient dicts are shared, and copied before a change
+        result = dict(_delcon(route, n, rest, weights))
+        shift, sign = (1, 1) if xb else (0, -1)
+        contracted = _delcon(route, k, tuple(sorted(_pair(u, v) for u, v in pairs)), tuple(merged))
+        for lam, c in contracted.items():
+            d = dict(result.get(lam, ()))
+            for p, x in c.items():
+                y = d.get(p + shift, 0) + sign * x
+                if y:
+                    d[p + shift] = y
+                else:
+                    del d[p + shift]
+            if d:
+                result[lam] = d
+            else:
+                del result[lam]
+    _memo_put(key, result)
+    return result
 
 
 def tutte_sym_delcon(G: Multigraph, max_n: int | None = None) -> SymFunc:
@@ -184,40 +224,15 @@ def tutte_sym_delcon(G: Multigraph, max_n: int | None = None) -> SymFunc:
     loops in one multiplication at the base.  Memoized by canonical form.
     """
     check_bound(G.n, DEFAULT_ENUMERATION_BOUND, max_n, "partition enumeration")
-    key = ("xb", canonical_form(G, max(G.n, 1)))
-    hit = _memo_get(key)
-    if hit is not None:
-        return hit
-    e = _first_nonloop(G)
-    if e is None:
-        nloops = len(G.edges)
-        result = _edgeless_partition_sum(G).scale(onep_t_power(nloops))
-    else:
-        result = tutte_sym_delcon(delete_edges(G, [e]), max_n) + tutte_sym_delcon(
-            contract_edge(G, e), max_n
-        ).scale(TPoly.t())
-    _memo_put(key, result)
-    return result
+    value = _delcon("xb", G.n, G.edges, G.weights)
+    return _from_dicts("mtilde", {lam: dict(c) for lam, c in value.items()})
 
 
 def chromatic_sym_delcon(G: Multigraph, max_n: int | None = None) -> SymFunc:
     """X by deletion-contraction: X(G) = X(G-e) - X(G/e); loops kill X."""
     check_bound(G.n, DEFAULT_ENUMERATION_BOUND, max_n, "partition enumeration")
-    if G.has_loop():
-        return SymFunc.zero("mtilde")
-    key = ("x", canonical_form(G, max(G.n, 1)))
-    hit = _memo_get(key)
-    if hit is not None:
-        return hit
-    e = _first_nonloop(G)
-    if e is None:
-        result = _edgeless_partition_sum(G)
-    else:
-        result = chromatic_sym_delcon(delete_edges(G, [e]), max_n) - chromatic_sym_delcon(
-            contract_edge(G, e), max_n
-        )
-    _memo_put(key, result)
-    return result
+    value = _delcon("x", G.n, G.edges, G.weights)
+    return _from_dicts("mtilde", {lam: dict(c) for lam, c in value.items()})
 
 
 #### contraction expansions ####################################################
@@ -297,13 +312,16 @@ def sigma_l_formula(G: Multigraph, k: int, l: int, max_n: int | None = None) -> 
     carries cycles (|V(G/A)| then differs from |V(G)| - k).
 
     Must equal sigma_l of the e-expansion of the (1+t)^k coefficient of
-    XB(G), exactly.
+    XB(G), exactly.  It is 0 without any enumeration when k exceeds the
+    edge count or l the total weight w(G), the degree of XB.
     """
     check_bound(G.n, DEFAULT_ENUMERATION_BOUND, max_n, "partition enumeration")
     check_subset_count(len(G.edges))
     if k < 0 or l < 0:
         raise DomainError("indices must be nonnegative")
     wG = G.total_weight()
+    if k > len(G.edges) or l > wG:
+        return Fraction(0)
     total = 0
     m = len(G.edges)
     for idx in combinations(range(m), k):

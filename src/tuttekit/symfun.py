@@ -6,9 +6,10 @@ by triangular elimination against their integer m-expansions, with no
 matrix to invert.  Those expansions are counted from their closed forms,
 0-1 matrices for e and part-merging maps for p, and the tables keep one
 entry per partition converted, so the degree cap bounds them.
-Coefficients stay integer polynomials until a conversion divides: m to e
-never does, and m to p divides only by the multiplicity factorials
-prod r_i! of the leading term.
+Coefficients stay integer polynomials unless a conversion divides
+inexactly: m to e never divides, and m to p divides only by the
+multiplicity factorials prod r_i! of the leading term, making a Fraction
+only of a quotient that is not whole.
 """
 
 from __future__ import annotations
@@ -296,8 +297,11 @@ def m_to_p(f: SymFunc, max_degree: int | None = None) -> SymFunc:
 
     p_mu = (prod r_i!) m_mu + lex-higher terms (Macdonald, ch. I, section 6),
     so the lex-smallest m_mu left, divided by prod r_i!, is the coefficient
-    of p_mu.  Each step subtracts plain numbers, power of t by power of t,
-    and only that division makes a Fraction.
+    of p_mu.  Each step subtracts plain numbers, power of t by power of t.
+    An int that the division leaves whole stays an int; any other quotient
+    is a Fraction.  XB and X of a graph have integral p-coefficients
+    (Stanley, "Graph colorings and related symmetric functions", Discrete
+    Math. 1998), so their p-expansions stay ints throughout.
     """
     rest = _m_terms(f, max_degree)
     out = {}
@@ -306,8 +310,8 @@ def m_to_p(f: SymFunc, max_degree: int | None = None) -> SymFunc:
         c = rest.pop(mu)
         lead = augmentation_factor(mu)
         if lead != 1:
-            inverse = Fraction(1, lead)
-            c = {i: ci * inverse for i, ci in c.items()}
+            c = {i: ci // lead if type(ci) is int and not ci % lead else Fraction(ci, lead)
+                 for i, ci in c.items()}
         out[mu] = c
         # the lead * m_mu term of p_mu cancels the popped coefficient exactly
         _add_multiples(rest, c, ((nu, -k) for nu, k in _p_in_m(mu) if nu != mu))

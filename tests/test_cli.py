@@ -315,6 +315,43 @@ def test_closed_pipe_exits_one_without_traceback(tmp_path, cmd):
     assert "Traceback" not in proc.stderr and proc.stderr == ""
 
 
+def _hostile_file(tmp_path, name, data: bytes) -> str:
+    (tmp_path / name).write_bytes(data)
+    return str(tmp_path / name)
+
+
+HUGE = "9" * 20
+
+
+# (id, argv of tmp_path and a graph file, exit code); exit 1 must print one
+# "error: " line, exit 0 the answer 0
+HOSTILE = [
+    ("not-utf8", lambda tmp, g: ["xb", _hostile_file(tmp, "b.json", b"\xff\xfe")], 1),
+    ("nested-json", lambda tmp, g: ["xb", _hostile_file(tmp, "d.json", b"[" * 100_000 + b"]" * 100_000)], 1),
+    ("output-in-missing-dir", lambda tmp, g: ["xb", g, "--output", str(tmp / "no" / "x.json")], 1),
+    ("output-is-a-dir", lambda tmp, g: ["xb", g, "--output", str(tmp)], 1),
+    ("sigma-huge-k", lambda tmp, g: ["sigma", g, "--k", HUGE, "--l", "1"], 0),
+    ("sigma-huge-l", lambda tmp, g: ["sigma", g, "--k", "1", "--l", HUGE], 0),
+]
+
+
+@pytest.mark.parametrize("argv, code", [case[1:] for case in HOSTILE], ids=[case[0] for case in HOSTILE])
+def test_hostile_input_under_optimisation_gives_no_traceback(tmp_path, argv, code):
+    src = str(Path(tuttekit.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "tuttekit.cli", *argv(tmp_path, graph_file(tmp_path, path(3)))],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=120,
+    )
+    assert proc.returncode == code and "Traceback" not in proc.stderr
+    if code:
+        assert proc.stderr.splitlines()[0].startswith("error: ")
+    else:
+        assert proc.stdout.strip().endswith("XB = 0/1") and proc.stderr == ""
+
+
 def test_usage_errors(capsys):
     assert main(["no-such-command"]) == 2
     assert main([]) == 2

@@ -2,7 +2,7 @@
 
 import copy
 import random
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -321,12 +321,82 @@ def test_canonical_form_invariant_under_relabelling():
         assert is_isomorphic(G, H)
 
 
+@st.composite
+def graph_pairs(draw):
+    """A weighted multigraph with loops on n <= 6 vertices, and a relabelling
+    of it with at most one edge end or one weight changed."""
+    n = draw(st.integers(1, 6))
+    vertex = st.integers(1, n)
+    edges = draw(st.lists(st.tuples(vertex, vertex), max_size=8))
+    weights = draw(st.lists(st.integers(1, 2), min_size=n, max_size=n))
+    G = Multigraph(n, edges, weights)
+    edit = draw(st.sampled_from(("none", "edge", "weight")))
+    if edit == "edge" and edges:
+        i = draw(st.integers(0, len(edges) - 1))
+        edges[i] = (edges[i][0], draw(vertex))
+    elif edit == "weight":
+        weights[draw(vertex) - 1] = draw(st.integers(1, 2))
+    return G, relabel(Multigraph(n, edges, weights), draw(st.permutations(range(1, n + 1))))
+
+
+def isomorphic_by_search(G, H):
+    return G.n == H.n and any(relabel(G, p) == H for p in permutations(range(1, G.n + 1)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(graph_pairs())
+def test_canonical_forms_agree_with_permutation_search(pair):
+    G, H = pair
+    iso = isomorphic_by_search(G, H)
+    assert (canonical_form(G) == canonical_form(H)) == iso
+    assert (canonical_graph(G) == canonical_graph(H)) == iso
+    assert is_isomorphic(G, H) == iso
+    assert isomorphic_by_search(G, canonical_graph(G))
+
+
+def test_canonical_forms_count_the_isomorphism_classes_of_simple_graphs():
+    # unlabelled simple graphs on n vertices (OEIS A000088)
+    for n, classes in enumerate((1, 1, 2, 4, 11, 34)):
+        forms = {canonical_form(simple_graph(n, mask)) for mask in range(1 << n * (n - 1) // 2)}
+        assert len(forms) == classes
+
+
+def test_canonical_forms_of_regular_graphs_that_refinement_cannot_split():
+    # every vertex keeps one colour, so the search alone must find the form
+    ring = [(i, i % 6 + 1) for i in range(1, 7)]
+    prism = Multigraph(12, ring + [(u + 6, v + 6) for u, v in ring] + [(i, i + 6) for i in range(1, 7)])
+    moebius = Multigraph(12, list(cycle(12).edges) + [(i, i + 6) for i in range(1, 7)])
+    petersen = Multigraph(10, ring[:4] + [(1, 5)] + [(i, i + 5) for i in range(1, 6)]
+                          + [(i + 5, (i + 1) % 5 + 6) for i in range(1, 6)])
+    # Frucht's cubic graph from its LCF code: no automorphism but the identity
+    lcf = (-5, -2, -4, 2, 5, -2, 2, 5, -2, -5, 4, 2)
+    frucht = Multigraph(12, list(cycle(12).edges) + [(i, (i - 1 + lcf[i - 1]) % 12 + 1)
+                                                     for i in range(1, 13) if lcf[i - 1] > 0])
+    # a cubic graph drawn at random; a search that stops comparing with the
+    # best code once a sibling branch has beaten it labels its relabelling
+    # by [12, 5, 4, 8, 10, 6, 9, 11, 7, 3, 2, 1] differently
+    cubic = Multigraph(12, [(1, 8), (1, 9), (1, 12), (2, 6), (2, 7), (2, 10), (3, 6), (3, 8), (3, 11),
+                            (4, 7), (4, 9), (4, 12), (5, 9), (5, 10), (5, 12), (6, 11), (7, 10), (8, 11)])
+    graphs = [cycle(12), disjoint_union(cycle(6), cycle(6)), prism, moebius, petersen, frucht, cubic]
+    forms = [canonical_form(G) for G in graphs]
+    assert len(set(forms)) == len(graphs)
+    assert canonical_form(relabel(cubic, [12, 5, 4, 8, 10, 6, 9, 11, 7, 3, 2, 1])) == forms[-1]
+    rng = random.Random(5)
+    for G, form in zip(graphs, forms):
+        for _ in range(6):
+            perm = list(range(1, G.n + 1))
+            rng.shuffle(perm)
+            H = relabel(G, perm)
+            assert canonical_form(H) == form and canonical_graph(H) == canonical_graph(G)
+
+
 def test_isomorphism_pins():
     assert is_isomorphic(path(3), relabel(path(3), [2, 1, 3]))
     assert not is_isomorphic(path(4), star(4))
     assert not is_isomorphic(cycle(4), complete(4))
     # weights distinguish otherwise identical graphs
     assert not is_isomorphic(edgeless(1, [2]), edgeless(1, [1]))
+    assert canonical_graph(Multigraph(0)) == Multigraph(0)
     with pytest.raises(DomainError):
         canonical_graph(edgeless(13))
 

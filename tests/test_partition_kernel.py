@@ -20,7 +20,13 @@ from hypothesis import strategies as st
 from tuttekit import invariants
 from tuttekit.combinatorics import DomainError, TPoly, enumerate_set_partitions, lambda_of
 from tuttekit.graphs import Multigraph, cycle, edgeless, internal_edge_count
-from tuttekit.invariants import DELCON_MEMO_CAP, chromatic_sym, tutte_sym, tutte_sym_delcon
+from tuttekit.invariants import (
+    DELCON_MEMO_CAP,
+    chromatic_sym,
+    chromatic_sym_delcon,
+    tutte_sym,
+    tutte_sym_delcon,
+)
 from tuttekit.kernel import (
     GraphCombination,
     b_value,
@@ -192,6 +198,14 @@ def test_tutte_sym_matches_stanley_p_expansion(G):
     assert m_to_p(mtilde_to_m(tutte_sym(G))) == stanley_p_expansion(G)
 
 
+@settings(max_examples=80, deadline=None)
+@given(multigraphs())
+def test_p_expansion_of_xb_has_int_coefficients_only(G):
+    # Stanley's p-expansion is integral, and m_to_p keeps whole quotients ints
+    p = m_to_p(mtilde_to_m(tutte_sym(G)))
+    assert all(type(x) is int for c in p.terms.values() for x in c.terms.values())
+
+
 @settings(max_examples=60, deadline=None)
 @given(multigraphs())
 def test_x_is_xb_at_t_minus_one_through_the_stable_walk(G):
@@ -232,3 +246,14 @@ def test_delcon_memo_evicts_least_recently_used(monkeypatch):
     for G in graphs:
         assert tutte_sym_delcon(G) == tutte_sym(G)
     assert len(memo) == 3
+
+
+def test_delcon_values_share_no_dict_with_the_memo(monkeypatch):
+    monkeypatch.setattr(invariants, "_delcon_memo", {})
+    G = Multigraph(4, [(1, 2), (1, 2), (2, 3), (3, 4), (1, 4)], [2, 1, 1, 3])
+    values = [tutte_sym_delcon(G), chromatic_sym_delcon(G)]
+    stored = {id(d) for value in invariants._delcon_memo.values() for d in (value, *value.values())}
+    assert all(id(c.terms) not in stored for f in values for c in f.terms.values())
+    assert values == [tutte_sym(G), chromatic_sym(G)]
+    # a second call is served from the memo and still hands out fresh dicts
+    assert tutte_sym_delcon(G) == values[0] and tutte_sym_delcon(G).terms is not values[0].terms

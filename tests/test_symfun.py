@@ -267,7 +267,8 @@ def reference_m_to_p(f):
     while rest:
         mu = min(rest)
         lead = augmentation_factor(mu)
-        c = rest[mu] if lead == 1 else rest[mu] * Fraction(1, lead)
+        # a whole quotient of an int stays an int, any other is a Fraction
+        c = TPoly([x // lead if type(x) is int and not x % lead else Fraction(x, lead) for x in rest[mu].coeffs])
         out.append((mu, c))
         merge_terms(rest, ((nu, c * -k) for nu, k in _p_in_m(mu)))
     return SymFunc("p", out)
