@@ -281,8 +281,6 @@ def sorted_partition(parts: Iterable[int]) -> tuple[int, ...]:
 # A set partition of [n] is a tuple of blocks; each block is an ascending
 # tuple of vertices and blocks are ordered by their minimum element.
 
-SetPartition = tuple  # alias for readability in signatures
-
 
 def enumerate_set_partitions(
     n: int,

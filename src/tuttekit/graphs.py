@@ -24,6 +24,9 @@ from tuttekit.combinatorics import (
     sorted_partition,
 )
 
+# the largest vertex count a graph, digraph or combination read from outside may have
+MAX_VERTICES = 100_000
+
 
 def endpoints(e: Sequence[int], n: int, what: str = "edge") -> tuple[int, int]:
     """(u, v) of an edge or arc on [n], as given; DomainError unless two integers in [n]."""
@@ -37,12 +40,22 @@ def endpoints(e: Sequence[int], n: int, what: str = "edge") -> tuple[int, int]:
     return u, v
 
 
-def _vertex_data(n: int, weights: Sequence[int] | None) -> tuple[int, tuple[int, ...]]:
-    """(n, weights) of a graph or digraph on [n] read from outside; unit
-    weights when None, DomainError unless n >= 0 and n positive integers."""
+def vertex_count(n: int) -> int:
+    """The vertex count n read from outside; DomainError unless an integer
+    in 0..MAX_VERTICES."""
     n = as_int(n, "vertex count")
     if n < 0:
         raise DomainError("vertex count must be nonnegative")
+    if n > MAX_VERTICES:
+        raise DomainError(f"vertex count {n} is over the limit of {MAX_VERTICES}")
+    return n
+
+
+def _vertex_data(n: int, weights: Sequence[int] | None) -> tuple[int, tuple[int, ...]]:
+    """(n, weights) of a graph or digraph on [n] read from outside; unit
+    weights when None, DomainError unless `vertex_count(n)` accepts n and
+    there are n positive integer weights."""
+    n = vertex_count(n)
     if weights is None:
         return n, (1,) * n
     ws = tuple(as_int(w, "vertex weight") for w in weights)

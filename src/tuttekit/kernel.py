@@ -36,6 +36,7 @@ from tuttekit.combinatorics import (
     subsets_by_size,
 )
 from tuttekit.graphs import (
+    MAX_VERTICES,
     Multigraph,
     _components_of,
     _dull_triple,
@@ -58,9 +59,10 @@ from tuttekit.graphs import (
     simple_graph,
     star_forest_shape,
     two_edge_connected,
+    vertex_count,
 )
 from tuttekit.invariants import tutte_sym
-from tuttekit.lincomb import LinComb
+from tuttekit.lincomb import LinComb, merge_terms
 from tuttekit.symfun import SymFunc
 
 _T = TPoly.t()
@@ -81,7 +83,7 @@ class GraphCombination(LinComb):
     _order = staticmethod(Multigraph.key)
 
     def __init__(self, n: int, terms: Iterable[tuple[Multigraph, TPoly]] | dict = ()):
-        object.__setattr__(self, "n", as_int(n, "vertex count"))
+        object.__setattr__(self, "n", vertex_count(n))
         super().__init__(terms)
 
     def _key(self, g: Multigraph) -> Multigraph:
@@ -147,25 +149,10 @@ class StandardForm:
         """(lambda, k, c) rows for star-forest supported forms."""
         return [(star_forest_shape(g), k, c) for c, k, g in self.terms]
 
-    def to_json_obj(self) -> dict:
-        return {
-            "n": self.n,
-            "terms": [
-                {"c": format_rational(c), "k": k, "graph": graph_to_json_obj(g)}
-                for c, k, g in self.terms
-            ],
-        }
-
 
 def standard_form(L: GraphCombination) -> StandardForm:
     """Expand every TPoly coefficient into exact (1+t)-powers."""
-    rows: list[tuple[Fraction, int, Multigraph]] = []
-    for g, coeff in L.terms.items():
-        for k, c in enumerate(coeff.onep_t_powers()):
-            if c != 0:
-                rows.append((c, k, g))
-    rows.sort(key=lambda r: (r[2].key(), r[1]))
-    return StandardForm(L.n, tuple(rows))
+    return _standard_form(L.n, _packed(L))
 
 
 #### friendliness ##############################################################
@@ -210,11 +197,9 @@ def is_tutte_friendly(
     once; at pi a term with e internal edges shifts its powers up by e.
     """
     check_bound(L.n, DEFAULT_ENUMERATION_BOUND, max_n, "friendliness scan")
-    graphs = list(L.terms)
-    powers = [
-        [(k, c) for k, c in enumerate(L.terms[g].onep_t_powers()) if c != 0] for g in graphs
-    ]
-    for pi, counts in enumerate_set_partitions(L.n, edge_sets=[g.edges for g in graphs]):
+    packed = _packed(L)
+    powers = [[(k, c) for k, c in enumerate(cs) if c != 0] for cs in packed.values()]
+    for pi, counts in enumerate_set_partitions(L.n, edge_sets=list(packed)):
         b: dict[int, Fraction | int] = {}
         for p, e in zip(powers, counts):
             for k, c in p:
@@ -310,6 +295,10 @@ def ell_iso(G: Multigraph, sigma: Sequence[int]) -> GraphCombination:
 
 #### extension and witness #####################################################
 
+# witness_graph refuses a host with more edges than this
+MAX_WITNESS_EDGES = 1_000_000
+
+
 def extend(L: GraphCombination, G: Multigraph) -> GraphCombination:
     """Overlay every term of L on the host graph G (multiset edge union)."""
     if G.n < L.n:
@@ -325,8 +314,7 @@ def extend(L: GraphCombination, G: Multigraph) -> GraphCombination:
     )
 
 
-def _witness_M(L: GraphCombination, blocks) -> int:
-    sf = standard_form(L)
+def _witness_M(sf: StandardForm, blocks) -> int:
     worst = max(k + internal_edge_count(g, blocks) for _, k, g in sf.terms)
     return len(blocks) * (1 + worst)
 
@@ -338,7 +326,9 @@ def witness_graph(L: GraphCombination, blocks: Iterable[Iterable[int]], a: int |
     to every other block and to every other cloud; clouds are independent
     sets and the original vertices keep their edges only through the
     extension terms.  Requires B(L; pi) nonzero, with a (optional) pointing
-    at a nonzero (1+t)-power of it.
+    at a nonzero (1+t)-power of it.  A witness of more than
+    `graphs.MAX_VERTICES` vertices or `MAX_WITNESS_EDGES` edges is refused
+    before it is built.
     """
     blocks = normalize_blocks(L.n, blocks)
     b = b_value(L, blocks)
@@ -351,7 +341,13 @@ def witness_graph(L: GraphCombination, blocks: Iterable[Iterable[int]], a: int |
         raise DomainError(f"(1+t)^{a} has zero coefficient in B(L; pi)")
     n0 = L.n
     l = len(blocks)
-    M = _witness_M(L, blocks)
+    M = _witness_M(standard_form(L), blocks)
+    size, edge_count = n0 + l * M, (l - 1) * n0 * M + l * (l - 1) // 2 * M * M
+    if size > MAX_VERTICES or edge_count > MAX_WITNESS_EDGES:
+        raise DomainError(
+            f"witness too large ({size} vertices, {edge_count} edges; "
+            f"limits {MAX_VERTICES} and {MAX_WITNESS_EDGES})"
+        )
     cloud = [range(n0 + i * M + 1, n0 + (i + 1) * M + 1) for i in range(l)]
     edges: list[tuple[int, int]] = []
     for i in range(l):
@@ -360,7 +356,7 @@ def witness_graph(L: GraphCombination, blocks: Iterable[Iterable[int]], a: int |
                 edges += [(u, v) for u in cloud[i] for v in blocks[j]]
         for j in range(i + 1, l):
             edges += [(u, v) for u in cloud[i] for v in cloud[j]]
-    return Multigraph(n0 + l * M, edges)
+    return Multigraph(size, edges)
 
 
 def witness_mtilde_coefficient(
@@ -368,85 +364,56 @@ def witness_mtilde_coefficient(
 ) -> TPoly:
     """Coefficient of m~_(lambda*) in XB(extend(L, witness_graph(L, pi))).
 
-    lambda* has one part |block| + M per block of pi.  Computed exactly by
-    summing over assignments of base vertices to blocks of the target
-    partition and distributions of each cloud across those blocks, without
-    ever enumerating partitions of the witness's vertex set.  The budget
-    caps the number of enumeration nodes.
+    lambda* has one part |B_b| + M per block B_b of pi; a set partition of
+    that type fills slot b, of size |B_b| + M, with base vertices and part
+    of every cloud.  An assignment phi of the base vertices to slots fixes
+    each term's edges inside slots and the count a[b][j] of B_j's vertices
+    in slot b; the assignments with one matrix a share one pass over the
+    clouds, whose state maps the room left in the slots to a polynomial
+    {host edges inside slots: ways}.  Nothing enumerates partitions of the
+    witness's vertex set.  The budget caps the estimated enumeration nodes.
     """
     blocks = normalize_blocks(L.n, blocks)
     sf = standard_form(L)
     n0, l = L.n, len(blocks)
-    M = _witness_M(L, blocks)
+    M = _witness_M(sf, blocks)
     sizes = [len(b) + M for b in blocks]
     blk = block_index_map(blocks)
     est = (l ** n0) * (multinomial([M, l - 1]) ** l if l > 1 else 1)
     if est > budget:
         raise DomainError(f"witness coefficient enumeration too large ({est} nodes)")
-    terms = list(sf.terms)
-    powers: dict[int, Fraction | int] = {}
-
+    # matrix a -> {(1+t)-power of the base edges inside slots: coefficient}
+    by_matrix: dict[tuple, dict[int, Fraction | int]] = {}
     for phi in iproduct(range(l), repeat=n0):
-        caps = list(sizes)
-        ok = True
-        for b in phi:
-            caps[b] -= 1
-            if caps[b] < 0:
-                ok = False
-                break
-        if not ok:
-            continue
-        base_in_slot = [0] * l  # base vertices assigned to slot b
-        a_bj = [[0] * l for _ in range(l)]  # from original block j into slot b
-        for v in range(1, n0 + 1):
-            b = phi[v - 1]
-            base_in_slot[b] += 1
-            a_bj[b][blk[v]] += 1
-        e_base = [
-            sum(1 for u, v in g.edges if phi[u - 1] == phi[v - 1]) for _, _, g in terms
-        ]
-
-        # distribute cloud j = 0..l-1 over slots; cloudtot tracks per-slot
-        # cloud occupancy so far for the cross-cloud internal count
-        def rec(j: int, caps_left: list[int], cloudtot: list[int], weight: int, shared: int):
-            if j == l:
-                if any(caps_left):
-                    return
-                for idx, (c, k, _) in enumerate(terms):
-                    key = k + e_base[idx] + shared
-                    powers[key] = powers.get(key, 0) + c * weight
-                return
-
-            def cols(b: int, left: int, vec: list[int]):
-                if b == l - 1:
-                    if left <= caps_left[b]:
-                        vec.append(left)
-                        place(vec)
-                        vec.pop()
-                    return
-                for take in range(min(left, caps_left[b]) + 1):
-                    vec.append(take)
-                    cols(b + 1, left - take, vec)
-                    vec.pop()
-
-            def place(vec: list[int]):
-                add_shared = 0
-                for b in range(l):
-                    if vec[b]:
-                        add_shared += vec[b] * cloudtot[b]
-                        add_shared += vec[b] * (base_in_slot[b] - a_bj[b][j])
-                new_caps = [caps_left[b] - vec[b] for b in range(l)]
-                new_tot = [cloudtot[b] + vec[b] for b in range(l)]
-                rec(j + 1, new_caps, new_tot, weight * multinomial(vec), shared + add_shared)
-
-            cols(0, M, [])
-
-        rec(0, caps, [0] * l, 1, 0)
+        a = [[0] * l for _ in range(l)]
+        for v, b in enumerate(phi, 1):
+            a[b][blk[v]] += 1
+        if all(sum(row) <= size for row, size in zip(a, sizes)):
+            merge_terms(by_matrix.setdefault(tuple(map(tuple, a)), {}), (
+                (k + sum(1 for u, v in g.edges if phi[u - 1] == phi[v - 1]), c) for c, k, g in sf.terms
+            ))
+    powers: dict[int, Fraction | int] = {}
+    for a, base in by_matrix.items():
+        # room left in each slot -> {(1+t)-power: coefficient times ways}
+        state = {tuple(size - sum(row) for row, size in zip(a, sizes)): base}
+        for j in range(l):
+            after: dict[tuple, dict[int, Fraction | int]] = {}
+            for room, poly in state.items():
+                for head in iproduct(*(range(min(M, r) + 1) for r in room[:-1])):
+                    vec = head + (M - sum(head),)
+                    if 0 <= vec[-1] <= room[-1]:
+                        # sizes[b] - room[b] vertices already fill slot b
+                        shared = sum(x * (size - r - row[j]) for x, size, r, row in zip(vec, sizes, room, a))
+                        ways = multinomial(vec)
+                        acc = after.setdefault(tuple(r - x for r, x in zip(room, vec)), {})
+                        merge_terms(acc, ((e + shared, c * ways) for e, c in poly.items()))
+            state = after
+        # every cloud is placed, so the one room left is all zero
+        for poly in state.values():
+            merge_terms(powers, poly.items())
 
     aug = augmentation_factor(sizes)
-    if not powers:
-        return TPoly.zero()
-    arr = [0] * (max(powers) + 1)
+    arr = [0] * (max(powers, default=-1) + 1)
     for k, c in powers.items():
         arr[k] = Fraction(c, aug)
     return TPoly.from_onep_t_powers(arr)
@@ -468,16 +435,10 @@ class ReductionStep:
 
     def to_json_obj(self) -> dict:
         out: dict = {"gen": self.gen, "graph": graph_to_json_obj(self.graph)}
-        if self.vertex is not None:
-            out["vertex"] = self.vertex
-        if self.pair is not None:
-            out["pair"] = list(self.pair)
-        if self.triple is not None:
-            out["triple"] = list(self.triple)
-        if self.case is not None:
-            out["case"] = self.case
-        if self.perm is not None:
-            out["perm"] = list(self.perm)
+        for name in ("vertex", "pair", "triple", "case", "perm"):
+            value = getattr(self, name)
+            if value is not None:
+                out[name] = list(value) if isinstance(value, tuple) else value
         return out
 
 
@@ -527,37 +488,33 @@ def _packed(L: GraphCombination) -> dict[tuple, tuple]:
     return {g.edges: c.onep_t_powers() for g, c in L.terms.items()}
 
 
-def _unpacked(n: int, terms: dict[tuple, tuple]) -> GraphCombination:
-    return GraphCombination(
-        n, [(Multigraph._unchecked(n, h), TPoly.from_onep_t_powers(c)) for h, c in terms.items()]
-    )
+def _standard_form(n: int, terms: dict[tuple, tuple]) -> StandardForm:
+    """Packed terms as a StandardForm, rows sorted by edges and then k."""
+    return StandardForm(n, tuple(
+        (c, k, Multigraph._unchecked(n, h)) for h in sorted(terms) for k, c in enumerate(terms[h]) if c
+    ))
 
 
-def _times(c: tuple, m: tuple) -> tuple:
-    """Product of two nonzero coefficient tuples."""
-    if m == _PLUS:
-        return c
-    if m == _MINUS:
-        return tuple(-x for x in c)
-    out = [0] * (len(c) + len(m) - 1)
-    for i, x in enumerate(c):
-        for j, y in enumerate(m):
-            out[i + j] += x * y
-    return tuple(out)
-
-
-def _merge_packed(terms: dict[tuple, tuple], items: Iterable[tuple[tuple, tuple]]) -> None:
-    """Add (edges, coefficient) pairs into terms in place, dropping every zero sum."""
-    for h, c in items:
+def _merge_packed(terms: dict[tuple, tuple], c: tuple, products: Iterable[tuple[tuple, tuple]]) -> None:
+    """terms[h] += c * m for each (edges h, multiplier m) in products, in
+    place, dropping every zero sum; c and m are nonzero coefficient tuples."""
+    for h, m in products:
         old = terms.get(h)
-        if old is None:
+        if old is None and m == _PLUS:
             terms[h] = c
             continue
-        if len(old) < len(c):
-            old, c = c, old
-        s = list(old)
-        for i, x in enumerate(c):
-            s[i] += x
+        s = list(old or ())
+        s += [0] * (len(c) + len(m) - 1 - len(s))
+        if m == _PLUS:
+            for i, x in enumerate(c):
+                s[i] += x
+        elif m == _MINUS:
+            for i, x in enumerate(c):
+                s[i] -= x
+        else:
+            for i, x in enumerate(c):
+                for j, y in enumerate(m):
+                    s[i + j] += x * y
         while s and not s[-1]:
             s.pop()
         if s:
@@ -566,57 +523,51 @@ def _merge_packed(terms: dict[tuple, tuple], items: Iterable[tuple[tuple, tuple]
             del terms[h]
 
 
-def _with(edges: tuple, *extra: tuple[int, int]) -> tuple:
-    return tuple(sorted(edges + extra))
-
-
-def _step_products(step: ReductionStep) -> list[tuple[tuple, tuple]]:
-    """Edge tuples (with multipliers) of the graphs that replace the step's term.
-
-    Subtracting coefficient c times the generator extension turns the term
-    c*H into the sum of c*multiplier over these products; a multiplier is
-    a coefficient tuple in powers of (1+t).
-    """
-    g = step.graph.edges
-    if step.gen == "loop":
-        v = step.vertex
-        return [(_without(g, [(v, v)]), _ONEP_T)]
-    if step.gen == "multi":
-        e = _pair(*step.pair)
-        once = _without(g, [e])
-        return [(once, _T_PLUS_2), (_without(once, [e]), _MINUS_ONEP_T)]
-    if step.gen == "os_plus":
-        a, b, c = step.triple
-        ab, ac, bc = _pair(a, b), _pair(a, c), _pair(b, c)
-        if step.case == 2:
-            base, first = _without(g, (ab, bc)), ac
-        else:
-            # cases 1 and 3 share the 1<->2 frame swap; in case 3 the edge bc
-            # is still present in the base, so the first product doubles it
-            base, first = _without(g, (ab, ac)), bc
-        return [(_with(base, first), _MINUS), (_with(base, ac, bc), _PLUS), (_with(base, ab), _PLUS)]
-    if step.gen == "iso":
-        return [(_relabelled(step.graph.n, g, step.perm), _PLUS)]
-    raise DomainError(f"unknown generator tag {step.gen!r}")
-
-
 def _apply_step(terms: dict[tuple, tuple], step: ReductionStep) -> list[tuple]:
     """Replace the step's term by its products in packed terms, in place;
-    return the products' edge tuples."""
-    c = terms.pop(step.graph.edges, None)
-    if c is None:
+    return the products' edge tuples.
+
+    Subtracting coefficient c times the generator extension turns the term
+    c*H into the sum of c*m*H' over the products (H', m), where the
+    multiplier m is a coefficient tuple in powers of (1+t).  Every product
+    of a rewrite other than a relabelling must come later than H in the
+    termination order; a RuntimeError reports one that does not.
+    """
+    g = step.graph.edges
+    coeff = terms.pop(g, None)
+    if coeff is None:
         return []
-    products = _step_products(step)
+    if step.gen == "loop":
+        v = step.vertex
+        products = [(_without(g, [(v, v)]), _ONEP_T)]
+    elif step.gen == "multi":
+        e = _pair(*step.pair)
+        once = _without(g, [e])
+        products = [(once, _T_PLUS_2), (_without(once, [e]), _MINUS_ONEP_T)]
+    elif step.gen == "os_plus":
+        a, b, c = step.triple
+        ab, ac, bc = _pair(a, b), _pair(a, c), _pair(b, c)
+        # case 2 (ac absent) drops ab and bc; cases 1 and 3 share the 1<->2
+        # frame swap and drop ab and ac; in case 3 the edge bc is still
+        # present in the base, so the first product doubles it
+        first, dropped = (ac, bc) if ac not in g else (bc, ac)
+        base = _without(g, (ab, dropped))
+        products = [
+            (tuple(sorted(base + extra)), m) for extra, m in (((first,), _MINUS), ((ac, bc), _PLUS), ((ab,), _PLUS))
+        ]
+    elif step.gen == "iso":
+        products = [(_relabelled(step.graph.n, g, step.perm), _PLUS)]
+    else:
+        raise DomainError(f"unknown generator tag {step.gen!r}")
     if step.gen != "iso":
-        size = len(step.graph.edges)
         for h, _ in products:
             # fewer edges come later in the order; otherwise compare keys
-            if len(h) >= size and right_endpoint_key(h) <= right_endpoint_key(step.graph.edges):
+            if len(h) >= len(g) and right_endpoint_key(h) <= right_endpoint_key(g):
                 raise RuntimeError(
                     f"internal fault: {step.gen} rewrite of {step.graph!r} "
                     f"failed to increase the order at {Multigraph._unchecked(step.graph.n, h)!r}"
                 )
-    _merge_packed(terms, ((h, _times(c, m)) for h, m in products))
+    _merge_packed(terms, coeff, products)
     return [h for h, _ in products]
 
 
@@ -704,16 +655,13 @@ def reduce_to_star_forests(
             if record(ReductionStep("iso", g, perm=perm)) != [_star_forest(lam).edges]:
                 raise RuntimeError(f"internal fault: canonical map {perm} does not carry {g!r} onto R{list(lam)}")
 
-    rows = []
     for h in sorted(terms):
-        R = _star_forest(sorted_partition(map(len, _components_of(n, h))))
-        if h != R.edges:
+        if h != _star_forest(sorted_partition(map(len, _components_of(n, h)))).edges:
             raise RuntimeError(
                 f"internal fault: reduction left {Multigraph._unchecked(n, h)!r}, "
                 "not a canonical star forest"
             )
-        rows += [(c, k, R) for k, c in enumerate(terms[h]) if c]
-    result = StandardForm(n, tuple(rows))
+    result = _standard_form(n, terms)
     return result, ReductionCertificate(tuple(steps), result)
 
 
@@ -727,7 +675,7 @@ def replay_certificate(L: GraphCombination, cert: ReductionCertificate) -> Graph
     for step in cert.steps:
         if step.graph.n == L.n and step.graph.unit_weights():
             _apply_step(terms, step)
-    return _unpacked(L.n, terms)
+    return _standard_form(L.n, terms).to_combination()
 
 
 def kernel_membership(L: GraphCombination, max_n: int | None = None) -> bool:
@@ -808,8 +756,7 @@ def cycle_relation(G: Multigraph, cycle_edges: Sequence[Sequence[int]], i: int, 
             raise DomainError("cycle edges cannot be loops")
         degs[u] = degs.get(u, 0) + 1
         degs[v] = degs.get(v, 0) + 1
-    support = [v for v, d in degs.items() if d]
-    if len(support) != m or any(degs[v] != 2 for v in support):
+    if len(degs) != m or any(d != 2 for d in degs.values()):
         raise DomainError("listed edges do not form a simple cycle")
     if len([cc for cc in connected_components(C) if len(cc) > 1]) != 1:
         raise DomainError("listed edges do not form a single cycle")
@@ -905,20 +852,13 @@ def is_tutte_reducible(L: GraphCombination, max_n: int | None = None) -> bool:
     ok, _, _ = is_tutte_friendly(L, max_n)
     if not ok:
         raise DomainError("Tutte-reducibility is defined for friendly combinations")
-    graphs = list(L.terms)
-    if not graphs:
+    mults = [g.multiplicities() for g in L.terms]
+    if not mults:
         return True
-    for v in range(1, L.n + 1):
-        profiles = set()
-        for g in graphs:
-            mult = g.multiplicities()
-            row = tuple(
-                mult.get((min(v, w), max(v, w)), 0) for w in range(1, L.n + 1)
-            )
-            profiles.add(row)
-        if len(profiles) == 1:
-            return True
-    return False
+    return any(
+        len({tuple(m.get(_pair(v, w), 0) for w in range(1, L.n + 1)) for m in mults}) == 1
+        for v in range(1, L.n + 1)
+    )
 
 
 def broom_relation(n: int, k: int, max_n: int | None = None) -> GraphCombination:

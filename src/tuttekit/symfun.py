@@ -74,9 +74,6 @@ class SymFunc(LinComb):
     def coefficient(self, lam: Sequence[int]) -> TPoly:
         return self.terms.get(sorted_partition(lam) if lam else (), TPoly.zero())
 
-    def max_degree(self) -> int:
-        return max((sum(lam) for lam in self.terms), default=0)
-
     def __repr__(self) -> str:
         if not self.terms:
             return f"SymFunc({self.basis}, 0)"

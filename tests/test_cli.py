@@ -12,7 +12,7 @@ import pytest
 import tuttekit
 from tuttekit import selfcheck
 from tuttekit.cli import main
-from tuttekit.graphs import complete, cycle, edgeless, graph_to_json_obj, path
+from tuttekit.graphs import MAX_VERTICES, complete, cycle, edgeless, graph_to_json_obj, path
 from tuttekit.invariants import tutte_sym
 from tuttekit.kernel import (
     GraphCombination,
@@ -323,6 +323,13 @@ def _hostile_file(tmp_path, name, data: bytes) -> str:
 HUGE = "9" * 20
 
 
+def _one_term(n):
+    return {"n": n, "terms": [{"coeff": ["1"], "graph": {"n": n, "edges": []}}]}
+
+
+_T2000 = {"n": 2, "terms": [{"coeff": ["0"] * 2000 + ["1"], "graph": {"n": 2, "edges": [[1, 2]]}}]}
+
+
 # (id, argv of tmp_path and a graph file, exit code); exit 1 must print one
 # "error: " line, exit 0 the answer 0
 HOSTILE = [
@@ -332,6 +339,14 @@ HOSTILE = [
     ("output-is-a-dir", lambda tmp, g: ["xb", g, "--output", str(tmp)], 1),
     ("sigma-huge-k", lambda tmp, g: ["sigma", g, "--k", HUGE, "--l", "1"], 0),
     ("sigma-huge-l", lambda tmp, g: ["sigma", g, "--k", "1", "--l", HUGE], 0),
+    ("xb-n-2**70", lambda tmp, g: ["xb", write_json(tmp, "n.json", {"n": 2**70, "edges": []})], 1),
+    ("friendly-n-2**70", lambda tmp, g: ["friendly", write_json(tmp, "l.json", _one_term(2**70))], 1),
+    ("quasi-tq-n-2**70", lambda tmp, g: ["quasi", "tq", write_json(tmp, "d.json", {"n": 2**70, "arcs": []})], 1),
+    ("xb-n-over-cap", lambda tmp, g: ["xb", write_json(tmp, "n.json", {"n": MAX_VERTICES + 1, "edges": []})], 1),
+    ("witness-no-terms-n-over-cap", lambda tmp, g: [
+        "witness", write_json(tmp, "l.json", {"n": MAX_VERTICES + 1, "terms": []}), "--pi", "1"], 1),
+    # B(L; 1|2) = t^2000, so M = 4,002 and the witness would have 16 million edges
+    ("witness-t^2000", lambda tmp, g: ["witness", write_json(tmp, "w.json", _T2000), "--pi", "1|2"], 1),
 ]
 
 

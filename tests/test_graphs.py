@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from tuttekit.combinatorics import DomainError, normalize_blocks
 from tuttekit.graphs import (
+    MAX_VERTICES,
     Multigraph,
     acyclic_orientations,
     broom,
@@ -54,6 +55,14 @@ def test_constructor_normalizes_and_validates():
         Multigraph(2, [], weights=[1, 0])
     with pytest.raises(DomainError):
         Multigraph(2, [], weights=[1])
+
+
+def test_vertex_count_is_capped_before_anything_is_built():
+    for make in (Multigraph, Digraph):
+        for n in (MAX_VERTICES + 1, 2**70):
+            with pytest.raises(DomainError, match="over the limit"):
+                make(n)
+    assert Multigraph(MAX_VERTICES).n == MAX_VERTICES
 
 
 def test_records_are_their_own_copies():

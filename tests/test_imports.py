@@ -74,3 +74,16 @@ def test_every_private_top_level_helper_is_referenced_elsewhere_in_src():
         if not any(name in used for stmt, used in uses if stmt is not node)
     ]
     assert not orphans, f"private helpers nobody in src/tuttekit calls: {orphans}"
+
+
+def test_selfcheck_imports_public_names_only():
+    # the suites check the library from outside, through what it exports
+    path = Path(tuttekit.__file__).resolve().parent / "selfcheck.py"
+    private = [
+        f"{node.module}.{alias.name} (line {node.lineno})"
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("tuttekit")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert not private, f"selfcheck.py imports private names: {private}"

@@ -1,13 +1,15 @@
 """Graph combinations, friendliness, witnesses, reduction, named relations."""
 
 from fractions import Fraction
+from itertools import combinations, combinations_with_replacement, product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tuttekit.combinatorics import DomainError, TPoly, partitions_of
+from tuttekit.combinatorics import DomainError, TPoly, enumerate_set_partitions, partitions_of
 from tuttekit.graphs import (
+    MAX_VERTICES,
     Multigraph,
     complete,
     cycle,
@@ -18,13 +20,13 @@ from tuttekit.graphs import (
     star,
     star_forest_canonical_map,
 )
+from tuttekit.invariants import tutte_sym
 from tuttekit.kernel import (
     GraphCombination,
     ReductionCertificate,
     ReductionStep,
     _apply_step,
     _packed,
-    _unpacked,
     broom_relation,
     b_value,
     c_value,
@@ -186,6 +188,62 @@ def test_witness_validation():
         witness_mtilde_coefficient(combo(2, (complete(2), 1)), [[1], [2]], budget=10)
 
 
+def _witness_corpus():
+    """Every combination of one or two distinct graphs on [2] or [3] with at
+    most two edges, loops and doubled edges included, and coefficients
+    1, -1, 2 and 1+t."""
+    coeffs = [ONE, -ONE, 2 * ONE, ONE + T]
+    for n in (2, 3):
+        slots = [(u, v) for u in range(1, n + 1) for v in range(u, n + 1)]
+        gs = [Multigraph(n, es) for k in range(3) for es in combinations_with_replacement(slots, k)]
+        for g in gs:
+            for c in coeffs:
+                yield GraphCombination(n, [(g, c)])
+        for g, h in combinations(gs, 2):
+            for c, d in product(coeffs, repeat=2):
+                yield GraphCombination(n, [(g, c), (h, d)])
+
+
+def test_witness_coefficient_matches_xb_of_the_extension():
+    """At every partition where B(L; pi) is nonzero and the witness has at
+    most 8 vertices, the counted coefficient equals the m~_lambda* coefficient
+    of the extension's XB, evaluated term by term."""
+    xb = {}
+    checked = 0
+    for L in _witness_corpus():
+        for pi in enumerate_set_partitions(L.n):
+            if b_value(L, pi).is_zero():
+                continue
+            W = witness_graph(L, pi)
+            if W.n > 8:
+                continue
+            M = (W.n - L.n) // len(pi)
+            lam_star = tuple(sorted((len(b) + M for b in pi), reverse=True))
+            want = TPoly.zero()
+            for g, c in extend(L, W).terms.items():
+                if (g, lam_star) not in xb:
+                    xb[g, lam_star] = tutte_sym(g).coefficient(lam_star)
+                want = want + c * xb[g, lam_star]
+            assert witness_mtilde_coefficient(L, pi) == want, (L, pi)
+            checked += 1
+    assert checked == 6680
+
+
+def test_combination_vertex_count_is_checked():
+    for n in (-1, MAX_VERTICES + 1, 2**70):
+        with pytest.raises(DomainError, match="vertex count"):
+            GraphCombination(n)
+    assert GraphCombination(MAX_VERTICES).is_zero()
+
+
+def test_witness_graph_refuses_a_huge_host():
+    # B(L; 1|2) = t^2000 makes M = 4,002: 16,024,008 edges
+    L = combo(2, (complete(2), TPoly([0] * 2000 + [1])))
+    with pytest.raises(DomainError, match="witness too large"):
+        witness_graph(L, [[1], [2]])
+    assert witness_graph(L, [[1, 2]]) == edgeless(2004)
+
+
 #### reduction #################################################################
 
 
@@ -308,7 +366,8 @@ def _reference_reduce(L):
             step = ReductionStep("iso", g, perm=perm)
             _apply_step(terms, step)
             steps.append(step)
-    return ReductionCertificate(tuple(steps), standard_form(_unpacked(L.n, terms)))
+    left = GraphCombination(L.n, [(Multigraph(L.n, h), TPoly.from_onep_t_powers(c)) for h, c in terms.items()])
+    return ReductionCertificate(tuple(steps), standard_form(left))
 
 
 @st.composite
