@@ -8,6 +8,7 @@ command prints a short human-readable summary.  All numbers are exact.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -141,18 +142,10 @@ def _basis_view(f: SymFunc, basis: str) -> SymFunc:
     return m_to_p(m)
 
 
-#### subcommand handlers #######################################################
+#### subcommands ###############################################################
 
 # each route table is flat, so that a tracer can rebind its functions
 _X_ROUTES = {"def": chromatic_sym, "delcon": chromatic_sym_delcon}
-
-
-def _cmd_x(args) -> int:
-    G = graph_from_json_obj(_load(args.graph))
-    f = _basis_view(_X_ROUTES[args.route](G), args.basis)
-    _emit(f.to_json_obj(), _symfunc_text(f), args.output)
-    return 0
-
 
 _XB_ROUTES = {
     "def": tutte_sym,
@@ -161,76 +154,65 @@ _XB_ROUTES = {
     "connparts": tutte_from_connected_partitions,
 }
 
+_TQ_ROUTES = {"def": tq, "connparts": tq_from_connected_partitions, "subsets": tq_from_arc_subsets}
 
-def _cmd_xb(args) -> int:
-    G = graph_from_json_obj(_load(args.graph))
-    f = _XB_ROUTES[args.route](G)
+# input kind -> reader of its JSON object; each kind is also its argument's name
+_READERS = {
+    "graph": graph_from_json_obj,
+    "combination": GraphCombination.from_json_obj,
+    "digraph": digraph_from_json_obj,
+}
+
+
+def _symfunc_out(f: SymFunc, args) -> tuple[dict, str]:
+    # x and xb: the basis view first, then xb's --t-eval
     f = _basis_view(f, args.basis)
-    if args.t_eval is not None:
+    if getattr(args, "t_eval", None) is not None:
         f = specialize_t(f, args.t_eval)
-    _emit(f.to_json_obj(), _symfunc_text(f), args.output)
-    return 0
+    return f.to_json_obj(), _symfunc_text(f)
 
 
-def _cmd_sigma(args) -> int:
-    G = graph_from_json_obj(_load(args.graph))
-    value = sigma_l_formula(G, args.k, args.l)
-    obj = {"k": args.k, "l": args.l, "value": format_rational(value)}
-    _emit(obj, f"sigma_{args.l} of [(1+t)^{args.k}] XB = {format_rational(value)}", args.output)
-    return 0
+def _sigma(G, args) -> tuple[dict, str]:
+    value = format_rational(sigma_l_formula(G, args.k, args.l))
+    return {"k": args.k, "l": args.l, "value": value}, f"sigma_{args.l} of [(1+t)^{args.k}] XB = {value}"
 
 
-def _cmd_friendly(args) -> int:
-    L = GraphCombination.from_json_obj(_load(args.combination))
+def _friendly(L, args) -> tuple[dict, str]:
     ok, pi, a = is_tutte_friendly(L)
     obj = {"friendly": ok}
     if not ok:
         obj["pi"] = [list(b) for b in pi]
         obj["a"] = a
-    text = "friendly" if ok else f"not friendly: B nonzero at pi={obj['pi']} (least power a={a})"
-    _emit(obj, text, args.output)
-    return 0
+    return obj, "friendly" if ok else f"not friendly: B nonzero at pi={obj['pi']} (least power a={a})"
 
 
-def _cmd_xfriendly(args) -> int:
-    L = GraphCombination.from_json_obj(_load(args.combination))
+def _xfriendly(L, args) -> tuple[dict, str]:
     ok, pi = is_x_friendly(L)
     obj = {"xfriendly": ok}
     if not ok:
         obj["pi"] = [list(b) for b in pi]
-    text = "X-friendly" if ok else f"not X-friendly: C nonzero at pi={obj['pi']}"
-    _emit(obj, text, args.output)
-    return 0
+    return obj, "X-friendly" if ok else f"not X-friendly: C nonzero at pi={obj['pi']}"
 
 
-def _cmd_witness(args) -> int:
-    L = GraphCombination.from_json_obj(_load(args.combination))
-    blocks = _parse_blocks(args.pi)
-    W = witness_graph(L, blocks, args.a)
-    text = f"witness on [{W.n}] with {len(W.edges)} edges"
-    _emit(graph_to_json_obj(W), text, args.output)
-    return 0
+def _witness(L, args) -> tuple[dict, str]:
+    W = witness_graph(L, _parse_blocks(args.pi), args.a)
+    return graph_to_json_obj(W), f"witness on [{W.n}] with {len(W.edges)} edges"
 
 
-def _cmd_reduce(args) -> int:
-    L = GraphCombination.from_json_obj(_load(args.combination))
+def _reduce(L, args) -> tuple[dict, str]:
     result, cert = reduce_to_star_forests(L)
     obj = cert.to_json_obj()
-    obj = {"terms": obj["result"], "certificate": obj["steps"]}
     lines = [
         f"R{list(lam)} * (1+t)^{k} * {format_rational(c)}"
         for lam, k, c in result.shape_triples()
     ] or ["0"]
     lines.append(f"({len(cert.steps)} certificate steps)")
-    _emit(obj, "\n".join(lines), args.output)
-    return 0
+    return {"terms": obj["result"], "certificate": obj["steps"]}, "\n".join(lines)
 
 
-def _cmd_member(args) -> int:
-    L = GraphCombination.from_json_obj(_load(args.combination))
+def _member(L, args) -> tuple[dict, str]:
     verdict = kernel_membership(L)
-    _emit({"member": verdict}, "in the kernel of XB" if verdict else "not in the kernel of XB", args.output)
-    return 0
+    return {"member": verdict}, "in the kernel of XB" if verdict else "not in the kernel of XB"
 
 
 # relation kind -> (builder, the options it takes in order, their usage)
@@ -246,7 +228,7 @@ _RELATIONS = {
 }
 
 
-def _cmd_relation(args) -> int:
+def _relation(_, args) -> tuple[dict, str]:
     build, names, usage = _RELATIONS[args.kind]
     values = [getattr(args, name) for name in names]
     if None in values:
@@ -257,29 +239,20 @@ def _cmd_relation(args) -> int:
     lines = [
         f"{_tpoly_text(c)}  *  {g!r}" for g, c in L.sorted_terms()
     ] or ["0"]
-    _emit(L.to_json_obj(), "\n".join(lines), args.output)
-    return 0
+    return L.to_json_obj(), "\n".join(lines)
 
 
-def _cmd_classify_n4(args) -> int:
+def _classify_n4(_, args) -> tuple[dict, str]:
     families = classify_n4()
-    obj = {
-        "families": [[graph_to_json_obj(g) for g in fam] for fam in families]
-    }
     lines = []
     for i, fam in enumerate(families, 1):
         lines.append(f"family {i} ({len(fam)} graphs):")
         for g in fam:
             lines.append(f"  edges {sorted(g.edges)}")
-    _emit(obj, "\n".join(lines), args.output)
-    return 0
+    return {"families": [[graph_to_json_obj(g) for g in fam] for fam in families]}, "\n".join(lines)
 
 
-_TQ_ROUTES = {"def": tq, "connparts": tq_from_connected_partitions, "subsets": tq_from_arc_subsets}
-
-
-def _cmd_quasi(args) -> int:
-    D = digraph_from_json_obj(_load(args.digraph))
+def _quasi(D, args) -> tuple[dict, str]:
     N = args.vars if args.vars is not None else D.total_weight()
     if args.kind == "xq":
         if args.route != "def":
@@ -294,7 +267,56 @@ def _cmd_quasi(args) -> int:
             f"{format_rational(v)}*q^{a}*t^{b}" for (a, b), v in sorted(c.terms.items())
         )
         lines.append(f"{mono or '1'} : {qbits}")
-    _emit(F.to_json_obj(), "\n".join(lines) or "0", args.output)
+    return F.to_json_obj(), "\n".join(lines) or "0"
+
+
+# subcommand -> (help, input kind, its other arguments in order, run); run(value,
+# args) returns the JSON object and the text.  Runs reach library functions only
+# through module globals and the route tables, which a tracer can rebind.
+_COMMANDS = {
+    "x": ("chromatic symmetric function of a graph", "graph", (
+        ("--route", {"choices": tuple(_X_ROUTES), "default": "def"}),
+        ("--basis", {"choices": BASES, "default": "mtilde"}),
+    ), lambda G, args: _symfunc_out(_X_ROUTES[args.route](G), args)),
+    "xb": ("Tutte symmetric function of a graph", "graph", (
+        ("--route", {"choices": tuple(_XB_ROUTES), "default": "def"}),
+        ("--basis", {"choices": BASES, "default": "mtilde"}),
+        ("--t-eval", {"help": "evaluate t at this rational, e.g. -1 or 1/2"}),
+    ), lambda G, args: _symfunc_out(_XB_ROUTES[args.route](G), args)),
+    "sigma": ("signed acyclic-orientation count sigma_l of [(1+t)^k] XB", "graph", (
+        ("--k", {"type": int, "required": True}),
+        ("--l", {"type": int, "required": True}),
+    ), _sigma),
+    "friendly": ("Tutte-friendliness of a graph combination", "combination", (), _friendly),
+    "xfriendly": ("X-friendliness of a graph combination", "combination", (), _xfriendly),
+    "witness": ("cloud witness graph for a non-friendly combination", "combination", (
+        ("--pi", {"required": True, "help": "partition blocks, e.g. '1,2|3'"}),
+        ("--a", {"type": int, "help": "(1+t)-power to certify"}),
+    ), _witness),
+    "reduce": ("reduce a combination to canonical star forests", "combination", (), _reduce),
+    "member": ("kernel membership (reduction + direct check)", "combination", (), _member),
+    "relation": ("named kernel relations", None, (
+        ("kind", {"choices": tuple(_RELATIONS)}),
+        ("graph", {"nargs": "?", "help": "graph JSON file (cycle / two-edge-connected)"}),
+        ("--cycle", {"help": "cycle edges 'u,v;u,v;...' (cycle relation)"}),
+        ("--i", {"type": int, "help": "1-based edge index"}),
+        ("--j", {"type": int, "help": "1-based edge index"}),
+        ("--n", {"type": int, "help": "broom path length"}),
+        ("--k", {"type": int, "help": "broom star size, at least 2 (a bristle to exchange)"}),
+    ), _relation),
+    "classify-n4": ("friendliness families on four vertices", None, (), _classify_n4),
+    "quasi": ("quasisymmetric XQ / TQ of a digraph", "digraph", (
+        ("kind", {"choices": ("xq", "tq")}),
+        ("--vars", {"type": int, "help": "variable count N (default w(D))"}),
+        ("--route", {"choices": tuple(_TQ_ROUTES), "default": "def"}),
+    ), _quasi),
+}
+
+
+def _run(args) -> int:
+    _, kind, _, run = _COMMANDS[args.command]
+    value = _READERS[kind](_load(getattr(args, kind))) if kind else None
+    _emit(*run(value, args), args.output)
     return 0
 
 
@@ -319,105 +341,33 @@ def _cmd_selfcheck(args) -> int:
     return 0 if results and all(r["passed"] for r in results) else 1
 
 
-#### parser ####################################################################
-
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """Build the parser from _COMMANDS, on the first call of main only."""
     parser = argparse.ArgumentParser(
         prog="tuttekit",
         description="Exact chromatic and Tutte symmetric functions of weighted graphs.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_output(p):
+    for name, (summary, kind, arguments, _) in _COMMANDS.items():
+        p = sub.add_parser(name, help=summary)
+        own = ((kind, {"help": f"{kind} JSON file"}),) if kind else ()
+        # positionals first, the input last of them, as usage errors list them
+        for flag, options in sorted(arguments + own, key=lambda arg: arg[0].startswith("-")):
+            p.add_argument(flag, **options)
         p.add_argument("--output", help="write JSON to this path instead of printing text")
-
-    p = sub.add_parser("x", help="chromatic symmetric function of a graph")
-    p.add_argument("graph", help="graph JSON file")
-    p.add_argument("--route", choices=tuple(_X_ROUTES), default="def")
-    p.add_argument("--basis", choices=BASES, default="mtilde")
-    add_output(p)
-    p.set_defaults(func=_cmd_x)
-
-    p = sub.add_parser("xb", help="Tutte symmetric function of a graph")
-    p.add_argument("graph", help="graph JSON file")
-    p.add_argument("--route", choices=tuple(_XB_ROUTES), default="def")
-    p.add_argument("--basis", choices=BASES, default="mtilde")
-    p.add_argument("--t-eval", dest="t_eval", help="evaluate t at this rational, e.g. -1 or 1/2")
-    add_output(p)
-    p.set_defaults(func=_cmd_xb)
-
-    p = sub.add_parser("sigma", help="signed acyclic-orientation count sigma_l of [(1+t)^k] XB")
-    p.add_argument("graph", help="graph JSON file")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--l", type=int, required=True)
-    add_output(p)
-    p.set_defaults(func=_cmd_sigma)
-
-    p = sub.add_parser("friendly", help="Tutte-friendliness of a graph combination")
-    p.add_argument("combination", help="combination JSON file")
-    add_output(p)
-    p.set_defaults(func=_cmd_friendly)
-
-    p = sub.add_parser("xfriendly", help="X-friendliness of a graph combination")
-    p.add_argument("combination", help="combination JSON file")
-    add_output(p)
-    p.set_defaults(func=_cmd_xfriendly)
-
-    p = sub.add_parser("witness", help="cloud witness graph for a non-friendly combination")
-    p.add_argument("combination", help="combination JSON file")
-    p.add_argument("--pi", required=True, help="partition blocks, e.g. '1,2|3'")
-    p.add_argument("--a", type=int, default=None, help="(1+t)-power to certify")
-    add_output(p)
-    p.set_defaults(func=_cmd_witness)
-
-    p = sub.add_parser("reduce", help="reduce a combination to canonical star forests")
-    p.add_argument("combination", help="combination JSON file")
-    add_output(p)
-    p.set_defaults(func=_cmd_reduce)
-
-    p = sub.add_parser("member", help="kernel membership (reduction + direct check)")
-    p.add_argument("combination", help="combination JSON file")
-    add_output(p)
-    p.set_defaults(func=_cmd_member)
-
-    p = sub.add_parser("relation", help="named kernel relations")
-    p.add_argument("kind", choices=tuple(_RELATIONS))
-    p.add_argument("graph", nargs="?", help="graph JSON file (cycle / two-edge-connected)")
-    p.add_argument("--cycle", help="cycle edges 'u,v;u,v;...' (cycle relation)")
-    p.add_argument("--i", type=int, help="1-based edge index")
-    p.add_argument("--j", type=int, help="1-based edge index")
-    p.add_argument("--n", type=int, help="broom path length")
-    p.add_argument("--k", type=int, help="broom star size, at least 2 (a bristle to exchange)")
-    add_output(p)
-    p.set_defaults(func=_cmd_relation)
-
-    p = sub.add_parser("classify-n4", help="friendliness families on four vertices")
-    add_output(p)
-    p.set_defaults(func=_cmd_classify_n4)
-
-    p = sub.add_parser("quasi", help="quasisymmetric XQ / TQ of a digraph")
-    p.add_argument("kind", choices=("xq", "tq"))
-    p.add_argument("digraph", help="digraph JSON file")
-    p.add_argument("--vars", type=int, default=None, help="variable count N (default w(D))")
-    p.add_argument("--route", choices=tuple(_TQ_ROUTES), default="def")
-    add_output(p)
-    p.set_defaults(func=_cmd_quasi)
-
     p = sub.add_parser("selfcheck", help="run the acceptance suites")
     p.add_argument("--only", help="comma-separated criterion ids, e.g. 1,5,12")
-    p.set_defaults(func=_cmd_selfcheck)
-
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        code = args.func(args)
+        code = _cmd_selfcheck(args) if args.command == "selfcheck" else _run(args)
         sys.stdout.flush()
         return code
     except DomainError as exc:

@@ -403,7 +403,9 @@ def normalize_blocks(n: int, blocks: Iterable[Iterable[int]]) -> tuple[tuple[int
         out.append(bt)
     if len(seen) != n:
         missing = sorted(set(range(1, n + 1)) - seen)
-        raise DomainError(f"elements not covered by any block: {missing}")
+        # n may be large: name the first few and count the rest
+        more = f" and {len(missing) - 5} more" if len(missing) > 5 else ""
+        raise DomainError(f"elements not covered by any block: {missing[:5]}{more}")
     out.sort(key=lambda b: b[0])
     return tuple(out)
 

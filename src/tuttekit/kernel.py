@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product as iproduct
+from math import prod
 from typing import Iterable, Sequence
 
 from tuttekit.combinatorics import (
@@ -371,7 +372,7 @@ def witness_mtilde_coefficient(
     in slot b; the assignments with one matrix a share one pass over the
     clouds, whose state maps the room left in the slots to a polynomial
     {host edges inside slots: ways}.  Nothing enumerates partitions of the
-    witness's vertex set.  The budget caps the estimated enumeration nodes.
+    witness's vertex set.  The budget caps the loop iterations counted below.
     """
     blocks = normalize_blocks(L.n, blocks)
     sf = standard_form(L)
@@ -379,7 +380,12 @@ def witness_mtilde_coefficient(
     M = _witness_M(sf, blocks)
     sizes = [len(b) + M for b in blocks]
     blk = block_index_map(blocks)
-    est = (l ** n0) * (multinomial([M, l - 1]) ** l if l > 1 else 1)
+    # l^n0 assignments; then, for each matrix (at most prod_j C(|B_j|+l-1, l-1))
+    # and each cloud j, at most C(j*M+l-1, l-1) rooms times (M+1)^(l-1) heads
+    est = l ** n0
+    if est <= budget:
+        matrices = min(est, prod(multinomial([len(b), l - 1]) for b in blocks))
+        est += matrices * sum(multinomial([j * M, l - 1]) for j in range(l)) * (M + 1) ** (l - 1)
     if est > budget:
         raise DomainError(f"witness coefficient enumeration too large ({est} nodes)")
     # matrix a -> {(1+t)-power of the base edges inside slots: coefficient}

@@ -1,5 +1,6 @@
 """CLI surface: JSON contracts, text output, exit codes."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -331,7 +332,7 @@ _T2000 = {"n": 2, "terms": [{"coeff": ["0"] * 2000 + ["1"], "graph": {"n": 2, "e
 
 
 # (id, argv of tmp_path and a graph file, exit code); exit 1 must print one
-# "error: " line, exit 0 the answer 0
+# "error: " line and under 1 KB on stderr, exit 0 the answer 0
 HOSTILE = [
     ("not-utf8", lambda tmp, g: ["xb", _hostile_file(tmp, "b.json", b"\xff\xfe")], 1),
     ("nested-json", lambda tmp, g: ["xb", _hostile_file(tmp, "d.json", b"[" * 100_000 + b"]" * 100_000)], 1),
@@ -345,6 +346,9 @@ HOSTILE = [
     ("xb-n-over-cap", lambda tmp, g: ["xb", write_json(tmp, "n.json", {"n": MAX_VERTICES + 1, "edges": []})], 1),
     ("witness-no-terms-n-over-cap", lambda tmp, g: [
         "witness", write_json(tmp, "l.json", {"n": MAX_VERTICES + 1, "terms": []}), "--pi", "1"], 1),
+    # 99,999 vertices left out of pi: the message names a few, not all
+    ("witness-no-terms-n-at-cap", lambda tmp, g: [
+        "witness", write_json(tmp, "l.json", {"n": MAX_VERTICES, "terms": []}), "--pi", "1"], 1),
     # B(L; 1|2) = t^2000, so M = 4,002 and the witness would have 16 million edges
     ("witness-t^2000", lambda tmp, g: ["witness", write_json(tmp, "w.json", _T2000), "--pi", "1|2"], 1),
 ]
@@ -362,7 +366,7 @@ def test_hostile_input_under_optimisation_gives_no_traceback(tmp_path, argv, cod
     )
     assert proc.returncode == code and "Traceback" not in proc.stderr
     if code:
-        assert proc.stderr.splitlines()[0].startswith("error: ")
+        assert proc.stderr.splitlines()[0].startswith("error: ") and len(proc.stderr.encode()) < 1024
     else:
         assert proc.stdout.strip().endswith("XB = 0/1") and proc.stderr == ""
 
@@ -371,6 +375,41 @@ def test_usage_errors(capsys):
     assert main(["no-such-command"]) == 2
     assert main([]) == 2
     assert main(["--help"]) == 0
+    capsys.readouterr()
+
+
+SUBCOMMANDS = ("x", "xb", "sigma", "friendly", "xfriendly", "witness", "reduce", "member",
+               "relation", "classify-n4", "quasi", "selfcheck")
+
+
+def test_parser_is_built_once_per_process(tmp_path, monkeypatch, capsys):
+    g = graph_file(tmp_path, path(3))
+    assert main(["xb", g]) == 0  # builds the parser, if no earlier call has
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert main(["x", g]) == 0
+    assert main(["relation", "os"]) == 0
+    assert main(["no-such-command"]) == 2
+    assert built == []
+
+
+def test_reused_parser_keeps_no_state_between_calls(tmp_path, capsys):
+    g = graph_file(tmp_path, path(3))
+    e, plain = str(tmp_path / "e.json"), str(tmp_path / "plain.json")
+    assert main(["xb", g, "--basis", "e", "--t-eval=-1", "--output", e]) == 0
+    # a plain xb after it gives mtilde with t left symbolic
+    assert main(["xb", g, "--output", plain]) == 0
+    assert read_json(plain) == tutte_sym(path(3)).to_json_obj()
+    assert main(["xb", g, "--route", "no-such-route"]) == 2
+    assert main(["xb", g]) == 0
+    for name in SUBCOMMANDS:
+        assert main([name, "--help"]) == 0
     capsys.readouterr()
 
 

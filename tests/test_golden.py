@@ -14,7 +14,9 @@ from tuttekit.cli import main
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 
-# name -> argv; "{graph}", "{k5}" and "{dipath5}" name input files in GOLDEN
+# name -> argv; "{stem}" names the input file GOLDEN/stem.json, for each stem in INPUTS
+INPUTS = ("graph", "diamond", "k2", "k5", "os_plus", "dipath5")
+
 CASES = {
     "xb-def": ["xb", "{graph}"],
     "xb-delcon": ["xb", "{graph}", "--route", "delcon"],
@@ -31,13 +33,29 @@ CASES = {
     "reduce-k5": ["reduce", "{k5}"],
     "quasi-tq-dipath5": ["quasi", "tq", "{dipath5}"],
     "relation-broom-2-2": ["relation", "broom", "--n", "2", "--k", "2"],
+    "relation-cycle-diamond": ["relation", "cycle", "{diamond}", "--cycle", "1,2;2,3;3,4;1,4",
+                               "--i", "1", "--j", "2"],
+    "sigma-k1-l2": ["sigma", "{graph}", "--k", "1", "--l", "2"],
+    "friendly-os-plus": ["friendly", "{os_plus}"],
+    "friendly-k2": ["friendly", "{k2}"],
+    "xfriendly-os-plus": ["xfriendly", "{os_plus}"],
+    "xfriendly-k2": ["xfriendly", "{k2}"],
+    "witness-k2": ["witness", "{k2}", "--pi", "1|2"],
+    "member-os-plus": ["member", "{os_plus}"],
+    "member-k2": ["member", "{k2}"],
+    "classify-n4": ["classify-n4"],
 }
 
-TEXT_CASES = ("xb-def", "xb-e", "reduce-k5", "quasi-tq-dipath5", "relation-broom-2-2")
+TEXT_CASES = (
+    "xb-def", "xb-e", "x-mtilde", "reduce-k5", "quasi-tq-dipath5", "relation-broom-2-2",
+    "relation-cycle-diamond", "sigma-k1-l2", "friendly-os-plus", "friendly-k2",
+    "xfriendly-os-plus", "xfriendly-k2", "witness-k2", "member-os-plus", "member-k2",
+    "classify-n4",
+)
 
 
 def _argv(name: str) -> list[str]:
-    inputs = {stem: str(GOLDEN / f"{stem}.json") for stem in ("graph", "k5", "dipath5")}
+    inputs = {stem: str(GOLDEN / f"{stem}.json") for stem in INPUTS}
     return [arg.format(**inputs) for arg in CASES[name]]
 
 

@@ -188,6 +188,14 @@ def test_witness_validation():
         witness_mtilde_coefficient(combo(2, (complete(2), 1)), [[1], [2]], budget=10)
 
 
+def test_witness_budget_counts_the_loop_it_bounds():
+    # about 1.3 million loop iterations: within the default budget, though
+    # l^n0 * C(M+l-1, l-1)^l = 13,476,375 is not
+    L = combo(4, (Multigraph(4, [(1, 4)]), ONE + T))
+    pi = [[1, 4], [2], [3]]
+    assert witness_mtilde_coefficient(L, pi) == witness_mtilde_coefficient(L, pi, budget=10**9)
+
+
 def _witness_corpus():
     """Every combination of one or two distinct graphs on [2] or [3] with at
     most two edges, loops and doubled edges included, and coefficients
