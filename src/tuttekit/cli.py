@@ -70,8 +70,8 @@ def _emit(obj: dict, text: str, output: str | None) -> None:
     if output:
         try:
             with open(output, "w") as fh:
-                json.dump(obj, fh, indent=2)
-                fh.write("\n")
+                # one write; json.dump writes once per encoder chunk
+                fh.write(json.dumps(obj, indent=2) + "\n")
         except OSError as exc:
             raise DomainError(f"cannot write {output}: {exc}")
     else:

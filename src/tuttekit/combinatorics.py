@@ -128,8 +128,13 @@ def format_rational(q: Fraction | int) -> str:
 
 
 def as_rational(value) -> Fraction | int:
-    """A value to substitute for a variable: exact, or a string like '2/3'."""
-    return parse_rational(value) if isinstance(value, str) else exact(value)
+    """A value to substitute for a variable: exact, or a string like '2/3';
+    DomainError for floats and booleans (as in `as_int`, true is not 1)."""
+    if isinstance(value, str):
+        return parse_rational(value)
+    if type(value) is bool:
+        raise DomainError(f"cannot substitute the boolean {value!r}; use an int or a Fraction")
+    return exact(value)
 
 
 #### polynomials in t ##########################################################

@@ -381,7 +381,12 @@ def witness_mtilde_coefficient(
     sizes = [len(b) + M for b in blocks]
     blk = block_index_map(blocks)
     # l^n0 assignments; then, for each matrix (at most prod_j C(|B_j|+l-1, l-1))
-    # and each cloud j, at most C(j*M+l-1, l-1) rooms times (M+1)^(l-1) heads
+    # and each cloud j, at most C(j*M+l-1, l-1) rooms times (M+1)^(l-1) heads.
+    # l^n0 >= 2^(n0 (bits(l) - 1)), so that power of two, a shift, refuses a
+    # count that could run to thousands of digits before it is formed or
+    # printed.
+    if 1 << (n0 * (l.bit_length() - 1)) > budget:
+        raise DomainError(f"witness coefficient enumeration too large ({l}^{n0} assignments)")
     est = l ** n0
     if est <= budget:
         matrices = min(est, prod(multinomial([len(b), l - 1]) for b in blocks))

@@ -14,13 +14,15 @@ quasisymmetric function M_alpha.  The coloring sums therefore run over
 packed colorings, the surjections [n] -> [k], which are the ordered set
 partitions of [n] (Fubini(n) of them, against N^n colorings).  Each set
 partition is taken in every order of its blocks, and the colorings are
-counted by (composition, ascents, monochromatic arcs).  `tq`, `xq` and the
-two expansion routes keep one QTPoly per composition, and the routes add
-their contracted pieces keyed by composition.  Each public result is
-expanded into N variables once, at the end: M_alpha becomes one term per
-increasing choice of len(alpha) of the N positions, and all those terms
-share one coefficient object, which `TruncatedQFunc.at_q` and `at_t`
-substitute into once.
+counted as ints by (composition, ascents, monochromatic arcs), on packed
+(n, arcs, weights) triples: no contraction is built as a Digraph.  `tq`,
+`xq` and the two expansion routes add their (1+t)^k-shifted counts as ints
+into one {composition: {(ascents, power of t): int}} tally, and each
+composition's QTPoly is built once, from its finished tally.  Each public
+result is expanded into N variables once, at the end: M_alpha becomes one
+term per increasing choice of len(alpha) of the N positions, and all
+those terms share one coefficient object, which `TruncatedQFunc.at_q` and
+`at_t` substitute into once.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from tuttekit.combinatorics import (
     format_rational,
     json_field,
     json_list,
+    onep_t_power,
     parse_rational,
     subsets_by_size,
 )
@@ -102,15 +105,17 @@ class QTPoly(Poly):
     def q(power: int = 1) -> QTPoly:
         return QTPoly({(power, 0): 1})
 
+    # The keys of a valid QTPoly need no second check: the results are
+    # merged straight into clean terms.
     def at_q(self, value) -> QTPoly:
         """Substitute a rational (or a string such as '2/3') for q; t remains."""
         value = as_rational(value)
-        return QTPoly((((0, b), c * value**a) for (a, b), c in self.terms.items()))
+        return self._like(merge_terms({}, (((0, b), c * value**a) for (a, b), c in self.terms.items())))
 
     def at_t(self, value) -> QTPoly:
         """Substitute a rational (or a string such as '2/3') for t; q remains."""
         value = as_rational(value)
-        return QTPoly((((a, 0), c * value**b) for (a, b), c in self.terms.items()))
+        return self._like(merge_terms({}, (((a, 0), c * value**b) for (a, b), c in self.terms.items())))
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -129,11 +134,6 @@ class QTPoly(Poly):
         return QTPoly(
             [((json_field(r, "q"), json_field(r, "t")), parse_rational(json_field(r, "c"))) for r in obj]
         )
-
-
-@lru_cache(maxsize=None)
-def qt_onep_t_power(k: int) -> QTPoly:
-    return QTPoly({(0, j): comb(k, j) for j in range(k + 1)})
 
 
 #### digraphs ##################################################################
@@ -307,50 +307,62 @@ def _check_coloring_budget(D: Digraph, N: int) -> None:
         )
 
 
-def _packed_sum(D: Digraph, proper: bool) -> dict[tuple[int, ...], QTPoly]:
-    """Sum of q^asc (1+t)^mono over packed colorings, keyed by composition.
+# The inverse of each permutation of range(k), in `permutations` order: the
+# colour of each block when the blocks are taken in that order.  The
+# coloring budget admits n <= 8, so k <= 8, and the tables hold at most
+# 0! + 1! + ... + 8! = 46,234 tuples, about 5 MB on 64-bit CPython 3.11
+# measured with tracemalloc (the k = 8 table alone, 40,320 tuples, 4.0 MB).
+@lru_cache(maxsize=None)
+def _inverse_orders(k: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple(sorted(range(k), key=p.__getitem__)) for p in permutations(range(k)))
+
+
+def _packed_sum(n: int, arcs: Sequence[tuple[int, int]], weights: Sequence[int],
+                proper: bool) -> dict[tuple[int, ...], dict[tuple[int, int], int]]:
+    """Packed colorings of the packed digraph ([n], arcs, weights), counted
+    as {composition: {(ascents, monochromatic arcs): int}}.
 
     Block i of an ordered set partition takes colour i, so its composition
     lists the block weights in order.  proper keeps only the colorings with
-    no monochromatic arc, walking the stable partitions alone.
+    no monochromatic arc, walking the stable partitions alone (none at all
+    when an arc is a loop).
     """
     stats: dict[tuple[int, ...], dict[tuple[int, int], int]] = {}
-    weights = D.weights
-    walk = enumerate_set_partitions(D.n, edge_sets=[D.arcs], max_internal=0 if proper else None)
+    walk = enumerate_set_partitions(n, edge_sets=[arcs], max_internal=0 if proper else None)
     for blocks, (mono,) in walk:
         label = block_index_map(blocks)
-        between = [(label[u], label[v]) for u, v in D.arcs if label[u] != label[v]]
+        between = [(label[u], label[v]) for u, v in arcs if label[u] != label[v]]
         block_weight = [sum(weights[v - 1] for v in b) for b in blocks]
-        for order in permutations(range(len(blocks))):
-            colour = [0] * len(blocks)
-            for i, b in enumerate(order):
-                colour[b] = i
+        k = len(blocks)
+        for order, colour in zip(permutations(range(k)), _inverse_orders(k)):
             key = (sum(colour[a] < colour[b] for a, b in between), mono)
-            counts = stats.setdefault(tuple([block_weight[b] for b in order]), {})
+            counts = stats.setdefault(tuple(map(block_weight.__getitem__, order)), {})
             counts[key] = counts.get(key, 0) + 1
-    return {
-        alpha: QTPoly(
-            ((asc, j), c * comb(mono, j))
-            for (asc, mono), c in counts.items()
-            for j in range(mono + 1)
-        )
-        for alpha, counts in stats.items()
-    }
+    return stats
 
 
-def _xq(D: Digraph) -> dict[tuple[int, ...], QTPoly]:
-    """XQ keyed by composition: the coefficient of each M_alpha."""
-    return {} if D.has_loop() else _packed_sum(D, proper=True)
+def _add_onep_t(total: dict, counts: dict, k: int = 0) -> None:
+    """Add counts[alpha][(asc, mono)] (1+t)^(mono + k) into total, whose
+    keys are (composition, {(asc, power of t): int}), as ints."""
+    for alpha, d in counts.items():
+        acc = total.setdefault(alpha, {})
+        for (asc, mono), c in d.items():
+            for j, b in onep_t_power(mono + k).terms.items():
+                key = (asc, j)
+                acc[key] = acc.get(key, 0) + b * c
 
 
-def _expand(coeffs: dict[tuple[int, ...], QTPoly], N: int) -> TruncatedQFunc:
-    """sum of coeffs[alpha] M_alpha in x_1..x_N.
+def _expand(coeffs: dict[tuple[int, ...], dict[tuple[int, int], int]], N: int) -> TruncatedQFunc:
+    """sum of coeffs[alpha] M_alpha in x_1..x_N, from clean int tallies.
 
-    M_alpha puts the parts of alpha, in order, on every increasing choice
-    of len(alpha) positions; those terms share the coefficient object.
+    Each alpha's QTPoly is built once.  M_alpha puts the parts of alpha, in
+    order, on every increasing choice of len(alpha) positions; those terms
+    share the coefficient object.
     """
+    zero = QTPoly.zero()
     terms = {}
-    for alpha, c in coeffs.items():
+    for alpha, d in coeffs.items():
+        c = zero._like(d)
         for positions in combinations(range(N), len(alpha)):
             exps = [0] * N
             for p, a in zip(positions, alpha):
@@ -366,13 +378,16 @@ def xq(D: Digraph, N: int) -> TruncatedQFunc:
     kills every coloring and the result is zero.
     """
     _check_coloring_budget(D, N)
-    return _expand(_xq(D), N)
+    # a proper coloring has no monochromatic arc: every key is (asc, 0)
+    return _expand(_packed_sum(D.n, D.arcs, D.weights, proper=True), N)
 
 
 def tq(D: Digraph, N: int) -> TruncatedQFunc:
     """Sum of q^asc(kappa) (1+t)^e(kappa) x_kappa over all colorings."""
     _check_coloring_budget(D, N)
-    return _expand(_packed_sum(D, proper=False), N)
+    total: dict = {}
+    _add_onep_t(total, _packed_sum(D.n, D.arcs, D.weights, proper=False))
+    return _expand(total, N)
 
 
 def tq_from_connected_partitions(D: Digraph, N: int) -> TruncatedQFunc:
@@ -380,15 +395,15 @@ def tq_from_connected_partitions(D: Digraph, N: int) -> TruncatedQFunc:
 
     Connectivity of blocks is judged in the underlying undirected graph;
     e(pi) counts intra-block arcs with multiplicity, loops included, and
-    one pass over the arcs gives both e(pi) and the arcs of D/pi.
+    one pass over the arcs gives both e(pi) and the arcs of D/pi, which has
+    no loop and is never built as a Digraph.
     """
     _check_coloring_budget(D, N)
-    total: dict[tuple[int, ...], QTPoly] = {}
+    total: dict = {}
     for blocks in connected_partitions(underlying(D)):
         arcs, weights = _quotient(D.arcs, D.weights, block_index_map(blocks), len(blocks))
-        factor = qt_onep_t_power(len(D.arcs) - len(arcs))
-        piece = _xq(Digraph(len(blocks), arcs, weights))
-        merge_terms(total, ((alpha, c * factor) for alpha, c in piece.items()))
+        piece = _packed_sum(len(blocks), arcs, weights, proper=True)
+        _add_onep_t(total, piece, len(D.arcs) - len(arcs))
     return _expand(total, N)
 
 
@@ -397,19 +412,19 @@ def tq_from_arc_subsets(D: Digraph, N: int) -> TruncatedQFunc:
 
     XQ of a contraction that leaves a loop vanishes, so `contraction_labels`
     skips such an S (one that is not a flat of the underlying cycle
-    matroid) before it is contracted, and D/S is built from its labels.
+    matroid) before it is contracted, and the arcs of D/S come from its
+    labels; D/S is never built as a Digraph.
     """
     subsets = subsets_by_size(len(D.arcs), "arc")
     _check_coloring_budget(D, N)
-    total: dict[tuple[int, ...], QTPoly] = {}
+    total: dict = {}
     for S in subsets:
         labels = contraction_labels(D.n, D.arcs, S)
         if labels is None:
             continue
         label, k = labels
-        factor = qt_onep_t_power(len(S))
-        piece = _xq(Digraph(k, *_quotient(D.arcs, D.weights, label, k)))
-        merge_terms(total, ((alpha, c * factor) for alpha, c in piece.items()))
+        piece = _packed_sum(k, *_quotient(D.arcs, D.weights, label, k), proper=True)
+        _add_onep_t(total, piece, len(S))
     return _expand(total, N)
 
 

@@ -196,6 +196,14 @@ def test_witness_budget_counts_the_loop_it_bounds():
     assert witness_mtilde_coefficient(L, pi) == witness_mtilde_coefficient(L, pi, budget=10**9)
 
 
+def test_witness_budget_refuses_a_count_too_long_to_print():
+    # 2000^2000 assignments has 6,602 digits, past Python's limit of 4,300
+    # digits for converting an int to text
+    L = combo(2000, (edgeless(2000), 1))
+    with pytest.raises(DomainError, match=r"too large \(2000\^2000 assignments\)"):
+        witness_mtilde_coefficient(L, [[v] for v in range(1, 2001)])
+
+
 def _witness_corpus():
     """Every combination of one or two distinct graphs on [2] or [3] with at
     most two edges, loops and doubled edges included, and coefficients

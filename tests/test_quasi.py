@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tuttekit.combinatorics import DomainError, TPoly, multinomial
+from tuttekit.combinatorics import DomainError, TPoly, multinomial, onep_t_power
 from tuttekit.graphs import Multigraph, path
 from tuttekit.invariants import tutte_sym
 from tuttekit.quasi import (
@@ -21,7 +21,6 @@ from tuttekit.quasi import (
     contract_digraph_partition,
     digraph_from_json_obj,
     digraph_to_json_obj,
-    qt_onep_t_power,
     reverse,
     tq,
     tq_from_arc_subsets,
@@ -44,7 +43,7 @@ def test_qtpoly_arithmetic():
     assert (Q + T) * (Q - T) == Q * Q - T * T
     assert (Q - Q).is_zero()
     assert QTPoly.q(3).terms == {(3, 0): Fraction(1)}
-    assert qt_onep_t_power(2) == ONE + 2 * T + T * T
+    assert QTPoly.of(onep_t_power(2)) == ONE + 2 * T + T * T
     assert (ONE + Q).at_q(2) == QTPoly.of(3)
     assert (ONE + T).at_t(-1).is_zero()
     assert QTPoly.of(TPoly.one() + TPoly.t()) == ONE + T
@@ -260,6 +259,27 @@ def test_tq_specializations(D):
     assert f.at_q(1) == truncate_symfunc(tutte_sym(underlying(D)), N)
 
 
+@pytest.mark.parametrize("value", [1.0, 0.5, True, False])
+def test_substitution_refuses_floats_and_booleans(value):
+    p, f = Q * T + ONE, tq(Digraph(2, [(1, 2)]), 2)
+    for sub in (p.at_q, p.at_t, f.at_q, f.at_t):
+        with pytest.raises(DomainError):
+            sub(value)
+
+
+def test_substitution_keys_and_values():
+    p = Q * Q * T + 3 * Q * T * T - ONE
+    assert p.at_q("2/3").terms == {(0, 1): Fraction(4, 9), (0, 2): 2, (0, 0): -1}
+    assert p.at_q("2/3") == p.at_q(Fraction(2, 3))
+    assert p.at_t(2).terms == {(2, 0): 2, (1, 0): 12, (0, 0): -1}
+    assert all(a == 0 for a, _ in p.at_q(5).terms)
+    assert all(b == 0 for _, b in p.at_t(5).terms)
+    # terms that sum to zero drop out
+    assert (Q * T - T).at_q(1).terms == {}
+    assert (Q * T + Q).at_t(-1).terms == {}
+    assert (Q * Q - T + ONE).at_t(1).terms == {(2, 0): 1}
+
+
 def test_substitution_once_per_coefficient_object(monkeypatch):
     f = tq(Digraph(3, [(1, 2), (3, 2)]), 5)
     shared = {id(c) for c in f.terms.values()}
@@ -346,8 +366,9 @@ def test_path_against_undirected_tutte():
 #### differential oracle #######################################################
 
 
-def coloring_sum(D, N, proper):
-    """The defining sum over all N^n colorings, built on arc_statistics."""
+def coloring_sum(D, N, proper, ascents=True):
+    """The defining sum over all N^n colorings, built on arc_statistics;
+    ascents=False leaves q out, the sum at q = 1."""
     items = []
     for kappa in product(range(1, N + 1), repeat=D.n):
         asc, _, mono = arc_statistics(D, kappa)
@@ -356,8 +377,18 @@ def coloring_sum(D, N, proper):
         exps = [0] * N
         for v, c in enumerate(kappa):
             exps[c - 1] += D.weights[v]
-        items.append((tuple(exps), QTPoly.q(asc) * qt_onep_t_power(mono)))
+        items.append((tuple(exps), QTPoly.q(asc if ascents else 0) * QTPoly.of(onep_t_power(mono))))
     return TruncatedQFunc(N, items)
+
+
+def typed_terms(f):
+    return {e: {k: (type(x), x) for k, x in c.terms.items()} for e, c in f.terms.items()}
+
+
+def assert_same(got, want):
+    assert got.N == want.N
+    assert got == want
+    assert typed_terms(got) == typed_terms(want)
 
 
 @st.composite
@@ -374,9 +405,18 @@ def weighted_digraphs(draw):
 @settings(max_examples=60, deadline=None)
 @given(weighted_digraphs())
 def test_packed_colorings_match_coloring_sum(case):
+    # values and coefficient types: a count is an int, never Fraction(2) for 2
     D, N = case
-    assert tq(D, N) == coloring_sum(D, N, proper=False)
-    assert xq(D, N) == coloring_sum(D, N, proper=True)
+    want_tq, want_xq = coloring_sum(D, N, proper=False), coloring_sum(D, N, proper=True)
+    want_q1 = coloring_sum(D, N, proper=False, ascents=False)
+    for want in (want_tq, want_xq, want_q1):
+        assert all(type(x) is int for c in want.terms.values() for x in c.terms.values())
+    for route in (tq, tq_from_connected_partitions, tq_from_arc_subsets):
+        assert_same(route(D, N), want_tq)
+    assert_same(xq(D, N), want_xq)
+    f = tq(D, N)
+    assert_same(f.at_q(1), want_q1)
+    assert_same(f.at_t(-1), want_xq)
 
 
 @settings(max_examples=80, deadline=None)
