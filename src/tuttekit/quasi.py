@@ -236,10 +236,13 @@ class TruncatedQFunc(LinComb):
                 terms[e] = v
         return self._like(terms)
 
+    # the value is read here too, so that a zero function refuses it as well
     def at_q(self, value) -> TruncatedQFunc:
+        value = as_rational(value)
         return self._substitute(lambda c: c.at_q(value))
 
     def at_t(self, value) -> TruncatedQFunc:
+        value = as_rational(value)
         return self._substitute(lambda c: c.at_t(value))
 
     def __repr__(self) -> str:

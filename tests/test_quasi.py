@@ -261,8 +261,8 @@ def test_tq_specializations(D):
 
 @pytest.mark.parametrize("value", [1.0, 0.5, True, False])
 def test_substitution_refuses_floats_and_booleans(value):
-    p, f = Q * T + ONE, tq(Digraph(2, [(1, 2)]), 2)
-    for sub in (p.at_q, p.at_t, f.at_q, f.at_t):
+    p, f, zero = Q * T + ONE, tq(Digraph(2, [(1, 2)]), 2), xq(Digraph(1, [(1, 1)]), 1)
+    for sub in (p.at_q, p.at_t, f.at_q, f.at_t, zero.at_q, zero.at_t):
         with pytest.raises(DomainError):
             sub(value)
 
