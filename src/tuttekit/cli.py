@@ -1,8 +1,9 @@
 """Command-line surface: graph invariants, kernel tools, and the selfcheck.
 
 Exit codes: 0 success, 1 domain error (message on stderr naming the violated
-precondition), 2 usage error.  `--output path` writes JSON; without it each
-command prints a short human-readable summary.  All numbers are exact.
+precondition) or a failed write of standard output, 2 usage error.
+`--output path` writes JSON; without it each command prints a short
+human-readable summary.  All numbers are exact.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ import functools
 import json
 import os
 import sys
+from collections.abc import Callable
+from json.encoder import encode_basestring_ascii
 
 from tuttekit.combinatorics import DomainError, TPoly, format_rational
 from tuttekit.graphs import graph_from_json_obj, graph_to_json_obj
@@ -66,16 +69,47 @@ def _load(path: str) -> dict:
         raise DomainError(f"{path} nests too deeply to read")
 
 
-def _emit(obj: dict, text: str, output: str | None) -> None:
-    if output:
-        try:
-            with open(output, "w") as fh:
-                # one write; json.dump writes once per encoder chunk
-                fh.write(json.dumps(obj, indent=2) + "\n")
-        except OSError as exc:
-            raise DomainError(f"cannot write {output}: {exc}")
-    else:
-        print(text)
+_LITERALS = {None: "null", True: "true", False: "false"}
+
+
+def _encode(v, nl: str = "\n") -> str:
+    """The bytes of json.dumps(v, indent=2) for the trees the CLI writes:
+    str-keyed dicts, lists, tuples, str, int, bool and None.
+
+    CPython's C encoder runs only without an indent; this does one join per
+    container and escapes strings with the C escaper.  Any other type is a
+    TypeError, as in json.dumps.
+    """
+    t = type(v)
+    if t is str:
+        return encode_basestring_ascii(v)
+    if t is int:
+        return repr(v)
+    inner = nl + "  "
+    if t is dict:
+        body = [encode_basestring_ascii(k) + ": " + _encode(x, inner) for k, x in v.items()]
+        return "{" + inner + ("," + inner).join(body) + nl + "}" if body else "{}"
+    if t is list or t is tuple:
+        body = [_encode(x, inner) for x in v]
+        return "[" + inner + ("," + inner).join(body) + nl + "]" if body else "[]"
+    if t is bool or v is None:
+        return _LITERALS[v]
+    raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
+
+
+def _emit(obj: Callable[[], dict], text: Callable[[], str], output: str | None) -> None:
+    """Build only the form that is written: obj() as JSON to output, or else
+    text() to stdout.  The JSON is encoded before the file is opened, so a
+    refused output leaves an existing file as it was."""
+    if output is None:
+        print(text())
+        return
+    data = _encode(obj()) + "\n"
+    try:
+        with open(output, "w") as fh:
+            fh.write(data)
+    except OSError as exc:
+        raise DomainError(f"cannot write {output}: {exc}")
 
 
 def _tpoly_text(c: TPoly) -> str:
@@ -144,6 +178,9 @@ def _basis_view(f: SymFunc, basis: str) -> SymFunc:
 
 #### subcommands ###############################################################
 
+# zero-argument builders of a run's JSON object and of its text
+_Forms = tuple[Callable[[], dict], Callable[[], str]]
+
 # each route table is flat, so that a tracer can rebind its functions
 _X_ROUTES = {"def": chromatic_sym, "delcon": chromatic_sym_delcon}
 
@@ -164,55 +201,63 @@ _READERS = {
 }
 
 
-def _symfunc_out(f: SymFunc, args) -> tuple[dict, str]:
+def _symfunc_out(f: SymFunc, args) -> _Forms:
     # x and xb: the basis view first, then xb's --t-eval
     f = _basis_view(f, args.basis)
     if getattr(args, "t_eval", None) is not None:
         f = specialize_t(f, args.t_eval)
-    return f.to_json_obj(), _symfunc_text(f)
+    return f.to_json_obj, lambda: _symfunc_text(f)
 
 
-def _sigma(G, args) -> tuple[dict, str]:
+def _sigma(G, args) -> _Forms:
     value = format_rational(sigma_l_formula(G, args.k, args.l))
-    return {"k": args.k, "l": args.l, "value": value}, f"sigma_{args.l} of [(1+t)^{args.k}] XB = {value}"
+    return (lambda: {"k": args.k, "l": args.l, "value": value},
+            lambda: f"sigma_{args.l} of [(1+t)^{args.k}] XB = {value}")
 
 
-def _friendly(L, args) -> tuple[dict, str]:
+def _friendly(L, args) -> _Forms:
     ok, pi, a = is_tutte_friendly(L)
-    obj = {"friendly": ok}
-    if not ok:
-        obj["pi"] = [list(b) for b in pi]
-        obj["a"] = a
-    return obj, "friendly" if ok else f"not friendly: B nonzero at pi={obj['pi']} (least power a={a})"
+    if ok:
+        return lambda: {"friendly": True}, lambda: "friendly"
+    pi = [list(b) for b in pi]
+    return (lambda: {"friendly": False, "pi": pi, "a": a},
+            lambda: f"not friendly: B nonzero at pi={pi} (least power a={a})")
 
 
-def _xfriendly(L, args) -> tuple[dict, str]:
+def _xfriendly(L, args) -> _Forms:
     ok, pi = is_x_friendly(L)
-    obj = {"xfriendly": ok}
-    if not ok:
-        obj["pi"] = [list(b) for b in pi]
-    return obj, "X-friendly" if ok else f"not X-friendly: C nonzero at pi={obj['pi']}"
+    if ok:
+        return lambda: {"xfriendly": True}, lambda: "X-friendly"
+    pi = [list(b) for b in pi]
+    return lambda: {"xfriendly": False, "pi": pi}, lambda: f"not X-friendly: C nonzero at pi={pi}"
 
 
-def _witness(L, args) -> tuple[dict, str]:
+def _witness(L, args) -> _Forms:
     W = witness_graph(L, _parse_blocks(args.pi), args.a)
-    return graph_to_json_obj(W), f"witness on [{W.n}] with {len(W.edges)} edges"
+    return lambda: graph_to_json_obj(W), lambda: f"witness on [{W.n}] with {len(W.edges)} edges"
 
 
-def _reduce(L, args) -> tuple[dict, str]:
+def _reduce(L, args) -> _Forms:
     result, cert = reduce_to_star_forests(L)
-    obj = cert.to_json_obj()
-    lines = [
-        f"R{list(lam)} * (1+t)^{k} * {format_rational(c)}"
-        for lam, k, c in result.shape_triples()
-    ] or ["0"]
-    lines.append(f"({len(cert.steps)} certificate steps)")
-    return {"terms": obj["result"], "certificate": obj["steps"]}, "\n".join(lines)
+
+    def obj() -> dict:
+        out = cert.to_json_obj()
+        return {"terms": out["result"], "certificate": out["steps"]}
+
+    def text() -> str:
+        lines = [
+            f"R{list(lam)} * (1+t)^{k} * {format_rational(c)}"
+            for lam, k, c in result.shape_triples()
+        ] or ["0"]
+        lines.append(f"({len(cert.steps)} certificate steps)")
+        return "\n".join(lines)
+
+    return obj, text
 
 
-def _member(L, args) -> tuple[dict, str]:
+def _member(L, args) -> _Forms:
     verdict = kernel_membership(L)
-    return {"member": verdict}, "in the kernel of XB" if verdict else "not in the kernel of XB"
+    return lambda: {"member": verdict}, lambda: "in the kernel of XB" if verdict else "not in the kernel of XB"
 
 
 # relation kind -> (builder, the options it takes in order, their usage)
@@ -228,7 +273,7 @@ _RELATIONS = {
 }
 
 
-def _relation(_, args) -> tuple[dict, str]:
+def _relation(_, args) -> _Forms:
     build, names, usage = _RELATIONS[args.kind]
     values = [getattr(args, name) for name in names]
     if None in values:
@@ -236,23 +281,39 @@ def _relation(_, args) -> tuple[dict, str]:
     # the graph option names a JSON file and the cycle option lists edges
     read = {"graph": lambda path: graph_from_json_obj(_load(path)), "cycle": _parse_edge_list}
     L = build(*(read.get(name, lambda v: v)(v) for name, v in zip(names, values)))
-    lines = [
-        f"{_tpoly_text(c)}  *  {g!r}" for g, c in L.sorted_terms()
-    ] or ["0"]
-    return L.to_json_obj(), "\n".join(lines)
+    return L.to_json_obj, lambda: "\n".join(f"{_tpoly_text(c)}  *  {g!r}" for g, c in L.sorted_terms()) or "0"
 
 
-def _classify_n4(_, args) -> tuple[dict, str]:
+def _classify_n4(_, args) -> _Forms:
     families = classify_n4()
+
+    def text() -> str:
+        lines = []
+        for i, fam in enumerate(families, 1):
+            lines.append(f"family {i} ({len(fam)} graphs):")
+            for g in fam:
+                lines.append(f"  edges {sorted(g.edges)}")
+        return "\n".join(lines)
+
+    return lambda: {"families": [[graph_to_json_obj(g) for g in fam] for fam in families]}, text
+
+
+def _quasi_text(F) -> str:
+    # the terms of one composition share a coefficient object: format it once
+    done: dict[int, str] = {}
     lines = []
-    for i, fam in enumerate(families, 1):
-        lines.append(f"family {i} ({len(fam)} graphs):")
-        for g in fam:
-            lines.append(f"  edges {sorted(g.edges)}")
-    return {"families": [[graph_to_json_obj(g) for g in fam] for fam in families]}, "\n".join(lines)
+    for exps, c in F.sorted_terms():
+        mono = " ".join(f"x{i+1}^{e}" for i, e in enumerate(exps) if e)
+        qbits = done.get(id(c))
+        if qbits is None:
+            qbits = done[id(c)] = " + ".join(
+                f"{format_rational(v)}*q^{a}*t^{b}" for (a, b), v in sorted(c.terms.items())
+            )
+        lines.append(f"{mono or '1'} : {qbits}")
+    return "\n".join(lines) or "0"
 
 
-def _quasi(D, args) -> tuple[dict, str]:
+def _quasi(D, args) -> _Forms:
     N = args.vars if args.vars is not None else D.total_weight()
     if args.kind == "xq":
         if args.route != "def":
@@ -260,19 +321,13 @@ def _quasi(D, args) -> tuple[dict, str]:
         F = xq(D, N)
     else:
         F = _TQ_ROUTES[args.route](D, N)
-    lines = []
-    for exps, c in F.sorted_terms():
-        mono = " ".join(f"x{i+1}^{e}" for i, e in enumerate(exps) if e)
-        qbits = " + ".join(
-            f"{format_rational(v)}*q^{a}*t^{b}" for (a, b), v in sorted(c.terms.items())
-        )
-        lines.append(f"{mono or '1'} : {qbits}")
-    return F.to_json_obj(), "\n".join(lines) or "0"
+    return F.to_json_obj, lambda: _quasi_text(F)
 
 
 # subcommand -> (help, input kind, its other arguments in order, run); run(value,
-# args) returns the JSON object and the text.  Runs reach library functions only
-# through module globals and the route tables, which a tracer can rebind.
+# args) computes the answer and returns _Forms, whose builders _emit calls only
+# for the form it writes.  Runs reach library functions only through module
+# globals and the route tables, which a tracer can rebind.
 _COMMANDS = {
     "x": ("chromatic symmetric function of a graph", "graph", (
         ("--route", {"choices": tuple(_X_ROUTES), "default": "def"}),
@@ -373,8 +428,13 @@ def main(argv=None) -> int:
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except BrokenPipeError:
-        # the reader went away; the exit flush goes to devnull, not to a second error
+    except OSError as exc:
+        # files are read and written under DomainError guards, so this is
+        # standard output: a reader that went away needs no message, a full
+        # disk does
+        if not isinstance(exc, BrokenPipeError):
+            print(f"error: cannot write standard output: {exc}", file=sys.stderr)
+        # the exit flush goes to devnull, not to a second error
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)

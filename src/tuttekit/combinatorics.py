@@ -11,6 +11,7 @@ minimum element).
 from __future__ import annotations
 
 import os
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, combinations
@@ -122,9 +123,19 @@ def parse_rational(s: str) -> Fraction:
 
 
 def format_rational(q: Fraction | int) -> str:
-    """Serialize an exact number as 'num/den', denominator always present."""
+    """Serialize an exact number as 'num/den', denominator always present.
+
+    A part longer than the interpreter's limit on int-to-text conversion
+    (sys.get_int_max_str_digits) raises DomainError.
+    """
     q = Fraction(q)
-    return f"{q.numerator}/{q.denominator}"
+    try:
+        return f"{q.numerator}/{q.denominator}"
+    except ValueError:
+        raise DomainError(
+            f"a number has more than {sys.get_int_max_str_digits()} digits, the interpreter's "
+            "limit for writing an integer as text; PYTHONINTMAXSTRDIGITS raises it"
+        ) from None
 
 
 def as_rational(value) -> Fraction | int:

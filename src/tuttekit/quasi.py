@@ -250,13 +250,16 @@ class TruncatedQFunc(LinComb):
         return f"TruncatedQFunc(N={self.N}, [{', '.join(bits)}])"
 
     def to_json_obj(self) -> dict:
-        return {
-            "N": self.N,
-            "terms": [
-                {"exponents": list(e), "coeff": c.to_json_obj()}
-                for e, c in self.sorted_terms()
-            ],
-        }
+        """Each distinct coefficient object is formatted once, as in
+        `_substitute`; every term still gets rows of its own."""
+        done: dict[int, list[dict]] = {}
+        terms = []
+        for e, c in self.sorted_terms():
+            rows = done.get(id(c))
+            if rows is None:
+                rows = done[id(c)] = c.to_json_obj()
+            terms.append({"exponents": list(e), "coeff": [r.copy() for r in rows]})
+        return {"N": self.N, "terms": terms}
 
     @staticmethod
     def from_json_obj(obj: dict) -> TruncatedQFunc:

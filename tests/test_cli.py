@@ -6,12 +6,15 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import tuttekit
-from tuttekit import selfcheck
+from tuttekit import cli, selfcheck
 from tuttekit.cli import main
 from tuttekit.graphs import MAX_VERTICES, complete, cycle, edgeless, graph_to_json_obj, path
 from tuttekit.invariants import tutte_sym
@@ -316,12 +319,40 @@ def test_closed_pipe_exits_one_without_traceback(tmp_path, cmd):
     assert "Traceback" not in proc.stderr and proc.stderr == ""
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_full_standard_output_is_one_error_line(tmp_path):
+    src = str(Path(tuttekit.__file__).resolve().parents[1])
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "tuttekit.cli", "xb", graph_file(tmp_path, path(3))],
+            stdout=full,
+            stderr=subprocess.PIPE,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+            timeout=120,
+        )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: cannot write standard output: ") and proc.stderr.count("\n") == 1
+
+
+def test_refused_output_keeps_an_existing_file(tmp_path, capsys):
+    out = tmp_path / "out.json"
+    out.write_bytes(b"earlier answer\n")
+    assert main(["xb", graph_file(tmp_path, path(3)), T_OVERLONG, "--output", str(out)]) == 1
+    assert "digits" in capsys.readouterr().err
+    assert out.read_bytes() == b"earlier answer\n"
+
+
 def _hostile_file(tmp_path, name, data: bytes) -> str:
     (tmp_path / name).write_bytes(data)
     return str(tmp_path / name)
 
 
 HUGE = "9" * 20
+
+# t = 10^4000 - 1 makes XB(P3)'s t^2 coefficient about 8,000 digits long,
+# past the interpreter's 4,300-digit limit for writing an int as text
+T_OVERLONG = "--t-eval=" + "9" * 4000
 
 
 def _one_term(n):
@@ -338,6 +369,9 @@ HOSTILE = [
     ("nested-json", lambda tmp, g: ["xb", _hostile_file(tmp, "d.json", b"[" * 100_000 + b"]" * 100_000)], 1),
     ("output-in-missing-dir", lambda tmp, g: ["xb", g, "--output", str(tmp / "no" / "x.json")], 1),
     ("output-is-a-dir", lambda tmp, g: ["xb", g, "--output", str(tmp)], 1),
+    ("output-empty-path", lambda tmp, g: ["xb", g, "--output", ""], 1),
+    ("xb-overlong-coefficient-text", lambda tmp, g: ["xb", g, T_OVERLONG], 1),
+    ("xb-overlong-coefficient-output", lambda tmp, g: ["xb", g, T_OVERLONG, "--output", str(tmp / "x.json")], 1),
     ("sigma-huge-k", lambda tmp, g: ["sigma", g, "--k", HUGE, "--l", "1"], 0),
     ("sigma-huge-l", lambda tmp, g: ["sigma", g, "--k", "1", "--l", HUGE], 0),
     ("xb-n-2**70", lambda tmp, g: ["xb", write_json(tmp, "n.json", {"n": 2**70, "edges": []})], 1),
@@ -369,6 +403,27 @@ def test_hostile_input_under_optimisation_gives_no_traceback(tmp_path, argv, cod
         assert proc.stderr.splitlines()[0].startswith("error: ") and len(proc.stderr.encode()) < 1024
     else:
         assert proc.stdout.strip().endswith("XB = 0/1") and proc.stderr == ""
+
+
+#### the JSON encoder ##########################################################
+
+_JSON_TEXT = st.text(st.sampled_from('"\\/\ud800\x00\x1f\x7f\n\té€\u2028😀a') | st.characters(), max_size=8)
+_JSON_TREES = st.recursive(
+    st.none() | st.booleans() | st.integers(-10**100, 10**100) | _JSON_TEXT,
+    lambda kids: st.lists(kids) | st.lists(kids).map(tuple) | st.dictionaries(_JSON_TEXT, kids),
+    max_leaves=20,
+)
+
+
+@given(_JSON_TREES)
+def test_encoder_writes_the_bytes_of_json_dumps(v):
+    assert cli._encode(v) + "\n" == json.dumps(v, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("v", [Fraction(1, 2), 1.5, {1: "one"}, [{"a": {"b": set()}}]])
+def test_encoder_refuses_other_types(v):
+    with pytest.raises(TypeError):
+        cli._encode(v)
 
 
 def test_usage_errors(capsys):

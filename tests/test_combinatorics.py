@@ -1,5 +1,6 @@
 """Partitions, set partitions, and exact t-polynomials."""
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -99,6 +100,9 @@ def test_rational_strings():
             parse_rational(bad)
     assert format_rational(Fraction(5, 10)) == "1/2"
     assert format_rational(Fraction(-3)) == "-3/1"
+    # past the interpreter's int-to-text limit: a domain error naming the limit
+    with pytest.raises(DomainError, match=f"more than {sys.get_int_max_str_digits()} digits"):
+        format_rational(Fraction(1, 10 ** sys.get_int_max_str_digits()))
 
 
 def test_tpoly_arithmetic():

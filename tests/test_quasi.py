@@ -62,6 +62,19 @@ def test_qtpoly_json_rows_add_up_like_symfunc_terms():
     assert twice.terms == {(1,): TPoly([3])}
 
 
+def test_json_terms_share_no_mutable_rows():
+    # the terms of one composition share a coefficient object, which the
+    # JSON form formats once; an edit to one term's rows must not reach another
+    F = tq(Digraph(3, [(1, 2), (2, 3)]), 4)
+    assert len({id(c) for c in F.terms.values()}) < len(F.terms)
+    obj = F.to_json_obj()
+    coeffs = [t["coeff"] for t in obj["terms"]]
+    rows = [r for c in coeffs for r in c]
+    assert len({id(c) for c in coeffs}) == len(coeffs) and len({id(r) for r in rows}) == len(rows)
+    assert TruncatedQFunc.from_json_obj(obj) == F
+    assert obj["terms"] == [{"exponents": list(e), "coeff": c.to_json_obj()} for e, c in F.sorted_terms()]
+
+
 @pytest.mark.parametrize("obj", [5, None, "rows", {"q": 0, "t": 0, "c": "1"}])
 def test_qtpoly_json_reader_refuses_a_non_list(obj):
     with pytest.raises(DomainError, match="list of rows"):
