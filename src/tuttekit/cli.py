@@ -16,7 +16,7 @@ import sys
 from collections.abc import Callable
 from json.encoder import encode_basestring_ascii
 
-from tuttekit.combinatorics import DomainError, TPoly, format_rational
+from tuttekit.combinatorics import DomainError, TPoly, echo, format_rational
 from tuttekit.graphs import graph_from_json_obj, graph_to_json_obj
 from tuttekit.invariants import (
     chromatic_sym,
@@ -62,11 +62,11 @@ def _load(path: str) -> dict:
         with open(path) as fh:
             return json.load(fh)
     except OSError as exc:
-        raise DomainError(f"cannot read {path}: {exc}")
+        raise DomainError(f"cannot read {echo(path)}: {exc}")
     except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError among them
-        raise DomainError(f"{path} is not valid JSON: {exc}")
+        raise DomainError(f"{echo(path)} is not valid JSON: {exc}")
     except RecursionError:
-        raise DomainError(f"{path} nests too deeply to read")
+        raise DomainError(f"{echo(path)} nests too deeply to read")
 
 
 _LITERALS = {None: "null", True: "true", False: "false"}
@@ -109,7 +109,7 @@ def _emit(obj: Callable[[], dict], text: Callable[[], str], output: str | None) 
         with open(output, "w") as fh:
             fh.write(data)
     except OSError as exc:
-        raise DomainError(f"cannot write {output}: {exc}")
+        raise DomainError(f"cannot write {echo(output)}: {exc}")
 
 
 def _tpoly_text(c: TPoly) -> str:
@@ -142,7 +142,7 @@ def _parse_ints(chunk: str, text: str) -> list[int]:
     try:
         return [int(x) for x in chunk.split(",")]
     except ValueError:
-        raise DomainError(f"non-integer vertex in {text!r}")
+        raise DomainError(f"non-integer vertex in {echo(text)}")
 
 
 def _parse_blocks(text: str) -> list[list[int]]:
@@ -150,7 +150,7 @@ def _parse_blocks(text: str) -> list[list[int]]:
     for chunk in text.split("|"):
         chunk = chunk.strip()
         if not chunk:
-            raise DomainError(f"empty block in partition {text!r}")
+            raise DomainError(f"empty block in partition {echo(text)}")
         blocks.append(_parse_ints(chunk, text))
     return blocks
 
@@ -160,7 +160,7 @@ def _parse_edge_list(text: str) -> list[tuple[int, int]]:
     for chunk in text.split(";"):
         parts = _parse_ints(chunk.strip(), text)
         if len(parts) != 2:
-            raise DomainError(f"bad edge {chunk!r}; expected 'u,v'")
+            raise DomainError(f"bad edge {echo(chunk)}; expected 'u,v'")
         edges.append((parts[0], parts[1]))
     return edges
 
@@ -386,9 +386,9 @@ def _cmd_selfcheck(args) -> int:
             try:
                 i = int(chunk)
             except ValueError:
-                raise DomainError(f"--only expects comma-separated criterion ids, got {chunk!r}")
+                raise DomainError(f"--only expects comma-separated criterion ids, got {echo(chunk)}")
             if i not in known:
-                raise DomainError(f"no criterion {i}; ids run from 1 to {len(known)}")
+                raise DomainError(f"no criterion {echo(i)}; ids run from 1 to {len(known)}")
             ids.append(i)
     results = run_all(ids)
     print(format_report(results))

@@ -19,7 +19,7 @@ from math import comb, factorial
 from operator import index
 from typing import Iterable, Iterator, Sequence
 
-from tuttekit.lincomb import DomainError, Poly, exact
+from tuttekit.lincomb import DomainError, Poly, echo, exact
 
 #### bounds ####################################################################
 
@@ -43,9 +43,9 @@ def resolve_bound(default: int, override: int | None = None) -> int:
         try:
             bound = int(env)
         except ValueError:
-            raise DomainError(f"TUTTEKIT_MAX_N is not an integer: {env!r}")
+            raise DomainError(f"TUTTEKIT_MAX_N is not an integer: {echo(env)}")
         if bound < 0:
-            raise DomainError(f"TUTTEKIT_MAX_N must be nonnegative: {env!r}")
+            raise DomainError(f"TUTTEKIT_MAX_N must be nonnegative: {echo(env)}")
         return bound
     return default
 
@@ -84,13 +84,13 @@ def as_int(value, what: str) -> int:
             return index(value)
         except TypeError:
             pass
-    raise DomainError(f"{what} must be an integer, got {value!r}")
+    raise DomainError(f"{what} must be an integer, got {echo(value)}")
 
 
 def json_field(obj, key: str):
     """obj[key] of a JSON object read from outside; DomainError if it is absent."""
     if not isinstance(obj, dict) or key not in obj:
-        raise DomainError(f"JSON object has no {key!r} field: {obj!r}")
+        raise DomainError(f"JSON object has no {key!r} field: {echo(obj)}")
     return obj[key]
 
 
@@ -100,7 +100,7 @@ def json_list(obj, key: str, required: bool = True) -> list | None:
         return None
     value = json_field(obj, key)
     if not isinstance(value, list):
-        raise DomainError(f"JSON field {key!r} must be a list, got {value!r}")
+        raise DomainError(f"JSON field {key!r} must be a list, got {echo(value)}")
     return value
 
 
@@ -112,14 +112,14 @@ def parse_rational(s: str) -> Fraction:
     Malformed text and a zero denominator raise DomainError.
     """
     if not isinstance(s, str):
-        raise DomainError(f"expected a rational 'num/den' as text, got {s!r}")
+        raise DomainError(f"expected a rational 'num/den' as text, got {echo(s)}")
     num, slash, den = s.strip().partition("/")
     try:
         return Fraction(int(num), int(den) if slash else 1)
     except ValueError:
-        raise DomainError(f"not a rational 'num/den': {s!r}")
+        raise DomainError(f"not a rational 'num/den': {echo(s)}")
     except ZeroDivisionError:
-        raise DomainError(f"zero denominator in {s!r}")
+        raise DomainError(f"zero denominator in {echo(s)}")
 
 
 def format_rational(q: Fraction | int) -> str:
@@ -288,7 +288,7 @@ def sorted_partition(parts: Iterable[int]) -> tuple[int, ...]:
     """Weakly decreasing tuple from any iterable of positive parts."""
     lam = tuple(sorted(parts, reverse=True))
     if lam and lam[-1] < 1:
-        raise DomainError(f"partition parts must be positive: {lam!r}")
+        raise DomainError(f"partition parts must be positive: {echo(lam)}")
     return lam
 
 
@@ -302,7 +302,6 @@ def enumerate_set_partitions(
     n: int,
     *,
     edge_sets: Sequence[Iterable[Sequence[int]]] | None = None,
-    max_internal: int | None = None,
 ) -> Iterator:
     """Every set partition of [n] exactly once.
 
@@ -315,52 +314,25 @@ def enumerate_set_partitions(
     number of edges of edge_sets[j] with both ends in one block, loops and
     multiplicity counted.  The counts grow with the recursion: vertex i
     joining block b adds its loops and its edges to earlier members of b.
-    max_internal (with edge_sets) skips every partition in which
-    edge_sets[0] has more internal edges than that, pruning a branch as soon
-    as it exceeds it; max_internal=0 walks the stable partitions only.
+    Without edge_sets the same walk runs over no edge lists and yields the
+    blocks alone.
     """
     if n < 0:
         raise DomainError(f"no set partitions of a negative count {n}")
-    if max_internal is not None and not edge_sets:
-        raise DomainError("max_internal bounds edge_sets[0]; no edge_sets given")
-    if edge_sets is None:
-        return _plain_partitions(n)
-    return _counted_partitions(n, [list(es) for es in edge_sets], max_internal)
-
-
-def _plain_partitions(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-    blocks: list[list[int]] = []
-
-    def rec(i: int):
-        if i > n:
-            yield tuple(map(tuple, blocks))
-            return
-        for b in range(len(blocks)):
-            block = blocks[b]
-            block.append(i)
-            yield from rec(i + 1)
-            block.pop()
-        blocks.append([i])
-        yield from rec(i + 1)
-        blocks.pop()
-
-    yield from rec(1)
-
-
-def _counted_partitions(n: int, edge_sets: list[list], max_internal: int | None) -> Iterator:
+    sets = [list(es) for es in edge_sets or ()]
     # The per-set counts travel packed in one int, set j in bits [j*width,
     # (j+1)*width).  A count never exceeds its set's size, so no field
     # carries into the next and adding two packed vectors adds fieldwise.
-    width = max((len(es) for es in edge_sets), default=0).bit_length() or 1
+    width = max(map(len, sets), default=0).bit_length() or 1
     mask = (1 << width) - 1
-    shifts = range(0, width * len(edge_sets), width)
+    shifts = range(0, width * len(sets), width)
     loops = [0] * (n + 1)  # loops[i]: packed loop counts at vertex i
     back: list[dict[int, int]] = [{} for _ in range(n + 1)]  # back[i][u], u < i: packed edge counts
-    for j, es in enumerate(edge_sets):
+    for j, es in enumerate(sets):
         unit = 1 << (j * width)
         for u, v in es:
             if not (1 <= u <= n and 1 <= v <= n):
-                raise DomainError(f"edge {(u, v)!r} leaves the ground set [{n}]")
+                raise DomainError(f"edge {echo((u, v))} leaves the ground set [{n}]")
             if u > v:
                 u, v = v, u
             if u == v:
@@ -368,35 +340,30 @@ def _counted_partitions(n: int, edge_sets: list[list], max_internal: int | None)
             else:
                 back[v][u] = back[v].get(u, 0) + unit
     near = [tuple(d.items()) for d in back]
-    cap = mask if max_internal is None else max_internal
     blocks: list[list[int]] = []
     where = [0] * (n + 1)  # where[v]: index of v's block
 
     def rec(i: int, counts: int):
         if i > n:
-            yield tuple(map(tuple, blocks)), tuple([(counts >> s) & mask for s in shifts])
+            part = tuple(map(tuple, blocks))
+            yield (part, tuple([(counts >> s) & mask for s in shifts])) if edge_sets is not None else part
             return
         counts += loops[i]
-        gain: dict[int, int] = {}
+        joined = [counts] * len(blocks)  # joined[b]: the counts once i joins block b
         for u, packed in near[i]:
-            b = where[u]
-            gain[b] = gain.get(b, 0) + packed
-        for b in range(len(blocks)):
-            c = counts + gain.get(b, 0)
-            if c & mask > cap:
-                continue
+            joined[where[u]] += packed
+        for b, c in enumerate(joined):
             block = blocks[b]
             block.append(i)
             where[i] = b
             yield from rec(i + 1, c)
             block.pop()
-        if counts & mask <= cap:
-            where[i] = len(blocks)
-            blocks.append([i])
-            yield from rec(i + 1, counts)
-            blocks.pop()
+        where[i] = len(blocks)
+        blocks.append([i])
+        yield from rec(i + 1, counts)
+        blocks.pop()
 
-    yield from rec(1, 0)
+    return rec(1, 0)
 
 
 def normalize_blocks(n: int, blocks: Iterable[Iterable[int]]) -> tuple[tuple[int, ...], ...]:
@@ -407,14 +374,14 @@ def normalize_blocks(n: int, blocks: Iterable[Iterable[int]]) -> tuple[tuple[int
         b = tuple(b)
         bt = tuple(sorted(set(b)))
         if len(bt) != len(b):
-            raise DomainError(f"repeated element inside block {b}")
+            raise DomainError(f"repeated element inside block {echo(b)}")
         if not bt:
             raise DomainError("empty block")
         for v in bt:
             if not (1 <= v <= n):
-                raise DomainError(f"element {v} outside ground set [{n}]")
+                raise DomainError(f"element {echo(v)} outside ground set [{n}]")
             if v in seen:
-                raise DomainError(f"element {v} appears in two blocks")
+                raise DomainError(f"element {echo(v)} appears in two blocks")
             seen.add(v)
         out.append(bt)
     if len(seen) != n:

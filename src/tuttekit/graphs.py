@@ -18,6 +18,7 @@ from tuttekit.combinatorics import (
     as_int,
     block_index_map,
     check_bound,
+    echo,
     json_field,
     json_list,
     normalize_blocks,
@@ -34,9 +35,9 @@ def endpoints(e: Sequence[int], n: int, what: str = "edge") -> tuple[int, int]:
         u, v = e
         u, v = as_int(u, what), as_int(v, what)
     except (TypeError, ValueError):  # DomainError included
-        raise DomainError(f"{what} must have two integer endpoints: {e!r}") from None
+        raise DomainError(f"{what} must have two integer endpoints: {echo(e)}") from None
     if not (1 <= u <= n and 1 <= v <= n):
-        raise DomainError(f"{what} {e!r} leaves the vertex set [{n}]")
+        raise DomainError(f"{what} {echo(e)} leaves the vertex set [{n}]")
     return u, v
 
 
@@ -47,7 +48,7 @@ def vertex_count(n: int) -> int:
     if n < 0:
         raise DomainError("vertex count must be nonnegative")
     if n > MAX_VERTICES:
-        raise DomainError(f"vertex count {n} is over the limit of {MAX_VERTICES}")
+        raise DomainError(f"vertex count {echo(n)} is over the limit of {MAX_VERTICES}")
     return n
 
 
@@ -177,7 +178,7 @@ def _without(edges: tuple, pairs: Iterable[tuple[int, int]]) -> tuple:
         try:
             i = rest.index(e)
         except ValueError:
-            raise DomainError(f"edge {e} not present (with multiplicity) in {list(edges)}") from None
+            raise DomainError(f"edge {echo(e)} not present (with multiplicity) in {echo(list(edges))}") from None
         rest = rest[:i] + rest[i + 1:]
     return rest
 
@@ -187,7 +188,7 @@ def _relabelled(n: int, edges: Iterable[tuple[int, int]], perm: Sequence[int]) -
     unless perm is a permutation of [n]."""
     p = [as_int(x, "permutation entry") for x in perm]
     if sorted(p) != list(range(1, n + 1)):
-        raise DomainError(f"not a permutation of [{n}]: {perm!r}")
+        raise DomainError(f"not a permutation of [{n}]: {echo(perm)}")
     return tuple(sorted(_pair(p[u - 1], p[v - 1]) for u, v in edges))
 
 
@@ -295,7 +296,7 @@ def contract_partition(G: _LabelledGraph, blocks: Iterable[Iterable[int]]) -> _L
     blocks = normalize_blocks(G.n, blocks)
     label, k = block_index_map(blocks), len(blocks)
     if not _blocks_connected(G.n, G._pairs, label, k):
-        raise DomainError(f"a block of {blocks} is not connected")
+        raise DomainError(f"a block of {echo(blocks)} is not connected")
     return type(G)(k, *_quotient(G._pairs, G.weights, label, k))
 
 

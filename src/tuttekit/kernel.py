@@ -63,7 +63,7 @@ from tuttekit.graphs import (
     vertex_count,
 )
 from tuttekit.invariants import tutte_sym
-from tuttekit.lincomb import LinComb, merge_terms
+from tuttekit.lincomb import LinComb, echo, merge_terms
 from tuttekit.symfun import SymFunc
 
 _T = TPoly.t()
@@ -569,7 +569,7 @@ def _apply_step(terms: dict[tuple, tuple], step: ReductionStep) -> list[tuple]:
     elif step.gen == "iso":
         products = [(_relabelled(step.graph.n, g, step.perm), _PLUS)]
     else:
-        raise DomainError(f"unknown generator tag {step.gen!r}")
+        raise DomainError(f"unknown generator tag {echo(step.gen)}")
     if step.gen != "iso":
         for h, _ in products:
             # fewer edges come later in the order; otherwise compare keys
@@ -719,7 +719,7 @@ def _edge_instance_index(G: Multigraph, e) -> int:
             raise DomainError(f"edge {pair} not present in the graph") from None
     e = as_int(e, "edge index")
     if not (1 <= e <= len(G.edges)):
-        raise DomainError(f"edge index {e} out of range 1..{len(G.edges)}")
+        raise DomainError(f"edge index {echo(e)} out of range 1..{len(G.edges)}")
     return e - 1
 
 
@@ -837,21 +837,6 @@ def classify_n4() -> list[tuple[Multigraph, ...]]:
             families.append(tuple(sorted(members, key=lambda g: g.key())))
     families.sort(key=lambda fam: fam[0].key())
     return families
-
-
-def sample_friendly_pairs(n: int, count: int, seed: int = 20260817) -> list[tuple[Multigraph, Multigraph]]:
-    """Pseudo-random scan for nontrivial friendly pairs on [n]; expect none for n >= 5."""
-    import random
-
-    rng = random.Random(seed)
-    npairs = n * (n - 1) // 2
-    found = []
-    for _ in range(count):
-        H1 = simple_graph(n, rng.getrandbits(npairs))
-        H2 = simple_graph(n, rng.getrandbits(npairs))
-        if nontrivial_friendly_pair(H1, H2):
-            found.append((H1, H2))
-    return found
 
 
 def is_tutte_reducible(L: GraphCombination, max_n: int | None = None) -> bool:

@@ -25,13 +25,30 @@ class DomainError(ValueError):
     """A documented precondition on caller-supplied data failed."""
 
 
+# the most characters of a value that an error message echoes
+ECHO_LIMIT = 200
+
+
+def echo(value) -> str:
+    """repr(value) for an error message echoing outside input, kept short: a
+    repr over ECHO_LIMIT characters is cut and named by its type and length,
+    and an int too long to write (sys.get_int_max_str_digits) by its type."""
+    try:
+        text = repr(value)
+    except ValueError:
+        return f"<{type(value).__name__} too long to write>"
+    if len(text) <= ECHO_LIMIT:
+        return text
+    return f"{text[:ECHO_LIMIT - 60]}... <{type(value).__name__} of {len(text):,} characters>"
+
+
 def exact(c) -> int | Fraction:
     """The coefficient policy: an int or a Fraction, anything else refused."""
     if type(c) is int or type(c) is Fraction:
         return c
     if isinstance(c, int):  # bool and other int subclasses
         return int(c)
-    raise DomainError(f"coefficient {c!r} is not exact; use an int or a Fraction")
+    raise DomainError(f"coefficient {echo(c)} is not exact; use an int or a Fraction")
 
 
 def merge_terms(acc: dict, items: Iterable[tuple]) -> dict:

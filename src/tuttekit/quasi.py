@@ -12,10 +12,10 @@ x_{c_1}^{a_1}...x_{c_k}^{a_k} with c_1 < ... < c_k depends only on the
 composition (a_1, ..., a_k): it is the coefficient of Gessel's monomial
 quasisymmetric function M_alpha.  The coloring sums therefore run over
 packed colorings, the surjections [n] -> [k], which are the ordered set
-partitions of [n] (Fubini(n) of them, against N^n colorings).  Each set
-partition is taken in every order of its blocks, and the colorings are
-counted as ints by (composition, ascents, monochromatic arcs), on packed
-(n, arcs, weights) triples: no contraction is built as a Digraph.  `tq`,
+partitions of [n] (Fubini(n) of them, against N^n colorings).  One walk
+builds each ordered set partition once and counts the colorings as ints
+by (composition, ascents, monochromatic arcs), on packed (n, arcs,
+weights) triples: no contraction is built as a Digraph.  `tq`,
 `xq` and the two expansion routes add their (1+t)^k-shifted counts as ints
 into one {composition: {(ascents, power of t): int}} tally, and each
 composition's QTPoly is built once, from its finished tally.  Each public
@@ -28,8 +28,7 @@ those terms share one coefficient object, which `TruncatedQFunc.at_q` and
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations
 from math import comb
 from typing import Iterable, Sequence
 
@@ -40,7 +39,6 @@ from tuttekit.combinatorics import (
     as_rational,
     augmentation_factor,
     block_index_map,
-    enumerate_set_partitions,
     format_rational,
     json_field,
     json_list,
@@ -60,7 +58,7 @@ from tuttekit.graphs import (
     graph_from_json_obj,
     graph_to_json_obj,
 )
-from tuttekit.lincomb import LinComb, Poly, merge_terms
+from tuttekit.lincomb import LinComb, Poly, echo, merge_terms
 from tuttekit.symfun import SymFunc, _arrangements
 
 DEFAULT_COLORING_BUDGET = 5_000_000
@@ -82,10 +80,10 @@ class QTPoly(Poly):
         try:
             a, b = key
         except (TypeError, ValueError):
-            raise DomainError(f"a QTPoly key is a (q-degree, t-degree) pair, got {key!r}")
+            raise DomainError(f"a QTPoly key is a (q-degree, t-degree) pair, got {echo(key)}")
         a, b = as_int(a, "q-degree"), as_int(b, "t-degree")
         if a < 0 or b < 0:
-            raise DomainError(f"negative degree in the QTPoly key {(a, b)!r}")
+            raise DomainError(f"negative degree in the QTPoly key {echo((a, b))}")
         return (a, b)
 
     @staticmethod
@@ -130,7 +128,7 @@ class QTPoly(Poly):
     def from_json_obj(obj: list[dict]) -> QTPoly:
         """Rows {"q", "t", "c"}; rows with the same (q, t) add up."""
         if not isinstance(obj, list):
-            raise DomainError(f"a QTPoly's JSON form is a list of rows, got {obj!r}")
+            raise DomainError(f"a QTPoly's JSON form is a list of rows, got {echo(obj)}")
         return QTPoly(
             [((json_field(r, "q"), json_field(r, "t")), parse_rational(json_field(r, "c"))) for r in obj]
         )
@@ -221,7 +219,7 @@ class TruncatedQFunc(LinComb):
         if len(exps) != self.N:
             raise DomainError("exponent vector does not fit the variable count")
         if min(exps, default=0) < 0:
-            raise DomainError(f"negative exponent in {list(exps)}")
+            raise DomainError(f"negative exponent in {echo(list(exps))}")
         return exps
 
     def _substitute(self, sub) -> TruncatedQFunc:
@@ -313,37 +311,65 @@ def _check_coloring_budget(D: Digraph, N: int) -> None:
         )
 
 
-# The inverse of each permutation of range(k), in `permutations` order: the
-# colour of each block when the blocks are taken in that order.  The
-# coloring budget admits n <= 8, so k <= 8, and the tables hold at most
-# 0! + 1! + ... + 8! = 46,234 tuples, about 5 MB on 64-bit CPython 3.11
-# measured with tracemalloc (the k = 8 table alone, 40,320 tuples, 4.0 MB).
-@lru_cache(maxsize=None)
-def _inverse_orders(k: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(sorted(range(k), key=p.__getitem__)) for p in permutations(range(k)))
-
-
 def _packed_sum(n: int, arcs: Sequence[tuple[int, int]], weights: Sequence[int],
                 proper: bool) -> dict[tuple[int, ...], dict[tuple[int, int], int]]:
     """Packed colorings of the packed digraph ([n], arcs, weights), counted
     as {composition: {(ascents, monochromatic arcs): int}}.
 
-    Block i of an ordered set partition takes colour i, so its composition
-    lists the block weights in order.  proper keeps only the colorings with
-    no monochromatic arc, walking the stable partitions alone (none at all
-    when an arc is a loop).
+    The walk builds each ordered set partition once: vertex i joins a block
+    or opens a new one at any place in the colour order.  Opening a block
+    keeps the order of the blocks already placed, so each step adds only
+    the ascents and monochromatic arcs among i's own arcs to earlier
+    vertices.  Block j takes colour j, so the composition lists the block
+    weights in order.  proper keeps only the colorings with no
+    monochromatic arc: i never joins a block holding a neighbour, and an
+    arc that is a loop leaves nothing.
     """
+    loops = [0] * (n + 1)
+    back: list[dict[int, list[int]]] = [{} for _ in range(n + 1)]  # back[i][u], u < i: [arcs u->i, arcs i->u]
+    for u, v in arcs:
+        if u == v:
+            if proper:
+                return {}
+            loops[u] += 1
+        else:
+            back[max(u, v)].setdefault(min(u, v), [0, 0])[u > v] += 1
     stats: dict[tuple[int, ...], dict[tuple[int, int], int]] = {}
-    walk = enumerate_set_partitions(n, edge_sets=[arcs], max_internal=0 if proper else None)
-    for blocks, (mono,) in walk:
-        label = block_index_map(blocks)
-        between = [(label[u], label[v]) for u, v in arcs if label[u] != label[v]]
-        block_weight = [sum(weights[v - 1] for v in b) for b in blocks]
-        k = len(blocks)
-        for order, colour in zip(permutations(range(k)), _inverse_orders(k)):
-            key = (sum(colour[a] < colour[b] for a, b in between), mono)
-            counts = stats.setdefault(tuple(map(block_weight.__getitem__, order)), {})
-            counts[key] = counts.get(key, 0) + 1
+    where = [0] * (n + 1)  # where[v]: the block of v, numbered as opened
+    order: list[int] = []  # the blocks in colour order
+    comp: list[int] = []  # comp[j]: the weight of the block of colour j
+
+    def rec(i: int, asc: int, mono: int) -> None:
+        if i > n:
+            counts = stats.setdefault(tuple(comp), {})
+            counts[asc, mono] = counts.get((asc, mono), 0) + 1
+            return
+        k = len(order)
+        into, out = [0] * k, [0] * k  # arcs into i from colour j, out of i to colour j
+        for u, (a, b) in back[i].items():
+            j = order.index(where[u])
+            into[j] += a
+            out[j] += b
+        mono += loops[i]
+        w = weights[i - 1]
+        below, above = 0, sum(out)  # arcs into i from colours under j, out of i to colours from j up
+        for j in range(k + 1):
+            where[i] = k
+            order.insert(j, k)
+            comp.insert(j, w)
+            rec(i + 1, asc + below + above, mono)
+            del order[j], comp[j]
+            if j < k:
+                above -= out[j]
+                same = into[j] + out[j]  # arcs between i and the block of colour j
+                if not (proper and same):
+                    where[i] = order[j]
+                    comp[j] += w
+                    rec(i + 1, asc + below + above, mono + same)
+                    comp[j] -= w
+                below += into[j]
+
+    rec(1, 0, 0)
     return stats
 
 

@@ -15,7 +15,7 @@ import random
 import time
 import traceback
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, product, repeat
+from itertools import combinations, combinations_with_replacement, product
 from typing import Callable, Iterator, NamedTuple
 
 from tuttekit.combinatorics import TPoly, enumerate_set_partitions, onep_t_power, partitions_of
@@ -55,9 +55,9 @@ from tuttekit.kernel import (
     is_tutte_friendly,
     is_x_friendly,
     kernel_membership,
+    nontrivial_friendly_pair,
     reduce_to_star_forests,
     replay_certificate,
-    sample_friendly_pairs,
     star_forest_basis_rank,
     two_edge_connected_relation,
     witness_graph,
@@ -262,21 +262,22 @@ def expected_n4_families() -> list[frozenset[Multigraph]]:
 
 
 def n4_classification() -> Iterator[str | None]:
-    """classify_n4 finds exactly the four known families; n=5 sample finds none.
-
-    Each verdict decides many pairs (all 2,016 pairs of the 64 graphs on
-    [4], 500 sampled pairs on [5]), so passes for the rest follow it."""
+    """classify_n4 finds exactly the four known families; a pair of the 64
+    graphs on [4] is friendly exactly when one family holds both and they
+    are not complements; no seeded pair on [5] is friendly."""
     found = {frozenset(f) for f in classify_n4()}
-    expected = set(expected_n4_families())
-    missing = len(expected - found)
-    extra = len(found - expected)
+    expected = set(families := expected_n4_families())
     yield None if found == expected else (
-        f"families differ from the known four (missing {missing}, extra {extra})"
+        f"families differ from the known four (missing {len(expected - found)}, extra {len(found - expected)})"
     )
-    yield from repeat(None, 2015)
-    stray = sample_friendly_pairs(5, 500, seed=SEED + 5)
-    yield f"unexpected friendly pair on [5]: {stray[0]!r}" if stray else None
-    yield from repeat(None, 499)
+    for H1, H2 in combinations(simple_graphs(4), 2):
+        want = H2 != complement(H1) and any(H1 in f and H2 in f for f in families)
+        got = nontrivial_friendly_pair(H1, H2)
+        yield None if got == want else f"{H1!r}, {H2!r}: friendly is {got}, the families say {want}"
+    rng = random.Random(SEED + 5)
+    for _ in range(500):
+        H1, H2 = simple_graph(5, rng.getrandbits(10)), simple_graph(5, rng.getrandbits(10))
+        yield f"unexpected friendly pair on [5]: {H1!r}, {H2!r}" if nontrivial_friendly_pair(H1, H2) else None
 
 
 def _reduction_fault(G: Multigraph, xb_of: dict[Multigraph, SymFunc]) -> str | None:

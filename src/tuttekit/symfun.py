@@ -33,7 +33,7 @@ from tuttekit.combinatorics import (
     partitions_of,
     sorted_partition,
 )
-from tuttekit.lincomb import LinComb
+from tuttekit.lincomb import LinComb, echo
 
 BASES = ("mtilde", "m", "p", "e")
 
@@ -52,7 +52,7 @@ class SymFunc(LinComb):
 
     def __init__(self, basis: str, terms: dict | Iterable = ()):
         if basis not in BASES:
-            raise DomainError(f"unknown basis {basis!r}; expected one of {BASES}")
+            raise DomainError(f"unknown basis {echo(basis)}; expected one of {BASES}")
         object.__setattr__(self, "basis", basis)
         super().__init__(terms)
 
@@ -60,7 +60,7 @@ class SymFunc(LinComb):
     def _key(lam) -> tuple[int, ...]:
         lam = tuple(as_int(part, "partition part") for part in lam)
         if min(lam, default=1) < 1 or list(lam) != sorted(lam, reverse=True):
-            raise DomainError(f"not a partition: {lam!r}")
+            raise DomainError(f"not a partition: {echo(lam)}")
         return lam
 
     @staticmethod

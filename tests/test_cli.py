@@ -362,6 +362,30 @@ def _one_term(n):
 _T2000 = {"n": 2, "terms": [{"coeff": ["0"] * 2000 + ["1"], "graph": {"n": 2, "edges": [[1, 2]]}}]}
 
 
+_NO_GRAPH = {"n": 2, "terms": [{"coeff": ["1"], "edges": [[1, 2]] * 50_000}]}
+
+# input kind -> an object of that kind holding one element of the wrong type
+_WRONG_ELEMENT = {
+    "graph": {"n": 3, "edges": [[1, "2"]]},
+    "combination": {"n": 3, "terms": ["x"]},
+    "digraph": {"n": 2, "arcs": [[1, None]]},
+}
+
+# input-taking subcommand -> (input kind, argv around the input file)
+_INPUT_ARGV = {
+    "x": ("graph", lambda f: ["x", f]),
+    "xb": ("graph", lambda f: ["xb", f]),
+    "sigma": ("graph", lambda f: ["sigma", f, "--k", "1", "--l", "1"]),
+    "friendly": ("combination", lambda f: ["friendly", f]),
+    "xfriendly": ("combination", lambda f: ["xfriendly", f]),
+    "witness": ("combination", lambda f: ["witness", f, "--pi", "1"]),
+    "reduce": ("combination", lambda f: ["reduce", f]),
+    "member": ("combination", lambda f: ["member", f]),
+    "relation": ("graph", lambda f: ["relation", "two-edge-connected", f, "--i", "1", "--j", "2"]),
+    "quasi": ("digraph", lambda f: ["quasi", "tq", f]),
+}
+
+
 # (id, argv of tmp_path and a graph file, exit code); exit 1 must print one
 # "error: " line and under 1 KB on stderr, exit 0 the answer 0
 HOSTILE = [
@@ -385,6 +409,17 @@ HOSTILE = [
         "witness", write_json(tmp, "l.json", {"n": MAX_VERTICES, "terms": []}), "--pi", "1"], 1),
     # B(L; 1|2) = t^2000, so M = 4,002 and the witness would have 16 million edges
     ("witness-t^2000", lambda tmp, g: ["witness", write_json(tmp, "w.json", _T2000), "--pi", "1|2"], 1),
+    # the error names the term without echoing its 400 KB
+    ("member-50000-edges-no-graph", lambda tmp, g: ["member", write_json(tmp, "l.json", _NO_GRAPH)], 1),
+    ("classify-n4-output-empty-path", lambda tmp, g: ["classify-n4", "--output", ""], 1),
+    ("selfcheck-only-0", lambda tmp, g: ["selfcheck", "--only", "0"], 1),
+    ("selfcheck-only-x", lambda tmp, g: ["selfcheck", "--only", "x"], 1),
+] + [
+    # each input-taking subcommand given a list for its JSON object, and an
+    # object with an element of the wrong type
+    (f"{name}-{what}", lambda tmp, g, argv=argv, obj=obj: argv(write_json(tmp, "bad.json", obj)), 1)
+    for name, (kind, argv) in _INPUT_ARGV.items()
+    for what, obj in (("top-level-list", [1, 2]), ("element-type", _WRONG_ELEMENT[kind]))
 ]
 
 
@@ -400,7 +435,8 @@ def test_hostile_input_under_optimisation_gives_no_traceback(tmp_path, argv, cod
     )
     assert proc.returncode == code and "Traceback" not in proc.stderr
     if code:
-        assert proc.stderr.splitlines()[0].startswith("error: ") and len(proc.stderr.encode()) < 1024
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert len(proc.stderr.encode()) < 1024
     else:
         assert proc.stdout.strip().endswith("XB = 0/1") and proc.stderr == ""
 

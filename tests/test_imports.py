@@ -1,5 +1,6 @@
-"""Source guards: no library module imports a name it never uses, and no
-private top-level helper is left with no caller."""
+"""Source guards: no library module imports a name it never uses, no
+private top-level helper is left with no caller, and each invariant route
+reaches only the enumerators it is pinned to."""
 
 import ast
 from pathlib import Path
@@ -87,3 +88,80 @@ def test_selfcheck_imports_public_names_only():
         if alias.name.startswith("_")
     ]
     assert not private, f"selfcheck.py imports private names: {private}"
+
+
+#### which enumerators each route reaches ######################################
+
+ENUMERATORS = {
+    ("combinatorics", "enumerate_set_partitions"),
+    ("combinatorics", "subsets_by_size"),
+    ("graphs", "connected_partitions"),
+    ("invariants", "_stable_counts"),
+    ("invariants", "_delcon"),
+    ("quasi", "_packed_sum"),
+}
+
+
+def _top_level_reach(root: Path, start: tuple[str, str]) -> set[tuple[str, str]]:
+    """The top-level functions and classes of src/tuttekit that start's
+    body names, directly or through those it names in turn.  Names bound
+    by `from tuttekit.<module> import` resolve to the module they come from;
+    a class counts with all its methods."""
+    defs: dict[tuple[str, str], ast.stmt] = {}
+    imports: dict[str, dict[str, tuple[str, str]]] = {}
+    for path in sorted(root.glob("*.py")):
+        module = path.stem
+        tree = ast.parse(path.read_text(), str(path))
+        imports[module] = {}
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs[module, node.name] = node
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("tuttekit."):
+                for alias in node.names:
+                    imports[module][alias.asname or alias.name] = (node.module.split(".")[1], alias.name)
+
+    def resolve(module: str, name: str) -> tuple[str, str] | None:
+        while (module, name) not in defs:
+            if name not in imports.get(module, {}):
+                return None
+            module, name = imports[module][name]
+        return module, name
+
+    seen = {start}
+    todo = [start]
+    while todo:
+        module, _ = key = todo.pop()
+        for name in _names_used(defs[key]):
+            found = resolve(module, name)
+            if found is not None and found not in seen:
+                seen.add(found)
+                todo.append(found)
+    return seen
+
+
+# route -> the enumerators it reaches; tutte_sym walks the set partitions,
+# X walks its own stable partitions, and the TQ and XQ routes walk ordered
+# set partitions only, so each route checks the others from apart
+ROUTE_ENUMERATORS = {
+    ("invariants", "tutte_sym"): {"enumerate_set_partitions"},
+    ("invariants", "chromatic_sym"): {"_stable_counts"},
+    ("invariants", "tutte_sym_delcon"): {"_delcon", "enumerate_set_partitions"},
+    ("invariants", "chromatic_sym_delcon"): {"_delcon", "enumerate_set_partitions"},
+    ("invariants", "tutte_from_contractions"): {"_stable_counts", "subsets_by_size"},
+    ("invariants", "tutte_from_connected_partitions"): {"_stable_counts", "connected_partitions"},
+    ("quasi", "xq"): {"_packed_sum"},
+    ("quasi", "tq"): {"_packed_sum"},
+    ("quasi", "tq_from_connected_partitions"): {"_packed_sum", "connected_partitions"},
+    ("quasi", "tq_from_arc_subsets"): {"_packed_sum", "subsets_by_size"},
+}
+
+
+def test_each_route_reaches_the_enumerators_it_is_pinned_to():
+    root = Path(tuttekit.__file__).resolve().parent
+    got = {
+        route: {name for module, name in _top_level_reach(root, route) & ENUMERATORS}
+        for route in ROUTE_ENUMERATORS
+    }
+    assert got == ROUTE_ENUMERATORS
+    assert "enumerate_set_partitions" in got["invariants", "tutte_sym"]
+    assert not any("enumerate_set_partitions" in got[route] for route in got if route[0] == "quasi")

@@ -17,7 +17,7 @@ from tuttekit.combinatorics import DomainError, TPoly
 from tuttekit.graphs import Multigraph, complete, cycle, path
 from tuttekit.invariants import tutte_sym
 from tuttekit.kernel import GraphCombination, witness_mtilde_coefficient
-from tuttekit.lincomb import LinComb
+from tuttekit.lincomb import ECHO_LIMIT, LinComb, echo
 from tuttekit.quasi import Digraph, QTPoly, TruncatedQFunc, tq
 from tuttekit.symfun import SymFunc, m_to_e, mtilde_to_m, specialize_t
 
@@ -287,3 +287,15 @@ def test_load_bearing_checks_survive_optimized_mode():
     assert lines[1].startswith("step refused: internal fault:")
     assert lines[2].startswith("map refused: internal fault:") and "onto R[2, 1]" in lines[2]
     assert lines[3].startswith("output refused: internal fault:") and "not a canonical" in lines[3]
+
+
+def test_echo_keeps_a_short_repr_and_cuts_a_long_one():
+    assert echo([1, "a\n"]) == repr([1, "a\n"])
+    edges = {"edges": [[1, 2]] * 1000}
+    text = echo(edges)
+    assert len(text) <= ECHO_LIMIT and text.startswith("{'edges': [[1, 2], ")
+    assert text.endswith(f"... <dict of {len(repr(edges)):,} characters>")
+    # past the interpreter's limit for writing an int as text
+    assert echo(10**5000) == "<int too long to write>"
+    with pytest.raises(DomainError, match=r"^coefficient 'x{139}\.\.\. <str of 502 characters>"):
+        LinComb({(): "x" * 500})

@@ -1,8 +1,9 @@
 """The set-partition kernel: counted enumeration against the checked references.
 
-`enumerate_set_partitions` with `edge_sets` counts internal edges as it
-walks; these tests compare it with `internal_edge_count`, `b_value` and
-`c_value`, which re-derive every partition from scratch.  X's own stable
+`enumerate_set_partitions` walks the restricted-growth strings; these tests
+compare it with the strings filtered from all of range(n)^n, and its
+internal-edge counts with `internal_edge_count`, `b_value` and `c_value`,
+which re-derive every partition from scratch.  X's own stable
 walk, `invariants._stable_counts`, is checked against the kernel and
 `internal_edge_count` the same way.  Stanley's
 p-expansion is an oracle that shares no code with partition enumeration,
@@ -11,7 +12,8 @@ after evicting.
 """
 
 from collections import Counter
-from itertools import combinations_with_replacement, islice
+from functools import cache
+from itertools import combinations_with_replacement, islice, product
 
 import pytest
 from hypothesis import given, settings
@@ -63,40 +65,46 @@ def combinations(draw, t_free=False):
     return GraphCombination(n, [(Multigraph(n, es), TPoly(c)) for es, c in terms])
 
 
-#### the kernel against internal_edge_count ####################################
+#### the kernel against brute force ###########################################
+
+@cache
+def restricted_growth_partitions(n):
+    """Every set partition of [n], from the restricted-growth strings among
+    all of range(n)^n in lexicographic order."""
+    out = []
+    for s in product(range(n), repeat=n):
+        if all(s[i] <= max(s[:i], default=-1) + 1 for i in range(n)):
+            blocks = [[] for _ in range(max(s, default=-1) + 1)]
+            for v, b in enumerate(s, start=1):
+                blocks[b].append(v)
+            out.append(tuple(map(tuple, blocks)))
+    return out
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_walk_is_the_restricted_growth_order(n):
+    assert list(enumerate_set_partitions(n)) == restricted_growth_partitions(n)
+
 
 @settings(max_examples=120, deadline=None)
 @given(st.integers(0, 6).flatmap(lambda n: st.tuples(st.just(n), st.lists(edge_lists(n), max_size=4))))
 def test_counts_match_internal_edge_count(case):
     n, edge_sets = case
     counted = list(enumerate_set_partitions(n, edge_sets=edge_sets))
-    assert [pi for pi, _ in counted] == list(enumerate_set_partitions(n))
+    assert [pi for pi, _ in counted] == restricted_growth_partitions(n)
     graphs = [Multigraph(n, es) for es in edge_sets]
     for pi, counts in counted:
         assert counts == tuple(internal_edge_count(g, pi) for g in graphs)
 
 
-@settings(max_examples=120, deadline=None)
-@given(st.integers(0, 6).flatmap(lambda n: st.tuples(st.just(n), edge_lists(n), st.integers(0, 2))))
-def test_max_internal_keeps_exactly_the_bounded_subsequence(case):
-    n, edges, cap = case
-    G = Multigraph(n, edges)
-    pruned = list(enumerate_set_partitions(n, edge_sets=[edges, []], max_internal=cap))
-    want = [pi for pi in enumerate_set_partitions(n) if internal_edge_count(G, pi) <= cap]
-    assert [pi for pi, _ in pruned] == want
-    assert all(counts == (internal_edge_count(G, pi), 0) for pi, counts in pruned)
-
-
 def test_kernel_option_validation():
     with pytest.raises(DomainError):
-        enumerate_set_partitions(3, max_internal=0)
-    with pytest.raises(DomainError):
-        enumerate_set_partitions(3, edge_sets=[], max_internal=0)
+        enumerate_set_partitions(-1)
     with pytest.raises(DomainError):
         list(enumerate_set_partitions(2, edge_sets=[[(1, 3)]]))
     assert list(enumerate_set_partitions(0, edge_sets=[[]])) == [((), (0,))]
-    # a loop is internal to every partition, so the stable walk is empty
-    assert list(enumerate_set_partitions(2, edge_sets=[[(2, 2)]], max_internal=0)) == []
+    # a loop is internal to every partition
+    assert list(enumerate_set_partitions(2, edge_sets=[[(2, 2)]])) == [(((1, 2),), (1,)), (((1,), (2,)), (1,))]
 
 
 #### X's stable walk against the kernel ########################################

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from functools import cache
 from itertools import product
 from math import comb
 
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tuttekit import quasi
 from tuttekit.combinatorics import DomainError, TPoly, multinomial, onep_t_power
 from tuttekit.graphs import Multigraph, path
 from tuttekit.invariants import tutte_sym
@@ -430,6 +432,38 @@ def test_packed_colorings_match_coloring_sum(case):
     f = tq(D, N)
     assert_same(f.at_q(1), want_q1)
     assert_same(f.at_t(-1), want_xq)
+
+
+@cache
+def packed_maps(n):
+    """The surjections [n] -> [k] for every k, as the maps in range(n)^n
+    whose image is range(k)."""
+    return [kappa for kappa in product(range(n), repeat=n) if set(kappa) == set(range(len(set(kappa))))]
+
+
+def surjection_counts(D, proper):
+    """`_packed_sum`'s tally, from each surjection and `arc_statistics`."""
+    out = {}
+    for kappa in packed_maps(D.n):
+        asc, _, mono = arc_statistics(D, kappa)
+        if proper and mono:
+            continue
+        alpha = tuple(sum(w for w, c in zip(D.weights, kappa) if c == j) for j in range(len(set(kappa))))
+        counts = out.setdefault(alpha, {})
+        counts[asc, mono] = counts.get((asc, mono), 0) + 1
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 6).flatmap(lambda n: st.tuples(
+    st.lists(st.tuples(st.integers(1, n), st.integers(1, n)), max_size=8) if n else st.just([]),
+    st.lists(st.integers(1, 3), min_size=n, max_size=n))))
+def test_packed_sum_matches_surjections(case):
+    # loops and repeated arcs, in both modes
+    arcs, weights = case
+    D = Digraph(len(weights), arcs, weights)
+    for proper in (False, True):
+        assert quasi._packed_sum(D.n, D.arcs, D.weights, proper) == surjection_counts(D, proper)
 
 
 @settings(max_examples=80, deadline=None)
