@@ -20,7 +20,7 @@ from tuttekit.symfun import SymFunc
 GOLDEN = Path(__file__).parent / "data" / "golden"
 
 # name -> argv; "{stem}" names the input file GOLDEN/stem.json, for each stem in INPUTS
-INPUTS = ("graph", "diamond", "k2", "k5", "os_plus", "dipath5")
+INPUTS = ("graph", "diamond", "k2", "k5", "os_plus", "dipath5", "wdigraph")
 
 CASES = {
     "xb-def": ["xb", "{graph}"],
@@ -42,6 +42,9 @@ CASES = {
     "quasi-tq-dipath5-subsets": ["quasi", "tq", "{dipath5}", "--route", "subsets"],
     "quasi-tq-dipath5-vars6": ["quasi", "tq", "{dipath5}", "--vars", "6"],
     "quasi-xq-dipath5": ["quasi", "xq", "{dipath5}"],
+    # weights other than 1, a loop and a repeated arc; XQ of it is zero
+    "quasi-tq-wdigraph-vars6": ["quasi", "tq", "{wdigraph}", "--vars", "6"],
+    "quasi-xq-wdigraph": ["quasi", "xq", "{wdigraph}"],
     "relation-broom-2-2": ["relation", "broom", "--n", "2", "--k", "2"],
     "relation-cycle-diamond": ["relation", "cycle", "{diamond}", "--cycle", "1,2;2,3;3,4;1,4",
                                "--i", "1", "--j", "2"],
@@ -58,7 +61,8 @@ CASES = {
 
 TEXT_CASES = (
     "xb-def", "xb-e", "xb-t-minus-one", "x-mtilde", "x-p", "reduce-k5", "quasi-tq-dipath5",
-    "quasi-tq-dipath5-vars6", "quasi-xq-dipath5", "relation-broom-2-2",
+    "quasi-tq-dipath5-vars6", "quasi-xq-dipath5", "quasi-tq-wdigraph-vars6", "quasi-xq-wdigraph",
+    "relation-broom-2-2",
     "relation-cycle-diamond", "sigma-k1-l2", "friendly-os-plus", "friendly-k2",
     "xfriendly-os-plus", "xfriendly-k2", "witness-k2", "member-os-plus", "member-k2",
     "classify-n4",
