@@ -299,18 +299,15 @@ def _classify_n4(_, args) -> _Forms:
 
 
 def _quasi_text(F) -> str:
-    # the terms of one composition share a coefficient object: format it once
-    done: dict[int, str] = {}
     lines = []
-    for exps, c in F.sorted_terms():
+    for exps, qbits in F._formatted_terms(_qtpoly_text):
         mono = " ".join(f"x{i+1}^{e}" for i, e in enumerate(exps) if e)
-        qbits = done.get(id(c))
-        if qbits is None:
-            qbits = done[id(c)] = " + ".join(
-                f"{format_rational(v)}*q^{a}*t^{b}" for (a, b), v in sorted(c.terms.items())
-            )
         lines.append(f"{mono or '1'} : {qbits}")
     return "\n".join(lines) or "0"
+
+
+def _qtpoly_text(c) -> str:
+    return " + ".join(f"{format_rational(v)}*q^{a}*t^{b}" for (a, b), v in sorted(c.terms.items()))
 
 
 def _quasi(D, args) -> _Forms:

@@ -88,8 +88,11 @@ def as_int(value, what: str) -> int:
 
 
 def json_field(obj, key: str):
-    """obj[key] of a JSON object read from outside; DomainError if it is absent."""
-    if not isinstance(obj, dict) or key not in obj:
+    """obj[key] of a JSON object read from outside; DomainError if obj is not
+    an object, which names its type, or if the field is absent."""
+    if not isinstance(obj, dict):
+        raise DomainError(f"expected a JSON object, got {type(obj).__name__} {echo(obj)}")
+    if key not in obj:
         raise DomainError(f"JSON object has no {key!r} field: {echo(obj)}")
     return obj[key]
 

@@ -18,11 +18,12 @@ by (composition, ascents, monochromatic arcs), on packed (n, arcs,
 weights) triples: no contraction is built as a Digraph.  `tq`,
 `xq` and the two expansion routes add their (1+t)^k-shifted counts as ints
 into one {composition: {(ascents, power of t): int}} tally, and each
-composition's QTPoly is built once, from its finished tally.  Each public
-result is expanded into N variables once, at the end: M_alpha becomes one
-term per increasing choice of len(alpha) of the N positions, and all
-those terms share one coefficient object, which `TruncatedQFunc.at_q` and
-`at_t` substitute into once.
+composition's QTPoly is built once, from its finished tally.  Each result
+is a `TruncatedQFunc` held on those compositions: it is compared,
+substituted into and tested for zero per M_alpha, and its exponent vectors
+in N variables (one per increasing choice of len(alpha) of the N
+positions) are written only when something reads them, such as the JSON
+and text forms.
 """
 
 from __future__ import annotations
@@ -30,7 +31,8 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 from math import comb
-from typing import Iterable, Sequence
+from operator import itemgetter
+from typing import Iterable, Iterator, Sequence
 
 from tuttekit.combinatorics import (
     DomainError,
@@ -200,9 +202,20 @@ def digraph_from_json_obj(obj: dict) -> Digraph:
 #### truncated quasisymmetric values ###########################################
 
 class TruncatedQFunc(LinComb):
-    """Polynomial in x_1..x_N with QTPoly coefficients, keyed by exponents."""
+    """Polynomial in x_1..x_N with QTPoly coefficients, keyed by exponents.
 
-    __slots__ = ("N",)
+    A value that the library computes is held on compositions, as
+    {alpha: QTPoly}, the coefficients of M_alpha, each alpha with at most N
+    parts.  Its exponent vectors, `terms`, are written on first read:
+    M_alpha puts the parts of alpha, in order, on every increasing choice
+    of len(alpha) of the N positions, and those terms share alpha's
+    coefficient object.  Equality, `at_q`, `at_t` and the zero test work
+    per composition when the values involved have them.  A value built
+    from exponent vectors (by the constructor, `from_json_obj`, +, -,
+    negation or `scale`) has no composition form.
+    """
+
+    __slots__ = ("N", "_m", "_dense")
     _fields = ("N",)
     _coeff = staticmethod(QTPoly.of)
     _descending = True
@@ -222,17 +235,63 @@ class TruncatedQFunc(LinComb):
             raise DomainError(f"negative exponent in {echo(list(exps))}")
         return exps
 
+    def _on_compositions(self, m: dict[tuple[int, ...], QTPoly]) -> TruncatedQFunc:
+        """A value in this one's N over clean compositions."""
+        out = object.__new__(TruncatedQFunc)
+        object.__setattr__(out, "N", self.N)
+        object.__setattr__(out, "_m", m)
+        object.__setattr__(out, "_dense", None)
+        return out
+
+    def _vectors(self) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+        """(exponent vector, composition) for each term of the composition form."""
+        N = self.N
+        for alpha in self._m:
+            for positions in combinations(range(N), len(alpha)):
+                exps = [0] * N
+                for p, a in zip(positions, alpha):
+                    exps[p] = a
+                yield tuple(exps), alpha
+
+    def _get_terms(self) -> dict[tuple[int, ...], QTPoly]:
+        if self._dense is None:
+            m = self._m
+            object.__setattr__(self, "_dense", {e: m[alpha] for e, alpha in self._vectors()})
+        return self._dense
+
+    def _set_terms(self, terms: dict[tuple[int, ...], QTPoly]) -> None:
+        object.__setattr__(self, "_m", None)
+        object.__setattr__(self, "_dense", terms)
+
+    # LinComb's constructor and `_like` store exponent-vector terms through
+    # the setter; plain assignment is still refused
+    terms = property(_get_terms, _set_terms)
+
+    def __bool__(self) -> bool:
+        return bool(self._dense if self._m is None else self._m)
+
+    def is_zero(self) -> bool:
+        return not self
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not TruncatedQFunc:
+            return NotImplemented
+        if self.N != other.N:
+            return False
+        if self._m is not None and other._m is not None:
+            return self._m == other._m
+        return self.terms == other.terms
+
+    # equal values have equal exponent vectors, whichever form they were built in
+    __hash__ = LinComb.__hash__
+
     def _substitute(self, sub) -> TruncatedQFunc:
-        """sub applied to each distinct coefficient object once; zeros drop out."""
-        done: dict[int, QTPoly] = {}
-        terms = {}
-        for e, c in self.terms.items():
-            v = done.get(id(c))
-            if v is None:
-                v = done[id(c)] = sub(c)
-            if v:
-                terms[e] = v
-        return self._like(terms)
+        """sub applied to each coefficient, once per composition when the
+        value has them; zeros drop out."""
+        m = self._m
+        if m is None:
+            return self._like({e: v for e, c in self._dense.items() if (v := sub(c))})
+        return self._on_compositions({alpha: v for alpha, c in m.items() if (v := sub(c))})
 
     # the value is read here too, so that a zero function refuses it as well
     def at_q(self, value) -> TruncatedQFunc:
@@ -243,21 +302,24 @@ class TruncatedQFunc(LinComb):
         value = as_rational(value)
         return self._substitute(lambda c: c.at_t(value))
 
+    def _formatted_terms(self, fmt) -> list[tuple[tuple[int, ...], object]]:
+        """(exponent vector, fmt(coefficient)) in the printed order; each
+        composition's coefficient is formatted once."""
+        if self._m is None:
+            return [(e, fmt(c)) for e, c in self.sorted_terms()]
+        done = {alpha: fmt(c) for alpha, c in self._m.items()}
+        return sorted(((e, done[alpha]) for e, alpha in self._vectors()), key=itemgetter(0), reverse=True)
+
     def __repr__(self) -> str:
         bits = [f"x^{list(e)}: {c!r}" for e, c in self.sorted_terms()]
         return f"TruncatedQFunc(N={self.N}, [{', '.join(bits)}])"
 
     def to_json_obj(self) -> dict:
-        """Each distinct coefficient object is formatted once, as in
-        `_substitute`; every term still gets rows of its own."""
-        done: dict[int, list[dict]] = {}
-        terms = []
-        for e, c in self.sorted_terms():
-            rows = done.get(id(c))
-            if rows is None:
-                rows = done[id(c)] = c.to_json_obj()
-            terms.append({"exponents": list(e), "coeff": [r.copy() for r in rows]})
-        return {"N": self.N, "terms": terms}
+        """Every term gets rows of its own."""
+        return {"N": self.N, "terms": [
+            {"exponents": list(e), "coeff": [r.copy() for r in rows]}
+            for e, rows in self._formatted_terms(QTPoly.to_json_obj)
+        ]}
 
     @staticmethod
     def from_json_obj(obj: dict) -> TruncatedQFunc:
@@ -270,25 +332,26 @@ class TruncatedQFunc(LinComb):
         )
 
 
-def _fubini(n: int, cap: int) -> int:
-    """Fubini(n), the number of ordered set partitions of [n].
-
-    The sequence increases, so the walk stops at the first value above cap
-    and returns that instead.
-    """
+def _fubini_limit(cap: int) -> int:
+    """The largest n with Fubini(n) <= cap; Fubini(n), the number of
+    ordered set partitions of [n], increases with n."""
     fub = [1]
-    while len(fub) <= n and fub[-1] <= cap:
+    while fub[-1] <= cap:
         m = len(fub)
         fub.append(sum(comb(m, i) * fub[m - i] for i in range(1, m + 1)))
-    return fub[-1]
+    return len(fub) - 2
+
+
+# the most vertices whose packed colorings the budget admits
+_MAX_PACKED_N = _fubini_limit(DEFAULT_COLORING_BUDGET)
 
 
 def _check_coloring_budget(D: Digraph, N: int) -> None:
     """Refuse N < w(D), and any input whose work exceeds the budget.
 
     The work is the Fubini(n) packed colorings enumerated and the exponent
-    vectors the expansion can write: a composition of w into k <= n parts
-    (C(w-1, k-1) of them) lands on C(N, k) position sets.
+    vectors that writing the result out can make: a composition of w into
+    k <= n parts (C(w-1, k-1) of them) lands on C(N, k) position sets.
     """
     N = as_int(N, "variable count")
     if N < 0:
@@ -298,7 +361,7 @@ def _check_coloring_budget(D: Digraph, N: int) -> None:
         raise DomainError(
             f"need N >= w(D) = {w} variables to determine the series"
         )
-    if _fubini(D.n, DEFAULT_COLORING_BUDGET) > DEFAULT_COLORING_BUDGET:
+    if D.n > _MAX_PACKED_N:
         raise DomainError(
             f"coloring enumeration too large (Fubini({D.n}) packed colorings "
             f"exceed {DEFAULT_COLORING_BUDGET:,})"
@@ -384,23 +447,11 @@ def _add_onep_t(total: dict, counts: dict, k: int = 0) -> None:
                 acc[key] = acc.get(key, 0) + b * c
 
 
-def _expand(coeffs: dict[tuple[int, ...], dict[tuple[int, int], int]], N: int) -> TruncatedQFunc:
-    """sum of coeffs[alpha] M_alpha in x_1..x_N, from clean int tallies.
-
-    Each alpha's QTPoly is built once.  M_alpha puts the parts of alpha, in
-    order, on every increasing choice of len(alpha) positions; those terms
-    share the coefficient object.
-    """
+def _from_tallies(coeffs: dict[tuple[int, ...], dict[tuple[int, int], int]], N: int) -> TruncatedQFunc:
+    """sum of coeffs[alpha] M_alpha in x_1..x_N, from clean int tallies;
+    each alpha's QTPoly is built once."""
     zero = QTPoly.zero()
-    terms = {}
-    for alpha, d in coeffs.items():
-        c = zero._like(d)
-        for positions in combinations(range(N), len(alpha)):
-            exps = [0] * N
-            for p, a in zip(positions, alpha):
-                exps[p] = a
-            terms[tuple(exps)] = c
-    return TruncatedQFunc(N)._like(terms)
+    return TruncatedQFunc(N)._on_compositions({alpha: zero._like(d) for alpha, d in coeffs.items()})
 
 
 def xq(D: Digraph, N: int) -> TruncatedQFunc:
@@ -411,7 +462,7 @@ def xq(D: Digraph, N: int) -> TruncatedQFunc:
     """
     _check_coloring_budget(D, N)
     # a proper coloring has no monochromatic arc: every key is (asc, 0)
-    return _expand(_packed_sum(D.n, D.arcs, D.weights, proper=True), N)
+    return _from_tallies(_packed_sum(D.n, D.arcs, D.weights, proper=True), N)
 
 
 def tq(D: Digraph, N: int) -> TruncatedQFunc:
@@ -419,7 +470,7 @@ def tq(D: Digraph, N: int) -> TruncatedQFunc:
     _check_coloring_budget(D, N)
     total: dict = {}
     _add_onep_t(total, _packed_sum(D.n, D.arcs, D.weights, proper=False))
-    return _expand(total, N)
+    return _from_tallies(total, N)
 
 
 def tq_from_connected_partitions(D: Digraph, N: int) -> TruncatedQFunc:
@@ -436,7 +487,7 @@ def tq_from_connected_partitions(D: Digraph, N: int) -> TruncatedQFunc:
         arcs, weights = _quotient(D.arcs, D.weights, block_index_map(blocks), len(blocks))
         piece = _packed_sum(len(blocks), arcs, weights, proper=True)
         _add_onep_t(total, piece, len(D.arcs) - len(arcs))
-    return _expand(total, N)
+    return _from_tallies(total, N)
 
 
 def tq_from_arc_subsets(D: Digraph, N: int) -> TruncatedQFunc:
@@ -457,21 +508,22 @@ def tq_from_arc_subsets(D: Digraph, N: int) -> TruncatedQFunc:
         label, k = labels
         piece = _packed_sum(k, *_quotient(D.arcs, D.weights, label, k), proper=True)
         _add_onep_t(total, piece, len(S))
-    return _expand(total, N)
+    return _from_tallies(total, N)
 
 
 def truncate_symfunc(f: SymFunc, N: int) -> TruncatedQFunc:
-    """Expand an m~-basis symmetric function into N variables.
+    """Truncate an m~-basis symmetric function to N variables.
 
-    m~_lambda contributes its coefficient to every arrangement of lambda's
-    parts across the variables, times the product of part-multiplicity
-    factorials.
+    m~_lambda is r(lambda)! m_lambda, and m_lambda is the sum of M_alpha over
+    the distinct rearrangements alpha of lambda, r(lambda)! being the
+    product of the part-multiplicity factorials.  A lambda with more than N
+    parts truncates away.
     """
     if f.basis != "mtilde":
         raise DomainError("truncation expects the mtilde basis")
     out = TruncatedQFunc(N)
-    terms = {}
+    m = {}
     for lam, coeff in f.terms.items():
-        qt = QTPoly.of(coeff) * augmentation_factor(lam)
-        terms.update(dict.fromkeys(_arrangements(lam, out.N), qt))
-    return out._like(terms)
+        if len(lam) <= out.N:
+            m.update(dict.fromkeys(_arrangements(lam), QTPoly.of(coeff) * augmentation_factor(lam)))
+    return out._on_compositions(m)

@@ -110,23 +110,20 @@ def _check_degree(d: int, max_degree: int | None):
 
 
 # Entries kept by _arrangements, which serves only truncate_symfunc; its keys
-# carry the caller's variable count N, which nothing else bounds.
+# are the partitions of the functions truncated, which nothing else bounds.
 ARRANGEMENTS_CACHE_SIZE = 2048
 
 
 @lru_cache(maxsize=ARRANGEMENTS_CACHE_SIZE)
-def _arrangements(mu: tuple[int, ...], length: int) -> tuple[tuple[int, ...], ...]:
-    """Distinct vectors of the given length whose nonzero entries realize mu."""
-    if len(mu) > length:
-        return ()
+def _arrangements(mu: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """The distinct rearrangements of mu."""
     counts = Counter(mu)
-    counts[0] = length - len(mu)
     values = sorted(counts)
     vec: list[int] = []
     out: list[tuple[int, ...]] = []
 
     def rec():
-        if len(vec) == length:
+        if len(vec) == len(mu):
             out.append(tuple(vec))
             return
         for val in values:

@@ -420,7 +420,18 @@ HOSTILE = [
     (f"{name}-{what}", lambda tmp, g, argv=argv, obj=obj: argv(write_json(tmp, "bad.json", obj)), 1)
     for name, (kind, argv) in _INPUT_ARGV.items()
     for what, obj in (("top-level-list", [1, 2]), ("element-type", _WRONG_ELEMENT[kind]))
+] + [
+    (f"{name}-top-level-string", lambda tmp, g, argv=_INPUT_ARGV[name][1]: argv(write_json(tmp, "bad.json", "abc")), 1)
+    for name in ("xb", "reduce", "quasi")
 ]
+
+
+@pytest.mark.parametrize("name", ["xb", "reduce", "quasi"])
+@pytest.mark.parametrize("obj, kind", [([1, 2], "list"), ("abc", "str")], ids=["list", "string"])
+def test_input_of_the_wrong_top_level_type_is_named(tmp_path, capsys, name, obj, kind):
+    assert main(_INPUT_ARGV[name][1](write_json(tmp_path, "bad.json", obj))) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: expected a JSON object, got {kind} {obj!r}\n"
 
 
 @pytest.mark.parametrize("argv, code", [case[1:] for case in HOSTILE], ids=[case[0] for case in HOSTILE])

@@ -3,8 +3,8 @@
 import random
 from fractions import Fraction
 from functools import cache
-from itertools import product
-from math import comb
+from itertools import permutations, product
+from math import comb, factorial, prod
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from tuttekit import quasi
 from tuttekit.combinatorics import DomainError, TPoly, multinomial, onep_t_power
 from tuttekit.graphs import Multigraph, path
-from tuttekit.invariants import tutte_sym
+from tuttekit.invariants import chromatic_sym, tutte_sym
 from tuttekit.quasi import (
     Digraph,
     QTPoly,
@@ -31,7 +31,7 @@ from tuttekit.quasi import (
     underlying,
     xq,
 )
-from tuttekit.symfun import SymFunc
+from tuttekit.symfun import SymFunc, mtilde_to_m
 
 Q = QTPoly.q()
 ONE = QTPoly.one()
@@ -274,6 +274,62 @@ def test_tq_specializations(D):
     assert f.at_q(1) == truncate_symfunc(tutte_sym(underlying(D)), N)
 
 
+#### compositions against exponent vectors ####################################
+
+
+@pytest.mark.parametrize("D", ROUTE_CASES, ids=repr)
+def test_composition_form_matches_its_exponent_vectors(D):
+    # every route's value, and the truncated XB of the underlying graph
+    N = D.total_weight() + 1
+    values = [route(D, N) for route in (tq, tq_from_connected_partitions, tq_from_arc_subsets, xq)]
+    values.append(truncate_symfunc(tutte_sym(underlying(D)), N))
+    for f in values:
+        # g has no composition form: it is built from f's exponent vectors
+        g = TruncatedQFunc(f.N, f.terms)
+        assert f == g and g == f and hash(f) == hash(g)
+        assert f.is_zero() == g.is_zero() == (not f.terms) and bool(f) == bool(g)
+        for v in (0, 1, -1, Fraction(2, 3)):
+            for sub in ("at_q", "at_t"):
+                got, want = getattr(f, sub)(v), getattr(g, sub)(v)
+                assert got == want and want == got and hash(got) == hash(want)
+                assert got.terms == want.terms and got.is_zero() == want.is_zero()
+    # equality on compositions is equality of the exponent vectors
+    for f, h in product(values, repeat=2):
+        assert (f == h) == (f.terms == h.terms)
+
+
+def test_truncation_drops_exactly_the_longer_partitions():
+    # XB(P4) has partitions of every length 1..4; N < 4 loses the longer ones
+    f = tutte_sym(path(4))
+    assert {len(lam) for lam in f.terms} == {1, 2, 3, 4}
+    for N in range(6):
+        want = {}
+        for lam, c in f.terms.items():
+            if len(lam) <= N:
+                for e in set(permutations(lam + (0,) * (N - len(lam)))):
+                    want[e] = QTPoly.of(c) * prod(factorial(lam.count(p)) for p in set(lam))
+        got = truncate_symfunc(f, N)
+        assert got.terms == want and got == TruncatedQFunc(N, want)
+        assert got == truncate_symfunc(SymFunc("mtilde", {lam: c for lam, c in f.terms.items() if len(lam) <= N}), N)
+
+
+def test_values_on_compositions_write_no_exponent_vector(monkeypatch):
+    # a million variables: comparing, substituting and the zero test stay on M_alpha
+    def refuse(*args):
+        raise AssertionError("an exponent vector was built")
+
+    monkeypatch.setattr(quasi, "combinations", refuse)
+    N = 1_000_000
+    f = xq(Digraph(1), N)
+    assert f == xq(Digraph(1), N) and f != xq(Digraph(1, [], [2]), N)
+    assert f.at_t(-1) == f and f.at_q(0) == f.at_q(5) and f.at_t(2) == tq(Digraph(1), N).at_t(2)
+    assert not f.is_zero() and f and xq(Digraph(1, [(1, 1)]), N).is_zero()
+    # C(3000, 2) + 3000 vectors are admitted, and none is written
+    D = Digraph(2, [(1, 2)])
+    assert tq(D, 3000).at_q(1) == truncate_symfunc(tutte_sym(underlying(D)), 3000)
+    assert tq(D, 3000).at_t(-1) == xq(D, 3000) != xq(Digraph(2, [(2, 1)]), 3000).at_q(2)
+
+
 @pytest.mark.parametrize("value", [1.0, 0.5, True, False])
 def test_substitution_refuses_floats_and_booleans(value):
     p, f, zero = Q * T + ONE, tq(Digraph(2, [(1, 2)]), 2), xq(Digraph(1, [(1, 1)]), 1)
@@ -486,3 +542,96 @@ def test_reversal_reverses_exponent_vectors(case):
     for fn in (xq, tq):
         flipped = TruncatedQFunc(N, {e[::-1]: c for e, c in fn(D, N).terms.items()})
         assert fn(R, N) == flipped
+
+
+#### Shareshian-Wachs symmetry #################################################
+# Shareshian and Wachs, "Chromatic quasisymmetric functions", Adv. Math. 2016:
+# for the incomparability graph of a natural unit interval order, each edge
+# {i, j}, i < j, read as the arc i -> j, XQ is symmetric (the coefficient of
+# M_alpha depends only on sort(alpha)) and each coefficient is palindromic
+# in q of degree |E|.  A general digraph has neither property.
+
+
+def m_alpha_coefficients(f):
+    """{alpha: coefficient of M_alpha} of a quasisymmetric f, read from the
+    exponent vectors whose nonzero entries come first."""
+    out = {}
+    for e, c in f.terms.items():
+        alpha = tuple(x for x in e if x)
+        if e[:len(alpha)] == alpha:
+            out[alpha] = c
+    return out
+
+
+def compositions(w):
+    """Every composition of w, from the cut points of [w - 1]."""
+    for cuts in product((False, True), repeat=max(w - 1, 0)):
+        parts, run = [], 1
+        for cut in cuts:
+            if cut:
+                parts.append(run)
+                run = 0
+            run += 1
+        yield tuple(parts + [run]) if w else ()
+
+
+def natural_unit_interval_orders(n):
+    """The digraphs on [n] with arcs i -> j for i < j <= m_i, m nondecreasing
+    and i <= m_i <= n: Catalan(n) of them."""
+    def rec(m):
+        if len(m) == n:
+            yield Digraph(n, [(i, j) for i in range(1, n + 1) for j in range(i + 1, m[i - 1] + 1)])
+            return
+        i = len(m) + 1
+        for mi in range(max(i, m[-1] if m else 1), n + 1):
+            yield from rec(m + [mi])
+    return list(rec([]))
+
+
+def is_symmetric(D):
+    coeffs = m_alpha_coefficients(xq(D, D.total_weight()))
+    zero = QTPoly.zero()
+    return all(
+        coeffs.get(alpha, zero) == coeffs.get(tuple(sorted(alpha, reverse=True)), zero)
+        for alpha in compositions(D.total_weight())
+    )
+
+
+def is_palindromic(D):
+    E = len(D.arcs)
+    coeffs = m_alpha_coefficients(xq(D, D.total_weight()))
+    return all(c.terms == {(E - a, b): x for (a, b), x in c.terms.items()} for c in coeffs.values())
+
+
+def test_natural_unit_interval_orders_are_counted_by_catalan():
+    assert [len(natural_unit_interval_orders(n)) for n in range(6)] == [1, 1, 2, 5, 14, 42]
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_unit_interval_orders_give_symmetric_palindromic_xq(n):
+    for D in natural_unit_interval_orders(n):
+        assert is_symmetric(D), D
+        assert is_palindromic(D), D
+
+
+@pytest.mark.parametrize("D", [
+    Digraph(3, [(1, 3), (2, 3)]),  # not the incomparability graph of a unit interval order
+    Digraph(3, [(1, 2), (2, 3)], weights=[2, 1, 1]),  # one, but weighted
+], ids=repr)
+def test_shareshian_wachs_negative_controls(D):
+    assert not is_symmetric(D)
+    assert not is_palindromic(D)
+
+
+@settings(max_examples=60, deadline=None)
+@given(weighted_digraphs())
+def test_xq_at_q_one_is_the_chromatic_symmetric_function(case):
+    # any weights and orientation: at q = 1 the M_alpha coefficient depends
+    # only on sort(alpha) and is the m-coefficient of X of the underlying graph
+    D, _ = case
+    w = D.total_weight()
+    coeffs = m_alpha_coefficients(xq(D, w).at_q(1))
+    X = mtilde_to_m(chromatic_sym(underlying(D)))
+    for alpha in compositions(w):
+        want = QTPoly.of(X.coefficient(sorted(alpha, reverse=True)))
+        assert coeffs.get(alpha, QTPoly.zero()) == want
