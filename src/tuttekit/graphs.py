@@ -24,6 +24,7 @@ from tuttekit.combinatorics import (
     normalize_blocks,
     sorted_partition,
 )
+from tuttekit.lincomb import Immutable
 
 # the largest vertex count a graph, digraph or combination read from outside may have
 MAX_VERTICES = 100_000
@@ -76,7 +77,7 @@ def _norm_edge(e: Sequence[int], n: int) -> tuple[int, int]:
     return (u, v) if u <= v else (v, u)
 
 
-class _LabelledGraph:
+class _LabelledGraph(Immutable):
     """Immutable vertex count n, sorted tuple of pairs in [n] (loops and
     repeats allowed) and positive weights.  A kind names its pair field,
     `class K(_LabelledGraph, field=...)`, and reads a pair with
@@ -106,17 +107,6 @@ class _LabelledGraph:
         object.__setattr__(g, "_pairs", pairs)
         object.__setattr__(g, "weights", (1,) * n if weights is None else weights)
         return g
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    # an immutable record is its own copy; the default copy would restore
-    # its slots through __setattr__
-    def __copy__(self):
-        return self
-
-    def __deepcopy__(self, memo):
-        return self
 
     # labelled identity: same vertex count, same pair multiset, same weights
     def key(self) -> tuple:

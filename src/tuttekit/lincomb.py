@@ -3,7 +3,7 @@
 Every value tuttekit computes is one: a polynomial in t (keyed by the power
 of t), a polynomial in q and t (keyed by exponent pairs), a symmetric
 function (keyed by partitions), a truncated quasisymmetric function (keyed
-by exponent vectors) and a graph combination (keyed by labelled graphs).
+by compositions) and a graph combination (keyed by labelled graphs).
 `LinComb` holds the sparse map from keys to nonzero coefficients and does
 all that does not depend on what a key means: merging, addition,
 subtraction, scaling, equality and immutability.  `Poly` adds the product
@@ -65,7 +65,31 @@ def merge_terms(acc: dict, items: Iterable[tuple]) -> dict:
     return acc
 
 
-class LinComb:
+class Immutable:
+    """A value whose slots are set once, through object.__setattr__.
+
+    A copy is the value itself.  pickle hands `__setstate__` the pair
+    (None, {slot: value}) and the slots are restored there, not through
+    the refusing __setattr__.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
+
+    def __setstate__(self, state):
+        for name, value in state[1].items():
+            object.__setattr__(self, name, value)
+
+
+class LinComb(Immutable):
     """Immutable map `terms` from keys to nonzero coefficients.
 
     A subclass names its extra fields in `_fields`; they are set before the
@@ -112,9 +136,6 @@ class LinComb:
                 if mine != theirs:
                     raise DomainError(f"{name} mismatch: {mine} vs {theirs}")
         return other
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def is_zero(self) -> bool:
         return not self.terms

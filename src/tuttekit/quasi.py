@@ -15,15 +15,12 @@ packed colorings, the surjections [n] -> [k], which are the ordered set
 partitions of [n] (Fubini(n) of them, against N^n colorings).  One walk
 builds each ordered set partition once and counts the colorings as ints
 by (composition, ascents, monochromatic arcs), on packed (n, arcs,
-weights) triples: no contraction is built as a Digraph.  `tq`,
-`xq` and the two expansion routes add their (1+t)^k-shifted counts as ints
-into one {composition: {(ascents, power of t): int}} tally, and each
-composition's QTPoly is built once, from its finished tally.  Each result
-is a `TruncatedQFunc` held on those compositions: it is compared,
-substituted into and tested for zero per M_alpha, and its exponent vectors
-in N variables (one per increasing choice of len(alpha) of the N
-positions) are written only when something reads them, such as the JSON
-and text forms.
+weights) triples: no contraction is built as a Digraph.  `tq`, `xq` and
+the two expansion routes add their (1+t)^k-shifted counts as ints into one
+{composition: {(ascents, power of t): int}} tally, and each composition's
+QTPoly is built once, from its finished tally.  Each result is a
+`TruncatedQFunc` keyed by those compositions; exponent vectors in N
+variables are only read in and written out.
 """
 
 from __future__ import annotations
@@ -32,7 +29,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 from operator import itemgetter
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from tuttekit.combinatorics import (
     DomainError,
@@ -202,30 +199,40 @@ def digraph_from_json_obj(obj: dict) -> Digraph:
 #### truncated quasisymmetric values ###########################################
 
 class TruncatedQFunc(LinComb):
-    """Polynomial in x_1..x_N with QTPoly coefficients, keyed by exponents.
+    """Quasisymmetric polynomial in x_1..x_N with QTPoly coefficients.
 
-    A value that the library computes is held on compositions, as
-    {alpha: QTPoly}, the coefficients of M_alpha, each alpha with at most N
-    parts.  Its exponent vectors, `terms`, are written on first read:
-    M_alpha puts the parts of alpha, in order, on every increasing choice
-    of len(alpha) of the N positions, and those terms share alpha's
-    coefficient object.  Equality, `at_q`, `at_t` and the zero test work
-    per composition when the values involved have them.  A value built
-    from exponent vectors (by the constructor, `from_json_obj`, +, -,
-    negation or `scale`) has no composition form.
+    `terms` maps each composition alpha, with at most N parts, to the
+    coefficient of Gessel's M_alpha.  These M_alpha are a basis of the
+    quasisymmetric polynomials in N variables, so LinComb's equality, hash,
+    zero test and arithmetic are exact on compositions.  Exponent vectors
+    are an input and output form only: M_alpha puts the parts of alpha, in
+    order, on every increasing choice of len(alpha) of the N positions.
+    The constructor and `from_json_obj` read vectors, adding equal ones,
+    and fold them onto compositions, refusing a sum that is not
+    quasisymmetric; `vectors()`, the JSON and text forms and `repr` write
+    them.
     """
 
-    __slots__ = ("N", "_m", "_dense")
+    __slots__ = ("N",)
     _fields = ("N",)
     _coeff = staticmethod(QTPoly.of)
-    _descending = True
 
-    def __init__(self, N: int, terms: dict[tuple[int, ...], QTPoly] | Iterable = ()):
+    def __init__(self, N: int, vectors: dict[tuple[int, ...], QTPoly] | Iterable = ()):
         N = as_int(N, "variable count")
         if N < 0:
             raise DomainError("variable count must be nonnegative")
         object.__setattr__(self, "N", N)
-        super().__init__(terms)
+        super().__init__(vectors)  # the vectors, validated and merged
+        groups: dict[tuple[int, ...], list[QTPoly]] = {}
+        for e, c in self.terms.items():
+            groups.setdefault(tuple(filter(None, e)), []).append(c)
+        for alpha, cs in groups.items():
+            if len(cs) < comb(N, len(alpha)) or cs.count(cs[0]) < len(cs):
+                raise DomainError(
+                    f"not quasisymmetric: the {comb(N, len(alpha)):,} exponent vectors of "
+                    f"M_{echo(list(alpha))} must all be given, with one coefficient ({len(cs):,} given)"
+                )
+        object.__setattr__(self, "terms", {alpha: cs[0] for alpha, cs in groups.items()})
 
     def _key(self, exps) -> tuple[int, ...]:
         exps = tuple(as_int(e, "exponent") for e in exps)
@@ -235,63 +242,9 @@ class TruncatedQFunc(LinComb):
             raise DomainError(f"negative exponent in {echo(list(exps))}")
         return exps
 
-    def _on_compositions(self, m: dict[tuple[int, ...], QTPoly]) -> TruncatedQFunc:
-        """A value in this one's N over clean compositions."""
-        out = object.__new__(TruncatedQFunc)
-        object.__setattr__(out, "N", self.N)
-        object.__setattr__(out, "_m", m)
-        object.__setattr__(out, "_dense", None)
-        return out
-
-    def _vectors(self) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-        """(exponent vector, composition) for each term of the composition form."""
-        N = self.N
-        for alpha in self._m:
-            for positions in combinations(range(N), len(alpha)):
-                exps = [0] * N
-                for p, a in zip(positions, alpha):
-                    exps[p] = a
-                yield tuple(exps), alpha
-
-    def _get_terms(self) -> dict[tuple[int, ...], QTPoly]:
-        if self._dense is None:
-            m = self._m
-            object.__setattr__(self, "_dense", {e: m[alpha] for e, alpha in self._vectors()})
-        return self._dense
-
-    def _set_terms(self, terms: dict[tuple[int, ...], QTPoly]) -> None:
-        object.__setattr__(self, "_m", None)
-        object.__setattr__(self, "_dense", terms)
-
-    # LinComb's constructor and `_like` store exponent-vector terms through
-    # the setter; plain assignment is still refused
-    terms = property(_get_terms, _set_terms)
-
-    def __bool__(self) -> bool:
-        return bool(self._dense if self._m is None else self._m)
-
-    def is_zero(self) -> bool:
-        return not self
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not TruncatedQFunc:
-            return NotImplemented
-        if self.N != other.N:
-            return False
-        if self._m is not None and other._m is not None:
-            return self._m == other._m
-        return self.terms == other.terms
-
-    # equal values have equal exponent vectors, whichever form they were built in
-    __hash__ = LinComb.__hash__
-
     def _substitute(self, sub) -> TruncatedQFunc:
-        """sub applied to each coefficient, once per composition when the
-        value has them; zeros drop out."""
-        m = self._m
-        if m is None:
-            return self._like({e: v for e, c in self._dense.items() if (v := sub(c))})
-        return self._on_compositions({alpha: v for alpha, c in m.items() if (v := sub(c))})
+        """sub applied to each coefficient; zeros drop out."""
+        return self._like({alpha: v for alpha, c in self.terms.items() if (v := sub(c))})
 
     # the value is read here too, so that a zero function refuses it as well
     def at_q(self, value) -> TruncatedQFunc:
@@ -303,15 +256,33 @@ class TruncatedQFunc(LinComb):
         return self._substitute(lambda c: c.at_t(value))
 
     def _formatted_terms(self, fmt) -> list[tuple[tuple[int, ...], object]]:
-        """(exponent vector, fmt(coefficient)) in the printed order; each
-        composition's coefficient is formatted once."""
-        if self._m is None:
-            return [(e, fmt(c)) for e, c in self.sorted_terms()]
-        done = {alpha: fmt(c) for alpha, c in self._m.items()}
-        return sorted(((e, done[alpha]) for e, alpha in self._vectors()), key=itemgetter(0), reverse=True)
+        """(exponent vector, fmt(coefficient)) for every vector, in the printed
+        order; each composition's coefficient is formatted once.  More than
+        DEFAULT_COLORING_BUDGET vectors are refused before any is written."""
+        N = self.N
+        count = sum(comb(N, len(alpha)) for alpha in self.terms)
+        if count > DEFAULT_COLORING_BUDGET:
+            raise DomainError(
+                f"expansion too large ({count:,} exponent vectors in {N:,} "
+                f"variables exceed {DEFAULT_COLORING_BUDGET:,})"
+            )
+        out = []
+        for alpha, c in self.terms.items():
+            text = fmt(c)
+            for positions in combinations(range(N), len(alpha)):
+                exps = [0] * N
+                for p, a in zip(positions, alpha):
+                    exps[p] = a
+                out.append((tuple(exps), text))
+        return sorted(out, key=itemgetter(0), reverse=True)
+
+    def vectors(self) -> dict[tuple[int, ...], QTPoly]:
+        """{exponent vector: coefficient}, the vectors in descending order;
+        the vectors of one composition share its coefficient object."""
+        return dict(self._formatted_terms(lambda c: c))
 
     def __repr__(self) -> str:
-        bits = [f"x^{list(e)}: {c!r}" for e, c in self.sorted_terms()]
+        bits = [f"x^{list(e)}: {c}" for e, c in self._formatted_terms(repr)]
         return f"TruncatedQFunc(N={self.N}, [{', '.join(bits)}])"
 
     def to_json_obj(self) -> dict:
@@ -347,12 +318,9 @@ _MAX_PACKED_N = _fubini_limit(DEFAULT_COLORING_BUDGET)
 
 
 def _check_coloring_budget(D: Digraph, N: int) -> None:
-    """Refuse N < w(D), and any input whose work exceeds the budget.
-
-    The work is the Fubini(n) packed colorings enumerated and the exponent
-    vectors that writing the result out can make: a composition of w into
-    k <= n parts (C(w-1, k-1) of them) lands on C(N, k) position sets.
-    """
+    """Refuse N < w(D), and a digraph whose Fubini(n) packed colorings
+    exceed the budget.  The exponent vectors of a result are counted where
+    they are written, in `TruncatedQFunc._formatted_terms`."""
     N = as_int(N, "variable count")
     if N < 0:
         raise DomainError("variable count must be nonnegative")
@@ -365,12 +333,6 @@ def _check_coloring_budget(D: Digraph, N: int) -> None:
         raise DomainError(
             f"coloring enumeration too large (Fubini({D.n}) packed colorings "
             f"exceed {DEFAULT_COLORING_BUDGET:,})"
-        )
-    vectors = sum(comb(N, k) * comb(w - 1, k - 1) for k in range(1, D.n + 1))
-    if vectors > DEFAULT_COLORING_BUDGET:
-        raise DomainError(
-            f"coloring expansion too large ({vectors:,} exponent vectors in {N:,} "
-            f"variables exceed {DEFAULT_COLORING_BUDGET:,})"
         )
 
 
@@ -451,7 +413,7 @@ def _from_tallies(coeffs: dict[tuple[int, ...], dict[tuple[int, int], int]], N: 
     """sum of coeffs[alpha] M_alpha in x_1..x_N, from clean int tallies;
     each alpha's QTPoly is built once."""
     zero = QTPoly.zero()
-    return TruncatedQFunc(N)._on_compositions({alpha: zero._like(d) for alpha, d in coeffs.items()})
+    return TruncatedQFunc(N)._like({alpha: zero._like(d) for alpha, d in coeffs.items()})
 
 
 def xq(D: Digraph, N: int) -> TruncatedQFunc:
@@ -526,4 +488,4 @@ def truncate_symfunc(f: SymFunc, N: int) -> TruncatedQFunc:
     for lam, coeff in f.terms.items():
         if len(lam) <= out.N:
             m.update(dict.fromkeys(_arrangements(lam), QTPoly.of(coeff) * augmentation_factor(lam)))
-    return out._on_compositions(m)
+    return out._like(m)

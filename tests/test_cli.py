@@ -234,6 +234,17 @@ def test_quasi_xq_rejects_other_routes(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_quasi_refuses_to_write_too_many_exponent_vectors(tmp_path, capsys):
+    # xq of one vertex is computed on M_(1), but its 5,000,001 exponent
+    # vectors are refused by the writer of either form
+    d = write_json(tmp_path, "d.json", digraph_to_json_obj(Digraph(1)))
+    out = str(tmp_path / "xq.json")
+    for extra in ([], ["--output", out]):
+        assert main(["quasi", "xq", d, "--vars", "5000001", *extra]) == 1
+        assert "5,000,001 exponent vectors" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 #### exit codes and selfcheck ##################################################
 
 

@@ -1,7 +1,9 @@
 """The shared linear-combination core: exact arithmetic and the coefficient policy."""
 
+import copy
 import operator
 import os
+import pickle
 import subprocess
 import sys
 import textwrap
@@ -232,6 +234,22 @@ def test_mismatched_fields_refuse_addition():
     with pytest.raises(DomainError):
         GraphCombination(1) - GraphCombination(2)
     assert SymFunc("m", {(1,): 1}) != SymFunc("e", {(1,): 1})
+
+
+def test_values_survive_pickle_and_copy():
+    values = [
+        TPoly([1, 2]),
+        QTPoly.q() * 3 + QTPoly.of(Fraction(1, 2)),
+        tutte_sym(cycle(4)),
+        tq(Digraph(3, [(1, 2), (2, 3)]), 4),
+        GraphCombination(2, [(complete(2), TPoly([1, 1])), (Multigraph(2), -1)]),
+    ]
+    for v in values:
+        for twin in (pickle.loads(pickle.dumps(v)), copy.copy(v), copy.deepcopy(v)):
+            assert type(twin) is type(v) and twin == v and hash(twin) == hash(v)
+            assert twin - v == v - v
+            with pytest.raises(AttributeError, match="immutable"):
+                twin.terms = {}
 
 
 #### checks that survive python -O #############################################

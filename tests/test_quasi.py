@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tuttekit import quasi
+from tuttekit import cli, quasi
 from tuttekit.combinatorics import DomainError, TPoly, multinomial, onep_t_power
 from tuttekit.graphs import Multigraph, path
 from tuttekit.invariants import chromatic_sym, tutte_sym
@@ -65,16 +65,17 @@ def test_qtpoly_json_rows_add_up_like_symfunc_terms():
 
 
 def test_json_terms_share_no_mutable_rows():
-    # the terms of one composition share a coefficient object, which the
+    # the vectors of one composition share a coefficient object, which the
     # JSON form formats once; an edit to one term's rows must not reach another
     F = tq(Digraph(3, [(1, 2), (2, 3)]), 4)
-    assert len({id(c) for c in F.terms.values()}) < len(F.terms)
+    vectors = F.vectors()
+    assert len({id(c) for c in vectors.values()}) < len(vectors)
     obj = F.to_json_obj()
     coeffs = [t["coeff"] for t in obj["terms"]]
     rows = [r for c in coeffs for r in c]
     assert len({id(c) for c in coeffs}) == len(coeffs) and len({id(r) for r in rows}) == len(rows)
     assert TruncatedQFunc.from_json_obj(obj) == F
-    assert obj["terms"] == [{"exponents": list(e), "coeff": c.to_json_obj()} for e, c in F.sorted_terms()]
+    assert obj["terms"] == [{"exponents": list(e), "coeff": c.to_json_obj()} for e, c in vectors.items()]
 
 
 @pytest.mark.parametrize("obj", [5, None, "rows", {"q": 0, "t": 0, "c": "1"}])
@@ -202,7 +203,7 @@ def test_digraph_json_roundtrip():
 
 def test_xq_single_arc():
     f = xq(Digraph(2, [(1, 2)]), 2)
-    assert f.terms == {(1, 1): ONE + Q}
+    assert f.vectors() == {(1, 1): ONE + Q}
 
 
 def test_xq_loop_vanishes():
@@ -211,18 +212,18 @@ def test_xq_loop_vanishes():
 
 def test_xq_arcless():
     f = xq(Digraph(2), 2)
-    assert f.terms == {(2, 0): ONE, (1, 1): QTPoly.of(2), (0, 2): ONE}
+    assert f.vectors() == {(2, 0): ONE, (1, 1): QTPoly.of(2), (0, 2): ONE}
 
 
 def test_tq_single_arc():
     f = tq(Digraph(2, [(1, 2)]), 2)
     onept = ONE + T
-    assert f.terms == {(1, 1): ONE + Q, (2, 0): onept, (0, 2): onept}
+    assert f.vectors() == {(1, 1): ONE + Q, (2, 0): onept, (0, 2): onept}
 
 
 def test_weighted_exponents():
     f = xq(Digraph(1, [], weights=[2]), 2)
-    assert f.terms == {(2, 0): ONE, (0, 2): ONE}
+    assert f.vectors() == {(2, 0): ONE, (0, 2): ONE}
     with pytest.raises(DomainError):
         xq(Digraph(1, [], weights=[3]), 2)
 
@@ -231,18 +232,22 @@ def test_coloring_budget():
     # Fubini(9) = 7,087,261 packed colorings
     with pytest.raises(DomainError, match="packed colorings"):
         tq(Digraph(9), 9)
-    # one vertex, but 5,000,001 exponent vectors to write
-    with pytest.raises(DomainError, match="exponent vectors"):
-        xq(Digraph(1), 5_000_001)
-    assert len(xq(Digraph(1), 500).terms) == 500
+    # one vertex: computed and compared on M_(1), but its 5,000,001
+    # exponent vectors are refused wherever they would be written
+    f = xq(Digraph(1), 5_000_001)
+    assert f == tq(Digraph(1), 5_000_001) and f.at_q(2) == f
+    for write in (f.vectors, f.to_json_obj, f.__repr__, lambda: cli._quasi_text(f)):
+        with pytest.raises(DomainError, match="5,000,001 exponent vectors"):
+            write()
+    assert len(xq(Digraph(1), 500).vectors()) == 500
 
 
 def test_coloring_budget_counts_packed_colorings():
     # 22^5 colorings exceed the budget, but only Fubini(5) = 541 packed
     # colorings and C(26, 5) exponent vectors are worked through
     f = tq(Digraph(5), 22)
-    assert len(f.terms) == comb(26, 5)
-    assert all(c == QTPoly.of(multinomial(e)) for e, c in f.terms.items())
+    assert len(f.vectors()) == comb(26, 5)
+    assert all(c == QTPoly.of(multinomial(e)) for e, c in f.vectors().items())
     assert xq(Digraph(5), 22) == f
 
 
@@ -279,23 +284,24 @@ def test_tq_specializations(D):
 
 @pytest.mark.parametrize("D", ROUTE_CASES, ids=repr)
 def test_composition_form_matches_its_exponent_vectors(D):
-    # every route's value, and the truncated XB of the underlying graph
+    # every route's value, and the truncated XB of the underlying graph,
+    # rebuilt from the exponent vectors it writes
     N = D.total_weight() + 1
     values = [route(D, N) for route in (tq, tq_from_connected_partitions, tq_from_arc_subsets, xq)]
     values.append(truncate_symfunc(tutte_sym(underlying(D)), N))
     for f in values:
-        # g has no composition form: it is built from f's exponent vectors
-        g = TruncatedQFunc(f.N, f.terms)
-        assert f == g and g == f and hash(f) == hash(g)
-        assert f.is_zero() == g.is_zero() == (not f.terms) and bool(f) == bool(g)
-        for v in (0, 1, -1, Fraction(2, 3)):
-            for sub in ("at_q", "at_t"):
-                got, want = getattr(f, sub)(v), getattr(g, sub)(v)
-                assert got == want and want == got and hash(got) == hash(want)
-                assert got.terms == want.terms and got.is_zero() == want.is_zero()
+        g = TruncatedQFunc(f.N, f.vectors())
+        assert g == f and hash(g) == hash(f) and g.terms == f.terms
     # equality on compositions is equality of the exponent vectors
     for f, h in product(values, repeat=2):
-        assert (f == h) == (f.terms == h.terms)
+        assert (f == h) == (f.vectors() == h.vectors())
+
+
+def test_constructor_refuses_a_non_quasisymmetric_polynomial():
+    # (0, 1) is missing, or the two vectors of M_(1) carry different coefficients
+    for vectors in ({(1, 0): ONE}, {(1, 0): ONE, (0, 1): 2 * ONE}):
+        with pytest.raises(DomainError, match="not quasisymmetric"):
+            TruncatedQFunc(2, vectors)
 
 
 def test_truncation_drops_exactly_the_longer_partitions():
@@ -309,7 +315,7 @@ def test_truncation_drops_exactly_the_longer_partitions():
                 for e in set(permutations(lam + (0,) * (N - len(lam)))):
                     want[e] = QTPoly.of(c) * prod(factorial(lam.count(p)) for p in set(lam))
         got = truncate_symfunc(f, N)
-        assert got.terms == want and got == TruncatedQFunc(N, want)
+        assert got.vectors() == want and got == TruncatedQFunc(N, want)
         assert got == truncate_symfunc(SymFunc("mtilde", {lam: c for lam, c in f.terms.items() if len(lam) <= N}), N)
 
 
@@ -353,23 +359,24 @@ def test_substitution_keys_and_values():
 
 def test_substitution_once_per_coefficient_object(monkeypatch):
     f = tq(Digraph(3, [(1, 2), (3, 2)]), 5)
-    shared = {id(c) for c in f.terms.values()}
-    assert len(shared) < len(f.terms)
+    # the vectors of one composition share its coefficient object
+    shared = {id(c) for c in f.vectors().values()}
+    assert len(shared) == len(f.terms) < len(f.vectors())
     calls = []
     at_q = QTPoly.at_q
     monkeypatch.setattr(QTPoly, "at_q", lambda c, v: calls.append(c) or at_q(c, v))
     g = f.at_q(1)
     assert len(calls) == len(shared)
-    assert g == TruncatedQFunc(5, {e: c.at_q(1) for e, c in f.terms.items()})
+    assert g == TruncatedQFunc(5, {e: c.at_q(1) for e, c in f.vectors().items()})
     # a coefficient that vanishes under the substitution drops out
-    assert f.at_q(0).at_t(-1) == TruncatedQFunc(5, {e: c.at_q(0).at_t(-1) for e, c in f.terms.items()})
+    assert f.at_q(0).at_t(-1) == TruncatedQFunc(5, {e: c.at_q(0).at_t(-1) for e, c in f.vectors().items()})
 
 
 def test_truncate_symfunc_pins():
     f = truncate_symfunc(SymFunc("mtilde", {(2,): 1}), 2)
-    assert f.terms == {(2, 0): ONE, (0, 2): ONE}
+    assert f.vectors() == {(2, 0): ONE, (0, 2): ONE}
     g = truncate_symfunc(SymFunc("mtilde", {(1, 1): 1}), 2)
-    assert g.terms == {(1, 1): QTPoly.of(2)}
+    assert g.vectors() == {(1, 1): QTPoly.of(2)}
     # partitions longer than the variable count truncate away
     assert truncate_symfunc(SymFunc("mtilde", {(1, 1, 1): 1}), 2).is_zero()
     with pytest.raises(DomainError):
@@ -540,7 +547,7 @@ def test_reversal_reverses_exponent_vectors(case):
     D, N = case
     R = reverse(D)
     for fn in (xq, tq):
-        flipped = TruncatedQFunc(N, {e[::-1]: c for e, c in fn(D, N).terms.items()})
+        flipped = TruncatedQFunc(N, {e[::-1]: c for e, c in fn(D, N).vectors().items()})
         assert fn(R, N) == flipped
 
 
@@ -550,17 +557,6 @@ def test_reversal_reverses_exponent_vectors(case):
 # {i, j}, i < j, read as the arc i -> j, XQ is symmetric (the coefficient of
 # M_alpha depends only on sort(alpha)) and each coefficient is palindromic
 # in q of degree |E|.  A general digraph has neither property.
-
-
-def m_alpha_coefficients(f):
-    """{alpha: coefficient of M_alpha} of a quasisymmetric f, read from the
-    exponent vectors whose nonzero entries come first."""
-    out = {}
-    for e, c in f.terms.items():
-        alpha = tuple(x for x in e if x)
-        if e[:len(alpha)] == alpha:
-            out[alpha] = c
-    return out
 
 
 def compositions(w):
@@ -589,7 +585,7 @@ def natural_unit_interval_orders(n):
 
 
 def is_symmetric(D):
-    coeffs = m_alpha_coefficients(xq(D, D.total_weight()))
+    coeffs = xq(D, D.total_weight()).terms
     zero = QTPoly.zero()
     return all(
         coeffs.get(alpha, zero) == coeffs.get(tuple(sorted(alpha, reverse=True)), zero)
@@ -599,7 +595,7 @@ def is_symmetric(D):
 
 def is_palindromic(D):
     E = len(D.arcs)
-    coeffs = m_alpha_coefficients(xq(D, D.total_weight()))
+    coeffs = xq(D, D.total_weight()).terms
     return all(c.terms == {(E - a, b): x for (a, b), x in c.terms.items()} for c in coeffs.values())
 
 
@@ -630,7 +626,7 @@ def test_xq_at_q_one_is_the_chromatic_symmetric_function(case):
     # only on sort(alpha) and is the m-coefficient of X of the underlying graph
     D, _ = case
     w = D.total_weight()
-    coeffs = m_alpha_coefficients(xq(D, w).at_q(1))
+    coeffs = xq(D, w).at_q(1).terms
     X = mtilde_to_m(chromatic_sym(underlying(D)))
     for alpha in compositions(w):
         want = QTPoly.of(X.coefficient(sorted(alpha, reverse=True)))
