@@ -24,8 +24,8 @@ from tuttekit.lincomb import DomainError, Poly, echo, exact
 #### bounds ####################################################################
 
 # Set-partition enumeration is the complexity wall (Bell numbers), so the
-# operations that sum over all partitions refuse large ground sets unless the
-# caller raises the ceiling explicitly or through TUTTEKIT_MAX_N.
+# operations that sum over all partitions refuse large ground sets.  The
+# three vertex caps below are lifted together, and only, by TUTTEKIT_MAX_N.
 DEFAULT_ENUMERATION_BOUND = 10
 DEFAULT_REDUCTION_BOUND = 7
 DEFAULT_CANONICAL_BOUND = 12
@@ -34,10 +34,8 @@ DEFAULT_DEGREE_BOUND = 12
 MAX_SUBSET_EDGES = 16
 
 
-def resolve_bound(default: int, override: int | None = None) -> int:
-    """Effective ceiling: explicit argument, else TUTTEKIT_MAX_N, else default."""
-    if override is not None:
-        return override
+def resolve_bound(default: int) -> int:
+    """Effective ceiling: TUTTEKIT_MAX_N, else default."""
     env = os.environ.get("TUTTEKIT_MAX_N")
     if env:
         try:
@@ -50,13 +48,13 @@ def resolve_bound(default: int, override: int | None = None) -> int:
     return default
 
 
-def check_bound(size: int, default: int, max_n: int | None, what: str) -> None:
+def check_bound(size: int, default: int, what: str) -> None:
     """Refuse a vertex count above the ceiling that resolve_bound gives."""
-    bound = resolve_bound(default, max_n)
+    bound = resolve_bound(default)
     if size > bound:
         raise DomainError(
             f"{what} limited to {bound} vertices, got {size}; "
-            "raise the cap with max_n or TUTTEKIT_MAX_N"
+            "raise the cap with TUTTEKIT_MAX_N"
         )
 
 

@@ -660,34 +660,34 @@ def _canonical_labelling(n: int, pairs: Sequence[tuple[int, int]],
     return (tuple(weights[v] for v in best_order), tuple(best)), tuple(perm)
 
 
-def _labelling_of(G: Multigraph, max_n: int | None) -> tuple[tuple, tuple[int, ...]]:
+def _labelling_of(G: Multigraph) -> tuple[tuple, tuple[int, ...]]:
     """G's `_canonical_labelling`, kept in its `_canon` slot once found."""
     memo = getattr(G, "_canon", None)
     if memo is None:
-        check_bound(G.n, DEFAULT_CANONICAL_BOUND, max_n, "canonical form")
+        check_bound(G.n, DEFAULT_CANONICAL_BOUND, "canonical form")
         memo = _canonical_labelling(G.n, G.edges, G.weights)
         object.__setattr__(G, "_canon", memo)
     return memo
 
 
-def canonical_graph(G: Multigraph, max_n: int | None = None) -> Multigraph:
+def canonical_graph(G: Multigraph) -> Multigraph:
     """Canonical representative of the isomorphism class of G: G relabelled
     by its canonical labelling.  Two graphs are isomorphic exactly when
     their canonical graphs are equal."""
-    (weights, _), perm = _labelling_of(G, max_n)
+    (weights, _), perm = _labelling_of(G)
     edges = tuple(sorted(_pair(perm[u - 1], perm[v - 1]) for u, v in G.edges))
     return Multigraph._unchecked(G.n, edges, weights)
 
 
-def canonical_form(G: Multigraph, max_n: int | None = None) -> bytes:
+def canonical_form(G: Multigraph) -> bytes:
     """Opaque byte string equal for two graphs iff they are isomorphic."""
-    return repr(_labelling_of(G, max_n)[0]).encode()
+    return repr(_labelling_of(G)[0]).encode()
 
 
-def is_isomorphic(G: Multigraph, H: Multigraph, max_n: int | None = None) -> bool:
+def is_isomorphic(G: Multigraph, H: Multigraph) -> bool:
     if G.n != H.n or len(G.edges) != len(H.edges) or sorted(G.weights) != sorted(H.weights):
         return False
-    return _labelling_of(G, max_n)[0] == _labelling_of(H, max_n)[0]
+    return _labelling_of(G)[0] == _labelling_of(H)[0]
 
 
 #### orientations ##############################################################

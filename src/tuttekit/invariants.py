@@ -119,19 +119,19 @@ def _onep_t_sum(counts: Counter) -> SymFunc:
     return _from_dicts("mtilde", coeffs)
 
 
-def chromatic_sym(G: Multigraph, max_n: int | None = None) -> SymFunc:
+def chromatic_sym(G: Multigraph) -> SymFunc:
     """X of (G, w) in the augmented monomial basis.
 
     Sums m~ over stable partitions (no internal edges); identically zero as
     soon as G has a loop.
     """
-    check_bound(G.n, DEFAULT_ENUMERATION_BOUND, max_n, "partition enumeration")
+    check_bound(G.n, DEFAULT_ENUMERATION_BOUND, "partition enumeration")
     return SymFunc("mtilde", _stable_counts(G.n, G.edges, G.weights))
 
 
-def tutte_sym(G: Multigraph, max_n: int | None = None) -> SymFunc:
+def tutte_sym(G: Multigraph) -> SymFunc:
     """XB of (G, w): the full partition sum with (1+t)^(internal edges)."""
-    check_bound(G.n, DEFAULT_ENUMERATION_BOUND, max_n, "partition enumeration")
+    check_bound(G.n, DEFAULT_ENUMERATION_BOUND, "partition enumeration")
     shape = _block_lambda(G.weights)
     counts = Counter(
         (shape(pi), e)
@@ -216,28 +216,28 @@ def _delcon(route: str, n: int, edges: tuple, weights: tuple) -> dict:
     return result
 
 
-def tutte_sym_delcon(G: Multigraph, max_n: int | None = None) -> SymFunc:
+def tutte_sym_delcon(G: Multigraph) -> SymFunc:
     """XB by deletion-contraction: XB(G) = XB(G-e) + t XB(G/e).
 
     A loop satisfies G/e = G-e, so each loop contributes a (1+t) factor;
     the recursion therefore picks the smallest non-loop edge and handles
     loops in one multiplication at the base.  Memoized by canonical form.
     """
-    check_bound(G.n, DEFAULT_ENUMERATION_BOUND, max_n, "partition enumeration")
+    check_bound(G.n, DEFAULT_ENUMERATION_BOUND, "partition enumeration")
     value = _delcon("xb", G.n, G.edges, G.weights)
     return _from_dicts("mtilde", {lam: dict(c) for lam, c in value.items()})
 
 
-def chromatic_sym_delcon(G: Multigraph, max_n: int | None = None) -> SymFunc:
+def chromatic_sym_delcon(G: Multigraph) -> SymFunc:
     """X by deletion-contraction: X(G) = X(G-e) - X(G/e); loops kill X."""
-    check_bound(G.n, DEFAULT_ENUMERATION_BOUND, max_n, "partition enumeration")
+    check_bound(G.n, DEFAULT_ENUMERATION_BOUND, "partition enumeration")
     value = _delcon("x", G.n, G.edges, G.weights)
     return _from_dicts("mtilde", {lam: dict(c) for lam, c in value.items()})
 
 
 #### contraction expansions ####################################################
 
-def tutte_from_contractions(G: Multigraph, max_n: int | None = None) -> SymFunc:
+def tutte_from_contractions(G: Multigraph) -> SymFunc:
     """XB as the sum over edge subsets S of (1+t)^|S| X(G/S).
 
     Subsets range over edge instances, so each copy of a multi-edge is its
@@ -249,7 +249,7 @@ def tutte_from_contractions(G: Multigraph, max_n: int | None = None) -> SymFunc:
     counts of G/S add up as integers keyed by (shape, |S|), and each
     shape's TPoly is built once at the end.
     """
-    check_bound(G.n, DEFAULT_ENUMERATION_BOUND, max_n, "partition enumeration")
+    check_bound(G.n, DEFAULT_ENUMERATION_BOUND, "partition enumeration")
     counts: Counter = Counter()
     for idx in subsets_by_size(len(G.edges)):
         labels = contraction_labels(G.n, G.edges, idx)
@@ -262,7 +262,7 @@ def tutte_from_contractions(G: Multigraph, max_n: int | None = None) -> SymFunc:
     return _onep_t_sum(counts)
 
 
-def tutte_from_connected_partitions(G: Multigraph, max_n: int | None = None) -> SymFunc:
+def tutte_from_connected_partitions(G: Multigraph) -> SymFunc:
     """XB as the sum over connected partitions pi of (1+t)^e(pi) X(G/pi).
 
     Each pi is labelled once, and one pass over the edges gives both e(pi)
@@ -270,7 +270,7 @@ def tutte_from_connected_partitions(G: Multigraph, max_n: int | None = None) -> 
     Multigraph.  Stable-partition counts of G/pi add up as integers keyed
     by (shape, e(pi)), and each shape's TPoly is built once at the end.
     """
-    check_bound(G.n, DEFAULT_ENUMERATION_BOUND, max_n, "partition enumeration")
+    check_bound(G.n, DEFAULT_ENUMERATION_BOUND, "partition enumeration")
     counts: Counter = Counter()
     for pi in connected_partitions(G):
         between, weights = _quotient(G.edges, G.weights, block_index_map(pi), len(pi))
@@ -302,7 +302,7 @@ def _sink_map_counts(weights: list[int], cap: int) -> list[int]:
     return poly
 
 
-def sigma_l_formula(G: Multigraph, k: int, l: int, max_n: int | None = None) -> Fraction:
+def sigma_l_formula(G: Multigraph, k: int, l: int) -> Fraction:
     """Orientation formula for sigma_l of the (1+t)^k component of XB.
 
     Sums over edge subsets A of size k and acyclic orientations of G/A; each
@@ -315,7 +315,7 @@ def sigma_l_formula(G: Multigraph, k: int, l: int, max_n: int | None = None) -> 
     XB(G), exactly.  It is 0 without any enumeration when k exceeds the
     edge count or l the total weight w(G), the degree of XB.
     """
-    check_bound(G.n, DEFAULT_ENUMERATION_BOUND, max_n, "partition enumeration")
+    check_bound(G.n, DEFAULT_ENUMERATION_BOUND, "partition enumeration")
     check_subset_count(len(G.edges))
     if k < 0 or l < 0:
         raise DomainError("indices must be nonnegative")
@@ -340,7 +340,7 @@ def sigma_l_formula(G: Multigraph, k: int, l: int, max_n: int | None = None) -> 
     return Fraction(total)
 
 
-def sigma_l_direct(G: Multigraph, k: int, l: int, max_n: int | None = None) -> Fraction:
+def sigma_l_direct(G: Multigraph, k: int, l: int) -> Fraction:
     """Reference route: e-expansion of the (1+t)^k component of XB."""
-    f = coefficient_in_onep_t(tutte_sym(G, max_n), k)
+    f = coefficient_in_onep_t(tutte_sym(G), k)
     return sigma_l(m_to_e(mtilde_to_m(f)), l).constant_value()

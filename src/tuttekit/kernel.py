@@ -33,6 +33,7 @@ from tuttekit.combinatorics import (
     multinomial,
     normalize_blocks,
     onep_t_power,
+    partitions_of,
     sorted_partition,
     subsets_by_size,
 )
@@ -62,7 +63,7 @@ from tuttekit.graphs import (
     two_edge_connected,
     vertex_count,
 )
-from tuttekit.invariants import tutte_sym
+from tuttekit.invariants import chromatic_sym, tutte_sym
 from tuttekit.lincomb import LinComb, echo, merge_terms
 from tuttekit.symfun import SymFunc
 
@@ -121,11 +122,11 @@ class GraphCombination(LinComb):
         )
 
 
-def combination_tutte_sym(L: GraphCombination, max_n: int | None = None) -> SymFunc:
+def combination_tutte_sym(L: GraphCombination) -> SymFunc:
     """Termwise XB of a combination (exact)."""
     total = SymFunc.zero("mtilde")
     for g, c in L.terms.items():
-        total = total + tutte_sym(g, max_n).scale(c)
+        total = total + tutte_sym(g).scale(c)
     return total
 
 
@@ -187,9 +188,7 @@ def c_value(L: GraphCombination, blocks: Iterable[Iterable[int]]) -> Fraction:
     return acc
 
 
-def is_tutte_friendly(
-    L: GraphCombination, max_n: int | None = None
-) -> tuple[bool, tuple | None, int | None]:
+def is_tutte_friendly(L: GraphCombination) -> tuple[bool, tuple | None, int | None]:
     """Scan all partitions of [n]; B(L; pi) must vanish identically.
 
     On failure returns (False, pi, a) with pi the first violating partition
@@ -197,7 +196,7 @@ def is_tutte_friendly(
     coefficient in B(L; pi).  Each coefficient is expanded in (1+t)-powers
     once; at pi a term with e internal edges shifts its powers up by e.
     """
-    check_bound(L.n, DEFAULT_ENUMERATION_BOUND, max_n, "friendliness scan")
+    check_bound(L.n, DEFAULT_ENUMERATION_BOUND, "friendliness scan")
     packed = _packed(L)
     powers = [[(k, c) for k, c in enumerate(cs) if c != 0] for cs in packed.values()]
     for pi, counts in enumerate_set_partitions(L.n, edge_sets=list(packed)):
@@ -211,9 +210,9 @@ def is_tutte_friendly(
     return True, None, None
 
 
-def is_x_friendly(L: GraphCombination, max_n: int | None = None) -> tuple[bool, tuple | None]:
+def is_x_friendly(L: GraphCombination) -> tuple[bool, tuple | None]:
     """Scan all partitions; C(L; pi) must vanish.  Coefficients must be t-free."""
-    check_bound(L.n, DEFAULT_ENUMERATION_BOUND, max_n, "friendliness scan")
+    check_bound(L.n, DEFAULT_ENUMERATION_BOUND, "friendliness scan")
     for c in L.terms.values():
         if c.degree() > 0:
             raise DomainError("X-friendliness is defined for t-free coefficients")
@@ -298,6 +297,8 @@ def ell_iso(G: Multigraph, sigma: Sequence[int]) -> GraphCombination:
 
 # witness_graph refuses a host with more edges than this
 MAX_WITNESS_EDGES = 1_000_000
+# witness_mtilde_coefficient refuses a loop counted at more iterations than this
+WITNESS_BUDGET = 5_000_000
 
 
 def extend(L: GraphCombination, G: Multigraph) -> GraphCombination:
@@ -360,9 +361,7 @@ def witness_graph(L: GraphCombination, blocks: Iterable[Iterable[int]], a: int |
     return Multigraph(size, edges)
 
 
-def witness_mtilde_coefficient(
-    L: GraphCombination, blocks: Iterable[Iterable[int]], budget: int = 5_000_000
-) -> TPoly:
+def witness_mtilde_coefficient(L: GraphCombination, blocks: Iterable[Iterable[int]]) -> TPoly:
     """Coefficient of m~_(lambda*) in XB(extend(L, witness_graph(L, pi))).
 
     lambda* has one part |B_b| + M per block B_b of pi; a set partition of
@@ -372,7 +371,8 @@ def witness_mtilde_coefficient(
     in slot b; the assignments with one matrix a share one pass over the
     clouds, whose state maps the room left in the slots to a polynomial
     {host edges inside slots: ways}.  Nothing enumerates partitions of the
-    witness's vertex set.  The budget caps the loop iterations counted below.
+    witness's vertex set.  WITNESS_BUDGET, read at the call, caps the loop
+    iterations counted below.
     """
     blocks = normalize_blocks(L.n, blocks)
     sf = standard_form(L)
@@ -385,13 +385,13 @@ def witness_mtilde_coefficient(
     # l^n0 >= 2^(n0 (bits(l) - 1)), so that power of two, a shift, refuses a
     # count that could run to thousands of digits before it is formed or
     # printed.
-    if 1 << (n0 * (l.bit_length() - 1)) > budget:
+    if 1 << (n0 * (l.bit_length() - 1)) > WITNESS_BUDGET:
         raise DomainError(f"witness coefficient enumeration too large ({l}^{n0} assignments)")
     est = l ** n0
-    if est <= budget:
+    if est <= WITNESS_BUDGET:
         matrices = min(est, prod(multinomial([len(b), l - 1]) for b in blocks))
         est += matrices * sum(multinomial([j * M, l - 1]) for j in range(l)) * (M + 1) ** (l - 1)
-    if est > budget:
+    if est > WITNESS_BUDGET:
         raise DomainError(f"witness coefficient enumeration too large ({est} nodes)")
     # matrix a -> {(1+t)-power of the base edges inside slots: coefficient}
     by_matrix: dict[tuple, dict[int, Fraction | int]] = {}
@@ -609,9 +609,7 @@ def _rewrite_of(n: int, edges: tuple) -> tuple[int, dict] | None:
     return 2, {"triple": triple, "case": case, "perm": perm}
 
 
-def reduce_to_star_forests(
-    L: GraphCombination, max_n: int | None = None
-) -> tuple[StandardForm, ReductionCertificate]:
+def reduce_to_star_forests(L: GraphCombination) -> tuple[StandardForm, ReductionCertificate]:
     """Rewrite L into a combination of canonical star forests R_lambda.
 
     Loops are eliminated first, then multi-edges, then dull triples (always
@@ -632,7 +630,7 @@ def reduce_to_star_forests(
     triple, so the certificate does not depend on how the next rewrite is
     found.
     """
-    check_bound(L.n, DEFAULT_REDUCTION_BOUND, max_n, "reduction")
+    check_bound(L.n, DEFAULT_REDUCTION_BOUND, "reduction")
     n = L.n
     terms = _packed(L)
     steps: list[ReductionStep] = []
@@ -689,16 +687,16 @@ def replay_certificate(L: GraphCombination, cert: ReductionCertificate) -> Graph
     return _standard_form(L.n, terms).to_combination()
 
 
-def kernel_membership(L: GraphCombination, max_n: int | None = None) -> bool:
+def kernel_membership(L: GraphCombination) -> bool:
     """Is L in the kernel of XB?  Decided by reduction, cross-checked directly.
 
     The reduction verdict (all canonical star-forest coefficients zero) and
     the direct verdict (termwise XB sums to zero) must agree; disagreement
     is an internal fault, not a domain error.
     """
-    result, _ = reduce_to_star_forests(L, max_n)
+    result, _ = reduce_to_star_forests(L)
     by_reduction = result.is_zero()
-    by_evaluation = combination_tutte_sym(L, max_n).is_zero()
+    by_evaluation = combination_tutte_sym(L).is_zero()
     if by_reduction != by_evaluation:
         raise RuntimeError(
             "internal fault: reduction verdict "
@@ -839,13 +837,13 @@ def classify_n4() -> list[tuple[Multigraph, ...]]:
     return families
 
 
-def is_tutte_reducible(L: GraphCombination, max_n: int | None = None) -> bool:
+def is_tutte_reducible(L: GraphCombination) -> bool:
     """Does some vertex see the same edge multiset in every term?
 
     Loops at the vertex count toward its own entry.  Only defined for
     friendly combinations.
     """
-    ok, _, _ = is_tutte_friendly(L, max_n)
+    ok, _, _ = is_tutte_friendly(L)
     if not ok:
         raise DomainError("Tutte-reducibility is defined for friendly combinations")
     mults = [g.multiplicities() for g in L.terms]
@@ -857,7 +855,7 @@ def is_tutte_reducible(L: GraphCombination, max_n: int | None = None) -> bool:
     )
 
 
-def broom_relation(n: int, k: int, max_n: int | None = None) -> GraphCombination:
+def broom_relation(n: int, k: int) -> GraphCombination:
     """Four-term broom exchange on [n+k], defined for n >= 0 and k >= 2.
 
     Adds the broom B(n,k) and the split path-plus-star, subtracts B(n+1,k-1)
@@ -878,7 +876,7 @@ def broom_relation(n: int, k: int, max_n: int | None = None) -> GraphCombination
             "k-vertex star, and a star with k < 2 has no bristle"
         )
     N = n + k
-    check_bound(N, DEFAULT_ENUMERATION_BOUND, max_n, "broom relation")
+    check_bound(N, DEFAULT_ENUMERATION_BOUND, "broom relation")
     term1 = broom(n, k)
     path_edges = [(i, i + 1) for i in range(1, n + 1)]
     star_edges = [(j, N) for j in range(n + 2, N)]
@@ -896,16 +894,13 @@ def broom_relation(n: int, k: int, max_n: int | None = None) -> GraphCombination
 
 #### star-forest basis #########################################################
 
-def star_forest_basis_matrix(n: int, max_n: int | None = None):
+def star_forest_basis_matrix(n: int):
     """Rows: chromatic m~-coefficients of R_lambda for every lambda of n."""
-    from tuttekit.combinatorics import partitions_of
-    from tuttekit.invariants import chromatic_sym
-
     lams = list(partitions_of(n))
     cols = {lam: i for i, lam in enumerate(lams)}
     rows = []
     for lam in lams:
-        X = chromatic_sym(canonical_star_forest(lam), max_n)
+        X = chromatic_sym(canonical_star_forest(lam))
         row = [Fraction(0)] * len(lams)
         for mu, c in X.terms.items():
             row[cols[mu]] = c.constant_value()
@@ -913,9 +908,9 @@ def star_forest_basis_matrix(n: int, max_n: int | None = None):
     return lams, rows
 
 
-def star_forest_basis_rank(n: int, max_n: int | None = None) -> int:
+def star_forest_basis_rank(n: int) -> int:
     """Rank of the star-forest chromatic matrix; full rank means a basis."""
-    _, rows = star_forest_basis_matrix(n, max_n)
+    _, rows = star_forest_basis_matrix(n)
     mat = [row[:] for row in rows]
     rank = 0
     ncols = len(mat[0]) if mat else 0

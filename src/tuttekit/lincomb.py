@@ -95,14 +95,13 @@ class LinComb(Immutable):
     A subclass names its extra fields in `_fields`; they are set before the
     terms, copied into every result and must agree for + and -.  Its hooks
     are `_key` (normalise and validate one key) and `_coeff` (coerce one
-    coefficient); `_order` and `_descending` fix the order of
-    `sorted_terms`, which is the order of every printed form.
+    coefficient); `_order` fixes the order of `sorted_terms`, which is the
+    order of every printed form.
     """
 
     __slots__ = ("terms",)
     _fields: tuple[str, ...] = ()
     _order = None  # sort key applied to a term's key; None compares keys
-    _descending = False
 
     def __init__(self, terms: dict | Iterable = ()):
         items = terms.items() if isinstance(terms, dict) else terms
@@ -189,8 +188,8 @@ class LinComb(Immutable):
         order = self._order
         items = self.terms.items()
         if order is None:
-            return sorted(items, reverse=self._descending)
-        return sorted(items, key=lambda kv: order(kv[0]), reverse=self._descending)
+            return sorted(items)
+        return sorted(items, key=lambda kv: order(kv[0]))
 
 
 class Poly(LinComb):

@@ -257,14 +257,15 @@ class TruncatedQFunc(LinComb):
 
     def _formatted_terms(self, fmt) -> list[tuple[tuple[int, ...], object]]:
         """(exponent vector, fmt(coefficient)) for every vector, in the printed
-        order; each composition's coefficient is formatted once.  More than
-        DEFAULT_COLORING_BUDGET vectors are refused before any is written."""
+        order; each composition's coefficient is formatted once.  Vectors of
+        N entries each, more than DEFAULT_COLORING_BUDGET entries in all, are
+        refused before any is written."""
         N = self.N
         count = sum(comb(N, len(alpha)) for alpha in self.terms)
-        if count > DEFAULT_COLORING_BUDGET:
+        if count * N > DEFAULT_COLORING_BUDGET:
             raise DomainError(
-                f"expansion too large ({count:,} exponent vectors in {N:,} "
-                f"variables exceed {DEFAULT_COLORING_BUDGET:,})"
+                f"expansion too large ({count:,} exponent vectors of {N:,} "
+                f"entries each exceed {DEFAULT_COLORING_BUDGET:,} entries)"
             )
         out = []
         for alpha, c in self.terms.items():
@@ -319,8 +320,8 @@ _MAX_PACKED_N = _fubini_limit(DEFAULT_COLORING_BUDGET)
 
 def _check_coloring_budget(D: Digraph, N: int) -> None:
     """Refuse N < w(D), and a digraph whose Fubini(n) packed colorings
-    exceed the budget.  The exponent vectors of a result are counted where
-    they are written, in `TruncatedQFunc._formatted_terms`."""
+    exceed the budget.  The entries of a result's exponent vectors are
+    counted where they are written, in `TruncatedQFunc._formatted_terms`."""
     N = as_int(N, "variable count")
     if N < 0:
         raise DomainError("variable count must be nonnegative")

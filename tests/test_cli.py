@@ -242,6 +242,9 @@ def test_quasi_refuses_to_write_too_many_exponent_vectors(tmp_path, capsys):
     for extra in ([], ["--output", out]):
         assert main(["quasi", "xq", d, "--vars", "5000001", *extra]) == 1
         assert "5,000,001 exponent vectors" in capsys.readouterr().err
+        # 2,237 vectors of 2,237 entries each are too many entries
+        assert main(["quasi", "xq", d, "--vars", "2237", *extra]) == 1
+        assert "2,237 exponent vectors of 2,237 entries" in capsys.readouterr().err
     assert not os.path.exists(out)
 
 

@@ -165,10 +165,8 @@ def test_multinomial():
 def test_resolve_bound(monkeypatch):
     monkeypatch.delenv("TUTTEKIT_MAX_N", raising=False)
     assert resolve_bound(10) == 10
-    assert resolve_bound(10, 4) == 4
     monkeypatch.setenv("TUTTEKIT_MAX_N", "13")
     assert resolve_bound(10) == 13
-    assert resolve_bound(10, 4) == 4
     monkeypatch.setenv("TUTTEKIT_MAX_N", "junk")
     with pytest.raises(DomainError):
         resolve_bound(10)

@@ -3,6 +3,8 @@ private top-level helper is left with no caller, and each invariant route
 reaches only the enumerators it is pinned to."""
 
 import ast
+import importlib
+import inspect
 from pathlib import Path
 
 import tuttekit
@@ -88,6 +90,34 @@ def test_selfcheck_imports_public_names_only():
         if alias.name.startswith("_")
     ]
     assert not private, f"selfcheck.py imports private names: {private}"
+
+
+def test_no_public_callable_takes_a_per_call_cap():
+    # TUTTEKIT_MAX_N is the one knob on the vertex caps, and every other
+    # limit but the degree cap is a named constant
+    root = Path(tuttekit.__file__).resolve().parent
+    modules = [tuttekit] + [
+        importlib.import_module(f"tuttekit.{path.stem}")
+        for path in sorted(root.glob("*.py"))
+        if path.name != "__init__.py"
+    ]
+    found = set()
+    for module in modules:
+        for name, obj in vars(module).items():
+            if name.startswith("_") or not callable(obj):
+                continue
+            if not getattr(obj, "__module__", "").startswith("tuttekit"):
+                continue
+            members = [obj]
+            if inspect.isclass(obj):
+                members += [m for k, m in vars(obj).items() if not k.startswith("_") and callable(m)]
+            for f in members:
+                try:
+                    params = inspect.signature(f).parameters
+                except ValueError:  # DomainError keeps ValueError's C signature
+                    continue
+                found |= {f"{f.__qualname__}({p})" for p in ("max_n", "budget") if p in params}
+    assert not found, f"per-call caps: {sorted(found)}"
 
 
 #### which enumerators each route reaches ######################################

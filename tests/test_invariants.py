@@ -176,8 +176,6 @@ def test_bound_override_precedence(monkeypatch):
     monkeypatch.setenv("TUTTEKIT_MAX_N", "2")
     with pytest.raises(DomainError):
         tutte_sym(path(3))
-    # explicit argument beats the environment
-    assert tutte_sym(path(3), max_n=3) == tutte_sym_delcon(path(3), max_n=3)
 
 
 def test_coefficients_live_in_onep_t_powers():

@@ -7,20 +7,33 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tuttekit import kernel
 from tuttekit.combinatorics import DomainError, TPoly, enumerate_set_partitions, partitions_of
 from tuttekit.graphs import (
     MAX_VERTICES,
     Multigraph,
+    canonical_form,
+    canonical_graph,
     complete,
     cycle,
     edgeless,
     is_bright_star_forest,
+    is_isomorphic,
     path,
     relabel,
     star,
     star_forest_canonical_map,
 )
-from tuttekit.invariants import tutte_sym
+from tuttekit.invariants import (
+    chromatic_sym,
+    chromatic_sym_delcon,
+    sigma_l_direct,
+    sigma_l_formula,
+    tutte_from_connected_partitions,
+    tutte_from_contractions,
+    tutte_sym,
+    tutte_sym_delcon,
+)
 from tuttekit.kernel import (
     GraphCombination,
     ReductionCertificate,
@@ -178,22 +191,25 @@ def test_witness_two_block_cross_check():
     assert combination_tutte_sym(extend(L, W)).coefficient((3, 3)) == co
 
 
-def test_witness_validation():
+def test_witness_validation(monkeypatch):
     with pytest.raises(DomainError):
         witness_graph(ell_tri(), [[1, 2, 3]])
     L = combo(2, (complete(2), 1), (edgeless(2), -1))
     with pytest.raises(DomainError):
         witness_graph(L, [[1, 2]], a=5)
+    monkeypatch.setattr(kernel, "WITNESS_BUDGET", 10)
     with pytest.raises(DomainError):
-        witness_mtilde_coefficient(combo(2, (complete(2), 1)), [[1], [2]], budget=10)
+        witness_mtilde_coefficient(combo(2, (complete(2), 1)), [[1], [2]])
 
 
-def test_witness_budget_counts_the_loop_it_bounds():
+def test_witness_budget_counts_the_loop_it_bounds(monkeypatch):
     # about 1.3 million loop iterations: within the default budget, though
     # l^n0 * C(M+l-1, l-1)^l = 13,476,375 is not
     L = combo(4, (Multigraph(4, [(1, 4)]), ONE + T))
     pi = [[1, 4], [2], [3]]
-    assert witness_mtilde_coefficient(L, pi) == witness_mtilde_coefficient(L, pi, budget=10**9)
+    within_default = witness_mtilde_coefficient(L, pi)
+    monkeypatch.setattr(kernel, "WITNESS_BUDGET", 10**9)
+    assert within_default == witness_mtilde_coefficient(L, pi)
 
 
 def test_witness_budget_refuses_a_count_too_long_to_print():
@@ -639,3 +655,51 @@ def test_star_forest_basis_rank_is_full():
         npart = sum(1 for _ in partitions_of(n))
         assert len(lams) == len(rows) == npart
         assert star_forest_basis_rank(n) == npart
+
+
+#### vertex caps ###############################################################
+
+
+def _fresh_path(n):
+    # a new graph each call, so that no canonical labelling is memoised on it
+    return Multigraph(n, [(i, i + 1) for i in range(1, n)])
+
+
+def _path_combo(n):
+    # friendly and t-free, so that every kernel entry point answers on it
+    return extend(ell_os_plus(), _fresh_path(n))
+
+
+# every entry point behind the enumeration, reduction or canonical-form cap,
+# called on n vertices
+CAPPED = {
+    "canonical_graph": lambda n: canonical_graph(_fresh_path(n)),
+    "canonical_form": lambda n: canonical_form(_fresh_path(n)),
+    "is_isomorphic": lambda n: is_isomorphic(_fresh_path(n), _fresh_path(n)),
+    "chromatic_sym": lambda n: chromatic_sym(_fresh_path(n)),
+    "tutte_sym": lambda n: tutte_sym(_fresh_path(n)),
+    "tutte_sym_delcon": lambda n: tutte_sym_delcon(_fresh_path(n)),
+    "chromatic_sym_delcon": lambda n: chromatic_sym_delcon(_fresh_path(n)),
+    "tutte_from_contractions": lambda n: tutte_from_contractions(_fresh_path(n)),
+    "tutte_from_connected_partitions": lambda n: tutte_from_connected_partitions(_fresh_path(n)),
+    "sigma_l_formula": lambda n: sigma_l_formula(_fresh_path(n), 1, 1),
+    "sigma_l_direct": lambda n: sigma_l_direct(_fresh_path(n), 1, 1),
+    "combination_tutte_sym": lambda n: combination_tutte_sym(_path_combo(n)),
+    "is_tutte_friendly": lambda n: is_tutte_friendly(_path_combo(n)),
+    "is_x_friendly": lambda n: is_x_friendly(_path_combo(n)),
+    "reduce_to_star_forests": lambda n: reduce_to_star_forests(_path_combo(n)),
+    "kernel_membership": lambda n: kernel_membership(_path_combo(n)),
+    "is_tutte_reducible": lambda n: is_tutte_reducible(_path_combo(n)),
+    "broom_relation": lambda n: broom_relation(n - 2, 2),
+    "star_forest_basis_matrix": lambda n: star_forest_basis_matrix(n),
+    "star_forest_basis_rank": lambda n: star_forest_basis_rank(n),
+}
+
+
+@pytest.mark.parametrize("name", CAPPED)
+def test_tuttekit_max_n_lifts_every_vertex_cap(name, monkeypatch):
+    monkeypatch.setenv("TUTTEKIT_MAX_N", "3")
+    refusal = "limited to 3 vertices, got 4; raise the cap with TUTTEKIT_MAX_N$"
+    with pytest.raises(DomainError, match=refusal):
+        CAPPED[name](4)
+    CAPPED[name](3)

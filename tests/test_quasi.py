@@ -240,6 +240,11 @@ def test_coloring_budget():
         with pytest.raises(DomainError, match="5,000,001 exponent vectors"):
             write()
     assert len(xq(Digraph(1), 500).vectors()) == 500
+    # the budget counts entries: 2,236^2 = 4,999,696 are written, but
+    # 2,237^2 = 5,004,169 are not
+    assert len(xq(Digraph(1), 2236).vectors()) == 2236
+    with pytest.raises(DomainError, match="2,237 exponent vectors of 2,237 entries each"):
+        xq(Digraph(1), 2237).vectors()
 
 
 def test_coloring_budget_counts_packed_colorings():
