@@ -303,68 +303,87 @@ def enumerate_set_partitions(
     n: int,
     *,
     edge_sets: Sequence[Iterable[Sequence[int]]] | None = None,
+    weights: Sequence[int] | None = None,
 ) -> Iterator:
-    """Every set partition of [n] exactly once.
+    """Every set partition of [n] once, in restricted-growth-string order:
+    the single block (string 00...0) first, all singletons (012...) last,
+    and for n = 0 the one empty partition.  Arguments are checked at the call.
 
-    Enumeration follows restricted-growth-string lexicographic order, so the
-    single-block partition (string 00...0) comes first and all-singletons
-    (string 012...) last.  n = 0 yields the one empty partition.
-
-    edge_sets, a sequence of edge lists on [n] (loops and repeated pairs
-    allowed), makes each item a pair (blocks, counts): counts[j] is the
-    number of edges of edge_sets[j] with both ends in one block, loops and
-    multiplicity counted.  The counts grow with the recursion: vertex i
-    joining block b adds its loops and its edges to earlier members of b.
-    Without edge_sets the same walk runs over no edge lists and yields the
-    blocks alone.
+    An item is the tuple of blocks or, with weights (one int per vertex),
+    of block weight sums.  edge_sets, a sequence of edge lists on [n] (loops
+    and repeated pairs allowed), makes it a pair (blocks or sums, counts):
+    counts[j] is the number of edges of edge_sets[j] inside one block.  One
+    loop in one generator frame walks the strings (Knuth, TAOCP 4A, 7.2.1.5).
     """
+    n = as_int(n, "ground set size")
     if n < 0:
         raise DomainError(f"no set partitions of a negative count {n}")
-    sets = [list(es) for es in edge_sets or ()]
-    # The per-set counts travel packed in one int, set j in bits [j*width,
-    # (j+1)*width).  A count never exceeds its set's size, so no field
-    # carries into the next and adding two packed vectors adds fieldwise.
-    width = max(map(len, sets), default=0).bit_length() or 1
-    mask = (1 << width) - 1
-    shifts = range(0, width * len(sets), width)
-    loops = [0] * (n + 1)  # loops[i]: packed loop counts at vertex i
-    back: list[dict[int, int]] = [{} for _ in range(n + 1)]  # back[i][u], u < i: packed edge counts
-    for j, es in enumerate(sets):
-        unit = 1 << (j * width)
-        for u, v in es:
-            if not (1 <= u <= n and 1 <= v <= n):
-                raise DomainError(f"edge {echo((u, v))} leaves the ground set [{n}]")
-            if u > v:
-                u, v = v, u
-            if u == v:
-                loops[v] += unit
+    unit = list(zip(range(n + 1))) if weights is None else [0, *(as_int(w, "vertex weight") for w in weights)]
+    if len(unit) != n + 1:
+        raise DomainError(f"{len(unit) - 1} vertex weights for a ground set of {n}")
+    counted = edge_sets is not None
+    sets = [list(es) for es in edge_sets] if edge_sets else []
+    loops, near, shifts, mask = 0, [()] * (n + 1), (), 0
+    if sets:
+        # loops (inside every partition) and near[i] = ((u, c), ...), u < i,
+        # are packed counts: set k's in bits [k*width, (k+1)*width).  A count
+        # never exceeds its set's size, so packed vectors add fieldwise.
+        width = max(map(len, sets)).bit_length() or 1
+        mask, shifts = (1 << width) - 1, range(0, width * len(sets), width)
+        back: list[dict[int, int]] = [{} for _ in range(n + 1)]
+        for k, es in enumerate(sets):
+            bit = 1 << (k * width)
+            for u, v in es:
+                if type(u) is not int or type(v) is not int:  # ints skip the call
+                    u, v = as_int(u, "edge end"), as_int(v, "edge end")
+                lo, hi = (u, v) if u <= v else (v, u)
+                if not 1 <= lo <= hi <= n:
+                    raise DomainError(f"edge {echo((u, v))} leaves the ground set [{n}]")
+                back[hi][lo] = back[hi].get(lo, 0) + bit
+        loops = sum(d.pop(v, 0) for v, d in enumerate(back))
+        near = [tuple(d.items()) for d in back]
+    if not n:
+        return iter([((), (0,) * len(sets)) if counted else ()])
+
+    def walk():
+        sums: list = []  # sums[b]: the sum of unit[v] over block b, a vertex tuple or an int
+        choice, joined, saved = [0] * (n + 1), [None] * n, [None] * n
+        split: dict[int, tuple[int, ...]] = {}  # packed counts -> counts
+        i, c = 1, loops
+        while True:
+            # vertex i enters with c, the packed counts of vertices 1..i-1 and loops
+            j = [c] * (len(sums) + 1)  # j[b]: the counts once i joins block b
+            for u, p in near[i]:
+                j[choice[u]] += p
+            if i < n:
+                joined[i], b = j, 0
+            else:  # the last vertex: one item per choice, then back up
+                if counted:
+                    j = [split.get(x) or split.setdefault(x, tuple([x >> s & mask for s in shifts])) for x in j]
+                w = unit[n]
+                for b, x in enumerate(sums):
+                    sums[b] = x + w
+                    yield (tuple(sums), j[b]) if counted else tuple(sums)
+                    sums[b] = x
+                t = (*sums, w)
+                yield (t, j[-1]) if counted else t
+                i = n - 1
+                while i and choice[i] + 1 == len(joined[i]):  # i opened a block
+                    sums.pop()
+                    i -= 1
+                if not i:
+                    return
+                b, j = choice[i] + 1, joined[i]
+                sums[b - 1] = saved[i]
+            choice[i], c = b, j[b]
+            if b < len(sums):
+                saved[i] = x = sums[b]
+                sums[b] = x + unit[i]
             else:
-                back[v][u] = back[v].get(u, 0) + unit
-    near = [tuple(d.items()) for d in back]
-    blocks: list[list[int]] = []
-    where = [0] * (n + 1)  # where[v]: index of v's block
+                sums.append(unit[i])
+            i += 1
 
-    def rec(i: int, counts: int):
-        if i > n:
-            part = tuple(map(tuple, blocks))
-            yield (part, tuple([(counts >> s) & mask for s in shifts])) if edge_sets is not None else part
-            return
-        counts += loops[i]
-        joined = [counts] * len(blocks)  # joined[b]: the counts once i joins block b
-        for u, packed in near[i]:
-            joined[where[u]] += packed
-        for b, c in enumerate(joined):
-            block = blocks[b]
-            block.append(i)
-            where[i] = b
-            yield from rec(i + 1, c)
-            block.pop()
-        where[i] = len(blocks)
-        blocks.append([i])
-        yield from rec(i + 1, counts)
-        blocks.pop()
-
-    return rec(1, 0)
+    return walk()
 
 
 def normalize_blocks(n: int, blocks: Iterable[Iterable[int]]) -> tuple[tuple[int, ...], ...]:

@@ -56,14 +56,6 @@ __all__ = [
 
 #### definitional routes #######################################################
 
-def _block_lambda(weights):
-    """lambda_of, unchecked, for the enumerator's blocks: pi -> block weights, largest first."""
-    if all(w == 1 for w in weights):
-        return lambda pi: tuple(sorted(map(len, pi), reverse=True))
-    weight = (0, *weights).__getitem__
-    return lambda pi: tuple(sorted([sum(map(weight, b)) for b in pi], reverse=True))
-
-
 def _stable_counts(n: int, edges, weights) -> Counter:
     """Stable partitions of ([n], edges) counted by weighted shape: X's m~ coefficients as ints.
 
@@ -106,17 +98,16 @@ def _stable_counts(n: int, edges, weights) -> Counter:
     return counts
 
 
-def _onep_t_sum(counts: Counter) -> SymFunc:
-    """sum of c (1+t)^k m~_lam over counts[(lam, k)] = c.
-
-    The coefficients of t add up as ints, and each lam gets its TPoly once.
+def _onep_t_sum(counts: dict) -> dict:
+    """sum of c (1+t)^k m~_lam over counts[(v, k)] = c, lam the shape of the
+    block-weight vector v, as {lam: {power of t: int}}; each v is sorted once.
     """
     coeffs: dict[tuple[int, ...], dict[int, int]] = {}
-    for (lam, k), c in counts.items():
-        d = coeffs.setdefault(lam, {})
+    for (v, k), c in counts.items():
+        d = coeffs.setdefault(tuple(sorted(v, reverse=True)), {})
         for i, b in onep_t_power(k).terms.items():
             d[i] = d.get(i, 0) + b * c
-    return _from_dicts("mtilde", coeffs)
+    return coeffs
 
 
 def chromatic_sym(G: Multigraph) -> SymFunc:
@@ -132,12 +123,8 @@ def chromatic_sym(G: Multigraph) -> SymFunc:
 def tutte_sym(G: Multigraph) -> SymFunc:
     """XB of (G, w): the full partition sum with (1+t)^(internal edges)."""
     check_bound(G.n, DEFAULT_ENUMERATION_BOUND, "partition enumeration")
-    shape = _block_lambda(G.weights)
-    counts = Counter(
-        (shape(pi), e)
-        for pi, (e,) in enumerate_set_partitions(G.n, edge_sets=[G.edges])
-    )
-    return _onep_t_sum(counts)
+    walk = enumerate_set_partitions(G.n, edge_sets=[G.edges], weights=G.weights)
+    return _from_dicts("mtilde", _onep_t_sum({(v, e): c for (v, (e,)), c in Counter(walk).items()}))
 
 
 #### deletion-contraction ######################################################
@@ -186,12 +173,8 @@ def _delcon(route: str, n: int, edges: tuple, weights: tuple) -> dict:
         return hit
     i = next((i for i, (u, v) in enumerate(edges) if u != v), None)
     if i is None:
-        shape = _block_lambda(weights)
-        scale = onep_t_power(len(edges)).terms
-        result = {
-            lam: {p: c * b for p, b in scale.items()}
-            for lam, c in Counter(map(shape, enumerate_set_partitions(n))).items()
-        }
+        tally = Counter(enumerate_set_partitions(n, weights=weights))
+        result = _onep_t_sum({(v, len(edges)): c for v, c in tally.items()})
     else:
         rest = edges[:i] + edges[i + 1:]
         label, k = _component_labels(n, (edges[i],))
@@ -259,7 +242,7 @@ def tutte_from_contractions(G: Multigraph) -> SymFunc:
         between, weights = _quotient(G.edges, G.weights, label, k)
         for lam, c in _stable_counts(k, between, weights).items():
             counts[lam, len(idx)] += c
-    return _onep_t_sum(counts)
+    return _from_dicts("mtilde", _onep_t_sum(counts))
 
 
 def tutte_from_connected_partitions(G: Multigraph) -> SymFunc:
@@ -277,7 +260,7 @@ def tutte_from_connected_partitions(G: Multigraph) -> SymFunc:
         e = len(G.edges) - len(between)
         for lam, c in _stable_counts(len(pi), between, weights).items():
             counts[lam, e] += c
-    return _onep_t_sum(counts)
+    return _from_dicts("mtilde", _onep_t_sum(counts))
 
 
 #### e-basis coefficient formula ###############################################

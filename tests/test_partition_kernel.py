@@ -3,7 +3,8 @@
 `enumerate_set_partitions` walks the restricted-growth strings; these tests
 compare it with the strings filtered from all of range(n)^n, and its
 internal-edge counts with `internal_edge_count`, `b_value` and `c_value`,
-which re-derive every partition from scratch.  X's own stable
+which re-derive every partition from scratch; its `weights` form must be
+its blocks form with each block summed.  X's own stable
 walk, `invariants._stable_counts`, is checked against the kernel and
 `internal_edge_count` the same way.  Stanley's
 p-expansion is an oracle that shares no code with partition enumeration,
@@ -102,9 +103,52 @@ def test_kernel_option_validation():
         enumerate_set_partitions(-1)
     with pytest.raises(DomainError):
         list(enumerate_set_partitions(2, edge_sets=[[(1, 3)]]))
+    # refused at the call, before the first item is asked for
+    for bad in (2.0, "3", True, None):
+        with pytest.raises(DomainError, match="must be an integer"):
+            enumerate_set_partitions(bad)
+    for edge in ((1, 1.5), (True, 2), (1, "2")):
+        with pytest.raises(DomainError, match="edge end must be an integer"):
+            enumerate_set_partitions(2, edge_sets=[[(1, 2)], [edge]])
+    for weights in ([1], [1, 2, 3], []):
+        with pytest.raises(DomainError, match="vertex weights for a ground set of 2"):
+            enumerate_set_partitions(2, weights=weights)
+    for weights in ([1, 1.5], [True, 1], [1, None]):
+        with pytest.raises(DomainError, match="vertex weight must be an integer"):
+            enumerate_set_partitions(2, weights=weights)
     assert list(enumerate_set_partitions(0, edge_sets=[[]])) == [((), (0,))]
+    assert list(enumerate_set_partitions(0, weights=())) == [()]
+    assert list(enumerate_set_partitions(0, edge_sets=[[]], weights=())) == [((), (0,))]
     # a loop is internal to every partition
     assert list(enumerate_set_partitions(2, edge_sets=[[(2, 2)]])) == [(((1, 2),), (1,)), (((1,), (2,)), (1,))]
+
+
+def test_walk_depth_is_not_bounded_by_the_recursion_limit():
+    # one loop frame: a ground set past the interpreter's recursion limit still walks
+    walk = enumerate_set_partitions(1500)
+    assert next(walk) == (tuple(range(1, 1501)),)
+    assert next(walk) == (tuple(range(1, 1500)), (1500,))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(0, 7).flatmap(lambda n: st.tuples(
+    st.lists(st.integers(1, 3), min_size=n, max_size=n),
+    st.none() | st.lists(edge_lists(n), max_size=3))))
+def test_weights_form_is_the_blocks_form_summed(case):
+    weights, edge_sets = case
+    n = len(weights)
+    blocks = list(enumerate_set_partitions(n, edge_sets=edge_sets))
+    summed = list(enumerate_set_partitions(n, edge_sets=edge_sets, weights=weights))
+
+    def sums(pi):
+        return tuple(sum(weights[v - 1] for v in b) for b in pi)
+
+    if edge_sets is None:
+        assert blocks == restricted_growth_partitions(n)
+        assert summed == [sums(pi) for pi in blocks]
+    else:
+        assert [pi for pi, _ in blocks] == restricted_growth_partitions(n)
+        assert summed == [(sums(pi), counts) for pi, counts in blocks]
 
 
 #### X's stable walk against the kernel ########################################
