@@ -318,11 +318,17 @@ def enumerate_set_partitions(
     n = as_int(n, "ground set size")
     if n < 0:
         raise DomainError(f"no set partitions of a negative count {n}")
-    unit = list(zip(range(n + 1))) if weights is None else [0, *(as_int(w, "vertex weight") for w in weights)]
+    try:
+        unit = list(zip(range(n + 1))) if weights is None else [0, *(as_int(w, "vertex weight") for w in weights)]
+    except TypeError:
+        raise DomainError(f"vertex weights must be a list of integers, got {echo(weights)}") from None
     if len(unit) != n + 1:
         raise DomainError(f"{len(unit) - 1} vertex weights for a ground set of {n}")
     counted = edge_sets is not None
-    sets = [list(es) for es in edge_sets] if edge_sets else []
+    try:
+        sets = [list(es) for es in edge_sets] if counted else []
+    except TypeError:
+        raise DomainError(f"edge_sets must be a list of edge lists, got {echo(edge_sets)}") from None
     loops, near, shifts, mask = 0, [()] * (n + 1), (), 0
     if sets:
         # loops (inside every partition) and near[i] = ((u, c), ...), u < i,
@@ -333,7 +339,11 @@ def enumerate_set_partitions(
         back: list[dict[int, int]] = [{} for _ in range(n + 1)]
         for k, es in enumerate(sets):
             bit = 1 << (k * width)
-            for u, v in es:
+            for e in es:
+                try:
+                    u, v = e
+                except (TypeError, ValueError):
+                    raise DomainError(f"edge must be a pair of vertices, got {echo(e)}") from None
                 if type(u) is not int or type(v) is not int:  # ints skip the call
                     u, v = as_int(u, "edge end"), as_int(v, "edge end")
                 lo, hi = (u, v) if u <= v else (v, u)

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations
 from math import comb
 
 from tuttekit.combinatorics import (
@@ -26,18 +25,17 @@ from tuttekit.combinatorics import (
     check_subset_count,
     enumerate_set_partitions,
     onep_t_power,
-    subsets_by_size,
 )
 from tuttekit.graphs import (
     Multigraph,
     acyclic_orientations,
     _canonical_labelling,
     _component_labels,
+    _flats,
     _neighbour_masks,
     _pair,
     _quotient,
     connected_partitions,
-    contraction_labels,
 )
 from tuttekit.symfun import SymFunc, _from_dicts, coefficient_in_onep_t, m_to_e, mtilde_to_m, sigma_l
 from tuttekit.symfun import specialize_t  # re-exported: evaluation lives with SymFunc
@@ -61,37 +59,57 @@ def _stable_counts(n: int, edges, weights) -> Counter:
 
     A restricted-growth walk of its own, apart from `enumerate_set_partitions`:
     each block keeps a vertex bitmask and a weight sum, and vertex i may join
-    a block holding none of its neighbours or open a new one.  Complete
-    partitions are tallied by their vector of block weights, and each
-    distinct vector is sorted into its shape once at the end.
+    a block holding none of its neighbours or open a new one.  One loop in
+    one frame places vertices 1..n-1; the last vertex's choices are tallied
+    in a flat inner loop, by the vector of block weights, and each distinct
+    vector is sorted into its shape once at the end.
     """
     if any(u == v for u, v in edges):
         return Counter()
+    if n <= 1:
+        return Counter({tuple(weights[:n]): 1})
     adj = _neighbour_masks(n, edges)
     masks: list[int] = []
     sums: list[int] = []
+    choice = [0] * n
     vectors: dict[tuple[int, ...], int] = {}
-
-    def rec(i: int) -> None:
-        if i > n:
-            key = tuple(sums)
-            vectors[key] = vectors.get(key, 0) + 1
-            return
-        a, w, bit = adj[i], weights[i - 1], 1 << i
-        for b in range(len(masks)):
-            if not masks[b] & a:
-                masks[b] |= bit
-                sums[b] += w
-                rec(i + 1)
-                masks[b] ^= bit
-                sums[b] -= w
-        masks.append(bit)
-        sums.append(w)
-        rec(i + 1)
-        masks.pop()
-        sums.pop()
-
-    rec(1)
+    last, w_last = adj[n], weights[n - 1]
+    i, b = 1, 0
+    while True:
+        # vertex i takes the first block from b on that holds no neighbour, else a new one
+        a = adj[i]
+        while b < len(masks) and masks[b] & a:
+            b += 1
+        choice[i] = b
+        if b < len(masks):
+            masks[b] |= 1 << i
+            sums[b] += weights[i - 1]
+        else:
+            masks.append(1 << i)
+            sums.append(weights[i - 1])
+        if i < n - 1:
+            i, b = i + 1, 0
+            continue
+        for c, mask in enumerate(masks):
+            if not mask & last:
+                x = sums[c]
+                sums[c] = x + w_last
+                key = tuple(sums)
+                vectors[key] = vectors.get(key, 0) + 1
+                sums[c] = x
+        key = (*sums, w_last)
+        vectors[key] = vectors.get(key, 0) + 1
+        # back up past the vertices that opened a block: they have no choice left
+        while i and masks[-1] == 1 << i:
+            masks.pop()
+            sums.pop()
+            i -= 1
+        if not i:
+            break
+        b = choice[i]
+        masks[b] ^= 1 << i
+        sums[b] -= weights[i - 1]
+        b += 1
     counts: Counter = Counter()
     for vector, c in vectors.items():
         counts[tuple(sorted(vector, reverse=True))] += c
@@ -225,23 +243,19 @@ def tutte_from_contractions(G: Multigraph) -> SymFunc:
 
     Subsets range over edge instances, so each copy of a multi-edge is its
     own element.  X(G/S) vanishes when the contraction leaves a loop, so
-    `contraction_labels` skips such an S before it is contracted; the
-    subsets left are the flats of the cycle matroid.  The labels of a
-    flat's components give G/S, whose edges are those of G between two
-    components; G/S is never built as a Multigraph.  Stable-partition
-    counts of G/S add up as integers keyed by (shape, |S|), and each
-    shape's TPoly is built once at the end.
+    only the flats of the cycle matroid are walked, by `graphs._flats`.
+    The labels of a flat's components give G/S, whose edges are those of G
+    between two components; G/S is never built as a Multigraph.
+    Stable-partition counts of G/S add up as integers keyed by (shape, |S|),
+    and each shape's TPoly is built once at the end.
     """
     check_bound(G.n, DEFAULT_ENUMERATION_BOUND, "partition enumeration")
+    check_subset_count(len(G.edges))
     counts: Counter = Counter()
-    for idx in subsets_by_size(len(G.edges)):
-        labels = contraction_labels(G.n, G.edges, idx)
-        if labels is None:
-            continue
-        label, k = labels
+    for label, k, size in _flats(G.n, G.edges):
         between, weights = _quotient(G.edges, G.weights, label, k)
         for lam, c in _stable_counts(k, between, weights).items():
-            counts[lam, len(idx)] += c
+            counts[lam, size] += c
     return _from_dicts("mtilde", _onep_t_sum(counts))
 
 
@@ -306,12 +320,9 @@ def sigma_l_formula(G: Multigraph, k: int, l: int) -> Fraction:
     if k > len(G.edges) or l > wG:
         return Fraction(0)
     total = 0
-    m = len(G.edges)
-    for idx in combinations(range(m), k):
-        labels = contraction_labels(G.n, G.edges, idx)
-        if labels is None:
+    for label, n_A, size in _flats(G.n, G.edges):
+        if size != k:
             continue
-        label, n_A = labels
         H = Multigraph(n_A, *_quotient(G.edges, G.weights, label, n_A))
         sign_A = -1 if (H.n + wG) % 2 else 1
         for _, sinks in acyclic_orientations(H):

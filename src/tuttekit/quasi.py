@@ -38,21 +38,21 @@ from tuttekit.combinatorics import (
     as_rational,
     augmentation_factor,
     block_index_map,
+    check_subset_count,
     format_rational,
     json_field,
     json_list,
     onep_t_power,
     parse_rational,
-    subsets_by_size,
 )
 from tuttekit.graphs import (
     Multigraph,
     _LabelledGraph,
     _component_labels,
+    _flats,
     _quotient,
     connected_partitions,
     contract_partition,
-    contraction_labels,
     endpoints,
     graph_from_json_obj,
     graph_to_json_obj,
@@ -456,21 +456,16 @@ def tq_from_connected_partitions(D: Digraph, N: int) -> TruncatedQFunc:
 def tq_from_arc_subsets(D: Digraph, N: int) -> TruncatedQFunc:
     """TQ as a sum of (1+t)^|S| XQ(D/S) over arc subsets.
 
-    XQ of a contraction that leaves a loop vanishes, so `contraction_labels`
-    skips such an S (one that is not a flat of the underlying cycle
-    matroid) before it is contracted, and the arcs of D/S come from its
-    labels; D/S is never built as a Digraph.
+    XQ of a contraction that leaves a loop vanishes, so only the flats of
+    the underlying cycle matroid are walked, by `graphs._flats`, and the
+    arcs of D/S come from a flat's labels; D/S is never built as a Digraph.
     """
-    subsets = subsets_by_size(len(D.arcs), "arc")
+    check_subset_count(len(D.arcs), "arc")
     _check_coloring_budget(D, N)
     total: dict = {}
-    for S in subsets:
-        labels = contraction_labels(D.n, D.arcs, S)
-        if labels is None:
-            continue
-        label, k = labels
+    for label, k, size in _flats(D.n, D.arcs):
         piece = _packed_sum(k, *_quotient(D.arcs, D.weights, label, k), proper=True)
-        _add_onep_t(total, piece, len(S))
+        _add_onep_t(total, piece, size)
     return _from_tallies(total, N)
 
 

@@ -1,20 +1,27 @@
-"""The component labelling and quotient under every contraction, checked
-against a breadth-first-search reference written here; and a source guard
-that keeps soundness checks alive under `python -O`."""
+"""The component labelling, the walk over flats and the quotient under
+every contraction, checked against a breadth-first-search reference written
+here; a planted fault in the walk that the routes must catch; and a source
+guard that keeps soundness checks alive under `python -O`."""
 
 import ast
+from collections import Counter
+from itertools import chain, combinations, islice
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tuttekit
+from tuttekit import invariants, quasi
 from tuttekit.graphs import (
     Multigraph,
+    _component_labels,
     _components_of,
+    _flats,
     contract_edge_set,
     contract_partition,
-    contraction_labels,
+    cycle,
 )
 from tuttekit.quasi import Digraph, contract_arc_set
 
@@ -66,14 +73,55 @@ def test_components_and_labels_match_bfs(case):
     n, pairs, chosen, _ = case
     assert _components_of(n, pairs) == bfs_components(n, pairs)
     comps = bfs_components(n, [pairs[i] for i in chosen])
-    where = {v: i for i, c in enumerate(comps) for v in c}
-    loop_left = any(where[u] == where[v] for i, (u, v) in enumerate(pairs) if i not in chosen)
-    labels = contraction_labels(n, pairs, chosen)
-    assert (labels is None) == loop_left
-    if labels is not None:
-        label, k = labels
-        assert k == len(comps)
-        assert [label[v] for v in range(1, n + 1)] == [where[v] for v in range(1, n + 1)]
+    label, k = _component_labels(n, [pairs[i] for i in chosen])
+    assert k == len(comps)
+    assert [label[v] for v in range(1, n + 1)] == [i for v in range(1, n + 1) for i, c in enumerate(comps) if v in c]
+
+
+def reference_flats(n, pairs):
+    """(labels of 1..n, k, |S|) for every subset S of pair indices whose
+    contraction leaves no loop, found by filtering all 2^m subsets."""
+    out = []
+    for chosen in chain.from_iterable(combinations(range(len(pairs)), r) for r in range(len(pairs) + 1)):
+        comps = bfs_components(n, [pairs[i] for i in chosen])
+        where = {v: i for i, c in enumerate(comps) for v in c}
+        if not any(where[u] == where[v] for i, (u, v) in enumerate(pairs) if i not in chosen):
+            out.append((tuple(where[v] for v in range(1, n + 1)), len(comps), len(chosen)))
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair_graphs())
+def test_flat_walk_matches_filtered_subsets(case):
+    n, pairs, _, _ = case
+    walked = Counter((tuple(label[1:]), k, size) for label, k, size in _flats(n, pairs))
+    assert walked == Counter(reference_flats(n, pairs))
+    # each flat once: its labels alone determine it
+    assert set(walked.values()) == {1}
+
+
+def all_subsets(n, pairs):
+    """A walk with no prune: every subset, loops left or not."""
+    for chosen in chain.from_iterable(combinations(pairs, r) for r in range(len(pairs) + 1)):
+        label, k = _component_labels(n, chosen)
+        yield label, k, len(chosen)
+
+
+def one_flat_dropped(n, pairs):
+    return islice(_flats(n, pairs), 1, None)
+
+
+@pytest.mark.parametrize("fault", [all_subsets, one_flat_dropped])
+def test_routes_catch_a_planted_fault_in_the_flat_walk(monkeypatch, fault):
+    G = Multigraph(4, [(1, 2), (2, 3), (3, 4), (1, 4), (1, 3), (1, 3)], [1, 2, 1, 1])
+    D = Digraph(3, [(1, 2), (2, 3), (3, 1), (2, 1)], [1, 1, 2])
+    assert invariants.tutte_from_contractions(G) == invariants.tutte_sym(G)
+    assert quasi.tq_from_arc_subsets(D, 4) == quasi.tq(D, 4)
+    monkeypatch.setattr(invariants, "_flats", fault)
+    monkeypatch.setattr(quasi, "_flats", fault)
+    assert invariants.tutte_from_contractions(G) != invariants.tutte_sym(G)
+    assert invariants.tutte_from_contractions(cycle(5)) != invariants.tutte_sym(cycle(5))
+    assert quasi.tq_from_arc_subsets(D, 4) != quasi.tq(D, 4)
 
 
 @settings(max_examples=300, deadline=None)

@@ -125,6 +125,7 @@ def test_no_public_callable_takes_a_per_call_cap():
 ENUMERATORS = {
     ("combinatorics", "enumerate_set_partitions"),
     ("combinatorics", "subsets_by_size"),
+    ("graphs", "_flats"),
     ("graphs", "connected_partitions"),
     ("invariants", "_stable_counts"),
     ("invariants", "_delcon"),
@@ -177,12 +178,12 @@ ROUTE_ENUMERATORS = {
     ("invariants", "chromatic_sym"): {"_stable_counts"},
     ("invariants", "tutte_sym_delcon"): {"_delcon", "enumerate_set_partitions"},
     ("invariants", "chromatic_sym_delcon"): {"_delcon", "enumerate_set_partitions"},
-    ("invariants", "tutte_from_contractions"): {"_stable_counts", "subsets_by_size"},
+    ("invariants", "tutte_from_contractions"): {"_stable_counts", "_flats"},
     ("invariants", "tutte_from_connected_partitions"): {"_stable_counts", "connected_partitions"},
     ("quasi", "xq"): {"_packed_sum"},
     ("quasi", "tq"): {"_packed_sum"},
     ("quasi", "tq_from_connected_partitions"): {"_packed_sum", "connected_partitions"},
-    ("quasi", "tq_from_arc_subsets"): {"_packed_sum", "subsets_by_size"},
+    ("quasi", "tq_from_arc_subsets"): {"_packed_sum", "_flats"},
 }
 
 

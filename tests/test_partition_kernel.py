@@ -116,6 +116,17 @@ def test_kernel_option_validation():
     for weights in ([1, 1.5], [True, 1], [1, None]):
         with pytest.raises(DomainError, match="vertex weight must be an integer"):
             enumerate_set_partitions(2, weights=weights)
+    # malformed shapes are refused at the call too
+    for edge_sets, match in (
+        ([[(1, 2, 3)]], "edge must be a pair"),
+        ([[5]], "edge must be a pair"),
+        ([None], "must be a list of edge lists"),
+        (5, "must be a list of edge lists"),
+    ):
+        with pytest.raises(DomainError, match=match):
+            enumerate_set_partitions(2, edge_sets=edge_sets)
+    with pytest.raises(DomainError, match="vertex weights must be a list"):
+        enumerate_set_partitions(2, weights=5)
     assert list(enumerate_set_partitions(0, edge_sets=[[]])) == [((), (0,))]
     assert list(enumerate_set_partitions(0, weights=())) == [()]
     assert list(enumerate_set_partitions(0, edge_sets=[[]], weights=())) == [((), (0,))]
@@ -154,7 +165,7 @@ def test_weights_form_is_the_blocks_form_summed(case):
 #### X's stable walk against the kernel ########################################
 
 @settings(max_examples=150, deadline=None)
-@given(st.integers(0, 7).flatmap(lambda n: st.tuples(
+@given(st.integers(0, 8).flatmap(lambda n: st.tuples(
     edge_lists(n, max_edges=9), st.lists(st.integers(1, 3), min_size=n, max_size=n))))
 def test_stable_counts_match_filtered_kernel(case):
     edges, weights = case
@@ -175,6 +186,18 @@ def test_stable_counts_pins():
     assert invariants._stable_counts(3, [(2, 1), (1, 2), (2, 3)], [2, 1, 1]) == Counter(
         {(3, 1): 1, (2, 1, 1): 1}
     )
+    assert invariants._stable_counts(1, [], [3]) == Counter({(3,): 1})
+    assert invariants._stable_counts(1, [(1, 1)], [3]) == Counter()
+    # isolated vertices go anywhere: two edgeless vertices give Bell(2) partitions
+    assert invariants._stable_counts(2, [], [1, 2]) == Counter({(3,): 1, (2, 1): 1})
+    assert invariants._stable_counts(4, [(1, 2)], [1, 1, 1, 1]) == Counter(
+        {(3, 1): 2, (2, 2): 2, (2, 1, 1): 5, (1, 1, 1, 1): 1}
+    )
+    # a repeated edge forbids its pair once; a repeated loop still kills X
+    assert invariants._stable_counts(3, [(1, 3), (1, 3), (1, 3)], [1, 1, 1]) == Counter(
+        {(2, 1): 2, (1, 1, 1): 1}
+    )
+    assert invariants._stable_counts(3, [(2, 2), (2, 2)], [1, 1, 1]) == Counter()
 
 
 #### friendliness scans against b_value / c_value ##############################
