@@ -9,8 +9,6 @@ from tuttekit.combinatorics import (
     DomainError,
     TPoly,
     enumerate_set_partitions,
-    lambda_of,
-    p_shorthand,
     parse_rational,
     format_rational,
 )
@@ -22,21 +20,16 @@ from tuttekit.graphs import (
     complete,
     complement,
     connected_partitions,
-    contract_edge,
     contract_edge_set,
-    contract_partition,
     cycle,
     delete_edges,
-    disjoint_union,
     edgeless,
     graph_from_json_obj,
     graph_to_json_obj,
     internal_edge_count,
     is_bright_star_forest,
-    is_isomorphic,
     path,
     relabel,
-    star,
     two_edge_connected,
 )
 from tuttekit.symfun import (
@@ -65,7 +58,6 @@ from tuttekit.kernel import (
     StandardForm,
     b_value,
     broom_relation,
-    c_value,
     classify_n4,
     combination_tutte_sym,
     cycle_relation,
@@ -77,7 +69,6 @@ from tuttekit.kernel import (
     ell_tri,
     extend,
     is_tutte_friendly,
-    is_tutte_reducible,
     is_x_friendly,
     kernel_membership,
     reduce_to_star_forests,

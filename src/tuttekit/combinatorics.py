@@ -29,6 +29,7 @@ from tuttekit.lincomb import DomainError, Poly, echo, exact
 DEFAULT_ENUMERATION_BOUND = 10
 DEFAULT_REDUCTION_BOUND = 7
 DEFAULT_CANONICAL_BOUND = 12
+# Basis conversions to and from m refuse a degree above this; no knob lifts it.
 DEFAULT_DEGREE_BOUND = 12
 # Expansions over all edge (or arc) subsets walk 2^m of them.
 MAX_SUBSET_EDGES = 16
@@ -421,21 +422,6 @@ def normalize_blocks(n: int, blocks: Iterable[Iterable[int]]) -> tuple[tuple[int
         raise DomainError(f"elements not covered by any block: {missing[:5]}{more}")
     out.sort(key=lambda b: b[0])
     return tuple(out)
-
-
-def p_shorthand(n: int, blocks: Iterable[Iterable[int]]) -> tuple[tuple[int, ...], ...]:
-    """Partition of [n] with the listed nontrivial blocks, singletons elsewhere."""
-    listed = [b for b in (tuple(sorted(set(b))) for b in blocks) if b]
-    covered = {v for b in listed for v in b}
-    singletons = [(v,) for v in range(1, n + 1) if v not in covered]
-    return normalize_blocks(n, listed + singletons)
-
-
-def lambda_of(blocks: Iterable[Iterable[int]], weights: Sequence[int] | None = None) -> tuple[int, ...]:
-    """Block sizes sorted descending; with weights, block weight sums instead."""
-    if weights is None:
-        return sorted_partition(len(tuple(b)) for b in blocks)
-    return sorted_partition(sum(weights[v - 1] for v in b) for b in blocks)
 
 
 def block_index_map(blocks: Sequence[Sequence[int]]) -> dict[int, int]:

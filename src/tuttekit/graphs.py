@@ -140,12 +140,6 @@ class Multigraph(_LabelledGraph, field="edges"):
         w = "" if self.unit_weights() else f", weights={self.weights}"
         return f"Multigraph({self.n}, {list(self.edges)}{w})"
 
-    def multiplicities(self) -> dict[tuple[int, int], int]:
-        out: dict[tuple[int, int], int] = {}
-        for e in self.edges:
-            out[e] = out.get(e, 0) + 1
-        return out
-
     def has_multi_edge(self) -> bool:
         seen = set()
         for e in self.edges:
@@ -270,12 +264,6 @@ def _quotient(pairs: Iterable[tuple[int, int]], weights: Sequence[int], label, k
     return out, merged
 
 
-def _blocks_connected(n: int, pairs: Iterable[tuple[int, int]], label, k: int) -> bool:
-    """Does each of the k blocks (v in block label[v]) induce a connected
-    subgraph?  Exactly when the pairs inside blocks leave k components."""
-    return _component_labels(n, ((u, v) for u, v in pairs if label[u] == label[v]))[1] == k
-
-
 def contract_edge_set(G: Multigraph, S: Iterable[Sequence[int]]) -> Multigraph:
     """Contract every edge of the multiset S, in any order (order-independent).
 
@@ -289,25 +277,6 @@ def contract_edge_set(G: Multigraph, S: Iterable[Sequence[int]]) -> Multigraph:
     s_list = [_norm_edge(e, G.n) for e in S]
     label, k = _component_labels(G.n, s_list)
     return Multigraph(k, *_quotient(_without(G.edges, s_list), G.weights, label, k, keep_loops=True))
-
-
-def contract_edge(G: Multigraph, e: Sequence[int]) -> Multigraph:
-    """Contract a single edge; a loop contracts to its own deletion."""
-    return contract_edge_set(G, [e])
-
-
-def contract_partition(G: _LabelledGraph, blocks: Iterable[Iterable[int]]) -> _LabelledGraph:
-    """Contract each block of a connected partition to a single vertex.
-
-    Every edge or arc with both ends in one block disappears (loops
-    included); the others keep their multiplicity.  Blocks must induce
-    connected subgraphs, of a digraph's underlying graph.
-    """
-    blocks = normalize_blocks(G.n, blocks)
-    label, k = block_index_map(blocks), len(blocks)
-    if not _blocks_connected(G.n, G._pairs, label, k):
-        raise DomainError(f"a block of {echo(blocks)} is not connected")
-    return type(G)(k, *_quotient(G._pairs, G.weights, label, k))
 
 
 def complement(G: Multigraph) -> Multigraph:
@@ -326,13 +295,6 @@ def relabel(G: Multigraph, perm: Sequence[int]) -> Multigraph:
     for p, w in zip(perm, G.weights):
         weights[p - 1] = w
     return Multigraph._unchecked(G.n, edges, tuple(weights))
-
-
-def disjoint_union(G: Multigraph, H: Multigraph) -> Multigraph:
-    """G on [n], then H shifted onto [n+1 .. n+m]."""
-    shift = G.n
-    edges = list(G.edges) + [(u + shift, v + shift) for u, v in H.edges]
-    return Multigraph(G.n + H.n, edges, G.weights + H.weights)
 
 
 def internal_edge_count(G: Multigraph, blocks: Iterable[Iterable[int]]) -> int:
@@ -446,13 +408,6 @@ def simple_graph(n: int, mask: int) -> Multigraph:
     """Simple graph on [n] with pair b of `combinations` over [n] where bit b of mask is set."""
     pairs = combinations(range(1, n + 1), 2)
     return Multigraph(n, [p for b, p in enumerate(pairs) if mask >> b & 1])
-
-
-def star(n: int) -> Multigraph:
-    """Star on [n] with hub at the largest vertex n."""
-    if n < 1:
-        raise DomainError("star needs at least one vertex")
-    return Multigraph(n, [(i, n) for i in range(1, n)])
 
 
 def broom(n: int, k: int) -> Multigraph:
@@ -690,24 +645,9 @@ def _labelling_of(G: Multigraph) -> tuple[tuple, tuple[int, ...]]:
     return memo
 
 
-def canonical_graph(G: Multigraph) -> Multigraph:
-    """Canonical representative of the isomorphism class of G: G relabelled
-    by its canonical labelling.  Two graphs are isomorphic exactly when
-    their canonical graphs are equal."""
-    (weights, _), perm = _labelling_of(G)
-    edges = tuple(sorted(_pair(perm[u - 1], perm[v - 1]) for u, v in G.edges))
-    return Multigraph._unchecked(G.n, edges, weights)
-
-
 def canonical_form(G: Multigraph) -> bytes:
     """Opaque byte string equal for two graphs iff they are isomorphic."""
     return repr(_labelling_of(G)[0]).encode()
-
-
-def is_isomorphic(G: Multigraph, H: Multigraph) -> bool:
-    if G.n != H.n or len(G.edges) != len(H.edges) or sorted(G.weights) != sorted(H.weights):
-        return False
-    return _labelling_of(G)[0] == _labelling_of(H)[0]
 
 
 #### orientations ##############################################################

@@ -26,6 +26,7 @@ from tuttekit.combinatorics import (
     augmentation_factor,
     block_index_map,
     check_bound,
+    check_subset_count,
     enumerate_set_partitions,
     format_rational,
     json_field,
@@ -171,20 +172,6 @@ def b_value(L: GraphCombination, blocks: Iterable[Iterable[int]]) -> TPoly:
     for g, c in L.terms.items():
         e = sum(1 for u, v in g.edges if vmap[u] == vmap[v])
         acc = acc + c * onep_t_power(e)
-    return acc
-
-
-def c_value(L: GraphCombination, blocks: Iterable[Iterable[int]]) -> Fraction:
-    """C(L; pi): sum of the scalar coefficients of terms with no internal edge.
-
-    Validates pi and counts from scratch: the reference for `is_x_friendly`.
-    """
-    blocks = normalize_blocks(L.n, blocks)
-    vmap = block_index_map(blocks)
-    acc = Fraction(0)
-    for g, c in L.terms.items():
-        if all(vmap[u] != vmap[v] for u, v in g.edges):
-            acc += c.constant_value()
     return acc
 
 
@@ -730,6 +717,8 @@ def two_edge_connected_relation(G: Multigraph, e_i, e_j) -> GraphCombination:
     """
     if not G.unit_weights():
         raise DomainError("relation graphs must have unit weights")
+    # refuse a large graph before the connectivity check, which takes O(m n^2)
+    check_subset_count(len(G.edges))
     if not two_edge_connected(G):
         raise DomainError("graph is not two-edge-connected")
     i = _edge_instance_index(G, e_i)
@@ -835,24 +824,6 @@ def classify_n4() -> list[tuple[Multigraph, ...]]:
             families.append(tuple(sorted(members, key=lambda g: g.key())))
     families.sort(key=lambda fam: fam[0].key())
     return families
-
-
-def is_tutte_reducible(L: GraphCombination) -> bool:
-    """Does some vertex see the same edge multiset in every term?
-
-    Loops at the vertex count toward its own entry.  Only defined for
-    friendly combinations.
-    """
-    ok, _, _ = is_tutte_friendly(L)
-    if not ok:
-        raise DomainError("Tutte-reducibility is defined for friendly combinations")
-    mults = [g.multiplicities() for g in L.terms]
-    if not mults:
-        return True
-    return any(
-        len({tuple(m.get(_pair(v, w), 0) for w in range(1, L.n + 1)) for m in mults}) == 1
-        for v in range(1, L.n + 1)
-    )
 
 
 def broom_relation(n: int, k: int) -> GraphCombination:

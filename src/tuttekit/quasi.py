@@ -48,14 +48,11 @@ from tuttekit.combinatorics import (
 from tuttekit.graphs import (
     Multigraph,
     _LabelledGraph,
-    _component_labels,
     _flats,
     _quotient,
     connected_partitions,
-    contract_partition,
     endpoints,
     graph_from_json_obj,
-    graph_to_json_obj,
 )
 from tuttekit.lincomb import LinComb, Poly, echo, merge_terms
 from tuttekit.symfun import SymFunc, _arrangements
@@ -152,44 +149,6 @@ class Digraph(_LabelledGraph, field="arcs"):
 def underlying(D: Digraph) -> Multigraph:
     """Forget orientations; weights carry over."""
     return Multigraph(D.n, D.arcs, D.weights)
-
-
-def reverse(D: Digraph) -> Digraph:
-    return Digraph(D.n, [(v, u) for u, v in D.arcs], D.weights)
-
-
-def arc_statistics(D: Digraph, kappa: Sequence[int]) -> tuple[int, int, int]:
-    """(ascents, descents, monochromatic arcs) of a coloring, with multiplicity."""
-    asc = desc = mono = 0
-    for u, v in D.arcs:
-        cu, cv = kappa[u - 1], kappa[v - 1]
-        if cu < cv:
-            asc += 1
-        elif cu > cv:
-            desc += 1
-        else:
-            mono += 1
-    return asc, desc, mono
-
-
-def contract_arc_set(D: Digraph, S: Iterable[int]) -> Digraph:
-    """Contract the arc instances at the given 0-based indices.
-
-    Vertices merge along the underlying edges of S; arcs outside S are
-    pushed forward and kept even when they become loops, so contracting a
-    non-induced set leaves a loop.  Weights add over merged vertices.
-    """
-    chosen = {as_int(i, "arc index") for i in S}
-    if any(not (0 <= i < len(D.arcs)) for i in chosen):
-        raise DomainError("arc index out of range")
-    label, k = _component_labels(D.n, map(D.arcs.__getitem__, chosen))
-    rest = [a for i, a in enumerate(D.arcs) if i not in chosen]
-    return Digraph(k, *_quotient(rest, D.weights, label, k, keep_loops=True))
-
-
-# the block contraction and the JSON codec are the shared record's
-contract_digraph_partition = contract_partition
-digraph_to_json_obj = graph_to_json_obj
 
 
 def digraph_from_json_obj(obj: dict) -> Digraph:

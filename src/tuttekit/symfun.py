@@ -103,10 +103,9 @@ class SymFunc(LinComb):
 
 #### m-expansions of the e and p bases ########################################
 
-def _check_degree(d: int, max_degree: int | None):
-    cap = DEFAULT_DEGREE_BOUND if max_degree is None else max_degree
-    if d > cap:
-        raise DomainError(f"degree {d} exceeds the conversion cap {cap}")
+def _check_degree(d: int):
+    if d > DEFAULT_DEGREE_BOUND:
+        raise DomainError(f"degree {d} exceeds the conversion cap {DEFAULT_DEGREE_BOUND}")
 
 
 # Entries kept by _arrangements, which serves only truncate_symfunc; its keys
@@ -193,15 +192,6 @@ def mtilde_to_m(f: SymFunc) -> SymFunc:
     return SymFunc("m", {lam: c * augmentation_factor(lam) for lam, c in f.terms.items()})
 
 
-def m_to_mtilde(f: SymFunc) -> SymFunc:
-    if f.basis != "m":
-        raise DomainError(f"expected m basis, got {f.basis}")
-    return SymFunc(
-        "mtilde",
-        {lam: c * Fraction(1, augmentation_factor(lam)) for lam, c in f.terms.items()},
-    )
-
-
 def _add_multiples(acc: dict, c: dict, expansion: Iterable[tuple[tuple[int, ...], int]]) -> None:
     """acc[nu] += k c for each (nu, k) of the expansion, one power of t at a time.
 
@@ -232,7 +222,7 @@ def _from_dicts(basis: str, terms: dict) -> SymFunc:
     return SymFunc(basis)._like({lam: zero._like(c) for lam, c in terms.items()})
 
 
-def to_m(f: SymFunc, max_degree: int | None = None) -> SymFunc:
+def to_m(f: SymFunc) -> SymFunc:
     """Expand a p- or e-basis function into monomials.
 
     The m-coefficients add up as plain numbers, power of t by power of t.
@@ -245,21 +235,21 @@ def to_m(f: SymFunc, max_degree: int | None = None) -> SymFunc:
         raise DomainError(f"cannot expand basis {f.basis}")
     table = _p_in_m if f.basis == "p" else _e_in_m
     for lam in f.terms:
-        _check_degree(sum(lam), max_degree)
+        _check_degree(sum(lam))
     out: dict = {}
     for lam, c in f.terms.items():
         _add_multiples(out, c.terms, table(lam))
     return _from_dicts("m", out)
 
 
-def _m_terms(f: SymFunc, max_degree: int | None) -> dict:
+def _m_terms(f: SymFunc) -> dict:
     """The m-coefficients of an m- or mtilde-basis function as mutable {power: coefficient} dicts."""
     if f.basis == "mtilde":
         f = mtilde_to_m(f)
     if f.basis != "m":
         raise DomainError(f"expected m (or mtilde) basis, got {f.basis}")
     for lam in f.terms:
-        _check_degree(sum(lam), max_degree)
+        _check_degree(sum(lam))
     return {lam: dict(c.terms) for lam, c in f.terms.items()}
 
 
@@ -267,7 +257,7 @@ def _conjugate(mu: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(sum(1 for part in mu if part > i) for i in range(mu[0] if mu else 0))
 
 
-def m_to_e(f: SymFunc, max_degree: int | None = None) -> SymFunc:
+def m_to_e(f: SymFunc) -> SymFunc:
     """Rewrite a monomial-basis function in the elementary basis, exactly.
 
     e_mu' = m_mu + lex-lower terms (Macdonald, Symmetric Functions and Hall
@@ -275,7 +265,7 @@ def m_to_e(f: SymFunc, max_degree: int | None = None) -> SymFunc:
     coefficient of e_mu'.  Each step subtracts plain numbers, power of t by
     power of t, and no step divides.
     """
-    rest = _m_terms(f, max_degree)
+    rest = _m_terms(f)
     out = {}
     while rest:
         mu = max(rest)
@@ -286,7 +276,7 @@ def m_to_e(f: SymFunc, max_degree: int | None = None) -> SymFunc:
     return _from_dicts("e", out)
 
 
-def m_to_p(f: SymFunc, max_degree: int | None = None) -> SymFunc:
+def m_to_p(f: SymFunc) -> SymFunc:
     """Rewrite a monomial-basis function in the power-sum basis, exactly.
 
     p_mu = (prod r_i!) m_mu + lex-higher terms (Macdonald, ch. I, section 6),
@@ -297,7 +287,7 @@ def m_to_p(f: SymFunc, max_degree: int | None = None) -> SymFunc:
     (Stanley, "Graph colorings and related symmetric functions", Discrete
     Math. 1998), so their p-expansions stay ints throughout.
     """
-    rest = _m_terms(f, max_degree)
+    rest = _m_terms(f)
     out = {}
     while rest:
         mu = min(rest)

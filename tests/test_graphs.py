@@ -12,36 +12,33 @@ from tuttekit.combinatorics import DomainError, normalize_blocks
 from tuttekit.graphs import (
     MAX_VERTICES,
     Multigraph,
+    _labelling_of,
     acyclic_orientations,
     broom,
     canonical_form,
-    canonical_graph,
     canonical_star_forest,
     complement,
     complete,
     connected_partitions,
-    contract_edge,
     contract_edge_set,
-    contract_partition,
     cycle,
     delete_edges,
-    disjoint_union,
     edgeless,
     graph_from_json_obj,
     graph_to_json_obj,
     internal_edge_count,
     is_bright_star_forest,
-    is_isomorphic,
     path,
     relabel,
     right_endpoint_key,
     simple_graph,
-    star,
     star_forest_canonical_map,
     star_forest_shape,
     two_edge_connected,
 )
 from tuttekit.quasi import Digraph
+
+from reference import contract_partition
 
 
 def test_constructor_normalizes_and_validates():
@@ -83,14 +80,14 @@ def test_families():
     assert cycle(4).edges == ((1, 2), (1, 4), (2, 3), (3, 4))
     assert cycle(1).edges == ((1, 1),)
     assert cycle(2).edges == ((1, 2), (1, 2))
-    assert star(4).edges == ((1, 4), (2, 4), (3, 4))
-    assert star(1).edges == ()
 
 
 def test_broom_shapes():
     assert broom(1, 2).edges == ((1, 3), (2, 3))
     assert broom(2, 1).edges == ((1, 2), (2, 3))
-    assert broom(0, 3).edges == star(3).edges
+    # broom(0, k) is the star with its hub at k
+    assert broom(0, 3).edges == ((1, 3), (2, 3))
+    assert broom(0, 1).edges == ()
     assert broom(3, 0).edges == path(3).edges
     assert broom(2, 3).edges == ((1, 2), (2, 5), (3, 5), (4, 5))
 
@@ -104,13 +101,13 @@ def test_delete_edges_multiset():
 
 
 def test_contract_single_edge_merges_and_keeps_parallels():
-    H = contract_edge(complete(3), (1, 2))
+    H = contract_edge_set(complete(3), [(1, 2)])
     assert H == Multigraph(2, [(1, 2), (1, 2)], weights=[2, 1])
 
 
 def test_contract_loop_is_deletion():
     G = Multigraph(1, [(1, 1)], weights=[3])
-    assert contract_edge(G, (1, 1)) == Multigraph(1, [], weights=[3])
+    assert contract_edge_set(G, [(1, 1)]) == Multigraph(1, [], weights=[3])
 
 
 def test_contract_edge_set_drops_all_contracted_copies():
@@ -158,6 +155,12 @@ def test_complement_and_relabel():
             relabel(Multigraph(2, [], [1, 2]), bad)
     with pytest.raises(DomainError):
         relabel(path(2), [2, True])
+
+
+def disjoint_union(G, H):
+    """G on [n], then H shifted onto [n+1 .. n+m]."""
+    edges = list(G.edges) + [(u + G.n, v + G.n) for u, v in H.edges]
+    return Multigraph(G.n + H.n, edges, G.weights + H.weights)
 
 
 def test_disjoint_union_and_internal_edges():
@@ -312,6 +315,18 @@ def test_star_forest_canonical_map():
         star_forest_canonical_map(Multigraph(3, [(1, 2), (1, 3)]))
 
 
+def canonical_graph(G):
+    """G relabelled by its canonical labelling: equal for two graphs exactly
+    when they are isomorphic."""
+    return relabel(G, _labelling_of(G)[1])
+
+
+def is_isomorphic(G, H):
+    if G.n != H.n or len(G.edges) != len(H.edges) or sorted(G.weights) != sorted(H.weights):
+        return False
+    return _labelling_of(G)[0] == _labelling_of(H)[0]
+
+
 def test_canonical_form_invariant_under_relabelling():
     rng = random.Random(7)
     for _ in range(60):
@@ -401,7 +416,7 @@ def test_canonical_forms_of_regular_graphs_that_refinement_cannot_split():
 
 def test_isomorphism_pins():
     assert is_isomorphic(path(3), relabel(path(3), [2, 1, 3]))
-    assert not is_isomorphic(path(4), star(4))
+    assert not is_isomorphic(path(4), broom(0, 4))
     assert not is_isomorphic(cycle(4), complete(4))
     # weights distinguish otherwise identical graphs
     assert not is_isomorphic(edgeless(1, [2]), edgeless(1, [1]))
@@ -430,7 +445,7 @@ def chromatic_value(n, edges, x):
 
 
 def test_acyclic_orientation_counts_match_chromatic_oracle():
-    cases = [complete(3), cycle(4), path(3), star(4), complete(4)]
+    cases = [complete(3), cycle(4), path(3), broom(0, 4), complete(4)]
     rng = random.Random(11)
     for _ in range(20):
         n = rng.randint(1, 5)

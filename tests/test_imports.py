@@ -1,10 +1,12 @@
 """Source guards: no library module imports a name it never uses, no
-private top-level helper is left with no caller, and each invariant route
-reaches only the enumerators it is pinned to."""
+private top-level helper is left with no caller, every public top-level
+name serves the library or the bench, and each invariant route reaches
+only the enumerators it is pinned to."""
 
 import ast
 import importlib
 import inspect
+import shutil
 from pathlib import Path
 
 import tuttekit
@@ -79,6 +81,63 @@ def test_every_private_top_level_helper_is_referenced_elsewhere_in_src():
     assert not orphans, f"private helpers nobody in src/tuttekit calls: {orphans}"
 
 
+def _public_names_nothing_reaches(src: Path, bench: Path) -> list[str]:
+    """module.name for each public top-level function or class of src that
+    no other statement of src outside __init__.py names, and that no file
+    of bench names, as an identifier or as a string (the tracer's table
+    names what it patches by strings)."""
+    defined: list[tuple[str, ast.stmt]] = []
+    statements: list[ast.stmt] = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        statements += tree.body
+        defined += [
+            (path.stem, node)
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+        ]
+    in_bench: set[str] = set()
+    for path in sorted(bench.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        in_bench |= _names_used(tree)
+        in_bench |= {n.value for n in ast.walk(tree) if isinstance(n, ast.Constant) and isinstance(n.value, str)}
+    uses = [(stmt, _names_used(stmt)) for stmt in statements]
+    return [
+        f"{module}.{node.name}"
+        for module, node in defined
+        if node.name not in in_bench and not any(node.name in used for stmt, used in uses if stmt is not node)
+    ]
+
+
+# public names that nothing in src/tuttekit or bench/ reaches, each with the
+# reason it stays public
+ALLOWED: dict[str, str] = {}
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def test_every_public_top_level_name_is_reached_from_src_or_bench():
+    root = Path(tuttekit.__file__).resolve().parent
+    found = _public_names_nothing_reaches(root, BENCH)
+    assert sorted(found) == sorted(ALLOWED), f"public names only tests or __init__ reach: {found}"
+
+
+def test_public_name_guard_catches_a_planted_function(tmp_path):
+    src, bench = tmp_path / "src", tmp_path / "bench"
+    shutil.copytree(Path(tuttekit.__file__).resolve().parent, src)
+    shutil.copytree(BENCH, bench)
+    with open(src / "graphs.py", "a") as f:
+        f.write("\n\ndef planted(G):\n    return planted(G)\n")
+    # a re-export from __init__ is not a use, and neither is recursion
+    with open(src / "__init__.py", "a") as f:
+        f.write("\nfrom tuttekit.graphs import planted\n")
+    assert _public_names_nothing_reaches(src, bench) == sorted(ALLOWED) + ["graphs.planted"]
+    (bench / "planted.py").write_text('CALLS = [("graphs", "planted", "call")]\n')
+    assert _public_names_nothing_reaches(src, bench) == sorted(ALLOWED)
+
+
 def test_selfcheck_imports_public_names_only():
     # the suites check the library from outside, through what it exports
     path = Path(tuttekit.__file__).resolve().parent / "selfcheck.py"
@@ -94,7 +153,7 @@ def test_selfcheck_imports_public_names_only():
 
 def test_no_public_callable_takes_a_per_call_cap():
     # TUTTEKIT_MAX_N is the one knob on the vertex caps, and every other
-    # limit but the degree cap is a named constant
+    # limit, the degree cap included, is a named constant
     root = Path(tuttekit.__file__).resolve().parent
     modules = [tuttekit] + [
         importlib.import_module(f"tuttekit.{path.stem}")
@@ -116,7 +175,7 @@ def test_no_public_callable_takes_a_per_call_cap():
                     params = inspect.signature(f).parameters
                 except ValueError:  # DomainError keeps ValueError's C signature
                     continue
-                found |= {f"{f.__qualname__}({p})" for p in ("max_n", "budget") if p in params}
+                found |= {f"{f.__qualname__}({p})" for p in ("max_n", "budget", "max_degree") if p in params}
     assert not found, f"per-call caps: {sorted(found)}"
 
 

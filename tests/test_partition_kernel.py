@@ -2,9 +2,10 @@
 
 `enumerate_set_partitions` walks the restricted-growth strings; these tests
 compare it with the strings filtered from all of range(n)^n, and its
-internal-edge counts with `internal_edge_count`, `b_value` and `c_value`,
-which re-derive every partition from scratch; its `weights` form must be
-its blocks form with each block summed.  X's own stable
+internal-edge counts with `internal_edge_count`, `b_value` and the
+reference `c_value` of `tests/reference.py`, which re-derive every
+partition from scratch; its `weights` form must be its blocks form with
+each block summed.  X's own stable
 walk, `invariants._stable_counts`, is checked against the kernel and
 `internal_edge_count` the same way.  Stanley's
 p-expansion is an oracle that shares no code with partition enumeration,
@@ -21,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tuttekit import invariants
-from tuttekit.combinatorics import DomainError, TPoly, enumerate_set_partitions, lambda_of
+from tuttekit.combinatorics import DomainError, TPoly, enumerate_set_partitions
 from tuttekit.graphs import Multigraph, cycle, edgeless, internal_edge_count
 from tuttekit.invariants import (
     DELCON_MEMO_CAP,
@@ -33,12 +34,13 @@ from tuttekit.invariants import (
 from tuttekit.kernel import (
     GraphCombination,
     b_value,
-    c_value,
     ell_os_plus,
     is_tutte_friendly,
     is_x_friendly,
 )
 from tuttekit.symfun import SymFunc, m_to_p, mtilde_to_m
+
+from reference import c_value, lambda_of
 
 
 @st.composite

@@ -12,18 +12,13 @@ from hypothesis import strategies as st
 
 from tuttekit import cli, quasi
 from tuttekit.combinatorics import DomainError, TPoly, multinomial, onep_t_power
-from tuttekit.graphs import Multigraph, path
+from tuttekit.graphs import Multigraph, graph_to_json_obj, path
 from tuttekit.invariants import chromatic_sym, tutte_sym
 from tuttekit.quasi import (
     Digraph,
     QTPoly,
     TruncatedQFunc,
-    arc_statistics,
-    contract_arc_set,
-    contract_digraph_partition,
     digraph_from_json_obj,
-    digraph_to_json_obj,
-    reverse,
     tq,
     tq_from_arc_subsets,
     tq_from_connected_partitions,
@@ -32,6 +27,8 @@ from tuttekit.quasi import (
     xq,
 )
 from tuttekit.symfun import SymFunc, mtilde_to_m
+
+from reference import contract_arc_set, contract_partition
 
 Q = QTPoly.q()
 ONE = QTPoly.one()
@@ -107,6 +104,24 @@ def test_record_reprs_and_kinds():
     assert Multigraph(2, [(1, 2)], [1, 3]) != Digraph(2, [(1, 2)], [1, 3])
 
 
+def reverse(D):
+    return Digraph(D.n, [(v, u) for u, v in D.arcs], D.weights)
+
+
+def arc_statistics(D, kappa):
+    """(ascents, descents, monochromatic arcs) of a coloring, with multiplicity."""
+    asc = desc = mono = 0
+    for u, v in D.arcs:
+        cu, cv = kappa[u - 1], kappa[v - 1]
+        if cu < cv:
+            asc += 1
+        elif cu > cv:
+            desc += 1
+        else:
+            mono += 1
+    return asc, desc, mono
+
+
 def test_underlying_and_reverse():
     D = Digraph(3, [(2, 1), (1, 3)], weights=[1, 2, 1])
     U = underlying(D)
@@ -145,7 +160,7 @@ def test_contract_arc_set():
 
 def test_contract_digraph_partition():
     D = Digraph(3, [(1, 2), (2, 1), (1, 3)])
-    C = contract_digraph_partition(D, [[1, 2], [3]])
+    C = contract_partition(D, [[1, 2], [3]])
     assert C == Digraph(2, [(1, 2)], weights=[2, 1])
 
 
@@ -154,12 +169,12 @@ _DIPATH = Digraph(3, [(1, 2), (2, 3)])
 
 def test_contract_digraph_partition_refuses_uncovered_vertex():
     with pytest.raises(DomainError, match="not covered"):
-        contract_digraph_partition(_DIPATH, [[1, 2]])
+        contract_partition(_DIPATH, [[1, 2]])
 
 
 def test_contract_digraph_partition_refuses_disconnected_block():
     with pytest.raises(DomainError, match="not connected"):
-        contract_digraph_partition(_DIPATH, [[1, 3], [2]])
+        contract_partition(_DIPATH, [[1, 3], [2]])
 
 
 def test_contract_arc_set_refuses_float_index():
@@ -192,10 +207,10 @@ def test_value_json_readers_refuse_missing_fields(read, obj):
 
 def test_digraph_json_roundtrip():
     D = Digraph(2, [(2, 1)], weights=[1, 3])
-    obj = digraph_to_json_obj(D)
+    obj = graph_to_json_obj(D)
     assert obj == {"n": 2, "arcs": [[2, 1]], "weights": [1, 3]}
     assert digraph_from_json_obj(obj) == D
-    assert "weights" not in digraph_to_json_obj(Digraph(1))
+    assert "weights" not in graph_to_json_obj(Digraph(1))
 
 
 #### XQ and TQ pins ############################################################
