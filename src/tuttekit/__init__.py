@@ -39,6 +39,7 @@ from tuttekit.symfun import (
     m_to_p,
     mtilde_to_m,
     sigma_l,
+    specialize_t,
     to_m,
 )
 from tuttekit.invariants import (
@@ -46,7 +47,6 @@ from tuttekit.invariants import (
     chromatic_sym_delcon,
     sigma_l_direct,
     sigma_l_formula,
-    specialize_t,
     tutte_from_connected_partitions,
     tutte_from_contractions,
     tutte_sym,

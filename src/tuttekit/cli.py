@@ -22,7 +22,6 @@ from tuttekit.invariants import (
     chromatic_sym,
     chromatic_sym_delcon,
     sigma_l_formula,
-    specialize_t,
     tutte_from_connected_partitions,
     tutte_from_contractions,
     tutte_sym,
@@ -46,13 +45,13 @@ from tuttekit.kernel import (
     witness_graph,
 )
 from tuttekit.quasi import (
-    digraph_from_json_obj,
+    Digraph,
     tq,
     tq_from_arc_subsets,
     tq_from_connected_partitions,
     xq,
 )
-from tuttekit.symfun import BASES, SymFunc, m_to_e, m_to_p, mtilde_to_m
+from tuttekit.symfun import BASES, SymFunc, m_to_e, m_to_p, mtilde_to_m, specialize_t
 
 
 #### I/O helpers ###############################################################
@@ -197,7 +196,7 @@ _TQ_ROUTES = {"def": tq, "connparts": tq_from_connected_partitions, "subsets": t
 _READERS = {
     "graph": graph_from_json_obj,
     "combination": GraphCombination.from_json_obj,
-    "digraph": digraph_from_json_obj,
+    "digraph": functools.partial(graph_from_json_obj, kind=Digraph),
 }
 
 

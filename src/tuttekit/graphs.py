@@ -141,15 +141,7 @@ class Multigraph(_LabelledGraph, field="edges"):
         return f"Multigraph({self.n}, {list(self.edges)}{w})"
 
     def has_multi_edge(self) -> bool:
-        seen = set()
-        for e in self.edges:
-            if e in seen:
-                return True
-            seen.add(e)
-        return False
-
-    def is_simple(self) -> bool:
-        return not self.has_loop() and not self.has_multi_edge()
+        return len(set(self.edges)) < len(self.edges)
 
 
 #### basic operations ##########################################################
@@ -215,12 +207,12 @@ def _components_of(n: int, pairs: Iterable[tuple[int, int]]) -> list[list[int]]:
     return comps
 
 
-def _flats(n: int, pairs: Sequence[tuple[int, int]]) -> Iterator[tuple[list[int], int, int]]:
-    """(label, k, |S|) once for each set S of pair instances whose
-    contraction leaves no loop (each flat of the cycle matroid), where
-    (label, k) is `_component_labels(n, S)`.  X (or XQ) of any other
-    contraction vanishes, so the subset expansions walk only these.  Arcs
-    are read as edges; label lists are shared and must not be changed.
+def _flats(n: int, pairs: Sequence[tuple[int, int]]) -> Iterator[tuple[list[int], int]]:
+    """`_component_labels(n, S)` once for each set S of pair instances
+    whose contraction leaves no loop (each flat of the cycle matroid), the
+    labellings of the connected partitions of ([n], pairs).  A flat holds
+    every pair inside its components, so |S| is the count of pairs that
+    `_quotient` drops.  Arcs are read as edges; labels are shared, read-only.
 
     One loop walks the pairs in index order and keeps the labels of the
     pairs put in S so far, numbered by least vertex.  A pair whose ends are
@@ -229,24 +221,23 @@ def _flats(n: int, pairs: Sequence[tuple[int, int]]) -> Iterator[tuple[list[int]
     cost of about len(pairs) steps per flat instead of one per subset.
     """
     last = len(pairs)
-    todo = [(0, [0, *range(n)], n, 0, ())]
+    todo = [(0, [0, *range(n)], n, ())]
     while todo:
-        i, label, k, size, out = todo.pop()
+        i, label, k, out = todo.pop()
         while i < last:
             u, v = pairs[i]
             i += 1
             a, b = label[u], label[v]
             if a == b:
-                size += 1
                 continue
             if a > b:
                 a, b = b, a
             if not any((label[x], label[y]) in ((a, b), (b, a)) for x, y in out):
                 # put the pair in: block b joins block a, and the blocks after b move down
                 merged = [x if x < b else a if x == b else x - 1 for x in label]
-                todo.append((i, merged, k - 1, size + 1, out))
+                todo.append((i, merged, k - 1, out))
             out += ((u, v),)
-        yield label, k, size
+        yield label, k
 
 
 def _quotient(pairs: Iterable[tuple[int, int]], weights: Sequence[int], label, k: int,
@@ -281,7 +272,7 @@ def contract_edge_set(G: Multigraph, S: Iterable[Sequence[int]]) -> Multigraph:
 
 def complement(G: Multigraph) -> Multigraph:
     """Simple-graph complement on the same vertex set."""
-    if not G.is_simple():
+    if G.has_loop() or G.has_multi_edge():
         raise DomainError("complement requires a simple graph")
     present = set(G.edges)
     edges = [(u, v) for u, v in combinations(range(1, G.n + 1), 2) if (u, v) not in present]
@@ -315,22 +306,37 @@ def _neighbour_masks(n: int, edges: Iterable[tuple[int, int]]) -> list[int]:
     return adj
 
 
-def connected_components(G: Multigraph) -> list[list[int]]:
-    return _components_of(G.n, G.edges)
-
-
-def is_connected(G: Multigraph) -> bool:
-    return _component_labels(G.n, G.edges)[1] <= 1
-
-
 def two_edge_connected(G: Multigraph) -> bool:
-    """Connected with no bridge; loop deletion never disconnects."""
-    if not is_connected(G):
-        return False
-    for i, e in enumerate(G.edges):
-        if e[0] != e[1] and _component_labels(G.n, G.edges[:i] + G.edges[i + 1:])[1] > 1:
+    """Connected with no bridge; loops are ignored.  One depth-first search
+    from vertex 1, on a stack of its own, numbers the vertices in preorder;
+    then, children first, low[v] is the least number that v's subtree
+    reaches by an edge other than the tree edge into v (skipped by index,
+    so a parallel copy counts), and that tree edge is a bridge exactly when
+    low[v] is v's own number (Tarjan).  O(n + m) steps."""
+    incident: list[list[tuple[int, int]]] = [[] for _ in range(G.n + 1)]
+    for i, (u, v) in enumerate(G.edges):
+        if u != v:
+            incident[u].append((v, i))
+            incident[v].append((u, i))
+    num, tree = [0] * (G.n + 1), [(0, -1)] * (G.n + 1)  # tree[v]: (parent, edge index)
+    order: list[int] = []
+    stack = [(1, 0, -1)] if G.n else []
+    while stack:
+        v, u, i = stack.pop()
+        if not num[v]:
+            order.append(v)
+            num[v], tree[v] = len(order), (u, i)
+            stack += [(w, v, j) for w, j in incident[v] if not num[w]]
+    low = num[:]
+    for v in reversed(order[1:]):
+        u, i = tree[v]
+        for w, j in incident[v]:
+            if j != i and num[w] < low[v]:
+                low[v] = num[w]
+        if low[v] == num[v]:
             return False
-    return True
+        low[u] = min(low[u], low[v])
+    return len(order) == G.n
 
 
 def connected_partitions(G: Multigraph) -> Iterator[tuple[tuple[int, ...], ...]]:
@@ -425,23 +431,20 @@ def broom(n: int, k: int) -> Multigraph:
     return Multigraph(n + k, edges)
 
 
-def canonical_star_forest(lam: Sequence[int], n: int | None = None) -> Multigraph:
+def canonical_star_forest(lam: Sequence[int]) -> Multigraph:
     """The canonical bright star forest R_lam on consecutive vertex blocks.
 
     Block i occupies the next lam_i vertices and is a star rooted at the
     block's largest vertex.
     """
     lam = sorted_partition(lam)
-    total = sum(lam)
-    if n is not None and n != total:
-        raise DomainError(f"partition of size {total} cannot fill [{n}]")
     edges = []
     start = 1
     for part in lam:
         hub = start + part - 1
         edges += [(i, hub) for i in range(start, hub)]
         start = hub + 1
-    return Multigraph(total, edges)
+    return Multigraph(sum(lam), edges)
 
 
 #### star-forest structure #####################################################
@@ -476,7 +479,7 @@ def _dull_triple(n: int, edges: tuple[tuple[int, int], ...]) -> tuple[int, int, 
 
 def star_forest_shape(G: Multigraph) -> tuple[int, ...]:
     """Component sizes of a star forest, sorted descending."""
-    return sorted_partition(len(c) for c in connected_components(G))
+    return sorted_partition(len(c) for c in _components_of(G.n, G.edges))
 
 
 def star_forest_canonical_map(G: Multigraph) -> tuple[tuple[int, ...], tuple[int, ...]]:

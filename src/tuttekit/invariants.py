@@ -16,6 +16,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from math import comb
+from typing import Iterable, Sequence
 
 from tuttekit.combinatorics import (
     DEFAULT_ENUMERATION_BOUND,
@@ -37,19 +38,7 @@ from tuttekit.graphs import (
     _quotient,
     connected_partitions,
 )
-from tuttekit.symfun import SymFunc, _from_dicts, coefficient_in_onep_t, m_to_e, mtilde_to_m, sigma_l
-from tuttekit.symfun import specialize_t  # re-exported: evaluation lives with SymFunc
-
-__all__ = [
-    "chromatic_sym",
-    "chromatic_sym_delcon",
-    "tutte_sym",
-    "tutte_sym_delcon",
-    "tutte_from_contractions",
-    "tutte_from_connected_partitions",
-    "specialize_t",
-    "sigma_l_formula",
-]
+from tuttekit.symfun import SymFunc, coefficient_in_onep_t, m_to_e, mtilde_to_m, sigma_l
 
 
 #### definitional routes #######################################################
@@ -142,7 +131,7 @@ def tutte_sym(G: Multigraph) -> SymFunc:
     """XB of (G, w): the full partition sum with (1+t)^(internal edges)."""
     check_bound(G.n, DEFAULT_ENUMERATION_BOUND, "partition enumeration")
     walk = enumerate_set_partitions(G.n, edge_sets=[G.edges], weights=G.weights)
-    return _from_dicts("mtilde", _onep_t_sum({(v, e): c for (v, (e,)), c in Counter(walk).items()}))
+    return SymFunc("mtilde")._like_nested(_onep_t_sum({(v, e): c for (v, (e,)), c in Counter(walk).items()}))
 
 
 #### deletion-contraction ######################################################
@@ -226,55 +215,52 @@ def tutte_sym_delcon(G: Multigraph) -> SymFunc:
     """
     check_bound(G.n, DEFAULT_ENUMERATION_BOUND, "partition enumeration")
     value = _delcon("xb", G.n, G.edges, G.weights)
-    return _from_dicts("mtilde", {lam: dict(c) for lam, c in value.items()})
+    return SymFunc("mtilde")._like_nested({lam: dict(c) for lam, c in value.items()})
 
 
 def chromatic_sym_delcon(G: Multigraph) -> SymFunc:
     """X by deletion-contraction: X(G) = X(G-e) - X(G/e); loops kill X."""
     check_bound(G.n, DEFAULT_ENUMERATION_BOUND, "partition enumeration")
     value = _delcon("x", G.n, G.edges, G.weights)
-    return _from_dicts("mtilde", {lam: dict(c) for lam, c in value.items()})
+    return SymFunc("mtilde")._like_nested({lam: dict(c) for lam, c in value.items()})
 
 
 #### contraction expansions ####################################################
+
+def _xb_from_labellings(G: Multigraph, labellings: Iterable[tuple[Sequence[int], int]]) -> SymFunc:
+    """XB as the sum of (1+t)^e(pi) X(G/pi) over the labellings (label, k)
+    of the connected partitions pi of G.  The edges of G/pi are those of G
+    between two blocks, and e(pi) counts the rest; G/pi is never built as
+    a Multigraph.  Stable-partition counts add up as ints keyed by
+    (shape, e), and each shape's TPoly is built once at the end."""
+    counts: Counter = Counter()
+    for label, k in labellings:
+        between, weights = _quotient(G.edges, G.weights, label, k)
+        e = len(G.edges) - len(between)
+        for lam, c in _stable_counts(k, between, weights).items():
+            counts[lam, e] += c
+    return SymFunc("mtilde")._like_nested(_onep_t_sum(counts))
+
 
 def tutte_from_contractions(G: Multigraph) -> SymFunc:
     """XB as the sum over edge subsets S of (1+t)^|S| X(G/S).
 
     Subsets range over edge instances, so each copy of a multi-edge is its
     own element.  X(G/S) vanishes when the contraction leaves a loop, so
-    only the flats of the cycle matroid are walked, by `graphs._flats`.
-    The labels of a flat's components give G/S, whose edges are those of G
-    between two components; G/S is never built as a Multigraph.
-    Stable-partition counts of G/S add up as integers keyed by (shape, |S|),
-    and each shape's TPoly is built once at the end.
+    only the flats of the cycle matroid are walked, by `graphs._flats`; the
+    components of a flat S form a connected partition pi with G/S = G/pi
+    and |S| = e(pi).
     """
     check_bound(G.n, DEFAULT_ENUMERATION_BOUND, "partition enumeration")
     check_subset_count(len(G.edges))
-    counts: Counter = Counter()
-    for label, k, size in _flats(G.n, G.edges):
-        between, weights = _quotient(G.edges, G.weights, label, k)
-        for lam, c in _stable_counts(k, between, weights).items():
-            counts[lam, size] += c
-    return _from_dicts("mtilde", _onep_t_sum(counts))
+    return _xb_from_labellings(G, _flats(G.n, G.edges))
 
 
 def tutte_from_connected_partitions(G: Multigraph) -> SymFunc:
-    """XB as the sum over connected partitions pi of (1+t)^e(pi) X(G/pi).
-
-    Each pi is labelled once, and one pass over the edges gives both e(pi)
-    and the edges of G/pi, which has no loop and is never built as a
-    Multigraph.  Stable-partition counts of G/pi add up as integers keyed
-    by (shape, e(pi)), and each shape's TPoly is built once at the end.
-    """
+    """XB as the sum over connected partitions pi of (1+t)^e(pi) X(G/pi),
+    the partitions enumerated by `graphs.connected_partitions`."""
     check_bound(G.n, DEFAULT_ENUMERATION_BOUND, "partition enumeration")
-    counts: Counter = Counter()
-    for pi in connected_partitions(G):
-        between, weights = _quotient(G.edges, G.weights, block_index_map(pi), len(pi))
-        e = len(G.edges) - len(between)
-        for lam, c in _stable_counts(len(pi), between, weights).items():
-            counts[lam, e] += c
-    return _from_dicts("mtilde", _onep_t_sum(counts))
+    return _xb_from_labellings(G, ((block_index_map(pi), len(pi)) for pi in connected_partitions(G)))
 
 
 #### e-basis coefficient formula ###############################################
@@ -320,10 +306,11 @@ def sigma_l_formula(G: Multigraph, k: int, l: int) -> Fraction:
     if k > len(G.edges) or l > wG:
         return Fraction(0)
     total = 0
-    for label, n_A, size in _flats(G.n, G.edges):
-        if size != k:
+    for label, n_A in _flats(G.n, G.edges):
+        between, weights = _quotient(G.edges, G.weights, label, n_A)
+        if len(G.edges) - len(between) != k:  # |A|, as a flat holds every edge inside its blocks
             continue
-        H = Multigraph(n_A, *_quotient(G.edges, G.weights, label, n_A))
+        H = Multigraph(n_A, between, weights)
         sign_A = -1 if (H.n + wG) % 2 else 1
         for _, sinks in acyclic_orientations(H):
             counts = _sink_map_counts([H.weights[v - 1] for v in sinks], l)

@@ -52,7 +52,6 @@ from tuttekit.graphs import (
     canonical_star_forest,
     complement,
     complete,
-    connected_components,
     delete_edges,
     graph_from_json_obj,
     graph_to_json_obj,
@@ -747,7 +746,6 @@ def cycle_relation(G: Multigraph, cycle_edges: Sequence[Sequence[int]], i: int, 
     if m < 3:
         raise DomainError("cycle relation needs a cycle of length at least 3")
     # the listed edges must form one simple cycle inside G
-    C = Multigraph(G.n, edges)
     degs: dict[int, int] = {}
     for u, v in edges:
         if u == v:
@@ -756,7 +754,7 @@ def cycle_relation(G: Multigraph, cycle_edges: Sequence[Sequence[int]], i: int, 
         degs[v] = degs.get(v, 0) + 1
     if len(degs) != m or any(d != 2 for d in degs.values()):
         raise DomainError("listed edges do not form a simple cycle")
-    if len([cc for cc in connected_components(C) if len(cc) > 1]) != 1:
+    if len([cc for cc in _components_of(G.n, edges) if len(cc) > 1]) != 1:
         raise DomainError("listed edges do not form a single cycle")
     delete_edges(G, edges)  # validates the multiset is inside E(G)
     if not (1 <= i <= m and 1 <= j <= m):

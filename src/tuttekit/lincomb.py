@@ -123,6 +123,11 @@ class LinComb(Immutable):
         object.__setattr__(out, "terms", terms)
         return out
 
+    def _like_nested(self, terms: dict):
+        """A value like this one over clean {key: {coefficient key: coefficient}} dicts."""
+        zero = self._coeff(0)
+        return self._like({k: zero._like(c) for k, c in terms.items()})
+
     def _operand(self, other):
         """other as a value of this kind, or NotImplemented."""
         return other if type(other) is type(self) else NotImplemented

@@ -52,7 +52,6 @@ from tuttekit.graphs import (
     _quotient,
     connected_partitions,
     endpoints,
-    graph_from_json_obj,
 )
 from tuttekit.lincomb import LinComb, Poly, echo, merge_terms
 from tuttekit.symfun import SymFunc, _arrangements
@@ -149,10 +148,6 @@ class Digraph(_LabelledGraph, field="arcs"):
 def underlying(D: Digraph) -> Multigraph:
     """Forget orientations; weights carry over."""
     return Multigraph(D.n, D.arcs, D.weights)
-
-
-def digraph_from_json_obj(obj: dict) -> Digraph:
-    return graph_from_json_obj(obj, Digraph)
 
 
 #### truncated quasisymmetric values ###########################################
@@ -369,13 +364,6 @@ def _add_onep_t(total: dict, counts: dict, k: int = 0) -> None:
                 acc[key] = acc.get(key, 0) + b * c
 
 
-def _from_tallies(coeffs: dict[tuple[int, ...], dict[tuple[int, int], int]], N: int) -> TruncatedQFunc:
-    """sum of coeffs[alpha] M_alpha in x_1..x_N, from clean int tallies;
-    each alpha's QTPoly is built once."""
-    zero = QTPoly.zero()
-    return TruncatedQFunc(N)._like({alpha: zero._like(d) for alpha, d in coeffs.items()})
-
-
 def xq(D: Digraph, N: int) -> TruncatedQFunc:
     """Sum of q^asc(kappa) x_kappa over proper colorings kappa: [n] -> [N].
 
@@ -384,7 +372,7 @@ def xq(D: Digraph, N: int) -> TruncatedQFunc:
     """
     _check_coloring_budget(D, N)
     # a proper coloring has no monochromatic arc: every key is (asc, 0)
-    return _from_tallies(_packed_sum(D.n, D.arcs, D.weights, proper=True), N)
+    return TruncatedQFunc(N)._like_nested(_packed_sum(D.n, D.arcs, D.weights, proper=True))
 
 
 def tq(D: Digraph, N: int) -> TruncatedQFunc:
@@ -392,40 +380,40 @@ def tq(D: Digraph, N: int) -> TruncatedQFunc:
     _check_coloring_budget(D, N)
     total: dict = {}
     _add_onep_t(total, _packed_sum(D.n, D.arcs, D.weights, proper=False))
-    return _from_tallies(total, N)
+    return TruncatedQFunc(N)._like_nested(total)
+
+
+def _tq_from_labellings(D: Digraph, N: int, labellings: Iterable[tuple[Sequence[int], int]]) -> TruncatedQFunc:
+    """TQ in x_1..x_N as the sum of (1+t)^e(pi) XQ(D/pi) over the
+    labellings (label, k) of the connected partitions pi of D's underlying
+    graph.  The arcs of D/pi are those of D between two blocks, and e(pi)
+    counts the rest, loops included; D/pi is never built as a Digraph."""
+    total: dict = {}
+    for label, k in labellings:
+        arcs, weights = _quotient(D.arcs, D.weights, label, k)
+        _add_onep_t(total, _packed_sum(k, arcs, weights, proper=True), len(D.arcs) - len(arcs))
+    return TruncatedQFunc(N)._like_nested(total)
 
 
 def tq_from_connected_partitions(D: Digraph, N: int) -> TruncatedQFunc:
-    """TQ as a sum of (1+t)^e(pi) XQ(D/pi) over connected partitions.
-
-    Connectivity of blocks is judged in the underlying undirected graph;
-    e(pi) counts intra-block arcs with multiplicity, loops included, and
-    one pass over the arcs gives both e(pi) and the arcs of D/pi, which has
-    no loop and is never built as a Digraph.
-    """
+    """TQ as a sum of (1+t)^e(pi) XQ(D/pi) over connected partitions,
+    enumerated by `graphs.connected_partitions` on the underlying graph."""
     _check_coloring_budget(D, N)
-    total: dict = {}
-    for blocks in connected_partitions(underlying(D)):
-        arcs, weights = _quotient(D.arcs, D.weights, block_index_map(blocks), len(blocks))
-        piece = _packed_sum(len(blocks), arcs, weights, proper=True)
-        _add_onep_t(total, piece, len(D.arcs) - len(arcs))
-    return _from_tallies(total, N)
+    pis = connected_partitions(underlying(D))
+    return _tq_from_labellings(D, N, ((block_index_map(pi), len(pi)) for pi in pis))
 
 
 def tq_from_arc_subsets(D: Digraph, N: int) -> TruncatedQFunc:
     """TQ as a sum of (1+t)^|S| XQ(D/S) over arc subsets.
 
     XQ of a contraction that leaves a loop vanishes, so only the flats of
-    the underlying cycle matroid are walked, by `graphs._flats`, and the
-    arcs of D/S come from a flat's labels; D/S is never built as a Digraph.
+    the underlying cycle matroid are walked, by `graphs._flats`; the
+    components of a flat S form a connected partition pi with D/S = D/pi
+    and |S| = e(pi).
     """
     check_subset_count(len(D.arcs), "arc")
     _check_coloring_budget(D, N)
-    total: dict = {}
-    for label, k, size in _flats(D.n, D.arcs):
-        piece = _packed_sum(k, *_quotient(D.arcs, D.weights, label, k), proper=True)
-        _add_onep_t(total, piece, size)
-    return _from_tallies(total, N)
+    return _tq_from_labellings(D, N, _flats(D.n, D.arcs))
 
 
 def truncate_symfunc(f: SymFunc, N: int) -> TruncatedQFunc:

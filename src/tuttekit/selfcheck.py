@@ -32,7 +32,6 @@ from tuttekit.invariants import (
     chromatic_sym,
     sigma_l_direct,
     sigma_l_formula,
-    specialize_t,
     tutte_from_connected_partitions,
     tutte_from_contractions,
     tutte_sym,
@@ -72,7 +71,7 @@ from tuttekit.quasi import (
     underlying,
     xq,
 )
-from tuttekit.symfun import SymFunc
+from tuttekit.symfun import SymFunc, specialize_t
 
 SEED = 20260817
 

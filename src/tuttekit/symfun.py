@@ -137,8 +137,9 @@ def _arrangements(mu: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
 def _m_coefficients(lam: tuple[int, ...], spread: bool) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """m-expansion of e_lam (spread) or p_lam as sorted ((mu, k), ...).
+    """m-expansion of e_lam (spread) or p_lam as sorted ((mu, k), ...), cached.
 
     k counts the matrices with row sums lam and column sums mu whose rows
     are filled one at a time (Stanley, EC2, Props. 7.4.1 and 7.7.1).  For
@@ -169,18 +170,6 @@ def _m_coefficients(lam: tuple[int, ...], spread: bool) -> tuple[tuple[tuple[int
         return memo[cols]
 
     return tuple(sorted((mu, k) for mu in partitions_of(sum(lam)) if (k := count(mu))))
-
-
-@lru_cache(maxsize=None)
-def _e_in_m(lam: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """m-expansion of e_lam: 0-1 matrices with row sums lam and column sums mu."""
-    return _m_coefficients(lam, spread=True)
-
-
-@lru_cache(maxsize=None)
-def _p_in_m(lam: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """m-expansion of p_lam: maps of the parts of lam onto the parts of mu that sum to each."""
-    return _m_coefficients(lam, spread=False)
 
 
 #### basis conversions #########################################################
@@ -216,12 +205,6 @@ def _add_multiples(acc: dict, c: dict, expansion: Iterable[tuple[tuple[int, ...]
             del acc[nu]
 
 
-def _from_dicts(basis: str, terms: dict) -> SymFunc:
-    """A SymFunc over clean {lam: {power of t: coefficient}} dicts, one TPoly per lam."""
-    zero = TPoly.zero()
-    return SymFunc(basis)._like({lam: zero._like(c) for lam, c in terms.items()})
-
-
 def to_m(f: SymFunc) -> SymFunc:
     """Expand a p- or e-basis function into monomials.
 
@@ -233,13 +216,13 @@ def to_m(f: SymFunc) -> SymFunc:
         return mtilde_to_m(f)
     if f.basis not in ("p", "e"):
         raise DomainError(f"cannot expand basis {f.basis}")
-    table = _p_in_m if f.basis == "p" else _e_in_m
+    spread = f.basis == "e"
     for lam in f.terms:
         _check_degree(sum(lam))
     out: dict = {}
     for lam, c in f.terms.items():
-        _add_multiples(out, c.terms, table(lam))
-    return _from_dicts("m", out)
+        _add_multiples(out, c.terms, _m_coefficients(lam, spread))
+    return SymFunc("m")._like_nested(out)
 
 
 def _m_terms(f: SymFunc) -> dict:
@@ -272,8 +255,8 @@ def m_to_e(f: SymFunc) -> SymFunc:
         lam, c = _conjugate(mu), rest.pop(mu)
         out[lam] = c
         # the m_mu term of e_lam cancels the popped coefficient exactly
-        _add_multiples(rest, c, ((nu, -k) for nu, k in _e_in_m(lam) if nu != mu))
-    return _from_dicts("e", out)
+        _add_multiples(rest, c, ((nu, -k) for nu, k in _m_coefficients(lam, True) if nu != mu))
+    return SymFunc("e")._like_nested(out)
 
 
 def m_to_p(f: SymFunc) -> SymFunc:
@@ -298,8 +281,8 @@ def m_to_p(f: SymFunc) -> SymFunc:
                  for i, ci in c.items()}
         out[mu] = c
         # the lead * m_mu term of p_mu cancels the popped coefficient exactly
-        _add_multiples(rest, c, ((nu, -k) for nu, k in _p_in_m(mu) if nu != mu))
-    return _from_dicts("p", out)
+        _add_multiples(rest, c, ((nu, -k) for nu, k in _m_coefficients(mu, False) if nu != mu))
+    return SymFunc("p")._like_nested(out)
 
 
 def sigma_l(f: SymFunc, l: int) -> TPoly:

@@ -1,12 +1,22 @@
-"""Reference helpers shared by several test modules.
+"""Reference helpers for the tests.
 
-Each recomputes from scratch a value that the library only computes inside
-a faster walk, so the tests can compare the two.
+Each recomputes from scratch, or by the definition the library once used,
+a value that the library only computes inside a faster walk, so the tests
+can compare the two.
 """
 
 from fractions import Fraction
+from math import comb
 
-from tuttekit.combinatorics import DomainError, as_int, block_index_map, echo, normalize_blocks, sorted_partition
+from tuttekit.combinatorics import (
+    DomainError,
+    TPoly,
+    as_int,
+    block_index_map,
+    echo,
+    normalize_blocks,
+    sorted_partition,
+)
 from tuttekit.graphs import _component_labels, _quotient
 from tuttekit.quasi import Digraph
 
@@ -60,3 +70,40 @@ def contract_partition(G, blocks):
     if _component_labels(G.n, inside)[1] != k:
         raise DomainError(f"a block of {echo(blocks)} is not connected")
     return type(G)(k, *_quotient(G._pairs, G.weights, label, k))
+
+
+def onep_t_power(k):
+    """(1+t)^k, one binomial coefficient per entry."""
+    return TPoly([comb(k, i) for i in range(k + 1)])
+
+
+def onep_t_powers(p):
+    """Coefficients c_0..c_d with p(t) = sum c_k (1+t)^k, by substituting
+    t = u - 1 term by term, one binomial per pair of degrees."""
+    out = [0] * (p.degree() + 1)
+    for i, a in p.terms.items():
+        for k in range(i + 1):
+            term = a * comb(i, k)
+            out[k] += -term if (i - k) & 1 else term
+    return tuple(out)
+
+
+def from_onep_t_powers(cs):
+    """sum c_k (1+t)^k as a TPoly, one binomial per pair of degrees."""
+    out = [0] * len(cs)
+    for k, c in enumerate(cs):
+        if c:
+            for i in range(k + 1):
+                out[i] += c * comb(k, i)
+    return TPoly(out)
+
+
+def two_edge_connected(G):
+    """Connected with no bridge, by deleting each non-loop edge in turn
+    and counting the components left."""
+    if _component_labels(G.n, G.edges)[1] > 1:
+        return False
+    for i, e in enumerate(G.edges):
+        if e[0] != e[1] and _component_labels(G.n, G.edges[:i] + G.edges[i + 1:])[1] > 1:
+            return False
+    return True

@@ -1,5 +1,6 @@
 """Partitions, set partitions, and exact t-polynomials."""
 
+import random
 import sys
 from fractions import Fraction
 
@@ -17,11 +18,11 @@ from tuttekit.combinatorics import (
     normalize_blocks,
     onep_t_power,
     parse_rational,
-    part_multiplicities,
     partitions_of,
     resolve_bound,
     sorted_partition,
 )
+import reference
 from reference import lambda_of
 
 
@@ -69,7 +70,6 @@ def test_partitions_of_counts():
 
 
 def test_partition_helpers():
-    assert part_multiplicities((3, 2, 2, 1)) == {3: 1, 2: 2, 1: 1}
     assert augmentation_factor((2, 2, 1, 1, 1)) == 2 * 6
     assert sorted_partition([1, 3, 2]) == (3, 2, 1)
     assert lambda_of(((1, 2), (3,))) == (2, 1)
@@ -124,6 +124,20 @@ def test_onep_t_transform_pins():
     assert t.onep_t_powers() == (Fraction(-1), Fraction(1))
     # t^2 = (1+t)^2 - 2(1+t) + 1
     assert (t * t).onep_t_powers() == (Fraction(1), Fraction(-2), Fraction(1))
+
+
+def test_onep_t_rows_and_shifts_match_the_binomial_references():
+    rng = random.Random(13)
+    for k in range(301):
+        assert onep_t_power(k) == reference.onep_t_power(k)
+    for d in [*range(41), *range(50, 301, 50)]:
+        ints = [rng.choice((0, rng.randint(-10**6, 10**6))) for _ in range(d)] + [rng.randint(1, 99)]
+        fracs = [Fraction(rng.randint(-99, 99), rng.randint(1, 99)) for _ in range(d + 1)]
+        for coeffs in (ints, fracs):
+            p = TPoly(coeffs)
+            got, want = p.onep_t_powers(), reference.onep_t_powers(p)
+            assert got == want and list(map(type, got)) == list(map(type, want)), d
+            assert TPoly.from_onep_t_powers(coeffs) == reference.from_onep_t_powers(coeffs), d
 
 
 @given(st.lists(st.integers(-9, 9), max_size=7))

@@ -1,7 +1,8 @@
 """The component labelling, the walk over flats and the quotient under
 every contraction, checked against a breadth-first-search reference written
-here; a planted fault in the walk that the routes must catch; and a source
-guard that keeps soundness checks alive under `python -O`."""
+here; the flats as the connected partitions; a planted fault in the walk
+that the routes must catch; and a source guard that keeps soundness checks
+alive under `python -O`."""
 
 import ast
 from collections import Counter
@@ -14,13 +15,17 @@ from hypothesis import strategies as st
 
 import tuttekit
 from tuttekit import invariants, quasi
+from tuttekit.combinatorics import block_index_map
 from tuttekit.graphs import (
     Multigraph,
     _component_labels,
     _components_of,
     _flats,
+    _quotient,
+    connected_partitions,
     contract_edge_set,
     cycle,
+    simple_graph,
 )
 from tuttekit.quasi import Digraph
 
@@ -95,17 +100,50 @@ def reference_flats(n, pairs):
 @given(pair_graphs())
 def test_flat_walk_matches_filtered_subsets(case):
     n, pairs, _, _ = case
-    walked = Counter((tuple(label[1:]), k, size) for label, k, size in _flats(n, pairs))
+    # |S| of a flat is the count of pairs that the quotient by its labels drops
+    walked = Counter(
+        (tuple(label[1:]), k, len(pairs) - len(_quotient(pairs, [1] * n, label, k)[0]))
+        for label, k in _flats(n, pairs)
+    )
     assert walked == Counter(reference_flats(n, pairs))
     # each flat once: its labels alone determine it
     assert set(walked.values()) == {1}
 
 
+def check_flats_are_connected_partitions(n, pairs, weights=None):
+    """_flats(n, pairs) yields the labelling of each connected partition of
+    ([n], pairs) once, and nothing else."""
+    flats = Counter((tuple(label[1:]), k) for label, k in _flats(n, pairs))
+    parts = Counter(
+        (tuple(map(block_index_map(pi).__getitem__, range(1, n + 1))), len(pi))
+        for pi in connected_partitions(Multigraph(n, pairs, weights))
+    )
+    assert flats == parts, (n, pairs)
+    assert set(flats.values()) <= {1}
+
+
+def test_flats_are_the_connected_partitions_on_all_small_graphs():
+    # every simple graph on n <= 5 vertices, then each with a loop at 1 and
+    # its first edge doubled
+    for n in range(6):
+        for mask in range(1 << (n * (n - 1) // 2)):
+            edges = list(simple_graph(n, mask).edges)
+            check_flats_are_connected_partitions(n, edges)
+            if edges:
+                check_flats_are_connected_partitions(n, [(1, 1), edges[0], *edges])
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair_graphs())
+def test_flats_are_the_connected_partitions_of_weighted_multigraphs(case):
+    n, pairs, _, weights = case
+    check_flats_are_connected_partitions(n, pairs, weights)
+
+
 def all_subsets(n, pairs):
     """A walk with no prune: every subset, loops left or not."""
     for chosen in chain.from_iterable(combinations(pairs, r) for r in range(len(pairs) + 1)):
-        label, k = _component_labels(n, chosen)
-        yield label, k, len(chosen)
+        yield _component_labels(n, chosen)
 
 
 def one_flat_dropped(n, pairs):

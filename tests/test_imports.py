@@ -25,11 +25,6 @@ def _unused_imports(tree: ast.Module) -> list[str]:
                 imported[alias.asname or alias.name] = node.lineno
         elif isinstance(node, ast.Name):
             used.add(node.id)
-        elif isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        ):
-            # a re-exported name counts as used
-            used.update(ast.literal_eval(node.value))
     return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
 
 

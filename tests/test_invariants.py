@@ -22,13 +22,12 @@ from tuttekit.invariants import (
     chromatic_sym_delcon,
     sigma_l_formula,
     sigma_l_direct,
-    specialize_t,
     tutte_from_connected_partitions,
     tutte_from_contractions,
     tutte_sym,
     tutte_sym_delcon,
 )
-from tuttekit.symfun import SymFunc, m_to_e, mtilde_to_m
+from tuttekit.symfun import SymFunc, m_to_e, mtilde_to_m, specialize_t
 
 T = TPoly.t()
 ONE = TPoly.one()

@@ -12,13 +12,12 @@ from hypothesis import strategies as st
 
 from tuttekit import cli, quasi
 from tuttekit.combinatorics import DomainError, TPoly, multinomial, onep_t_power
-from tuttekit.graphs import Multigraph, graph_to_json_obj, path
+from tuttekit.graphs import Multigraph, graph_from_json_obj, graph_to_json_obj, path
 from tuttekit.invariants import chromatic_sym, tutte_sym
 from tuttekit.quasi import (
     Digraph,
     QTPoly,
     TruncatedQFunc,
-    digraph_from_json_obj,
     tq,
     tq_from_arc_subsets,
     tq_from_connected_partitions,
@@ -209,7 +208,7 @@ def test_digraph_json_roundtrip():
     D = Digraph(2, [(2, 1)], weights=[1, 3])
     obj = graph_to_json_obj(D)
     assert obj == {"n": 2, "arcs": [[2, 1]], "weights": [1, 3]}
-    assert digraph_from_json_obj(obj) == D
+    assert graph_from_json_obj(obj, Digraph) == D
     assert "weights" not in graph_to_json_obj(Digraph(1))
 
 

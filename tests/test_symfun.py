@@ -13,8 +13,7 @@ from tuttekit.combinatorics import DomainError, TPoly, augmentation_factor, part
 from tuttekit.lincomb import merge_terms
 from tuttekit.symfun import (
     SymFunc,
-    _e_in_m,
-    _p_in_m,
+    _m_coefficients,
     coefficient_in_onep_t,
     m_to_e,
     m_to_p,
@@ -155,8 +154,8 @@ def reference_in_m(kind, lam):
 def test_tables_match_monomial_products():
     for total in range(11):
         for lam in partitions_of(total):
-            assert _e_in_m(lam) == reference_in_m("e", lam), lam
-            assert _p_in_m(lam) == reference_in_m("p", lam), lam
+            assert _m_coefficients(lam, True) == reference_in_m("e", lam), lam
+            assert _m_coefficients(lam, False) == reference_in_m("p", lam), lam
 
 
 #### pins ######################################################################
@@ -250,8 +249,8 @@ def conjugate(mu):
 
 
 def reference_to_m(f):
-    table = _p_in_m if f.basis == "p" else _e_in_m
-    return SymFunc("m", ((mu, c * k) for lam, c in f.terms.items() for mu, k in table(lam)))
+    spread = f.basis == "e"
+    return SymFunc("m", ((mu, c * k) for lam, c in f.terms.items() for mu, k in _m_coefficients(lam, spread)))
 
 
 def reference_m_to_e(f):
@@ -261,7 +260,7 @@ def reference_m_to_e(f):
         mu = max(rest)
         lam, c = conjugate(mu), rest[mu]
         out.append((lam, c))
-        merge_terms(rest, ((nu, c * -k) for nu, k in _e_in_m(lam)))
+        merge_terms(rest, ((nu, c * -k) for nu, k in _m_coefficients(lam, True)))
     return SymFunc("e", out)
 
 
@@ -274,7 +273,7 @@ def reference_m_to_p(f):
         # a whole quotient of an int stays an int, any other is a Fraction
         c = TPoly([x // lead if type(x) is int and not x % lead else Fraction(x, lead) for x in rest[mu].coeffs])
         out.append((mu, c))
-        merge_terms(rest, ((nu, c * -k) for nu, k in _p_in_m(mu)))
+        merge_terms(rest, ((nu, c * -k) for nu, k in _m_coefficients(mu, False)))
     return SymFunc("p", out)
 
 
