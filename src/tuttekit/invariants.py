@@ -43,20 +43,21 @@ from tuttekit.symfun import SymFunc, coefficient_in_onep_t, m_to_e, mtilde_to_m,
 
 #### definitional routes #######################################################
 
-def _stable_counts(n: int, edges, weights) -> Counter:
-    """Stable partitions of ([n], edges) counted by weighted shape: X's m~ coefficients as ints.
+def _stable_counts(n: int, edges, weights) -> dict:
+    """Stable partitions of ([n], edges) counted by block-weight vector, as
+    {vector: int}; sorting each vector into its shape gives X's m~ coefficients.
 
     A restricted-growth walk of its own, apart from `enumerate_set_partitions`:
     each block keeps a vertex bitmask and a weight sum, and vertex i may join
     a block holding none of its neighbours or open a new one.  One loop in
     one frame places vertices 1..n-1; the last vertex's choices are tallied
-    in a flat inner loop, by the vector of block weights, and each distinct
-    vector is sorted into its shape once at the end.
+    in a flat inner loop, by the vector of block weights.  Callers sort
+    each distinct vector into its shape once, after adding up their counts.
     """
     if any(u == v for u, v in edges):
-        return Counter()
+        return {}
     if n <= 1:
-        return Counter({tuple(weights[:n]): 1})
+        return {tuple(weights[:n]): 1}
     adj = _neighbour_masks(n, edges)
     masks: list[int] = []
     sums: list[int] = []
@@ -99,10 +100,7 @@ def _stable_counts(n: int, edges, weights) -> Counter:
         masks[b] ^= 1 << i
         sums[b] -= weights[i - 1]
         b += 1
-    counts: Counter = Counter()
-    for vector, c in vectors.items():
-        counts[tuple(sorted(vector, reverse=True))] += c
-    return counts
+    return vectors
 
 
 def _onep_t_sum(counts: dict) -> dict:
@@ -124,7 +122,8 @@ def chromatic_sym(G: Multigraph) -> SymFunc:
     soon as G has a loop.
     """
     check_bound(G.n, DEFAULT_ENUMERATION_BOUND, "partition enumeration")
-    return SymFunc("mtilde", _stable_counts(G.n, G.edges, G.weights))
+    vectors = _stable_counts(G.n, G.edges, G.weights)
+    return SymFunc("mtilde")._like_nested(_onep_t_sum({(v, 0): c for v, c in vectors.items()}))
 
 
 def tutte_sym(G: Multigraph) -> SymFunc:
@@ -140,11 +139,11 @@ def tutte_sym(G: Multigraph) -> SymFunc:
 # call in the process and kept in least-recently-used order (a hit moves
 # its entry to the end, a full memo drops its first entry).  Filled to the
 # cap from the weighted multigraphs on 4 to 7 vertices of the benchmark's
-# invariants workload, an entry takes about 2.1 KB on 64-bit CPython 3.11
+# invariants workload, an entry takes about 2.9 KB on 64-bit CPython 3.11
 # (a 0.3 KB key; values share the coefficient dicts they leave unchanged),
-# so the memo holds about 9 MB; entries of larger total weight have more
+# so the memo holds about 8.4 MB; entries of larger total weight have more
 # terms.
-DELCON_MEMO_CAP = 4096
+DELCON_MEMO_CAP = 2900
 _delcon_memo: dict[tuple[str, tuple], dict] = {}
 
 
@@ -161,43 +160,54 @@ def _memo_put(key, value: dict) -> None:
     _delcon_memo[key] = value
 
 
-def _delcon(route: str, n: int, edges: tuple, weights: tuple) -> dict:
-    """XB (route "xb") or X (route "x") of the packed graph ([n], edges,
-    weights), edges a sorted tuple of pairs, as {lam: {power of t: int}}.
+def _times(c: dict, factor: dict, d: dict) -> dict:
+    """d plus c times factor, in place, all polynomials in t as
+    {power of t: int}; zero terms are dropped."""
+    for p, x in c.items():
+        for q, y in factor.items():
+            z = d.get(p + q, 0) + x * y
+            if z:
+                d[p + q] = z
+            else:
+                del d[p + q]
+    return d
 
-    The smallest non-loop edge e gives XB(G) = XB(G-e) + t XB(G/e) and
-    X(G) = X(G-e) - X(G/e).  A loop has G/e = G-e, so with only loops left
-    XB is the edgeless partition sum times (1+t)^loops, while any loop
-    makes X zero.  Values are memoised by canonical form and never changed
-    once stored; callers copy what they hand out.
+
+def _delcon(route: str, n: int, edges: tuple, weights: tuple) -> dict:
+    """XB (route "xb") or X (route "x") of the packed loop-free graph ([n],
+    edges, weights), edges a sorted tuple of pairs, simple on route "x",
+    as {lam: {power of t: int}}.
+
+    All m copies of the smallest pair uv go in one step: XB(G) =
+    XB(G - uv^m) + ((1+t)^m - 1) XB(G/uv), since each copy left in G/uv is
+    a loop worth a factor (1+t), and X(G) = X(G - uv) - X(G/uv), with the
+    parallel pairs that the contraction makes merged.  G/uv keeps no loop,
+    so each level removes a distinct pair and the depth is at most their
+    number.  Values are memoised by canonical form and never changed once
+    stored; callers copy what they hand out.
     """
-    xb = route == "xb"
-    if not xb and any(u == v for u, v in edges):
-        return {}
     key = (route, _canonical_labelling(n, edges, weights)[0])
     hit = _memo_get(key)
     if hit is not None:
         return hit
-    i = next((i for i, (u, v) in enumerate(edges) if u != v), None)
-    if i is None:
+    if not edges:
         tally = Counter(enumerate_set_partitions(n, weights=weights))
-        result = _onep_t_sum({(v, len(edges)): c for v, c in tally.items()})
+        result = _onep_t_sum({(v, 0): c for v, c in tally.items()})
     else:
-        rest = edges[:i] + edges[i + 1:]
-        label, k = _component_labels(n, (edges[i],))
-        pairs, merged = _quotient(rest, weights, label, k, keep_loops=True)
+        m = edges.count(edges[0])  # sorted, so the copies of edges[0] lead
+        rest = edges[m:]
+        label, k = _component_labels(n, edges[:1])
+        pairs, merged = _quotient(rest, weights, label, k)
+        pairs = [_pair(u, v) for u, v in pairs]
+        if route == "xb":
+            factor = {i: b for i, b in onep_t_power(m).terms.items() if i}
+        else:
+            factor = {0: -1}
+            pairs = set(pairs)
         # the deleted graph's coefficient dicts are shared, and copied before a change
         result = dict(_delcon(route, n, rest, weights))
-        shift, sign = (1, 1) if xb else (0, -1)
-        contracted = _delcon(route, k, tuple(sorted(_pair(u, v) for u, v in pairs)), tuple(merged))
-        for lam, c in contracted.items():
-            d = dict(result.get(lam, ()))
-            for p, x in c.items():
-                y = d.get(p + shift, 0) + sign * x
-                if y:
-                    d[p + shift] = y
-                else:
-                    del d[p + shift]
+        for lam, c in _delcon(route, k, tuple(sorted(pairs)), tuple(merged)).items():
+            d = _times(c, factor, dict(result.get(lam, ())))
             if d:
                 result[lam] = d
             else:
@@ -207,21 +217,24 @@ def _delcon(route: str, n: int, edges: tuple, weights: tuple) -> dict:
 
 
 def tutte_sym_delcon(G: Multigraph) -> SymFunc:
-    """XB by deletion-contraction: XB(G) = XB(G-e) + t XB(G/e).
+    """XB by deletion-contraction, one parallel class per step, memoised.
 
-    A loop satisfies G/e = G-e, so each loop contributes a (1+t) factor;
-    the recursion therefore picks the smallest non-loop edge and handles
-    loops in one multiplication at the base.  Memoized by canonical form.
+    A loop e has G/e = G-e, so it is a factor (1+t): the loops are taken
+    off here and put back as (1+t)^loops, and the recursion sees no loop.
     """
     check_bound(G.n, DEFAULT_ENUMERATION_BOUND, "partition enumeration")
-    value = _delcon("xb", G.n, G.edges, G.weights)
-    return SymFunc("mtilde")._like_nested({lam: dict(c) for lam, c in value.items()})
+    edges = tuple(e for e in G.edges if e[0] != e[1])
+    value = _delcon("xb", G.n, edges, G.weights)
+    factor = onep_t_power(len(G.edges) - len(edges)).terms
+    return SymFunc("mtilde")._like_nested({lam: _times(c, factor, {}) for lam, c in value.items()})
 
 
 def chromatic_sym_delcon(G: Multigraph) -> SymFunc:
-    """X by deletion-contraction: X(G) = X(G-e) - X(G/e); loops kill X."""
+    """X by deletion-contraction: X(G) = X(G-e) - X(G/e).  A loop makes X
+    zero, and X does not see multiplicity, so the recursion runs on the
+    simple graph underneath."""
     check_bound(G.n, DEFAULT_ENUMERATION_BOUND, "partition enumeration")
-    value = _delcon("x", G.n, G.edges, G.weights)
+    value = {} if G.has_loop() else _delcon("x", G.n, tuple(sorted(set(G.edges))), G.weights)
     return SymFunc("mtilde")._like_nested({lam: dict(c) for lam, c in value.items()})
 
 
@@ -232,13 +245,14 @@ def _xb_from_labellings(G: Multigraph, labellings: Iterable[tuple[Sequence[int],
     of the connected partitions pi of G.  The edges of G/pi are those of G
     between two blocks, and e(pi) counts the rest; G/pi is never built as
     a Multigraph.  Stable-partition counts add up as ints keyed by
-    (shape, e), and each shape's TPoly is built once at the end."""
-    counts: Counter = Counter()
+    (block-weight vector, e); each vector is sorted into its shape, and
+    each shape's TPoly built, once at the end."""
+    counts: dict = {}
     for label, k in labellings:
         between, weights = _quotient(G.edges, G.weights, label, k)
         e = len(G.edges) - len(between)
-        for lam, c in _stable_counts(k, between, weights).items():
-            counts[lam, e] += c
+        for vector, c in _stable_counts(k, between, weights).items():
+            counts[vector, e] = counts.get((vector, e), 0) + c
     return SymFunc("mtilde")._like_nested(_onep_t_sum(counts))
 
 

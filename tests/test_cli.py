@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import tuttekit
 from tuttekit import cli, selfcheck
 from tuttekit.cli import main
-from tuttekit.graphs import MAX_VERTICES, complete, cycle, edgeless, graph_to_json_obj, path
+from tuttekit.graphs import MAX_VERTICES, Multigraph, complete, cycle, edgeless, graph_to_json_obj, path
 from tuttekit.invariants import tutte_sym
 from tuttekit.kernel import (
     GraphCombination,
@@ -71,6 +71,17 @@ def test_xb_routes_match(tmp_path):
         assert main(["xb", g, "--route", route, "--output", out]) == 0
         outs.append(read_json(out))
     assert all(o == outs[0] for o in outs)
+
+
+def test_delcon_route_answers_thousands_of_parallel_edges(tmp_path):
+    g = graph_file(tmp_path, Multigraph(2, [(1, 2)] * 3000))
+    for command in ("xb", "x"):
+        outs = []
+        for route in ("def", "delcon"):
+            out = str(tmp_path / f"{command}-{route}.json")
+            assert main([command, g, "--route", route, "--output", out]) == 0
+            outs.append(read_json(out))
+        assert outs[0] == outs[1]
 
 
 def test_xb_t_eval_matches_x(tmp_path):

@@ -135,6 +135,36 @@ def test_routes_agree_on_random_multigraphs(G):
     assert specialize_t(f, -1) == x
 
 
+@st.composite
+def parallel_classes(draw, max_n=5):
+    """Multigraphs whose distinct pairs carry up to 6 copies each, with up to
+    3 loops per vertex and weights <= 3."""
+    n = draw(st.integers(1, max_n))
+    weights = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=4)) if pairs else []
+    edges = [e for e in chosen for _ in range(draw(st.integers(1, 6)))]
+    edges += [(v, v) for v in range(1, n + 1) for _ in range(draw(st.integers(0, 3)))]
+    return Multigraph(n, edges, weights)
+
+
+@settings(max_examples=100, deadline=None)
+@given(parallel_classes())
+def test_delcon_routes_agree_on_parallel_classes_and_loops(G):
+    assert tutte_sym_delcon(G) == tutte_sym(G)
+    assert chromatic_sym_delcon(G) == chromatic_sym(G)
+
+
+@pytest.mark.parametrize("G", [
+    Multigraph(2, [(1, 2)] * 3000),
+    Multigraph(3, [(1, 2), (1, 3), (2, 3)] * 400),
+], ids=["2 vertices, 3000 parallel edges", "triangle, 400 copies of each edge"])
+def test_delcon_takes_a_parallel_class_in_one_step(G):
+    # one recursion level per copy would pass Python's recursion limit here
+    assert tutte_sym_delcon(G) == tutte_sym(G)
+    assert chromatic_sym_delcon(G) == chromatic_sym(G)
+
+
 def test_sigma_formula_pins():
     K2 = complete(2)
     assert sigma_l_formula(K2, 0, 1) == Fraction(2)

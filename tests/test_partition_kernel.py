@@ -22,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tuttekit import invariants
-from tuttekit.combinatorics import DomainError, TPoly, enumerate_set_partitions
+from tuttekit.combinatorics import DomainError, TPoly, enumerate_set_partitions, onep_t_power
 from tuttekit.graphs import Multigraph, cycle, edgeless, internal_edge_count
 from tuttekit.invariants import (
     DELCON_MEMO_CAP,
@@ -166,6 +166,14 @@ def test_weights_form_is_the_blocks_form_summed(case):
 
 #### X's stable walk against the kernel ########################################
 
+def stable_shapes(n, edges, weights):
+    """`_stable_counts` with each block-weight vector sorted into its shape."""
+    shapes = Counter()
+    for vector, c in invariants._stable_counts(n, edges, weights).items():
+        shapes[tuple(sorted(vector, reverse=True))] += c
+    return shapes
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 8).flatmap(lambda n: st.tuples(
     edge_lists(n, max_edges=9), st.lists(st.integers(1, 3), min_size=n, max_size=n))))
@@ -177,29 +185,29 @@ def test_stable_counts_match_filtered_kernel(case):
         lambda_of(pi, weights) for pi in enumerate_set_partitions(n) if internal_edge_count(G, pi) == 0
     )
     got = invariants._stable_counts(n, edges, weights)
-    assert got == want
+    assert stable_shapes(n, edges, weights) == want
     assert all(type(c) is int for c in got.values())
 
 
 def test_stable_counts_pins():
-    assert invariants._stable_counts(0, [], []) == Counter({(): 1})
-    assert invariants._stable_counts(2, [(2, 2)], [1, 1]) == Counter()
+    assert stable_shapes(0, [], []) == Counter({(): 1})
+    assert stable_shapes(2, [(2, 2)], [1, 1]) == Counter()
     # parallel and reversed edges forbid the same pair once
-    assert invariants._stable_counts(3, [(2, 1), (1, 2), (2, 3)], [2, 1, 1]) == Counter(
+    assert stable_shapes(3, [(2, 1), (1, 2), (2, 3)], [2, 1, 1]) == Counter(
         {(3, 1): 1, (2, 1, 1): 1}
     )
-    assert invariants._stable_counts(1, [], [3]) == Counter({(3,): 1})
-    assert invariants._stable_counts(1, [(1, 1)], [3]) == Counter()
+    assert stable_shapes(1, [], [3]) == Counter({(3,): 1})
+    assert stable_shapes(1, [(1, 1)], [3]) == Counter()
     # isolated vertices go anywhere: two edgeless vertices give Bell(2) partitions
-    assert invariants._stable_counts(2, [], [1, 2]) == Counter({(3,): 1, (2, 1): 1})
-    assert invariants._stable_counts(4, [(1, 2)], [1, 1, 1, 1]) == Counter(
+    assert stable_shapes(2, [], [1, 2]) == Counter({(3,): 1, (2, 1): 1})
+    assert stable_shapes(4, [(1, 2)], [1, 1, 1, 1]) == Counter(
         {(3, 1): 2, (2, 2): 2, (2, 1, 1): 5, (1, 1, 1, 1): 1}
     )
     # a repeated edge forbids its pair once; a repeated loop still kills X
-    assert invariants._stable_counts(3, [(1, 3), (1, 3), (1, 3)], [1, 1, 1]) == Counter(
+    assert stable_shapes(3, [(1, 3), (1, 3), (1, 3)], [1, 1, 1]) == Counter(
         {(2, 1): 2, (1, 1, 1): 1}
     )
-    assert invariants._stable_counts(3, [(2, 2), (2, 2)], [1, 1, 1]) == Counter()
+    assert stable_shapes(3, [(2, 2), (2, 2)], [1, 1, 1]) == Counter()
 
 
 #### friendliness scans against b_value / c_value ##############################
@@ -323,6 +331,25 @@ def test_delcon_memo_evicts_least_recently_used(monkeypatch):
     for G in graphs:
         assert tutte_sym_delcon(G) == tutte_sym(G)
     assert len(memo) == 3
+
+
+def test_delcon_memo_sees_no_loops_or_repeated_pairs(monkeypatch):
+    monkeypatch.setattr(invariants, "_delcon_memo", {})
+    memo = invariants._delcon_memo
+    G = Multigraph(4, [(1, 2), (1, 2), (1, 3), (2, 3), (3, 4), (3, 4), (3, 4)], [2, 1, 1, 3])
+    f = tutte_sym_delcon(G)
+    filled = len(memo)
+    # loops are a factor (1+t) each, taken off before the memo is asked
+    looped = Multigraph(G.n, [*G.edges, (1, 1), (4, 4), (4, 4)], G.weights)
+    assert tutte_sym_delcon(looped) == f.scale(onep_t_power(3)) == tutte_sym(looped)
+    assert len(memo) == filled
+    # X sees the simple graph underneath
+    simple = Multigraph(G.n, sorted(set(G.edges)), G.weights)
+    x = chromatic_sym_delcon(simple)
+    filled = len(memo)
+    assert chromatic_sym_delcon(G) == x == chromatic_sym(G)
+    assert len(memo) == filled
+    assert chromatic_sym_delcon(looped).is_zero() and len(memo) == filled
 
 
 def test_delcon_values_share_no_dict_with_the_memo(monkeypatch):
