@@ -469,10 +469,16 @@ _MINUS_ONEP_T = (0, -1)
 _PLUS = (1,)
 _MINUS = (-1,)
 
-# rewrite classes in the order the reducer empties them
-_CLASSES = ("loop", "multi", "os_plus")
+# rewrite classes in the order the reducer empties them; class 3 relabels a
+# bright star forest onto its canonical representative
+_CLASSES = ("loop", "multi", "os_plus", "iso")
 
 STAR_FOREST_CACHE_SIZE = 128
+# `_rewrite` keeps this many entries, one labelled graph's rewrite each: a
+# whole `tuttekit selfcheck` fills 2,054 and the kernel bench pool 999.  Only
+# graphs of at most C(n, 2) edges are stored; at n <= 7 an entry takes about
+# 1.2 KB, so a full table holds about 5 MB (see README "Bounds").
+REWRITE_CACHE_SIZE = 4096
 
 
 @lru_cache(maxsize=STAR_FOREST_CACHE_SIZE)
@@ -520,9 +526,8 @@ def _merge_packed(terms: dict[tuple, tuple], c: tuple, products: Iterable[tuple[
             del terms[h]
 
 
-def _apply_step(terms: dict[tuple, tuple], step: ReductionStep) -> list[tuple]:
-    """Replace the step's term by its products in packed terms, in place;
-    return the products' edge tuples.
+def _products(step: ReductionStep) -> list[tuple[tuple, tuple]]:
+    """The (edges, multiplier) products of the step's rewrite of its term.
 
     Subtracting coefficient c times the generator extension turns the term
     c*H into the sum of c*m*H' over the products (H', m), where the
@@ -531,9 +536,6 @@ def _apply_step(terms: dict[tuple, tuple], step: ReductionStep) -> list[tuple]:
     termination order; a RuntimeError reports one that does not.
     """
     g = step.graph.edges
-    coeff = terms.pop(g, None)
-    if coeff is None:
-        return []
     if step.gen == "loop":
         v = step.vertex
         products = [(_without(g, [(v, v)]), _ONEP_T)]
@@ -553,24 +555,30 @@ def _apply_step(terms: dict[tuple, tuple], step: ReductionStep) -> list[tuple]:
             (tuple(sorted(base + extra)), m) for extra, m in (((first,), _MINUS), ((ac, bc), _PLUS), ((ab,), _PLUS))
         ]
     elif step.gen == "iso":
-        products = [(_relabelled(step.graph.n, g, step.perm), _PLUS)]
+        return [(_relabelled(step.graph.n, g, step.perm), _PLUS)]
     else:
         raise DomainError(f"unknown generator tag {echo(step.gen)}")
-    if step.gen != "iso":
-        for h, _ in products:
-            # fewer edges come later in the order; otherwise compare keys
-            if len(h) >= len(g) and right_endpoint_key(h) <= right_endpoint_key(g):
-                raise RuntimeError(
-                    f"internal fault: {step.gen} rewrite of {step.graph!r} "
-                    f"failed to increase the order at {Multigraph._unchecked(step.graph.n, h)!r}"
-                )
-    _merge_packed(terms, coeff, products)
-    return [h for h, _ in products]
+    for h, _ in products:
+        # fewer edges come later in the order; otherwise compare keys
+        if len(h) >= len(g) and right_endpoint_key(h) <= right_endpoint_key(g):
+            raise RuntimeError(
+                f"internal fault: {step.gen} rewrite of {step.graph!r} "
+                f"failed to increase the order at {Multigraph._unchecked(step.graph.n, h)!r}"
+            )
+    return products
+
+
+def _apply_step(terms: dict[tuple, tuple], step: ReductionStep) -> None:
+    """Replace the step's term by its products in packed terms, in place;
+    a step whose term is absent changes nothing."""
+    coeff = terms.pop(step.graph.edges, None)
+    if coeff is not None:
+        _merge_packed(terms, coeff, _products(step))
 
 
 def _rewrite_of(n: int, edges: tuple) -> tuple[int, dict] | None:
-    """(class, step fields) of the rewrite the reducer applies to a term;
-    None for a bright star forest.  The class indexes `_CLASSES`."""
+    """(class, step fields) of the loop, multi-edge or triangle rewrite of a
+    term; None for a bright star forest.  The class indexes `_CLASSES`."""
     multi = prev = None
     for e in edges:
         if e[0] == e[1]:
@@ -595,6 +603,38 @@ def _rewrite_of(n: int, edges: tuple) -> tuple[int, dict] | None:
     return 2, {"triple": triple, "case": case, "perm": perm}
 
 
+@lru_cache(maxsize=REWRITE_CACHE_SIZE)
+def _rewrite(n: int, edges: tuple) -> tuple[tuple, ReductionStep, tuple] | None:
+    """(heap key, step, products) of the rewrite the reducer applies to the
+    term with these edges on [n]; None for a canonical star forest.
+
+    A pure function of its arguments, kept for the last REWRITE_CACHE_SIZE
+    terms; the frozen step is shared by every certificate that records it.
+    The entry is checked as it is built: the products come later in the
+    termination order (`_products`), a relabelling carries the term onto
+    R_lambda, and a term left as it is is R_lambda.  A check that fails
+    raises RuntimeError, and `lru_cache` then stores nothing.
+    """
+    g = Multigraph._unchecked(n, edges)
+    rewrite = _rewrite_of(n, edges)
+    if rewrite is None:
+        lam, perm = _star_forest_map(n, edges)
+        if perm == tuple(range(1, n + 1)):
+            if edges != _star_forest(sorted_partition(map(len, _components_of(n, edges)))).edges:
+                raise RuntimeError(f"internal fault: reduction left {g!r}, not a canonical star forest")
+            return None
+        rewrite = 3, {"perm": perm}
+    cls, fields = rewrite
+    step = ReductionStep(_CLASSES[cls], g, **fields)
+    products = tuple(_products(step))
+    if cls == 3 and products[0][0] != _star_forest(lam).edges:
+        raise RuntimeError(f"internal fault: canonical map {perm} does not carry {g!r} onto R{list(lam)}")
+    # multi-edge terms pop earliest in the termination order first: every
+    # live term's products come later, so none brings back a rewritten term
+    key = (cls, right_endpoint_key(edges), edges) if cls == 1 else (cls, edges)
+    return key, step, products
+
+
 def reduce_to_star_forests(L: GraphCombination) -> tuple[StandardForm, ReductionCertificate]:
     """Rewrite L into a combination of canonical star forests R_lambda.
 
@@ -606,56 +646,42 @@ def reduce_to_star_forests(L: GraphCombination) -> tuple[StandardForm, Reduction
     every step because each subtraction is a kernel element.
 
     Terms are packed, as an edge tuple with a tuple of (1+t)-power
-    coefficients.  Each term is classified once, when it enters the term
-    map, by the rewrite it needs.  One heap holds those rewrites ordered
-    by (class, edges), so the three classes act as three heaps
-    emptied in turn; entries whose term has since left the map are
-    skipped.  The popped rewrite is the one on the smallest labelled graph
-    of the first non-empty class, the same choice as scanning all terms in
-    `Multigraph.key` order for a loop, then a multi-edge, then a dull
-    triple, so the certificate does not depend on how the next rewrite is
-    found.
+    coefficients.  A term's rewrite comes from `_rewrite`, a table shared
+    by every reduction in the process that checks each entry as it builds
+    it; terms of more than C(n, 2) edges go through the same builder
+    unstored.  One heap holds the rewrites of the terms as they enter the
+    term map, so the four classes act as four heaps emptied in turn;
+    entries whose term has since left the map are skipped.  Loops, dull
+    triples and relabellings pop on the smallest edge tuple of their
+    class, the same choice as scanning all terms in `Multigraph.key` order;
+    multi-edges pop earliest in the termination order (`right_endpoint_key`,
+    then edges), so m parallel edges take m - 1 steps.  The certificate
+    does not depend on how the next rewrite is found.
     """
     check_bound(L.n, DEFAULT_REDUCTION_BOUND, "reduction")
     n = L.n
+    max_stored = n * (n - 1) // 2
     terms = _packed(L)
     steps: list[ReductionStep] = []
-    # (class, edges) ties only between entries for one term, whose fields
-    # are equal, so the heap never orders two field dicts
-    worklist: list[tuple[int, tuple, dict]] = []
+    # keys tie only between entries for one term, which are equal, so the
+    # heap never orders two steps
+    heap: list[tuple[tuple, ReductionStep, tuple]] = []
 
     def enqueue(hs: Iterable[tuple]):
         for h in hs:
-            rewrite = _rewrite_of(n, h)
-            if rewrite is not None:
-                heapq.heappush(worklist, (rewrite[0], h, rewrite[1]))
-
-    def record(step: ReductionStep) -> list[tuple]:
-        steps.append(step)
-        return _apply_step(terms, step)
+            entry = _rewrite(n, h) if len(h) <= max_stored else _rewrite.__wrapped__(n, h)
+            if entry is not None:
+                heapq.heappush(heap, entry)
 
     enqueue(terms)
-    while worklist:
-        cls, h, fields = heapq.heappop(worklist)
-        if h in terms:
-            step = ReductionStep(_CLASSES[cls], Multigraph._unchecked(n, h), **fields)
-            enqueue(p for p in record(step) if p in terms)
-
-    # relabel every remaining star forest onto its canonical representative
-    identity = tuple(range(1, n + 1))
-    for h in sorted(terms):
-        lam, perm = _star_forest_map(n, h)
-        if perm != identity:
-            g = Multigraph._unchecked(n, h)
-            if record(ReductionStep("iso", g, perm=perm)) != [_star_forest(lam).edges]:
-                raise RuntimeError(f"internal fault: canonical map {perm} does not carry {g!r} onto R{list(lam)}")
-
-    for h in sorted(terms):
-        if h != _star_forest(sorted_partition(map(len, _components_of(n, h)))).edges:
-            raise RuntimeError(
-                f"internal fault: reduction left {Multigraph._unchecked(n, h)!r}, "
-                "not a canonical star forest"
-            )
+    while heap:
+        _, step, products = heapq.heappop(heap)
+        coeff = terms.pop(step.graph.edges, None)
+        if coeff is not None:
+            steps.append(step)
+            new = [h for h, _ in products if h not in terms]
+            _merge_packed(terms, coeff, products)
+            enqueue(h for h in new if h in terms)
     result = _standard_form(n, terms)
     return result, ReductionCertificate(tuple(steps), result)
 

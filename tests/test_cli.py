@@ -158,6 +158,22 @@ def test_reduce(tmp_path):
     assert len(obj["certificate"]) == 2
 
 
+def test_reduce_answers_many_parallel_edges(tmp_path):
+    # 40 copies take 39 steps; popping the fewest copies first took about
+    # 10^8 steps, so the command never returned
+    c = combo_file(tmp_path, single(Multigraph(2, [(1, 2)] * 40)))
+    src = str(Path(tuttekit.__file__).resolve().parents[1])
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "tuttekit.cli", "reduce", c],
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert time.perf_counter() - start < 2
+
+
 def test_member(tmp_path):
     c = combo_file(tmp_path, ell_tri())
     out = str(tmp_path / "m.json")

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tuttekit import kernel
+from tuttekit import kernel, selfcheck
 from tuttekit.combinatorics import DomainError, TPoly, enumerate_set_partitions, partitions_of
 from tuttekit.graphs import (
     MAX_VERTICES,
@@ -15,11 +15,14 @@ from tuttekit.graphs import (
     canonical_form,
     complete,
     cycle,
+    delete_edges,
     edgeless,
     is_bright_star_forest,
     broom,
     path,
     relabel,
+    right_endpoint_key,
+    simple_graph,
     star_forest_canonical_map,
 )
 from tuttekit.invariants import (
@@ -365,7 +368,8 @@ def _reference_reduce(L):
                 step = ReductionStep("loop", g, vertex=v)
                 break
         if step is None:
-            for g in graphs():
+            # multi-edges go earliest in the termination order first
+            for g in sorted(graphs(), key=lambda g: right_endpoint_key(g.edges)):
                 pair = _smallest_multi_pair(g)
                 if pair is not None:
                     step = ReductionStep("multi", g, pair=pair)
@@ -465,6 +469,82 @@ def test_reduce_drops_a_term_that_cancels_mid_rewrite():
     ]
     assert sf.shape_triples() == [((3,), 0, 1), ((3,), 1, 1)]
     assert replay_certificate(L, cert) == sf.to_combination()
+
+
+def test_parallel_edges_take_one_step_per_copy():
+    # every term is rewritten once, so 40 copies take 39 steps; popping the
+    # fewest copies first took Fibonacci-many (1,596 for 16 copies)
+    L = combo(2, (Multigraph(2, [(1, 2)] * 40), 1))
+    sf, cert = reduce_to_star_forests(L)
+    assert [s.gen for s in cert.steps] == ["multi"] * 39
+    assert replay_certificate(L, cert) == sf.to_combination()
+    assert combination_tutte_sym(sf.to_combination()) == combination_tutte_sym(L)
+
+
+def test_rewrite_table_stores_no_term_past_c_n_2_edges():
+    kernel._rewrite.cache_clear()
+    reduce_to_star_forests(combo(2, (Multigraph(2, [(1, 2)] * 200), 1)))
+    info = kernel._rewrite.cache_info()
+    # the two entries are the graphs on [2] with at most C(2, 2) = 1 edge
+    # that the reduction meets: looking both up adds two hits and no entry
+    assert info.currsize == 2
+    for edges in ((), ((1, 2),)):
+        kernel._rewrite(2, edges)
+    after = kernel._rewrite.cache_info()
+    assert (after.hits, after.currsize) == (info.hits + 2, 2)
+    kernel._rewrite.cache_clear()
+
+
+def test_a_refused_rewrite_is_not_stored(monkeypatch):
+    L = combo(3, (Multigraph(3, [(1, 3)]), 1))
+    kernel._rewrite.cache_clear()
+    monkeypatch.setattr(kernel, "_star_forest_map", lambda n, edges: ((2, 1), (3, 2, 1)))
+    with pytest.raises(RuntimeError, match=r"onto R\[2, 1\]"):
+        reduce_to_star_forests(L)
+    assert kernel._rewrite.cache_info().currsize == 0
+    monkeypatch.undo()
+    assert reduce_to_star_forests(L)[0].shape_triples() == [((2, 1), 0, 1)]
+    kernel._rewrite.cache_clear()
+
+
+def test_replay_checks_the_rewrite_table(monkeypatch):
+    G = complete(3)
+    L = combo(3, (G, 1))
+    real = kernel._products
+
+    def faulty(step):
+        # a sign slip in every multiplier
+        return [(h, tuple(-x for x in m)) for h, m in real(step)]
+
+    kernel._rewrite.cache_clear()
+    try:
+        monkeypatch.setattr(kernel, "_products", faulty)
+        reduce_to_star_forests(L)
+        monkeypatch.undo()
+        # the table still holds the faulty entries; replay recomputes them
+        result, cert = reduce_to_star_forests(L)
+        assert replay_certificate(L, cert) != result.to_combination()
+        assert selfcheck._reduction_fault(G, {}) is not None
+    finally:
+        kernel._rewrite.cache_clear()
+    result, cert = reduce_to_star_forests(L)
+    assert replay_certificate(L, cert) == result.to_combination()
+    assert selfcheck._reduction_fault(G, {}) is None
+
+
+def test_certificates_do_not_depend_on_the_rewrite_table():
+    K5_P4 = delete_edges(complete(5), [(1, 2), (2, 3), (3, 4)])
+    perms = [(2, 1, 3, 4, 5), (5, 4, 3, 2, 1), (3, 5, 1, 4, 2), (2, 3, 4, 5, 1), (4, 1, 5, 2, 3)]
+    graphs = [simple_graph(4, mask) for mask in range(64)] + [complete(5), complete(6)]
+    graphs += [relabel(K5_P4, p) for p in perms]
+    Ls = [combo(g.n, (g, 1)) for g in graphs]
+    cold = []
+    for L in Ls:
+        kernel._rewrite.cache_clear()
+        cold.append(reduce_to_star_forests(L)[1].to_json_obj())
+    for L in Ls:
+        reduce_to_star_forests(L)
+    assert [reduce_to_star_forests(L)[1].to_json_obj() for L in Ls] == cold
 
 
 @st.composite
