@@ -137,60 +137,40 @@ def tutte_sym(G: Multigraph) -> SymFunc:
 
 # Deletion-contraction values by (route, canonical form), shared by every
 # call in the process and kept in least-recently-used order (a hit moves
-# its entry to the end, a full memo drops its first entry).  Filled to the
-# cap from the weighted multigraphs on 4 to 7 vertices of the benchmark's
-# invariants workload, an entry takes about 2.9 KB on 64-bit CPython 3.11
-# (a 0.3 KB key; values share the coefficient dicts they leave unchanged),
-# so the memo holds about 8.4 MB; entries of larger total weight have more
-# terms.
+# its entry to the end, a full memo drops its first entry).  A value holds
+# positive counts summing to at most Bell(n), whatever the edge
+# multiplicities.  Filled to the cap from the weighted multigraphs on 4 to
+# 7 vertices of the benchmark's invariants workload, an entry takes about
+# 2.3 KB on 64-bit CPython 3.11 (values share the count dicts they leave
+# unchanged), so the memo holds about 6.7 MB (see README "Bounds").
 DELCON_MEMO_CAP = 2900
 _delcon_memo: dict[tuple[str, tuple], dict] = {}
-
-
-def _memo_get(key) -> dict | None:
-    hit = _delcon_memo.pop(key, None)
-    if hit is not None:
-        _delcon_memo[key] = hit
-    return hit
-
-
-def _memo_put(key, value: dict) -> None:
-    if len(_delcon_memo) >= DELCON_MEMO_CAP:
-        del _delcon_memo[next(iter(_delcon_memo))]
-    _delcon_memo[key] = value
-
-
-def _times(c: dict, factor: dict, d: dict) -> dict:
-    """d plus c times factor, in place, all polynomials in t as
-    {power of t: int}; zero terms are dropped."""
-    for p, x in c.items():
-        for q, y in factor.items():
-            z = d.get(p + q, 0) + x * y
-            if z:
-                d[p + q] = z
-            else:
-                del d[p + q]
-    return d
 
 
 def _delcon(route: str, n: int, edges: tuple, weights: tuple) -> dict:
     """XB (route "xb") or X (route "x") of the packed loop-free graph ([n],
     edges, weights), edges a sorted tuple of pairs, simple on route "x",
-    as {lam: {power of t: int}}.
+    as {lam: {k: int}}, the counts of sum c (1+t)^k m~_lam.
 
+    In powers of (1+t) a count is the number of set partitions of shape lam
+    with k edges inside blocks (none on route "x"), so every stored count is
+    positive and an entry's size depends on n, not on edge multiplicity.
     All m copies of the smallest pair uv go in one step: XB(G) =
     XB(G - uv^m) + ((1+t)^m - 1) XB(G/uv), since each copy left in G/uv is
-    a loop worth a factor (1+t), and X(G) = X(G - uv) - X(G/uv), with the
-    parallel pairs that the contraction makes merged.  G/uv keeps no loop,
-    so each level removes a distinct pair and the depth is at most their
-    number.  Values are memoised by canonical form and never changed once
-    stored; callers copy what they hand out.
+    a loop worth a factor (1+t), so G/uv's counts are added shifted by m
+    and subtracted; X(G) = X(G - uv) - X(G/uv), with the parallel pairs
+    that the contraction makes merged.  G/uv keeps no loop, so each level
+    removes a distinct pair and the depth is at most their number.  Values
+    are memoised by canonical form and never changed once stored; the entry
+    points expand them to powers of t once, into fresh dicts.
     """
     key = (route, _canonical_labelling(n, edges, weights)[0])
-    hit = _memo_get(key)
+    hit = _delcon_memo.pop(key, None)
     if hit is not None:
+        _delcon_memo[key] = hit
         return hit
     if not edges:
+        # no edge inside a block: every count sits at (1+t)^0, its own expansion
         tally = Counter(enumerate_set_partitions(n, weights=weights))
         result = _onep_t_sum({(v, 0): c for v, c in tally.items()})
     else:
@@ -199,20 +179,24 @@ def _delcon(route: str, n: int, edges: tuple, weights: tuple) -> dict:
         label, k = _component_labels(n, edges[:1])
         pairs, merged = _quotient(rest, weights, label, k)
         pairs = [_pair(u, v) for u, v in pairs]
-        if route == "xb":
-            factor = {i: b for i, b in onep_t_power(m).terms.items() if i}
-        else:
-            factor = {0: -1}
+        if route == "x":
             pairs = set(pairs)
-        # the deleted graph's coefficient dicts are shared, and copied before a change
+        # the deleted graph's count dicts are shared, and copied before a change
         result = dict(_delcon(route, n, rest, weights))
         for lam, c in _delcon(route, k, tuple(sorted(pairs)), tuple(merged)).items():
-            d = _times(c, factor, dict(result.get(lam, ())))
+            d = dict(result.get(lam, ()))
+            for j, x in c.items():
+                if route == "xb":
+                    d[j + m] = d.get(j + m, 0) + x
+                d[j] = d.get(j, 0) - x
+            d = {j: x for j, x in d.items() if x}
             if d:
                 result[lam] = d
             else:
                 del result[lam]
-    _memo_put(key, result)
+    if len(_delcon_memo) >= DELCON_MEMO_CAP:
+        del _delcon_memo[next(iter(_delcon_memo))]
+    _delcon_memo[key] = result
     return result
 
 
@@ -220,19 +204,22 @@ def tutte_sym_delcon(G: Multigraph) -> SymFunc:
     """XB by deletion-contraction, one parallel class per step, memoised.
 
     A loop e has G/e = G-e, so it is a factor (1+t): the loops are taken
-    off here and put back as (1+t)^loops, and the recursion sees no loop.
+    off here and put back by adding their number to every power of (1+t),
+    and the recursion sees no loop.
     """
     check_bound(G.n, DEFAULT_ENUMERATION_BOUND, "partition enumeration")
     edges = tuple(e for e in G.edges if e[0] != e[1])
+    loops = len(G.edges) - len(edges)
     value = _delcon("xb", G.n, edges, G.weights)
-    factor = onep_t_power(len(G.edges) - len(edges)).terms
-    return SymFunc("mtilde")._like_nested({lam: _times(c, factor, {}) for lam, c in value.items()})
+    return SymFunc("mtilde")._like_nested(
+        _onep_t_sum({(lam, k + loops): c for lam, d in value.items() for k, c in d.items()})
+    )
 
 
 def chromatic_sym_delcon(G: Multigraph) -> SymFunc:
     """X by deletion-contraction: X(G) = X(G-e) - X(G/e).  A loop makes X
     zero, and X does not see multiplicity, so the recursion runs on the
-    simple graph underneath."""
+    simple graph underneath.  Its counts sit at (1+t)^0, which is 1."""
     check_bound(G.n, DEFAULT_ENUMERATION_BOUND, "partition enumeration")
     value = {} if G.has_loop() else _delcon("x", G.n, tuple(sorted(set(G.edges))), G.weights)
     return SymFunc("mtilde")._like_nested({lam: dict(c) for lam, c in value.items()})

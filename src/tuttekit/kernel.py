@@ -473,18 +473,11 @@ _MINUS = (-1,)
 # bright star forest onto its canonical representative
 _CLASSES = ("loop", "multi", "os_plus", "iso")
 
-STAR_FOREST_CACHE_SIZE = 128
 # `_rewrite` keeps this many entries, one labelled graph's rewrite each: a
 # whole `tuttekit selfcheck` fills 2,054 and the kernel bench pool 999.  Only
 # graphs of at most C(n, 2) edges are stored; at n <= 7 an entry takes about
 # 1.2 KB, so a full table holds about 5 MB (see README "Bounds").
 REWRITE_CACHE_SIZE = 4096
-
-
-@lru_cache(maxsize=STAR_FOREST_CACHE_SIZE)
-def _star_forest(lam: tuple[int, ...]) -> Multigraph:
-    """R_lam, shared by every reduction: the last 128 shapes used are kept."""
-    return canonical_star_forest(lam)
 
 
 def _packed(L: GraphCombination) -> dict[tuple, tuple]:
@@ -620,14 +613,14 @@ def _rewrite(n: int, edges: tuple) -> tuple[tuple, ReductionStep, tuple] | None:
     if rewrite is None:
         lam, perm = _star_forest_map(n, edges)
         if perm == tuple(range(1, n + 1)):
-            if edges != _star_forest(sorted_partition(map(len, _components_of(n, edges)))).edges:
+            if edges != canonical_star_forest(sorted_partition(map(len, _components_of(n, edges)))).edges:
                 raise RuntimeError(f"internal fault: reduction left {g!r}, not a canonical star forest")
             return None
         rewrite = 3, {"perm": perm}
     cls, fields = rewrite
     step = ReductionStep(_CLASSES[cls], g, **fields)
     products = tuple(_products(step))
-    if cls == 3 and products[0][0] != _star_forest(lam).edges:
+    if cls == 3 and products[0][0] != canonical_star_forest(lam).edges:
         raise RuntimeError(f"internal fault: canonical map {perm} does not carry {g!r} onto R{list(lam)}")
     # multi-edge terms pop earliest in the termination order first: every
     # live term's products come later, so none brings back a rewritten term

@@ -13,14 +13,14 @@ composition (a_1, ..., a_k): it is the coefficient of Gessel's monomial
 quasisymmetric function M_alpha.  The coloring sums therefore run over
 packed colorings, the surjections [n] -> [k], which are the ordered set
 partitions of [n] (Fubini(n) of them, against N^n colorings).  One walk
-builds each ordered set partition once and counts the colorings as ints
-by (composition, ascents, monochromatic arcs), on packed (n, arcs,
-weights) triples: no contraction is built as a Digraph.  `tq`, `xq` and
-the two expansion routes add their (1+t)^k-shifted counts as ints into one
-{composition: {(ascents, power of t): int}} tally, and each composition's
-QTPoly is built once, from its finished tally.  Each result is a
-`TruncatedQFunc` keyed by those compositions; exponent vectors in N
-variables are only read in and written out.
+builds each ordered set partition once and adds the colorings as ints
+into one flat tally, keyed by (composition, ascents, power k of (1+t)),
+on packed (n, arcs, weights) triples: no contraction is built as a
+Digraph.  A coloring's k is its monochromatic arcs, plus e(pi) on the
+expansion routes, which add every contraction into the same tally.  Each
+count is expanded to powers of t once, when the value is built.  Each
+result is a `TruncatedQFunc` keyed by those compositions; exponent
+vectors in N variables are only read in and written out.
 """
 
 from __future__ import annotations
@@ -292,9 +292,9 @@ def _check_coloring_budget(D: Digraph, N: int) -> None:
 
 
 def _packed_sum(n: int, arcs: Sequence[tuple[int, int]], weights: Sequence[int],
-                proper: bool) -> dict[tuple[int, ...], dict[tuple[int, int], int]]:
-    """Packed colorings of the packed digraph ([n], arcs, weights), counted
-    as {composition: {(ascents, monochromatic arcs): int}}.
+                proper: bool, tally: dict[tuple[tuple[int, ...], int, int], int], e: int) -> None:
+    """Add the packed colorings of the packed digraph ([n], arcs, weights)
+    into tally, counted as {(composition, ascents, e + monochromatic arcs): int}.
 
     The walk builds each ordered set partition once: vertex i joins a block
     or opens a new one at any place in the colour order.  Opening a block
@@ -303,26 +303,25 @@ def _packed_sum(n: int, arcs: Sequence[tuple[int, int]], weights: Sequence[int],
     vertices.  Block j takes colour j, so the composition lists the block
     weights in order.  proper keeps only the colorings with no
     monochromatic arc: i never joins a block holding a neighbour, and an
-    arc that is a loop leaves nothing.
+    arc that is a loop adds nothing.
     """
     loops = [0] * (n + 1)
     back: list[dict[int, list[int]]] = [{} for _ in range(n + 1)]  # back[i][u], u < i: [arcs u->i, arcs i->u]
     for u, v in arcs:
         if u == v:
             if proper:
-                return {}
+                return
             loops[u] += 1
         else:
             back[max(u, v)].setdefault(min(u, v), [0, 0])[u > v] += 1
-    stats: dict[tuple[int, ...], dict[tuple[int, int], int]] = {}
     where = [0] * (n + 1)  # where[v]: the block of v, numbered as opened
     order: list[int] = []  # the blocks in colour order
     comp: list[int] = []  # comp[j]: the weight of the block of colour j
 
     def rec(i: int, asc: int, mono: int) -> None:
         if i > n:
-            counts = stats.setdefault(tuple(comp), {})
-            counts[asc, mono] = counts.get((asc, mono), 0) + 1
+            key = (tuple(comp), asc, mono)
+            tally[key] = tally.get(key, 0) + 1
             return
         k = len(order)
         into, out = [0] * k, [0] * k  # arcs into i from colour j, out of i to colour j
@@ -349,19 +348,18 @@ def _packed_sum(n: int, arcs: Sequence[tuple[int, int]], weights: Sequence[int],
                     comp[j] -= w
                 below += into[j]
 
-    rec(1, 0, 0)
-    return stats
+    rec(1, 0, e)
 
 
-def _add_onep_t(total: dict, counts: dict, k: int = 0) -> None:
-    """Add counts[alpha][(asc, mono)] (1+t)^(mono + k) into total, whose
-    keys are (composition, {(asc, power of t): int}), as ints."""
-    for alpha, d in counts.items():
-        acc = total.setdefault(alpha, {})
-        for (asc, mono), c in d.items():
-            for j, b in onep_t_power(mono + k).terms.items():
-                key = (asc, j)
-                acc[key] = acc.get(key, 0) + b * c
+def _from_tally(N: int, tally: dict) -> TruncatedQFunc:
+    """The sum of c q^asc (1+t)^k M_alpha over tally[(alpha, asc, k)] = c,
+    in x_1..x_N; each count's power of (1+t) is expanded once, as ints."""
+    coeffs: dict[tuple[int, ...], dict[tuple[int, int], int]] = {}
+    for (alpha, asc, k), c in tally.items():
+        d = coeffs.setdefault(alpha, {})
+        for j, b in onep_t_power(k).terms.items():
+            d[asc, j] = d.get((asc, j), 0) + b * c
+    return TruncatedQFunc(N)._like_nested(coeffs)
 
 
 def xq(D: Digraph, N: int) -> TruncatedQFunc:
@@ -371,16 +369,17 @@ def xq(D: Digraph, N: int) -> TruncatedQFunc:
     kills every coloring and the result is zero.
     """
     _check_coloring_budget(D, N)
-    # a proper coloring has no monochromatic arc: every key is (asc, 0)
-    return TruncatedQFunc(N)._like_nested(_packed_sum(D.n, D.arcs, D.weights, proper=True))
+    tally: dict = {}
+    _packed_sum(D.n, D.arcs, D.weights, True, tally, 0)
+    return _from_tally(N, tally)
 
 
 def tq(D: Digraph, N: int) -> TruncatedQFunc:
     """Sum of q^asc(kappa) (1+t)^e(kappa) x_kappa over all colorings."""
     _check_coloring_budget(D, N)
-    total: dict = {}
-    _add_onep_t(total, _packed_sum(D.n, D.arcs, D.weights, proper=False))
-    return TruncatedQFunc(N)._like_nested(total)
+    tally: dict = {}
+    _packed_sum(D.n, D.arcs, D.weights, False, tally, 0)
+    return _from_tally(N, tally)
 
 
 def _tq_from_labellings(D: Digraph, N: int, labellings: Iterable[tuple[Sequence[int], int]]) -> TruncatedQFunc:
@@ -388,11 +387,11 @@ def _tq_from_labellings(D: Digraph, N: int, labellings: Iterable[tuple[Sequence[
     labellings (label, k) of the connected partitions pi of D's underlying
     graph.  The arcs of D/pi are those of D between two blocks, and e(pi)
     counts the rest, loops included; D/pi is never built as a Digraph."""
-    total: dict = {}
+    tally: dict = {}
     for label, k in labellings:
         arcs, weights = _quotient(D.arcs, D.weights, label, k)
-        _add_onep_t(total, _packed_sum(k, arcs, weights, proper=True), len(D.arcs) - len(arcs))
-    return TruncatedQFunc(N)._like_nested(total)
+        _packed_sum(k, arcs, weights, True, tally, len(D.arcs) - len(arcs))
+    return _from_tally(N, tally)
 
 
 def tq_from_connected_partitions(D: Digraph, N: int) -> TruncatedQFunc:

@@ -1,11 +1,13 @@
 """Chromatic and Tutte symmetric functions: pins, recurrences, route agreement."""
 
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tuttekit import invariants
 from tuttekit.combinatorics import DomainError, TPoly
 from tuttekit.graphs import (
     Multigraph,
@@ -155,14 +157,33 @@ def test_delcon_routes_agree_on_parallel_classes_and_loops(G):
     assert chromatic_sym_delcon(G) == chromatic_sym(G)
 
 
-@pytest.mark.parametrize("G", [
+parallel_class_graphs = pytest.mark.parametrize("G", [
     Multigraph(2, [(1, 2)] * 3000),
     Multigraph(3, [(1, 2), (1, 3), (2, 3)] * 400),
 ], ids=["2 vertices, 3000 parallel edges", "triangle, 400 copies of each edge"])
+
+
+@parallel_class_graphs
 def test_delcon_takes_a_parallel_class_in_one_step(G):
     # one recursion level per copy would pass Python's recursion limit here
     assert tutte_sym_delcon(G) == tutte_sym(G)
     assert chromatic_sym_delcon(G) == chromatic_sym(G)
+
+
+@parallel_class_graphs
+def test_delcon_memo_does_not_grow_with_edge_multiplicity(G, monkeypatch):
+    # an entry counts set partitions by shape and power of (1+t), so its
+    # size depends on n; the binomial rows of (1+t)^3000 are not stored
+    monkeypatch.setattr(invariants, "_delcon_memo", {})
+    tracemalloc.start()
+    try:
+        tutte_sym_delcon(G)
+        filled = tracemalloc.get_traced_memory()[0]
+        invariants._delcon_memo.clear()
+        freed = filled - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert freed < 16_000
 
 
 def test_sigma_formula_pins():

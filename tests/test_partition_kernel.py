@@ -16,6 +16,7 @@ after evicting.
 from collections import Counter
 from functools import cache
 from itertools import combinations_with_replacement, islice, product
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -350,6 +351,25 @@ def test_delcon_memo_sees_no_loops_or_repeated_pairs(monkeypatch):
     assert chromatic_sym_delcon(G) == x == chromatic_sym(G)
     assert len(memo) == filled
     assert chromatic_sym_delcon(looped).is_zero() and len(memo) == filled
+
+
+@settings(max_examples=150, deadline=None)
+@given(multigraphs())
+def test_delcon_memo_holds_positive_counts_of_set_partitions(G):
+    # an entry is {shape: {power of (1+t): count}}: on "xb" every set
+    # partition of its n vertices is counted once, at the number of edges
+    # inside its blocks; on "x" only the stable ones, all at (1+t)^0
+    with patch.object(invariants, "_delcon_memo", {}) as memo:
+        tutte_sym_delcon(G)
+        chromatic_sym_delcon(G)
+    for (route, (weights, _)), value in memo.items():  # the form leads with the n weights
+        bell = len(restricted_growth_partitions(len(weights)))
+        assert all(d and all(type(c) is int and c > 0 for c in d.values()) for d in value.values())
+        total = sum(c for d in value.values() for c in d.values())
+        if route == "xb":
+            assert total == bell
+        else:
+            assert set().union(*value.values()) <= {0} and total <= bell
 
 
 def test_delcon_values_share_no_dict_with_the_memo(monkeypatch):

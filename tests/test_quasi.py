@@ -523,29 +523,36 @@ def packed_maps(n):
     return [kappa for kappa in product(range(n), repeat=n) if set(kappa) == set(range(len(set(kappa))))]
 
 
-def surjection_counts(D, proper):
-    """`_packed_sum`'s tally, from each surjection and `arc_statistics`."""
-    out = {}
+def surjection_counts(D, proper, e=0, out=None):
+    """`_packed_sum`'s tally {(composition, ascents, e + monochromatic arcs):
+    count}, from each surjection and `arc_statistics`, added into out."""
+    out = {} if out is None else out
     for kappa in packed_maps(D.n):
         asc, _, mono = arc_statistics(D, kappa)
         if proper and mono:
             continue
         alpha = tuple(sum(w for w, c in zip(D.weights, kappa) if c == j) for j in range(len(set(kappa))))
-        counts = out.setdefault(alpha, {})
-        counts[asc, mono] = counts.get((asc, mono), 0) + 1
+        out[alpha, asc, e + mono] = out.get((alpha, asc, e + mono), 0) + 1
     return out
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(0, 6).flatmap(lambda n: st.tuples(
+packed_digraphs = st.integers(0, 6).flatmap(lambda n: st.tuples(
     st.lists(st.tuples(st.integers(1, n), st.integers(1, n)), max_size=8) if n else st.just([]),
-    st.lists(st.integers(1, 3), min_size=n, max_size=n))))
-def test_packed_sum_matches_surjections(case):
-    # loops and repeated arcs, in both modes
-    arcs, weights = case
-    D = Digraph(len(weights), arcs, weights)
+    st.lists(st.integers(1, 3), min_size=n, max_size=n)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(packed_digraphs, packed_digraphs, st.integers(1, 4))
+def test_packed_sum_matches_surjections(case, other, e):
+    # loops and repeated arcs, in both modes; a second digraph, shifted by
+    # e, adds into the same tally
+    D, E = (Digraph(len(weights), arcs, weights) for arcs, weights in (case, other))
     for proper in (False, True):
-        assert quasi._packed_sum(D.n, D.arcs, D.weights, proper) == surjection_counts(D, proper)
+        tally = {}
+        quasi._packed_sum(D.n, D.arcs, D.weights, proper, tally, 0)
+        assert tally == surjection_counts(D, proper)
+        quasi._packed_sum(E.n, E.arcs, E.weights, proper, tally, e)
+        assert tally == surjection_counts(E, proper, e, surjection_counts(D, proper))
 
 
 @settings(max_examples=80, deadline=None)
