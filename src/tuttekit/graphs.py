@@ -53,13 +53,22 @@ def vertex_count(n: int) -> int:
     return n
 
 
+# one shared unit-weight tuple per vertex count up to 64 (about 19 KB in
+# all); a larger graph builds its own
+_UNIT_WEIGHTS = tuple((1,) * n for n in range(65))
+
+
+def _unit_weights(n: int) -> tuple[int, ...]:
+    return _UNIT_WEIGHTS[n] if n < len(_UNIT_WEIGHTS) else (1,) * n
+
+
 def _vertex_data(n: int, weights: Sequence[int] | None) -> tuple[int, tuple[int, ...]]:
     """(n, weights) of a graph or digraph on [n] read from outside; unit
     weights when None, DomainError unless `vertex_count(n)` accepts n and
     there are n positive integer weights."""
     n = vertex_count(n)
     if weights is None:
-        return n, (1,) * n
+        return n, _unit_weights(n)
     ws = tuple(as_int(w, "vertex weight") for w in weights)
     if len(ws) != n:
         raise DomainError(f"expected {n} weights, got {len(ws)}")
@@ -105,7 +114,7 @@ class _LabelledGraph(Immutable):
         g = object.__new__(cls)
         object.__setattr__(g, "n", n)
         object.__setattr__(g, "_pairs", pairs)
-        object.__setattr__(g, "weights", (1,) * n if weights is None else weights)
+        object.__setattr__(g, "weights", _unit_weights(n) if weights is None else weights)
         return g
 
     # labelled identity: same vertex count, same pair multiset, same weights
@@ -124,7 +133,7 @@ class _LabelledGraph(Immutable):
         return sum(self.weights)
 
     def unit_weights(self) -> bool:
-        return all(w == 1 for w in self.weights)
+        return self.weights.count(1) == len(self.weights)
 
     def has_loop(self) -> bool:
         return any(u == v for u, v in self._pairs)

@@ -10,6 +10,7 @@ a replayable certificate, and constructs the named modular relations.
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -174,40 +175,105 @@ def b_value(L: GraphCombination, blocks: Iterable[Iterable[int]]) -> TPoly:
     return acc
 
 
+def _single_block(n: int) -> tuple:
+    """The first partition of [n] in restricted-growth order."""
+    return (tuple(range(1, n + 1)),) if n else ()
+
+
+def _first_violation(n: int, edge_lists: list, violation) -> tuple[tuple, object] | None:
+    """(pi, hit) for the first partition pi of [n] after the single block, in
+    restricted-growth order, where hit = violation(counts) is not None, counts
+    being the internal edges of each list; None when there is none.
+
+    Only the r vertices that a non-loop edge touches are walked, relabelled
+    onto 1..r in increasing order (a loop is inside every block, so one off
+    them moves to vertex 1), and violation is asked once per count vector.
+    A violating rho lifts to pi by putting every other vertex in the block
+    of vertex 1: its string is rho's with 0 at every added position, so pi
+    is the least partition restricting to rho, and lifts keep rho's order.
+    """
+    support = sorted({v for es in edge_lists for e in es if e[0] != e[1] for v in e})
+    if not support:
+        return None
+    at = dict(zip(support, range(1, len(support) + 1)))
+    sets = [[(at.get(u, 1), at.get(v, 1)) for u, v in es] for es in edge_lists]
+    seen = {tuple(map(len, edge_lists))}  # the single block's
+    for rho, counts in enumerate_set_partitions(len(support), edge_sets=sets):
+        if counts in seen:
+            continue
+        seen.add(counts)
+        hit = violation(counts)
+        if hit is not None:
+            blocks = [[support[i - 1] for i in b] for b in rho]
+            blocks[0] = sorted(blocks[0] + [u for u in range(1, n + 1) if u not in at])
+            return tuple(map(tuple, blocks)), hit
+    return None
+
+
 def is_tutte_friendly(L: GraphCombination) -> tuple[bool, tuple | None, int | None]:
-    """Scan all partitions of [n]; B(L; pi) must vanish identically.
+    """Decide whether B(L; pi) vanishes identically at every partition pi of [n].
 
     On failure returns (False, pi, a) with pi the first violating partition
-    in enumeration order and a the least (1+t)-power with nonzero
+    in restricted-growth order and a the least (1+t)-power with nonzero
     coefficient in B(L; pi).  Each coefficient is expanded in (1+t)-powers
     once; at pi a term with e internal edges shifts its powers up by e.
+
+    The single block comes first and is decided from edge counts alone.
+    Edges that every term holds, with multiplicity, multiply B(L; pi) by
+    (1+t)^(their internal count), which is never zero, so the rest of the
+    scan is `_first_violation` on the other edges: Bell(r) partitions of
+    the r vertices they touch.
     """
     check_bound(L.n, DEFAULT_ENUMERATION_BOUND, "friendliness scan")
     packed = _packed(L)
     powers = [[(k, c) for k, c in enumerate(cs) if c != 0] for cs in packed.values()]
-    for pi, counts in enumerate_set_partitions(L.n, edge_sets=list(packed)):
+
+    def least(counts) -> int | None:
         b: dict[int, Fraction | int] = {}
         for p, e in zip(powers, counts):
             for k, c in p:
                 b[k + e] = b.get(k + e, 0) + c
-        nonzero = [k for k, c in b.items() if c != 0]
-        if nonzero:
-            return False, pi, min(nonzero)
-    return True, None, None
+        return min((k for k, c in b.items() if c != 0), default=None)
+
+    a = least(map(len, packed))
+    if a is not None:
+        return False, _single_block(L.n), a
+    if not packed:
+        return True, None, None
+    # the k-th copy of an edge is (edge, k), so multisets meet as sets
+    copies = [{(e, i - bisect_left(h, e)) for i, e in enumerate(h)} for h in packed]
+    common = set.intersection(*copies)
+    found = _first_violation(L.n, [[e for e, _ in c - common] for c in copies], least)
+    if found is None:
+        return True, None, None
+    pi, a = found
+    vmap = block_index_map(pi)
+    return False, pi, a + sum(vmap[u] == vmap[v] for (u, v), _ in common)
 
 
 def is_x_friendly(L: GraphCombination) -> tuple[bool, tuple | None]:
-    """Scan all partitions; C(L; pi) must vanish.  Coefficients must be t-free."""
+    """Decide whether C(L; pi) vanishes at every partition pi of [n]; on
+    failure (False, pi) with pi the first violating partition in
+    restricted-growth order.  Coefficients must be t-free.
+
+    The single block is decided from edge counts alone, the rest by
+    `_first_violation`.  Shared edges are not factored out: one inside a
+    block makes C vanish.
+    """
     check_bound(L.n, DEFAULT_ENUMERATION_BOUND, "friendliness scan")
     for c in L.terms.values():
         if c.degree() > 0:
             raise DomainError("X-friendliness is defined for t-free coefficients")
-    graphs = list(L.terms)
-    scalars = [L.terms[g].terms.get(0, 0) for g in graphs]
-    for pi, counts in enumerate_set_partitions(L.n, edge_sets=[g.edges for g in graphs]):
-        if sum(c for c, e in zip(scalars, counts) if e == 0) != 0:
-            return False, pi
-    return True, None
+    edge_lists = [g.edges for g in L.terms]
+    scalars = [c.terms.get(0, 0) for c in L.terms.values()]
+
+    def violation(counts) -> bool | None:
+        return sum(c for c, e in zip(scalars, counts) if e == 0) != 0 or None
+
+    if violation(map(len, edge_lists)):
+        return False, _single_block(L.n)
+    found = _first_violation(L.n, edge_lists, violation)
+    return (True, None) if found is None else (False, found[0])
 
 
 #### generators ################################################################

@@ -75,6 +75,17 @@ def test_records_are_their_own_copies():
     assert holder["g"] is G and holder["d"][0] is D
 
 
+def test_unit_weight_graphs_share_one_weights_tuple_per_n():
+    a = Multigraph._unchecked(5, ((1, 2),))
+    b = Multigraph._unchecked(5, ((3, 4), (4, 4)))
+    assert a.weights == (1,) * 5 and a.weights is b.weights
+    assert Multigraph(5).weights is a.weights
+    assert Multigraph._unchecked(4, ()).weights is not a.weights
+    for g in (a, b, Multigraph(70), Multigraph(0)):
+        assert g.unit_weights()
+    assert not Multigraph(3, weights=[1, 2, 1]).unit_weights()
+
+
 def test_families():
     assert complete(3).edges == ((1, 2), (1, 3), (2, 3))
     assert path(3).edges == ((1, 2), (2, 3))

@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tuttekit import invariants
+from tuttekit import invariants, kernel
 from tuttekit.combinatorics import DomainError, TPoly, enumerate_set_partitions, onep_t_power
 from tuttekit.graphs import Multigraph, cycle, edgeless, internal_edge_count
 from tuttekit.invariants import (
@@ -36,6 +36,8 @@ from tuttekit.kernel import (
     GraphCombination,
     b_value,
     ell_os_plus,
+    ell_tri,
+    extend,
     is_tutte_friendly,
     is_x_friendly,
 )
@@ -67,6 +69,27 @@ def combinations(draw, t_free=False):
     coeff = st.lists(st.integers(-2, 2), min_size=1, max_size=1 if t_free else 3)
     terms = draw(st.lists(st.tuples(edge_lists(n, 5), coeff), max_size=5))
     return GraphCombination(n, [(Multigraph(n, es), TPoly(c)) for es, c in terms])
+
+
+@st.composite
+def extension_shaped(draw, t_free=False):
+    """Combinations shaped like a relation extended to a host: every term
+    holds one base graph (loops and repeats allowed) and adds a small local
+    edge set, edges only on drawn vertices so that others touch none, and
+    sometimes a pair of equal-size terms with opposite coefficients, which
+    cancels at the single block."""
+    n = draw(st.integers(1, 6))
+    vertex = st.sampled_from(draw(st.lists(st.integers(1, n), min_size=1, unique=True)))
+    edge = st.tuples(vertex, vertex)
+    base = draw(st.lists(edge, max_size=5))
+    coeff = st.lists(st.integers(-2, 2), min_size=1, max_size=1 if t_free else 2).map(TPoly)
+    pair = draw(st.booleans())
+    terms = [(base + draw(st.lists(edge, max_size=3)), draw(coeff)) for _ in range(draw(st.integers(0 if pair else 1, 4)))]
+    if pair:
+        size, c = draw(st.integers(1, 3)), draw(coeff)
+        for sign in (1, -1):
+            terms.append((base + draw(st.lists(edge, min_size=size, max_size=size)), c * sign))
+    return GraphCombination(n, [(Multigraph(n, es), c) for es, c in terms])
 
 
 #### the kernel against brute force ###########################################
@@ -238,6 +261,60 @@ def test_tutte_scan_matches_b_value_reference(L):
 @given(combinations(t_free=True))
 def test_x_scan_matches_c_value_reference(L):
     assert is_x_friendly(L) == reference_x_scan(L)
+
+
+@settings(max_examples=300, deadline=None)
+@given(extension_shaped())
+def test_tutte_scan_matches_b_value_reference_on_extension_shapes(L):
+    assert is_tutte_friendly(L) == reference_tutte_scan(L)
+
+
+@settings(max_examples=300, deadline=None)
+@given(extension_shaped(t_free=True))
+def test_x_scan_matches_c_value_reference_on_extension_shapes(L):
+    assert is_x_friendly(L) == reference_x_scan(L)
+
+
+def test_shared_edges_shift_a_and_vertices_off_the_support_join_vertex_1():
+    # 12 twice in both terms; the others cancel at the single block and
+    # differ first at 123|4, where vertex 2 touches no other edge
+    L = GraphCombination(4, [
+        (Multigraph(4, [(1, 2), (1, 2), (3, 4)]), TPoly([1])),
+        (Multigraph(4, [(1, 2), (1, 2), (1, 3)]), TPoly([-1])),
+    ])
+    assert is_tutte_friendly(L) == reference_tutte_scan(L) == (False, ((1, 2, 3), (4,)), 2)
+    # vertex 1 touches no edge: 124|3 is the first partition that splits 34 but not 24
+    L = GraphCombination(4, [(Multigraph(4, [(2, 4)]), TPoly([1])), (Multigraph(4, [(3, 4)]), TPoly([-1]))])
+    assert is_tutte_friendly(L) == reference_tutte_scan(L) == (False, ((1, 2, 4), (3,)), 0)
+    assert is_x_friendly(L) == reference_x_scan(L) == (False, ((1, 2, 4), (3,)))
+
+
+@pytest.fixture
+def walked(monkeypatch):
+    """The items each friendliness scan draws from the partition walk."""
+    items = []
+
+    def counting(*args, **kwargs):
+        for item in enumerate_set_partitions(*args, **kwargs):
+            items.append(item)
+            yield item
+
+    monkeypatch.setattr(kernel, "enumerate_set_partitions", counting)
+    return items
+
+
+def test_scans_walk_only_the_vertices_where_terms_differ(walked):
+    host = Multigraph(10, [*cycle(10).edges, (1, 2), (2, 3), (1, 7), (3, 3)])
+    assert is_tutte_friendly(extend(ell_tri(), host)) == (True, None, None)
+    assert len(walked) <= 5  # Bell(3): the triangle's vertices
+    walked.clear()
+    assert is_tutte_friendly(ell_os_plus()) == (True, None, None)
+    assert len(walked) == 5  # the bench tracer's pin
+    walked.clear()
+    L = GraphCombination(4, [(Multigraph(4, [(1, 2)]), TPoly([1])), (edgeless(4), TPoly([-1]))])
+    assert is_tutte_friendly(L) == (False, ((1, 2, 3, 4),), 0)
+    assert is_x_friendly(L) == (False, ((1, 2, 3, 4),))
+    assert walked == []
 
 
 def test_friendly_scans_on_known_cases():
