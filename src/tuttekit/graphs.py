@@ -142,7 +142,7 @@ class _LabelledGraph(Immutable):
 class Multigraph(_LabelledGraph, field="edges"):
     """Immutable labelled multigraph on [n] with positive vertex weights."""
 
-    __slots__ = ("_canon",)  # the canonical labelling's memo, unset until asked for
+    __slots__ = ()
     _read_pair = staticmethod(_norm_edge)
 
     def __repr__(self) -> str:
@@ -647,19 +647,10 @@ def _canonical_labelling(n: int, pairs: Sequence[tuple[int, int]],
     return (tuple(weights[v] for v in best_order), tuple(best)), tuple(perm)
 
 
-def _labelling_of(G: Multigraph) -> tuple[tuple, tuple[int, ...]]:
-    """G's `_canonical_labelling`, kept in its `_canon` slot once found."""
-    memo = getattr(G, "_canon", None)
-    if memo is None:
-        check_bound(G.n, DEFAULT_CANONICAL_BOUND, "canonical form")
-        memo = _canonical_labelling(G.n, G.edges, G.weights)
-        object.__setattr__(G, "_canon", memo)
-    return memo
-
-
 def canonical_form(G: Multigraph) -> bytes:
     """Opaque byte string equal for two graphs iff they are isomorphic."""
-    return repr(_labelling_of(G)[0]).encode()
+    check_bound(G.n, DEFAULT_CANONICAL_BOUND, "canonical form")
+    return repr(_canonical_labelling(G.n, G.edges, G.weights)[0]).encode()
 
 
 #### orientations ##############################################################

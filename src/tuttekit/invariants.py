@@ -135,65 +135,64 @@ def tutte_sym(G: Multigraph) -> SymFunc:
 
 #### deletion-contraction ######################################################
 
-# Deletion-contraction values by (route, canonical form), shared by every
-# call in the process and kept in least-recently-used order (a hit moves
-# its entry to the end, a full memo drops its first entry).  A value holds
-# positive counts summing to at most Bell(n), whatever the edge
-# multiplicities.  Filled to the cap from the weighted multigraphs on 4 to
-# 7 vertices of the benchmark's invariants workload, an entry takes about
-# 2.3 KB on 64-bit CPython 3.11 (values share the count dicts they leave
-# unchanged), so the memo holds about 6.7 MB (see README "Bounds").
+# Deletion-contraction values by canonical form, shared by every call in
+# the process and kept in least-recently-used order (a hit moves its entry
+# to the end, a full memo drops its first entry).  A value holds positive
+# counts summing to Bell(n), whatever the edge multiplicities.  Filled to
+# the cap from the weighted multigraphs on 4 to 7 vertices of the
+# benchmark's invariants workload, an entry takes about 2.8 KB on 64-bit
+# CPython 3.11 (values share the count dicts they leave unchanged), so the
+# memo holds about 8.2 MB (see README "Bounds").
 DELCON_MEMO_CAP = 2900
-_delcon_memo: dict[tuple[str, tuple], dict] = {}
+_delcon_memo: dict[tuple, dict] = {}
 
 
-def _delcon(route: str, n: int, edges: tuple, weights: tuple) -> dict:
-    """XB (route "xb") or X (route "x") of the packed loop-free graph ([n],
-    edges, weights), edges a sorted tuple of pairs, simple on route "x",
-    as {lam: {k: int}}, the counts of sum c (1+t)^k m~_lam.
+def _delcon(n: int, edges: tuple, weights: tuple) -> dict:
+    """XB of the packed loop-free graph ([n], edges, weights), edges a
+    sorted tuple of pairs, as {lam: {k: int}}: sum c (1+t)^k m~_lam.
 
     In powers of (1+t) a count is the number of set partitions of shape lam
-    with k edges inside blocks (none on route "x"), so every stored count is
-    positive and an entry's size depends on n, not on edge multiplicity.
-    All m copies of the smallest pair uv go in one step: XB(G) =
-    XB(G - uv^m) + ((1+t)^m - 1) XB(G/uv), since each copy left in G/uv is
-    a loop worth a factor (1+t), so G/uv's counts are added shifted by m
-    and subtracted; X(G) = X(G - uv) - X(G/uv), with the parallel pairs
-    that the contraction makes merged.  G/uv keeps no loop, so each level
-    removes a distinct pair and the depth is at most their number.  Values
-    are memoised by canonical form and never changed once stored; the entry
+    with k edges inside blocks, so every stored count is positive, an
+    entry's size depends on n, not on edge multiplicity, and the counts at
+    k = 0 are X's.  All m copies of the smallest pair uv go in one step:
+    XB(G) = XB(G - uv^m) + ((1+t)^m - 1) XB(G/uv), since each copy left in
+    G/uv is a loop worth a factor (1+t), so G/uv's counts are added shifted
+    by m and subtracted.  G/uv keeps no loop, so each level removes a
+    distinct pair and the depth is at most their number.  Values are
+    memoised by canonical form and never changed once stored; the entry
     points expand them to powers of t once, into fresh dicts.
     """
-    key = (route, _canonical_labelling(n, edges, weights)[0])
+    key = _canonical_labelling(n, edges, weights)[0]
     hit = _delcon_memo.pop(key, None)
     if hit is not None:
         _delcon_memo[key] = hit
         return hit
     if not edges:
-        # no edge inside a block: every count sits at (1+t)^0, its own expansion
-        tally = Counter(enumerate_set_partitions(n, weights=weights))
-        result = _onep_t_sum({(v, 0): c for v, c in tally.items()})
+        tally = {(): 1}  # shape: set partitions of the vertices so far
+        for w in weights:
+            grown: dict[tuple[int, ...], int] = {}
+            for lam, c in tally.items():
+                # the vertex opens a block (b = 0) or joins one of the lam.count(b) blocks of weight b
+                for b in {0, *lam}:
+                    i = lam.index(b) if b else len(lam)
+                    shape = tuple(sorted((*lam[:i], b + w, *lam[i + 1:]), reverse=True))
+                    grown[shape] = grown.get(shape, 0) + c * (lam.count(b) or 1)
+            tally = grown
+        result = {lam: {0: c} for lam, c in tally.items()}
     else:
         m = edges.count(edges[0])  # sorted, so the copies of edges[0] lead
         rest = edges[m:]
         label, k = _component_labels(n, edges[:1])
         pairs, merged = _quotient(rest, weights, label, k)
-        pairs = [_pair(u, v) for u, v in pairs]
-        if route == "x":
-            pairs = set(pairs)
-        # the deleted graph's count dicts are shared, and copied before a change
-        result = dict(_delcon(route, n, rest, weights))
-        for lam, c in _delcon(route, k, tuple(sorted(pairs)), tuple(merged)).items():
+        # the deleted graph's count dicts are shared, and copied before a change;
+        # every shape of G/uv is one of G's, so no shape's counts cancel out
+        result = dict(_delcon(n, rest, weights))
+        for lam, c in _delcon(k, tuple(sorted(_pair(u, v) for u, v in pairs)), tuple(merged)).items():
             d = dict(result.get(lam, ()))
             for j, x in c.items():
-                if route == "xb":
-                    d[j + m] = d.get(j + m, 0) + x
+                d[j + m] = d.get(j + m, 0) + x
                 d[j] = d.get(j, 0) - x
-            d = {j: x for j, x in d.items() if x}
-            if d:
-                result[lam] = d
-            else:
-                del result[lam]
+            result[lam] = {j: x for j, x in d.items() if x}
     if len(_delcon_memo) >= DELCON_MEMO_CAP:
         del _delcon_memo[next(iter(_delcon_memo))]
     _delcon_memo[key] = result
@@ -210,19 +209,20 @@ def tutte_sym_delcon(G: Multigraph) -> SymFunc:
     check_bound(G.n, DEFAULT_ENUMERATION_BOUND, "partition enumeration")
     edges = tuple(e for e in G.edges if e[0] != e[1])
     loops = len(G.edges) - len(edges)
-    value = _delcon("xb", G.n, edges, G.weights)
+    value = _delcon(G.n, edges, G.weights)
     return SymFunc("mtilde")._like_nested(
         _onep_t_sum({(lam, k + loops): c for lam, d in value.items() for k, c in d.items()})
     )
 
 
 def chromatic_sym_delcon(G: Multigraph) -> SymFunc:
-    """X by deletion-contraction: X(G) = X(G-e) - X(G/e).  A loop makes X
-    zero, and X does not see multiplicity, so the recursion runs on the
-    simple graph underneath.  Its counts sit at (1+t)^0, which is 1."""
+    """X by deletion-contraction, as XB at t = -1: the counts at (1+t)^0,
+    the set partitions with no edge inside a block.  A loop makes X zero;
+    otherwise the recursion runs on G itself, so X of a graph whose XB was
+    just computed is one memo hit."""
     check_bound(G.n, DEFAULT_ENUMERATION_BOUND, "partition enumeration")
-    value = {} if G.has_loop() else _delcon("x", G.n, tuple(sorted(set(G.edges))), G.weights)
-    return SymFunc("mtilde")._like_nested({lam: dict(c) for lam, c in value.items()})
+    value = {} if G.has_loop() else _delcon(G.n, G.edges, G.weights)
+    return SymFunc("mtilde")._like_nested({lam: {0: d[0]} for lam, d in value.items() if 0 in d})
 
 
 #### contraction expansions ####################################################

@@ -30,6 +30,7 @@ from tuttekit.graphs import (
 )
 from tuttekit.invariants import (
     chromatic_sym,
+    chromatic_sym_delcon,
     sigma_l_direct,
     sigma_l_formula,
     tutte_from_connected_partitions,
@@ -178,9 +179,9 @@ def xb_routes_agree() -> Iterator[str | None]:
 
 
 def t_minus_one_recovers_x() -> Iterator[str | None]:
-    """XB at t = -1 equals X on the same corpus."""
+    """XB at t = -1 equals X, by both X routes, on the same corpus."""
     for G in xb_corpus():
-        ok = specialize_t(tutte_sym(G), Fraction(-1)) == chromatic_sym(G)
+        ok = specialize_t(tutte_sym(G), Fraction(-1)) == chromatic_sym(G) == chromatic_sym_delcon(G)
         yield None if ok else f"t=-1 mismatch on {G!r}"
 
 

@@ -12,7 +12,7 @@ from tuttekit.combinatorics import DomainError, normalize_blocks
 from tuttekit.graphs import (
     MAX_VERTICES,
     Multigraph,
-    _labelling_of,
+    _canonical_labelling,
     acyclic_orientations,
     broom,
     canonical_form,
@@ -67,7 +67,7 @@ def test_records_are_their_own_copies():
     # the default slot copy would go through the immutable __setattr__
     G = Multigraph(3, [(1, 2), (2, 2)], weights=[1, 2, 1])
     D = Digraph(2, [(1, 2)])
-    canonical_form(G)  # sets the canonical-form memo slot
+    canonical_form(G)  # stores nothing on the record
     for record in (G, path(2), D):
         assert copy.copy(record) is record
         assert copy.deepcopy(record) is record
@@ -340,13 +340,14 @@ def test_star_forest_canonical_map():
 def canonical_graph(G):
     """G relabelled by its canonical labelling: equal for two graphs exactly
     when they are isomorphic."""
-    return relabel(G, _labelling_of(G)[1])
+    return relabel(G, _canonical_labelling(G.n, G.edges, G.weights)[1])
 
 
 def is_isomorphic(G, H):
     if G.n != H.n or len(G.edges) != len(H.edges) or sorted(G.weights) != sorted(H.weights):
         return False
-    return _labelling_of(G)[0] == _labelling_of(H)[0]
+    return (_canonical_labelling(G.n, G.edges, G.weights)[0]
+            == _canonical_labelling(H.n, H.edges, H.weights)[0])
 
 
 def test_canonical_form_invariant_under_relabelling():
@@ -444,7 +445,7 @@ def test_isomorphism_pins():
     assert not is_isomorphic(edgeless(1, [2]), edgeless(1, [1]))
     assert canonical_graph(Multigraph(0)) == Multigraph(0)
     with pytest.raises(DomainError):
-        canonical_graph(edgeless(13))
+        canonical_form(edgeless(13))
 
 
 def chromatic_value(n, edges, x):

@@ -230,8 +230,8 @@ def _top_level_reach(root: Path, start: tuple[str, str]) -> set[tuple[str, str]]
 ROUTE_ENUMERATORS = {
     ("invariants", "tutte_sym"): {"enumerate_set_partitions"},
     ("invariants", "chromatic_sym"): {"_stable_counts"},
-    ("invariants", "tutte_sym_delcon"): {"_delcon", "enumerate_set_partitions"},
-    ("invariants", "chromatic_sym_delcon"): {"_delcon", "enumerate_set_partitions"},
+    ("invariants", "tutte_sym_delcon"): {"_delcon"},
+    ("invariants", "chromatic_sym_delcon"): {"_delcon"},
     ("invariants", "tutte_from_contractions"): {"_stable_counts", "_flats"},
     ("invariants", "tutte_from_connected_partitions"): {"_stable_counts", "connected_partitions"},
     ("quasi", "xq"): {"_packed_sum"},

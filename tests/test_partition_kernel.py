@@ -16,13 +16,14 @@ after evicting.
 from collections import Counter
 from functools import cache
 from itertools import combinations_with_replacement, islice, product
+from math import perm
 from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tuttekit import invariants, kernel
+from tuttekit import combinatorics, invariants, kernel, selfcheck
 from tuttekit.combinatorics import DomainError, TPoly, enumerate_set_partitions, onep_t_power
 from tuttekit.graphs import Multigraph, cycle, edgeless, internal_edge_count
 from tuttekit.invariants import (
@@ -417,6 +418,8 @@ def test_delcon_memo_sees_no_loops_or_repeated_pairs(monkeypatch):
     G = Multigraph(4, [(1, 2), (1, 2), (1, 3), (2, 3), (3, 4), (3, 4), (3, 4)], [2, 1, 1, 3])
     f = tutte_sym_delcon(G)
     filled = len(memo)
+    # X reads the counts at (1+t)^0 of the entry XB just made
+    assert chromatic_sym_delcon(G) == chromatic_sym(G) and len(memo) == filled
     # loops are a factor (1+t) each, taken off before the memo is asked
     looped = Multigraph(G.n, [*G.edges, (1, 1), (4, 4), (4, 4)], G.weights)
     assert tutte_sym_delcon(looped) == f.scale(onep_t_power(3)) == tutte_sym(looped)
@@ -433,20 +436,15 @@ def test_delcon_memo_sees_no_loops_or_repeated_pairs(monkeypatch):
 @settings(max_examples=150, deadline=None)
 @given(multigraphs())
 def test_delcon_memo_holds_positive_counts_of_set_partitions(G):
-    # an entry is {shape: {power of (1+t): count}}: on "xb" every set
-    # partition of its n vertices is counted once, at the number of edges
-    # inside its blocks; on "x" only the stable ones, all at (1+t)^0
+    # an entry is {shape: {power of (1+t): count}}: every set partition of
+    # its n vertices is counted once, at the number of edges inside its blocks
     with patch.object(invariants, "_delcon_memo", {}) as memo:
         tutte_sym_delcon(G)
         chromatic_sym_delcon(G)
-    for (route, (weights, _)), value in memo.items():  # the form leads with the n weights
+    for (weights, _), value in memo.items():  # the form leads with the n weights
         bell = len(restricted_growth_partitions(len(weights)))
         assert all(d and all(type(c) is int and c > 0 for c in d.values()) for d in value.values())
-        total = sum(c for d in value.values() for c in d.values())
-        if route == "xb":
-            assert total == bell
-        else:
-            assert set().union(*value.values()) <= {0} and total <= bell
+        assert sum(c for d in value.values() for c in d.values()) == bell
 
 
 def test_delcon_values_share_no_dict_with_the_memo(monkeypatch):
@@ -458,3 +456,54 @@ def test_delcon_values_share_no_dict_with_the_memo(monkeypatch):
     assert values == [tutte_sym(G), chromatic_sym(G)]
     # a second call is served from the memo and still hands out fresh dicts
     assert tutte_sym_delcon(G) == values[0] and tutte_sym_delcon(G).terms is not values[0].terms
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(1, 3), max_size=8))
+def test_delcon_edgeless_base_tallies_the_set_partitions_by_shape(weights):
+    n = len(weights)
+    walked = Counter()
+    for vector, c in Counter(enumerate_set_partitions(n, weights=weights)).items():
+        walked[tuple(sorted(vector, reverse=True))] += c
+    with patch.object(invariants, "_delcon_memo", {}):
+        assert invariants._delcon(n, (), tuple(weights)) == {lam: {0: c} for lam, c in walked.items()}
+
+
+def test_delcon_routes_walk_no_set_partitions(monkeypatch):
+    graphs = [cycle(9), Multigraph(5, [(1, 1), (1, 2), (1, 2), (2, 3), (2, 5), (3, 4), (4, 5), (5, 5)], [2, 1, 3, 1, 2])]
+    expected = [(tutte_sym(G), chromatic_sym(G)) for G in graphs]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("delcon walked the set partitions")
+
+    monkeypatch.setattr(invariants, "enumerate_set_partitions", refuse)
+    monkeypatch.setattr(combinatorics, "enumerate_set_partitions", refuse)
+    monkeypatch.setattr(invariants, "_delcon_memo", {})
+    assert [(tutte_sym_delcon(G), chromatic_sym_delcon(G)) for G in graphs] == expected
+
+
+def test_delcon_past_the_cap_gives_the_potts_function_of_c14(monkeypatch):
+    # at x = 1^k, m~_lam is the falling factorial (k)_l(lam): XB(C14) is the
+    # Potts function (k+t)^14 + (k-1) t^14, and X the chromatic polynomial
+    monkeypatch.setenv("TUTTEKIT_MAX_N", "14")
+    monkeypatch.setattr(invariants, "_delcon_memo", {})
+    xb, x = tutte_sym_delcon(cycle(14)), chromatic_sym_delcon(cycle(14))
+
+    def at_ones(f, k):
+        return sum((c * perm(k, len(lam)) for lam, c in f.terms.items()), TPoly())
+
+    for k in range(6):
+        assert at_ones(xb, k) == TPoly([k, 1]) ** 14 + TPoly.t() ** 14 * (k - 1)
+        assert at_ones(x, k) == TPoly([(k - 1) ** 14 + k - 1])
+
+
+def test_suite_2_catches_x_read_at_the_wrong_power_of_1_plus_t(monkeypatch):
+    def faulty(G):  # chromatic_sym_delcon, reading the counts at (1+t)^1
+        value = {} if G.has_loop() else invariants._delcon(G.n, G.edges, G.weights)
+        return SymFunc("mtilde")._like_nested({lam: {0: d[1]} for lam, d in value.items() if 1 in d})
+
+    (suite,) = [s for s in selfcheck.SUITES if s.id == 2]
+    monkeypatch.setattr(selfcheck, "chromatic_sym_delcon", faulty)
+    r = suite.run()
+    assert not r["passed"] and r["checks"] == 474
+    assert r["failures"][0].startswith("t=-1 mismatch on")
