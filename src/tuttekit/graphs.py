@@ -402,15 +402,18 @@ def edgeless(n: int, weights: Sequence[int] | None = None) -> Multigraph:
 
 
 def complete(n: int) -> Multigraph:
+    n = vertex_count(n)
     return Multigraph(n, combinations(range(1, n + 1), 2))
 
 
 def path(n: int) -> Multigraph:
+    n = vertex_count(n)
     return Multigraph(n, [(i, i + 1) for i in range(1, n)])
 
 
 def cycle(n: int) -> Multigraph:
     """Cycle on [n]; n = 1 is a loop and n = 2 a double edge."""
+    n = vertex_count(n)
     if n < 1:
         raise DomainError("cycle needs at least one vertex")
     if n == 1:
@@ -421,6 +424,7 @@ def cycle(n: int) -> Multigraph:
 
 def simple_graph(n: int, mask: int) -> Multigraph:
     """Simple graph on [n] with pair b of `combinations` over [n] where bit b of mask is set."""
+    n, mask = vertex_count(n), as_int(mask, "edge mask")
     pairs = combinations(range(1, n + 1), 2)
     return Multigraph(n, [p for b, p in enumerate(pairs) if mask >> b & 1])
 
@@ -431,6 +435,7 @@ def broom(n: int, k: int) -> Multigraph:
     The star occupies n+1..n+k with hub n+k; broom(n,0) is the path and
     broom(0,k) the star.
     """
+    n, k = as_int(n, "broom path length"), as_int(k, "broom star size")
     if n < 0 or k < 0:
         raise DomainError("broom parameters must be nonnegative")
     edges = [(i, i + 1) for i in range(1, n)]
@@ -446,7 +451,7 @@ def canonical_star_forest(lam: Sequence[int]) -> Multigraph:
     Block i occupies the next lam_i vertices and is a star rooted at the
     block's largest vertex.
     """
-    lam = sorted_partition(lam)
+    lam = sorted_partition(as_int(part, "partition part") for part in lam)
     edges = []
     start = 1
     for part in lam:

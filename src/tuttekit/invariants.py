@@ -21,6 +21,7 @@ from typing import Iterable, Sequence
 from tuttekit.combinatorics import (
     DEFAULT_ENUMERATION_BOUND,
     DomainError,
+    as_int,
     block_index_map,
     check_bound,
     check_subset_count,
@@ -299,6 +300,7 @@ def sigma_l_formula(G: Multigraph, k: int, l: int) -> Fraction:
     XB(G), exactly.  It is 0 without any enumeration when k exceeds the
     edge count or l the total weight w(G), the degree of XB.
     """
+    k, l = as_int(k, "power index"), as_int(l, "partition length")
     check_bound(G.n, DEFAULT_ENUMERATION_BOUND, "partition enumeration")
     check_subset_count(len(G.edges))
     if k < 0 or l < 0:

@@ -385,6 +385,7 @@ def witness_graph(L: GraphCombination, blocks: Iterable[Iterable[int]], a: int |
     before it is built.
     """
     blocks = normalize_blocks(L.n, blocks)
+    a = None if a is None else as_int(a, "(1+t)-power index")
     b = b_value(L, blocks)
     if b.is_zero():
         raise DomainError("combination is friendly at this partition; no witness exists")
@@ -529,9 +530,6 @@ class ReductionCertificate:
 # 1+t, so a rewrite edits edge tuples and convolves coefficient tuples.
 # Multigraphs are built only for the recorded steps and the final terms.
 
-_ONEP_T = (0, 1)  # 1+t
-_T_PLUS_2 = (1, 1)  # (1+t) + 1
-_MINUS_ONEP_T = (0, -1)
 _PLUS = (1,)
 _MINUS = (-1,)
 
@@ -585,38 +583,44 @@ def _merge_packed(terms: dict[tuple, tuple], c: tuple, products: Iterable[tuple[
             del terms[h]
 
 
+def _rule(L: GraphCombination) -> tuple[tuple, tuple]:
+    """(lead, rest) of a generator: the edges of its term that comes first in
+    the termination order, whose coefficient must be 1, and each other term's
+    edges with minus its coefficient in powers of (1+t)."""
+    packed = _packed(L)
+    lead = min(packed, key=right_endpoint_key)
+    if packed[lead] != _PLUS:
+        raise RuntimeError(f"internal fault: generator leads with {echo(lead)} "
+                           f"at (1+t)-coefficients {echo(packed[lead])}, not 1")
+    return lead, tuple((h, tuple(-x for x in c)) for h, c in packed.items() if h != lead)
+
+
+# each generator step's rewrite, read once from the generator's definition
+_RULES = {"loop": _rule(ell_loop()), "multi": _rule(ell_multi()), "os_plus": _rule(ell_os_plus())}
+
+
 def _products(step: ReductionStep) -> list[tuple[tuple, tuple]]:
     """The (edges, multiplier) products of the step's rewrite of its term.
 
     Subtracting coefficient c times the generator extension turns the term
     c*H into the sum of c*m*H' over the products (H', m), where the
-    multiplier m is a coefficient tuple in powers of (1+t).  Every product
-    of a rewrite other than a relabelling must come later than H in the
-    termination order; a RuntimeError reports one that does not.
+    multiplier m is a coefficient tuple in powers of (1+t).  Generator
+    vertex i goes to entry i of the step's (vertex,), pair, or triple read
+    in perm order; H less the image of the rule's leading term is the base
+    of every product, and DomainError names a leading edge H lacks.  Every
+    product of a rewrite other than a relabelling must come later than H in
+    the termination order; a RuntimeError reports one that does not.
     """
     g = step.graph.edges
-    if step.gen == "loop":
-        v = step.vertex
-        products = [(_without(g, [(v, v)]), _ONEP_T)]
-    elif step.gen == "multi":
-        e = _pair(*step.pair)
-        once = _without(g, [e])
-        products = [(once, _T_PLUS_2), (_without(once, [e]), _MINUS_ONEP_T)]
-    elif step.gen == "os_plus":
-        a, b, c = step.triple
-        ab, ac, bc = _pair(a, b), _pair(a, c), _pair(b, c)
-        # case 2 (ac absent) drops ab and bc; cases 1 and 3 share the 1<->2
-        # frame swap and drop ab and ac; in case 3 the edge bc is still
-        # present in the base, so the first product doubles it
-        first, dropped = (ac, bc) if ac not in g else (bc, ac)
-        base = _without(g, (ab, dropped))
-        products = [
-            (tuple(sorted(base + extra)), m) for extra, m in (((first,), _MINUS), ((ac, bc), _PLUS), ((ab,), _PLUS))
-        ]
-    elif step.gen == "iso":
+    if step.gen == "iso":
         return [(_relabelled(step.graph.n, g, step.perm), _PLUS)]
-    else:
+    if step.gen not in _RULES:
         raise DomainError(f"unknown generator tag {echo(step.gen)}")
+    lead, rest = _RULES[step.gen]
+    at = ((step.vertex,) if step.gen == "loop" else step.pair if step.gen == "multi"
+          else [step.triple[p - 1] for p in step.perm])
+    base = _without(g, [_pair(at[u - 1], at[v - 1]) for u, v in lead])
+    products = [(tuple(sorted(base + tuple(_pair(at[u - 1], at[v - 1]) for u, v in h))), m) for h, m in rest]
     for h, _ in products:
         # fewer edges come later in the order; otherwise compare keys
         if len(h) >= len(g) and right_endpoint_key(h) <= right_endpoint_key(g):
@@ -651,15 +655,11 @@ def _rewrite_of(n: int, edges: tuple) -> tuple[int, dict] | None:
     triple = _dull_triple(n, edges)
     if triple is None:
         return None
-    # ab is an edge and so is ac or bc
+    # ab is an edge and so is ac or bc; the generator's 12 and 23 go onto
+    # ab and bc when ac is absent (case 2), else onto ab and ac (cases 1, 3)
     a, b, c = triple
-    if (a, c) not in edges:
-        case, perm = 2, (1, 2, 3)
-    elif (b, c) not in edges:
-        case, perm = 1, (2, 1, 3)
-    else:
-        case, perm = 3, (2, 1, 3)
-    return 2, {"triple": triple, "case": case, "perm": perm}
+    case = 2 if (a, c) not in edges else 1 if (b, c) not in edges else 3
+    return 2, {"triple": triple, "case": case, "perm": (1, 2, 3) if case == 2 else (2, 1, 3)}
 
 
 @lru_cache(maxsize=REWRITE_CACHE_SIZE)
@@ -922,6 +922,7 @@ def broom_relation(n: int, k: int) -> GraphCombination:
     a bristle, and the four terms collapse to P(n+1) - (P(n) + K1), whose
     m~_(n+1) coefficient t(1+t)^(n-1) is nonzero for n >= 1.
     """
+    n, k = as_int(n, "broom path length"), as_int(k, "broom star size")
     if n < 0:
         raise DomainError("broom relation needs n >= 0")
     if k < 2:
@@ -940,10 +941,7 @@ def broom_relation(n: int, k: int) -> GraphCombination:
     if n >= 1:
         t4_edges.append((n, N))
     term4 = Multigraph(N, t4_edges)
-    return GraphCombination(
-        N,
-        [(term1, _ONE), (term2, _ONE), (term3, -_ONE), (term4, -_ONE)],
-    )
+    return GraphCombination(N, [(term1, _ONE), (term2, _ONE), (term3, -_ONE), (term4, -_ONE)])
 
 
 #### star-forest basis #########################################################

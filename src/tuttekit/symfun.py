@@ -287,6 +287,7 @@ def m_to_p(f: SymFunc) -> SymFunc:
 
 def sigma_l(f: SymFunc, l: int) -> TPoly:
     """Sum of the e-basis coefficients of f over partitions of length l."""
+    l = as_int(l, "partition length")
     if f.basis != "e":
         raise DomainError(f"sigma_l needs the e basis, got {f.basis}")
     return sum((c for lam, c in f.terms.items() if len(lam) == l), TPoly.zero())
@@ -294,6 +295,7 @@ def sigma_l(f: SymFunc, l: int) -> TPoly:
 
 def coefficient_in_onep_t(f: SymFunc, k: int) -> SymFunc:
     """Extract the (1+t)^k component of every coefficient."""
+    k = as_int(k, "power index")
     if k < 0:
         raise DomainError("power index must be nonnegative")
     out = {}

@@ -17,7 +17,7 @@ from tuttekit.combinatorics import (
     normalize_blocks,
     sorted_partition,
 )
-from tuttekit.graphs import _component_labels, _quotient
+from tuttekit.graphs import _component_labels, _pair, _quotient, _without
 from tuttekit.quasi import Digraph
 
 
@@ -107,3 +107,27 @@ def two_edge_connected(G):
         if e[0] != e[1] and _component_labels(G.n, G.edges[:i] + G.edges[i + 1:])[1] > 1:
             return False
     return True
+
+
+def reduction_products(step):
+    """The (edges, multiplier) products of a loop, multi-edge or triangle
+    reduction step, by the rewrites written out by hand, multipliers in
+    powers of (1+t): the reference for the products that the reducer reads
+    from the generator definitions."""
+    g = step.graph.edges
+    if step.gen == "loop":
+        v = step.vertex
+        return [(_without(g, [(v, v)]), (0, 1))]
+    if step.gen == "multi":
+        e = _pair(*step.pair)
+        once = _without(g, [e])
+        return [(once, (1, 1)), (_without(once, [e]), (0, -1))]
+    assert step.gen == "os_plus", step.gen
+    a, b, c = step.triple
+    ab, ac, bc = _pair(a, b), _pair(a, c), _pair(b, c)
+    # case 2 (ac absent) drops ab and bc; cases 1 and 3 share the 1<->2
+    # frame swap and drop ab and ac; in case 3 the edge bc is still
+    # present in the base, so the first product doubles it
+    first, dropped = (ac, bc) if ac not in g else (bc, ac)
+    base = _without(g, (ab, dropped))
+    return [(tuple(sorted(base + extra)), m) for extra, m in (((first,), (-1,)), ((ac, bc), (1,)), ((ab,), (1,)))]

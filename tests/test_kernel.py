@@ -67,8 +67,9 @@ from tuttekit.kernel import (
     witness_graph,
     witness_mtilde_coefficient,
 )
+from tuttekit.symfun import coefficient_in_onep_t, m_to_e, mtilde_to_m, sigma_l
 
-from reference import c_value
+from reference import c_value, reduction_products
 
 T = TPoly.t()
 ONE = TPoly.one()
@@ -532,6 +533,63 @@ def test_replay_checks_the_rewrite_table(monkeypatch):
     assert selfcheck._reduction_fault(G, {}) is None
 
 
+def _same_products(step):
+    assert sorted(kernel._products(step)) == sorted(reduction_products(step)), step
+
+
+def test_products_match_the_hand_written_rewrites():
+    steps = [
+        step
+        for mask in range(1 << 10)
+        for step in reduce_to_star_forests(combo(5, (simple_graph(5, mask), 1)))[1].steps
+    ]
+    assert len(steps) == 53_359
+    for step in steps:
+        if step.gen != "iso":
+            _same_products(step)
+
+
+@settings(max_examples=100, deadline=None)
+@given(reducible_combinations())
+def test_products_match_the_hand_written_rewrites_on_loops_and_multi_edges(L):
+    for g in L.terms:
+        for v in {u for u, w in g.edges if u == w}:
+            _same_products(ReductionStep("loop", g, vertex=v))
+        for e in {e for e in g.edges if e[0] != e[1] and g.edges.count(e) > 1}:
+            _same_products(ReductionStep("multi", g, pair=e))
+
+
+def test_a_multiplier_fault_can_only_live_in_a_generator(monkeypatch):
+    # ell_multi with t + 3 in place of t + 2
+    faulty = combo(2, (Multigraph(2, [(1, 2), (1, 2)]), 1), (Multigraph(2, [(1, 2)]), -(T + 3)), (Multigraph(2), T + 1))
+    assert not is_tutte_friendly(faulty)[0]
+    G = complete(3)
+    L = combo(3, (G, 1))
+    kernel._rewrite.cache_clear()
+    try:
+        monkeypatch.setitem(kernel._RULES, "multi", kernel._rule(faulty))
+        assert selfcheck._reduction_fault(G, {}) == "XB not preserved"
+        # replay reads the same definitions, so it agrees with the result
+        result, cert = reduce_to_star_forests(L)
+        assert replay_certificate(L, cert) == result.to_combination()
+    finally:
+        monkeypatch.undo()
+        kernel._rewrite.cache_clear()
+    assert selfcheck._reduction_fault(G, {}) is None
+
+
+def test_replay_refuses_a_step_its_term_does_not_fit():
+    # the case-2 frame needs 12 and 23; the term {12, 13} has no 23
+    g = Multigraph(3, [(1, 2), (1, 3)])
+    step = ReductionStep("os_plus", g, triple=(1, 2, 3), case=2, perm=(1, 2, 3))
+    cert = ReductionCertificate((step,), standard_form(combo(3)))
+    with pytest.raises(DomainError, match=r"edge \(2, 3\) not present"):
+        replay_certificate(combo(3, (g, 1)), cert)
+    # a step whose term is absent changes nothing
+    other = combo(3, (Multigraph(3, [(1, 2), (2, 3)]), 1))
+    assert replay_certificate(other, cert) == other
+
+
 def test_certificates_do_not_depend_on_the_rewrite_table():
     K5_P4 = delete_edges(complete(5), [(1, 2), (2, 3), (3, 4)])
     perms = [(2, 1, 3, 4, 5), (5, 4, 3, 2, 1), (3, 5, 1, 4, 2), (2, 3, 4, 5, 1), (4, 1, 5, 2, 3)]
@@ -640,6 +698,26 @@ def test_cycle_relation_reads_indices_and_edges_as_integers():
             cycle_relation(C4, C4.edges, i, 2)
     with pytest.raises(DomainError, match="two integer endpoints"):
         cycle_relation(C4, [(1, 2, 2), (2, 3), (3, 4), (1, 4)], 1, 2)
+
+
+@pytest.mark.parametrize("bad", [1.5, 0.0, True, "1"])
+def test_indices_are_read_as_integers(bad):
+    G = cycle(4)
+    f = tutte_sym(G)
+    L = combo(2, (Multigraph(2, [(1, 2)]), 1))
+    assert sigma_l_formula(G, 1, 1) == sigma_l_direct(G, 1, 1) == -32
+    calls = [
+        lambda: sigma_l_formula(G, bad, 1),
+        lambda: sigma_l_formula(G, 1, bad),
+        lambda: sigma_l_direct(G, bad, 1),
+        lambda: sigma_l_direct(G, 1, bad),
+        lambda: sigma_l(m_to_e(mtilde_to_m(f)), bad),
+        lambda: coefficient_in_onep_t(f, bad),
+        lambda: witness_graph(L, [[1, 2]], bad),
+    ]
+    for call in calls:
+        with pytest.raises(DomainError, match="must be an integer"):
+            call()
 
 
 def test_two_edge_connected_relation():

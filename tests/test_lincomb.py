@@ -291,6 +291,11 @@ def test_load_bearing_checks_survive_optimized_mode():
             kernel.reduce_to_star_forests(L)
         except RuntimeError as exc:
             print("output refused:", exc)
+        # a generator whose leading term has coefficient 2
+        try:
+            kernel._rule(GraphCombination(2, [(Multigraph(2, [(1, 2)]), TPoly.of(2)), (Multigraph(2), TPoly.one())]))
+        except RuntimeError as exc:
+            print("rule refused:", exc)
         """
     )
     src = str(Path(tuttekit.__file__).resolve().parents[1])
@@ -307,6 +312,7 @@ def test_load_bearing_checks_survive_optimized_mode():
     assert lines[1].startswith("step refused: internal fault:")
     assert lines[2].startswith("map refused: internal fault:") and "onto R[2, 1]" in lines[2]
     assert lines[3].startswith("output refused: internal fault:") and "not a canonical" in lines[3]
+    assert lines[4].startswith("rule refused: internal fault:") and "(1+t)-coefficients (2,), not 1" in lines[4]
 
 
 def test_echo_keeps_a_short_repr_and_cuts_a_long_one():

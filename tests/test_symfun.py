@@ -10,6 +10,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tuttekit.combinatorics import DomainError, TPoly, augmentation_factor, partitions_of
+from tuttekit.graphs import broom, canonical_star_forest, complete, cycle, path, simple_graph
+from tuttekit.kernel import broom_relation
 from tuttekit.lincomb import merge_terms
 from tuttekit.symfun import (
     SymFunc,
@@ -332,6 +334,27 @@ def test_symfunc_refuses_parts_that_are_not_integers(part):
     # int() would read these as 2, 1 and 3
     with pytest.raises(DomainError, match="partition part must be an integer"):
         SymFunc("m", {(part,): 1})
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: path(2.5),
+        lambda: complete(2.5),
+        lambda: simple_graph(2.5, 1),
+        lambda: simple_graph(3, 1.5),
+        lambda: cycle(2.5),
+        lambda: broom(1.5, 2),
+        lambda: broom_relation(1.5, 2),
+        lambda: broom_relation("1", 2),
+        lambda: broom_relation(1, True),
+        lambda: canonical_star_forest([1.5]),
+        lambda: canonical_star_forest([2, True]),
+    ],
+)
+def test_family_sizes_must_be_integers(build):
+    with pytest.raises(DomainError, match="must be an integer"):
+        build()
 
 
 def test_add_sub_scale_coefficient():
