@@ -713,7 +713,7 @@ def right_endpoint_key(edges: Sequence[tuple[int, int]]) -> tuple[int, tuple[int
     ascending list of larger endpoints is compared lexicographically.
     Every reduction rewrite strictly increases this key on its products.
     """
-    return (-len(edges), tuple(sorted(v for _, v in edges)))
+    return (-len(edges), tuple(sorted([v for _, v in edges])))
 
 
 #### JSON ######################################################################

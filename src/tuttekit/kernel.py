@@ -42,12 +42,14 @@ from tuttekit.combinatorics import (
 from tuttekit.graphs import (
     MAX_VERTICES,
     Multigraph,
+    _canonical_labelling,
     _components_of,
     _dull_triple,
     _norm_edge,
     _pair,
     _relabelled,
     _star_forest_map,
+    _unit_weights,
     _without,
     broom,
     canonical_star_forest,
@@ -537,10 +539,11 @@ _MINUS = (-1,)
 # bright star forest onto its canonical representative
 _CLASSES = ("loop", "multi", "os_plus", "iso")
 
-# `_rewrite` keeps this many entries, one labelled graph's rewrite each: a
-# whole `tuttekit selfcheck` fills 2,054 and the kernel bench pool 999.  Only
-# graphs of at most C(n, 2) edges are stored; at n <= 7 an entry takes about
-# 1.2 KB, so a full table holds about 5 MB (see README "Bounds").
+# `_rewrite` keeps this many entries, one labelled graph's rewrite each,
+# for the terms of the labelled reducer and the representatives of the class
+# reducer: a whole `tuttekit selfcheck` fills 1,848 and a kernel bench pool
+# 961.  Only graphs of at most C(n, 2) edges are stored; at n <= 7 an entry
+# takes about 1.2 KB, so a full table holds about 5 MB (see README "Bounds").
 REWRITE_CACHE_SIZE = 4096
 
 
@@ -586,17 +589,25 @@ def _merge_packed(terms: dict[tuple, tuple], c: tuple, products: Iterable[tuple[
 def _rule(L: GraphCombination) -> tuple[tuple, tuple]:
     """(lead, rest) of a generator: the edges of its term that comes first in
     the termination order, whose coefficient must be 1, and each other term's
-    edges with minus its coefficient in powers of (1+t)."""
+    edges with minus its coefficient in powers of (1+t).  Edges are stored
+    as 0-based index pairs into the step's placement."""
     packed = _packed(L)
     lead = min(packed, key=right_endpoint_key)
     if packed[lead] != _PLUS:
         raise RuntimeError(f"internal fault: generator leads with {echo(lead)} "
                            f"at (1+t)-coefficients {echo(packed[lead])}, not 1")
-    return lead, tuple((h, tuple(-x for x in c)) for h, c in packed.items() if h != lead)
+
+    def indexed(h: tuple) -> tuple:
+        return tuple((u - 1, v - 1) for u, v in h)
+
+    return indexed(lead), tuple((indexed(h), tuple(-x for x in c)) for h, c in packed.items() if h != lead)
 
 
 # each generator step's rewrite, read once from the generator's definition
 _RULES = {"loop": _rule(ell_loop()), "multi": _rule(ell_multi()), "os_plus": _rule(ell_os_plus())}
+
+# the fields that place each generator's rewrite on a step's term
+_PLACEMENT = {"loop": ("vertex",), "multi": ("pair",), "os_plus": ("triple", "perm"), "iso": ("perm",)}
 
 
 def _products(step: ReductionStep) -> list[tuple[tuple, tuple]]:
@@ -607,27 +618,35 @@ def _products(step: ReductionStep) -> list[tuple[tuple, tuple]]:
     multiplier m is a coefficient tuple in powers of (1+t).  Generator
     vertex i goes to entry i of the step's (vertex,), pair, or triple read
     in perm order; H less the image of the rule's leading term is the base
-    of every product, and DomainError names a leading edge H lacks.  Every
-    product of a rewrite other than a relabelling must come later than H in
-    the termination order; a RuntimeError reports one that does not.
+    of every product, and DomainError names a leading edge H lacks, or a
+    placement field the step lacks.  Every product of a rewrite other than
+    a relabelling must come later than H in the termination order; a
+    RuntimeError reports one that does not.
     """
+    fields = _PLACEMENT.get(step.gen)
+    if fields is None:
+        raise DomainError(f"unknown generator tag {echo(step.gen)}")
+    for f in fields:
+        if getattr(step, f) is None:
+            raise DomainError(f"{step.gen} step lacks its {f}")
     g = step.graph.edges
     if step.gen == "iso":
         return [(_relabelled(step.graph.n, g, step.perm), _PLUS)]
-    if step.gen not in _RULES:
-        raise DomainError(f"unknown generator tag {echo(step.gen)}")
     lead, rest = _RULES[step.gen]
     at = ((step.vertex,) if step.gen == "loop" else step.pair if step.gen == "multi"
           else [step.triple[p - 1] for p in step.perm])
-    base = _without(g, [_pair(at[u - 1], at[v - 1]) for u, v in lead])
-    products = [(tuple(sorted(base + tuple(_pair(at[u - 1], at[v - 1]) for u, v in h))), m) for h, m in rest]
+    base = _without(g, [_pair(at[u], at[v]) for u, v in lead])
+    products = [(tuple(sorted(base + tuple([_pair(at[u], at[v]) for u, v in h]))), m) for h, m in rest]
+    key = None
     for h, _ in products:
         # fewer edges come later in the order; otherwise compare keys
-        if len(h) >= len(g) and right_endpoint_key(h) <= right_endpoint_key(g):
-            raise RuntimeError(
-                f"internal fault: {step.gen} rewrite of {step.graph!r} "
-                f"failed to increase the order at {Multigraph._unchecked(step.graph.n, h)!r}"
-            )
+        if len(h) >= len(g):
+            key = key or right_endpoint_key(g)
+            if right_endpoint_key(h) <= key:
+                raise RuntimeError(
+                    f"internal fault: {step.gen} rewrite of {step.graph!r} "
+                    f"failed to increase the order at {Multigraph._unchecked(step.graph.n, h)!r}"
+                )
     return products
 
 
@@ -758,15 +777,102 @@ def replay_certificate(L: GraphCombination, cert: ReductionCertificate) -> Graph
     return _standard_form(L.n, terms).to_combination()
 
 
+# Normal forms of isomorphism classes, shared by every call in the process
+# and kept in least-recently-used order, as `invariants._delcon_memo` is: a
+# hit moves its entry to the end, a full memo drops its first entry.  A key
+# is (n, edges) of a class's canonical representative, a value maps the
+# edges of each R_lambda to a coefficient tuple in powers of (1+t), and no
+# value is changed once stored.  Only classes of at most C(n, 2) edges are
+# kept, so a value has at most p(n) rows of at most C(n, 2) + 1 entries.
+# Reducing K9 fills 15,281 entries; filled to the cap by multigraphs on [7],
+# an entry takes about 3.5 KB and the memo 57 MB on 64-bit CPython 3.11
+# (see README "Bounds").
+CLASS_MEMO_CAP = 16384
+_class_memo: dict[tuple, dict] = {}
+
+
+def _class_form(n: int, edges: tuple, open_classes: set[tuple]) -> dict[tuple, tuple]:
+    """NF of the isomorphism class of ([n], edges), at most C(n, 2) edges, as
+    {R_lambda edges: coefficient tuple}: the rewrite of the class's canonical
+    representative, each product's class form scaled by its multiplier.
+
+    No termination proof is known for this recursion: a canonical
+    relabelling does not respect the termination order that bounds the
+    labelled reducer.  open_classes holds the keys of the classes whose
+    forms are being computed, apart from the bounded memo so that no
+    eviction drops one; meeting one again raises RuntimeError, under
+    `python -O` too.
+    """
+    rep = _relabelled(n, edges, _canonical_labelling(n, edges, _unit_weights(n))[1])
+    key = (n, rep)
+    form = _class_memo.pop(key, None)
+    if form is not None:
+        _class_memo[key] = form
+        return form
+    if key in open_classes:
+        raise RuntimeError(f"internal fault: the reduction of {Multigraph._unchecked(n, rep)!r} "
+                           "comes back to its own isomorphism class")
+    entry = _rewrite(n, rep)
+    if entry is None:
+        form = {rep: _PLUS}
+    elif entry[1].gen == "iso":
+        form = {entry[2][0][0]: _PLUS}
+    else:
+        open_classes.add(key)
+        form = {}
+        for h, m in entry[2]:
+            _merge_packed(form, m, _class_form(n, h, open_classes).items())
+        open_classes.remove(key)
+    if len(_class_memo) >= CLASS_MEMO_CAP:
+        del _class_memo[next(iter(_class_memo))]
+    _class_memo[key] = form
+    return form
+
+
+def reduce_by_classes(L: GraphCombination) -> StandardForm:
+    """The star-forest normal form of L, as `reduce_to_star_forests` gives
+    it, computed once per isomorphism class and with no certificate.
+
+    The R_lambda (1+t)^k are a basis of the image of XB, so the normal form
+    NF is linear and NF(sigma H) = NF(H) for every relabelling sigma:
+    NF(H) is the sum of m * NF(P) over the products (P, m) of the rewrite
+    of H's canonical representative, and NF(R_lambda) = R_lambda.  Each
+    class's form is kept in `_class_memo`.  A term of more than C(n, 2)
+    edges has a loop or a repeated pair, and every product of its rewrite
+    has fewer edges, so such terms are first rewritten as labelled graphs,
+    most edges first, each once, through the unstored rewrite builder.
+    """
+    check_bound(L.n, DEFAULT_REDUCTION_BOUND, "reduction")
+    n = L.n
+    max_stored = n * (n - 1) // 2
+    terms = _packed(L)
+    # popped most edges first, so a rewritten term never comes back
+    big = [(-len(h), h) for h in terms if len(h) > max_stored]
+    heapq.heapify(big)
+    while big:
+        h = heapq.heappop(big)[1]
+        if h in terms:
+            products = _rewrite.__wrapped__(n, h)[2]
+            _merge_packed(terms, terms.pop(h), products)
+            for p, _ in products:
+                if len(p) > max_stored:
+                    heapq.heappush(big, (-len(p), p))
+    result: dict[tuple, tuple] = {}
+    open_classes: set[tuple] = set()
+    for h, c in terms.items():
+        _merge_packed(result, c, _class_form(n, h, open_classes).items())
+    return _standard_form(n, result)
+
+
 def kernel_membership(L: GraphCombination) -> bool:
-    """Is L in the kernel of XB?  Decided by reduction, cross-checked directly.
+    """Is L in the kernel of XB?  Decided by the class reducer, cross-checked
+    directly.
 
     The reduction verdict (all canonical star-forest coefficients zero) and
     the direct verdict (termwise XB sums to zero) must agree; disagreement
     is an internal fault, not a domain error.
     """
-    result, _ = reduce_to_star_forests(L)
-    by_reduction = result.is_zero()
+    by_reduction = reduce_by_classes(L).is_zero()
     by_evaluation = combination_tutte_sym(L).is_zero()
     if by_reduction != by_evaluation:
         raise RuntimeError(

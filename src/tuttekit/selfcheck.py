@@ -56,6 +56,7 @@ from tuttekit.kernel import (
     is_x_friendly,
     kernel_membership,
     nontrivial_friendly_pair,
+    reduce_by_classes,
     reduce_to_star_forests,
     replay_certificate,
     star_forest_basis_rank,
@@ -284,7 +285,9 @@ def _reduction_fault(G: Multigraph, xb_of: dict[Multigraph, SymFunc]) -> str | N
     """Why reducing G is unsound, or None; xb_of caches XB of each R_lambda.
 
     The termination order needs no check here: every rewrite the reducer
-    applies raises RuntimeError when a product fails to come later."""
+    applies raises RuntimeError when a product fails to come later.  The
+    class reducer, which `kernel_membership` decides by, must give the same
+    result."""
     L = GraphCombination(G.n, [(G, TPoly.one())])
     result, cert = reduce_to_star_forests(L)
     for _, _, g in result.terms:
@@ -299,11 +302,14 @@ def _reduction_fault(G: Multigraph, xb_of: dict[Multigraph, SymFunc]) -> str | N
         return "XB not preserved"
     if replay_certificate(L, cert) != result.to_combination():
         return "certificate replay mismatch"
+    if reduce_by_classes(L) != result:
+        return "the class reducer disagrees with the labelled reduction"
     return None
 
 
 def star_forest_reduction() -> Iterator[str | None]:
-    """Reduction terminates on all simple [5] graphs, preserving XB and order."""
+    """Reduction terminates on all simple [5] graphs, preserving XB and order,
+    and both reducers agree on them."""
     xb_of: dict[Multigraph, SymFunc] = {}
     for G in simple_graphs(5):
         bad = _reduction_fault(G, xb_of)

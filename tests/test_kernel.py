@@ -57,6 +57,7 @@ from tuttekit.kernel import (
     is_x_friendly,
     kernel_membership,
     nontrivial_friendly_pair,
+    reduce_by_classes,
     reduce_to_star_forests,
     replay_certificate,
     s_pair,
@@ -605,6 +606,118 @@ def test_certificates_do_not_depend_on_the_rewrite_table():
     assert [reduce_to_star_forests(L)[1].to_json_obj() for L in Ls] == cold
 
 
+@pytest.mark.parametrize("step, missing", [
+    (ReductionStep("os_plus", complete(3), triple=(1, 2, 3)), "perm"),
+    (ReductionStep("os_plus", complete(3), perm=(1, 2, 3)), "triple"),
+    (ReductionStep("loop", Multigraph(2, [(1, 1)])), "vertex"),
+    (ReductionStep("multi", Multigraph(2, [(1, 2), (1, 2)])), "pair"),
+    (ReductionStep("iso", Multigraph(2, [(2, 2)])), "perm"),
+], ids=["os_plus-no-perm", "os_plus-no-triple", "loop-no-vertex", "multi-no-pair", "iso-no-perm"])
+def test_a_step_without_its_placement_is_refused(step, missing):
+    with pytest.raises(DomainError, match=f"^{step.gen} step lacks its {missing}$"):
+        _apply_step({step.graph.edges: (1,)}, step)
+    cert = ReductionCertificate((step,), standard_form(combo(step.graph.n)))
+    with pytest.raises(DomainError, match="lacks its"):
+        replay_certificate(combo(step.graph.n, (step.graph, 1)), cert)
+
+
+#### reduction by isomorphism classes ##########################################
+
+
+def _clear_reduction_tables():
+    kernel._rewrite.cache_clear()
+    kernel._class_memo.clear()
+
+
+@settings(max_examples=150, deadline=None)
+@given(reducible_combinations())
+def test_class_reducer_matches_the_labelled_reducer(L):
+    result = reduce_by_classes(L)
+    assert result == reduce_to_star_forests(L)[0]
+    assert kernel_membership(L) == result.is_zero() == combination_tutte_sym(L).is_zero()
+
+
+def test_class_reducer_gives_each_relabelling_one_entry():
+    K5_P4 = delete_edges(complete(5), [(1, 2), (2, 3), (3, 4)])
+    _clear_reduction_tables()
+    want = reduce_by_classes(combo(5, (K5_P4, 1)))
+    size = len(kernel._class_memo)
+    for p in [(2, 1, 3, 4, 5), (5, 4, 3, 2, 1), (3, 5, 1, 4, 2)]:
+        assert reduce_by_classes(combo(5, (relabel(K5_P4, p), 1))) == want
+    assert len(kernel._class_memo) == size
+    # both terms of G - sigma(G) read one class's form, which cancels
+    assert kernel_membership(ell_iso(K5_P4, (3, 5, 1, 4, 2)))
+
+
+def test_class_reducer_rewrites_terms_past_c_n_2_edges_as_labelled_graphs():
+    # 300 parallel edges, a loop and a triangle on [3]: no class of more than
+    # C(3, 2) = 3 edges is kept, and no recursion runs 300 deep
+    g = Multigraph(3, [(1, 2)] * 300 + [(1, 1), (1, 3), (2, 3)])
+    L = combo(3, (g, T), (complete(3), -1))
+    _clear_reduction_tables()
+    assert reduce_by_classes(L) == reduce_to_star_forests(L)[0]
+    assert kernel._class_memo and all(len(edges) <= 3 for _, edges in kernel._class_memo)
+
+
+def test_an_evicted_class_is_recomputed_to_the_same_form(monkeypatch):
+    Ls = [combo(5, (simple_graph(5, mask), 1)) for mask in range(0, 1 << 10, 37)]
+    _clear_reduction_tables()
+    want = [reduce_by_classes(L) for L in Ls]
+    _clear_reduction_tables()
+    monkeypatch.setattr(kernel, "CLASS_MEMO_CAP", 5)
+    assert [reduce_by_classes(L) for L in Ls] == want
+    assert len(kernel._class_memo) == 5
+    _clear_reduction_tables()
+
+
+def test_a_corrupt_class_form_fails_membership_and_suite_6():
+    (suite,) = [s for s in selfcheck.SUITES if s.id == 6]
+    L = combo(5, (edgeless(5), 1))
+    _clear_reduction_tables()
+    try:
+        reduce_by_classes(L)
+        # the edgeless class on [5] now reduces to zero
+        kernel._class_memo[(5, ())] = {}
+        with pytest.raises(RuntimeError, match="reduction verdict True disagrees"):
+            kernel_membership(L)
+        report = suite.run()
+        assert not report["passed"]
+        assert any("the class reducer disagrees" in f for f in report["failures"])
+    finally:
+        _clear_reduction_tables()
+    assert not kernel_membership(L)
+
+
+def test_a_class_that_comes_back_to_itself_is_refused(monkeypatch):
+    real = kernel._products
+
+    def cyclic(step):
+        # every rewrite keeps its own term among its products
+        return real(step) + [(step.graph.edges, (1,))]
+
+    L = combo(3, (complete(3), 1))
+    _clear_reduction_tables()
+    try:
+        monkeypatch.setattr(kernel, "_products", cyclic)
+        with pytest.raises(RuntimeError, match="^internal fault: .* comes back to its own isomorphism class$"):
+            reduce_by_classes(L)
+    finally:
+        monkeypatch.undo()
+        _clear_reduction_tables()
+    assert reduce_by_classes(L) == reduce_to_star_forests(L)[0]
+
+
+def test_membership_past_the_default_cap_through_the_knob(monkeypatch):
+    host = Multigraph(8, [(i, i + 1) for i in range(1, 8)] + [(1, 3)])
+    R = cycle_relation(host, [(1, 2), (2, 3), (1, 3)], 1, 2)
+    single = combo(8, (host, 1))
+    with pytest.raises(DomainError, match="limited to 7 vertices, got 8"):
+        kernel_membership(R)
+    monkeypatch.setenv("TUTTEKIT_MAX_N", "8")
+    assert kernel_membership(R) and combination_tutte_sym(R).is_zero()
+    assert not kernel_membership(single) and not combination_tutte_sym(single).is_zero()
+
+
 @st.composite
 def small_combinations(draw):
     """Combinations on [n], n <= 3, of three kinds.
@@ -834,6 +947,7 @@ CAPPED = {
     "is_tutte_friendly": lambda n: is_tutte_friendly(_path_combo(n)),
     "is_x_friendly": lambda n: is_x_friendly(_path_combo(n)),
     "reduce_to_star_forests": lambda n: reduce_to_star_forests(_path_combo(n)),
+    "reduce_by_classes": lambda n: reduce_by_classes(_path_combo(n)),
     "kernel_membership": lambda n: kernel_membership(_path_combo(n)),
     "broom_relation": lambda n: broom_relation(n - 2, 2),
     "star_forest_basis_matrix": lambda n: star_forest_basis_matrix(n),

@@ -296,6 +296,17 @@ def test_load_bearing_checks_survive_optimized_mode():
             kernel._rule(GraphCombination(2, [(Multigraph(2, [(1, 2)]), TPoly.of(2)), (Multigraph(2), TPoly.one())]))
         except RuntimeError as exc:
             print("rule refused:", exc)
+        # a rewrite that keeps its own term among its products
+        from tuttekit.graphs import _star_forest_map
+        kernel._star_forest_map = _star_forest_map
+        real = kernel._products
+        kernel._products = lambda step: real(step) + [(step.graph.edges, (1,))]
+        kernel._rewrite.cache_clear()
+        K3 = Multigraph(3, [(1, 2), (1, 3), (2, 3)])
+        try:
+            kernel.reduce_by_classes(GraphCombination(3, [(K3, TPoly.one())]))
+        except RuntimeError as exc:
+            print("cycle refused:", exc)
         """
     )
     src = str(Path(tuttekit.__file__).resolve().parents[1])
@@ -313,6 +324,7 @@ def test_load_bearing_checks_survive_optimized_mode():
     assert lines[2].startswith("map refused: internal fault:") and "onto R[2, 1]" in lines[2]
     assert lines[3].startswith("output refused: internal fault:") and "not a canonical" in lines[3]
     assert lines[4].startswith("rule refused: internal fault:") and "(1+t)-coefficients (2,), not 1" in lines[4]
+    assert lines[5].startswith("cycle refused: internal fault:") and "its own isomorphism class" in lines[5]
 
 
 def test_echo_keeps_a_short_repr_and_cuts_a_long_one():
