@@ -13,7 +13,6 @@ from __future__ import annotations
 import os
 import sys
 from fractions import Fraction
-from functools import lru_cache
 from itertools import chain, combinations
 from math import comb, factorial, prod
 from operator import index
@@ -251,21 +250,24 @@ def _taylor_shift(coeffs: Sequence[Fraction | int], s: int) -> list[Fraction | i
     return c
 
 
-# Rows of (1+t)^k kept by onep_t_power, least recently used dropped first; k is an edge
-# or arc count, or a tally of them.  On 64-bit CPython 3.11 the row for k takes about
-# 80 (k + 1) + k^2/10 bytes: 8 KB at k = 100, 0.18 MB at k = 1,000, 6.9 MB at k = 8,000.
+# a row's bytes grow as k^2, and k is an edge or arc count or a tally of them
 ONEP_T_CACHE_SIZE = 128
+_onep_t_rows: dict[int, TPoly] = {}
 
 
-@lru_cache(maxsize=ONEP_T_CACHE_SIZE)
 def onep_t_power(k: int) -> TPoly:
-    """(1+t)^k as a TPoly, cached, its row built by C(k, i+1) = C(k, i) (k - i) / (i + 1)."""
-    if k < 0:
-        raise DomainError(f"negative power {k} of (1+t)")
-    row = [1]
-    for i in range(k):
-        row.append(row[i] * (k - i) // (i + 1))
-    return TPoly(row)
+    """(1+t)^k as a TPoly by C(k, i+1) = C(k, i) (k - i) / (i + 1), kept when k < ONEP_T_CACHE_SIZE."""
+    power = _onep_t_rows.get(k)
+    if power is None:
+        if k < 0:
+            raise DomainError(f"negative power {k} of (1+t)")
+        row = [1]
+        for i in range(k):
+            row.append(row[i] * (k - i) // (i + 1))
+        power = TPoly.one()._like(dict(enumerate(row)))  # positive ints: nothing to check
+        if k < ONEP_T_CACHE_SIZE:
+            _onep_t_rows[k] = power
+    return power
 
 
 #### integer partitions ########################################################

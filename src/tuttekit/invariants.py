@@ -39,6 +39,7 @@ from tuttekit.graphs import (
     _quotient,
     connected_partitions,
 )
+from tuttekit.lincomb import LRUCache
 from tuttekit.symfun import SymFunc, coefficient_in_onep_t, m_to_e, mtilde_to_m, sigma_l
 
 
@@ -136,16 +137,9 @@ def tutte_sym(G: Multigraph) -> SymFunc:
 
 #### deletion-contraction ######################################################
 
-# Deletion-contraction values by canonical form, shared by every call in
-# the process and kept in least-recently-used order (a hit moves its entry
-# to the end, a full memo drops its first entry).  A value holds positive
-# counts summing to Bell(n), whatever the edge multiplicities.  Filled to
-# the cap from the weighted multigraphs on 4 to 7 vertices of the
-# benchmark's invariants workload, an entry takes about 2.8 KB on 64-bit
-# CPython 3.11 (values share the count dicts they leave unchanged), so the
-# memo holds about 8.2 MB (see README "Bounds").
+# _delcon's values, for every call in the process; n bounds an entry's size (README "Bounds")
 DELCON_MEMO_CAP = 2900
-_delcon_memo: dict[tuple, dict] = {}
+_delcon_memo = LRUCache(DELCON_MEMO_CAP)
 
 
 def _delcon(n: int, edges: tuple, weights: tuple) -> dict:
@@ -164,9 +158,8 @@ def _delcon(n: int, edges: tuple, weights: tuple) -> dict:
     points expand them to powers of t once, into fresh dicts.
     """
     key = _canonical_labelling(n, edges, weights)[0]
-    hit = _delcon_memo.pop(key, None)
+    hit = _delcon_memo.hit(key)
     if hit is not None:
-        _delcon_memo[key] = hit
         return hit
     if not edges:
         tally = {(): 1}  # shape: set partitions of the vertices so far
@@ -194,10 +187,7 @@ def _delcon(n: int, edges: tuple, weights: tuple) -> dict:
                 d[j + m] = d.get(j + m, 0) + x
                 d[j] = d.get(j, 0) - x
             result[lam] = {j: x for j, x in d.items() if x}
-    if len(_delcon_memo) >= DELCON_MEMO_CAP:
-        del _delcon_memo[next(iter(_delcon_memo))]
-    _delcon_memo[key] = result
-    return result
+    return _delcon_memo.keep(key, result)
 
 
 def tutte_sym_delcon(G: Multigraph) -> SymFunc:

@@ -13,7 +13,6 @@ import heapq
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations, product as iproduct
 from math import prod
 from typing import Iterable, Sequence
@@ -67,7 +66,7 @@ from tuttekit.graphs import (
     vertex_count,
 )
 from tuttekit.invariants import chromatic_sym, tutte_sym
-from tuttekit.lincomb import LinComb, echo, merge_terms
+from tuttekit.lincomb import LinComb, LRUCache, echo, merge_terms
 from tuttekit.symfun import SymFunc
 
 _T = TPoly.t()
@@ -539,12 +538,10 @@ _MINUS = (-1,)
 # bright star forest onto its canonical representative
 _CLASSES = ("loop", "multi", "os_plus", "iso")
 
-# `_rewrite` keeps this many entries, one labelled graph's rewrite each,
-# for the terms of the labelled reducer and the representatives of the class
-# reducer: a whole `tuttekit selfcheck` fills 1,848 and a kernel bench pool
-# 961.  Only graphs of at most C(n, 2) edges are stored; at n <= 7 an entry
-# takes about 1.2 KB, so a full table holds about 5 MB (see README "Bounds").
+# the rewrites `_rewrite` keeps for both reducers, of graphs of at most C(n, 2) edges
 REWRITE_CACHE_SIZE = 4096
+_rewrites = LRUCache(REWRITE_CACHE_SIZE)
+_MISS = object()
 
 
 def _packed(L: GraphCombination) -> dict[tuple, tuple]:
@@ -681,36 +678,42 @@ def _rewrite_of(n: int, edges: tuple) -> tuple[int, dict] | None:
     return 2, {"triple": triple, "case": case, "perm": (1, 2, 3) if case == 2 else (2, 1, 3)}
 
 
-@lru_cache(maxsize=REWRITE_CACHE_SIZE)
 def _rewrite(n: int, edges: tuple) -> tuple[tuple, ReductionStep, tuple] | None:
     """(heap key, step, products) of the rewrite the reducer applies to the
     term with these edges on [n]; None for a canonical star forest.
 
-    A pure function of its arguments, kept for the last REWRITE_CACHE_SIZE
-    terms; the frozen step is shared by every certificate that records it.
-    The entry is checked as it is built: the products come later in the
-    termination order (`_products`), a relabelling carries the term onto
-    R_lambda, and a term left as it is is R_lambda.  A check that fails
-    raises RuntimeError, and `lru_cache` then stores nothing.
+    A pure function of its arguments, kept in `_rewrites` for terms of at
+    most C(n, 2) edges; the frozen step is shared by every certificate that
+    records it.  The entry is checked as it is built: the products come
+    later in the termination order (`_products`), a relabelling carries the
+    term onto R_lambda, and a term left as it is is R_lambda.  A check that
+    fails raises RuntimeError, and nothing is stored.
     """
+    entry = _rewrites.hit((n, edges), _MISS)
+    if entry is not _MISS:
+        return entry
     g = Multigraph._unchecked(n, edges)
     rewrite = _rewrite_of(n, edges)
     if rewrite is None:
         lam, perm = _star_forest_map(n, edges)
-        if perm == tuple(range(1, n + 1)):
-            if edges != canonical_star_forest(sorted_partition(map(len, _components_of(n, edges)))).edges:
-                raise RuntimeError(f"internal fault: reduction left {g!r}, not a canonical star forest")
-            return None
-        rewrite = 3, {"perm": perm}
-    cls, fields = rewrite
-    step = ReductionStep(_CLASSES[cls], g, **fields)
-    products = tuple(_products(step))
-    if cls == 3 and products[0][0] != canonical_star_forest(lam).edges:
-        raise RuntimeError(f"internal fault: canonical map {perm} does not carry {g!r} onto R{list(lam)}")
-    # multi-edge terms pop earliest in the termination order first: every
-    # live term's products come later, so none brings back a rewritten term
-    key = (cls, right_endpoint_key(edges), edges) if cls == 1 else (cls, edges)
-    return key, step, products
+        if perm != tuple(range(1, n + 1)):
+            rewrite = 3, {"perm": perm}
+        elif edges != canonical_star_forest(sorted_partition(map(len, _components_of(n, edges)))).edges:
+            raise RuntimeError(f"internal fault: reduction left {g!r}, not a canonical star forest")
+    entry = None
+    if rewrite is not None:
+        cls, fields = rewrite
+        step = ReductionStep(_CLASSES[cls], g, **fields)
+        products = tuple(_products(step))
+        if cls == 3 and products[0][0] != canonical_star_forest(lam).edges:
+            raise RuntimeError(f"internal fault: canonical map {perm} does not carry {g!r} onto R{list(lam)}")
+        # multi-edge terms pop earliest in the termination order first: every
+        # live term's products come later, so none brings back a rewritten term
+        key = (cls, right_endpoint_key(edges), edges) if cls == 1 else (cls, edges)
+        entry = key, step, products
+    if len(edges) <= n * (n - 1) // 2:
+        _rewrites.keep((n, edges), entry)
+    return entry
 
 
 def reduce_to_star_forests(L: GraphCombination) -> tuple[StandardForm, ReductionCertificate]:
@@ -726,8 +729,7 @@ def reduce_to_star_forests(L: GraphCombination) -> tuple[StandardForm, Reduction
     Terms are packed, as an edge tuple with a tuple of (1+t)-power
     coefficients.  A term's rewrite comes from `_rewrite`, a table shared
     by every reduction in the process that checks each entry as it builds
-    it; terms of more than C(n, 2) edges go through the same builder
-    unstored.  One heap holds the rewrites of the terms as they enter the
+    it.  One heap holds the rewrites of the terms as they enter the
     term map, so the four classes act as four heaps emptied in turn;
     entries whose term has since left the map are skipped.  Loops, dull
     triples and relabellings pop on the smallest edge tuple of their
@@ -738,7 +740,6 @@ def reduce_to_star_forests(L: GraphCombination) -> tuple[StandardForm, Reduction
     """
     check_bound(L.n, DEFAULT_REDUCTION_BOUND, "reduction")
     n = L.n
-    max_stored = n * (n - 1) // 2
     terms = _packed(L)
     steps: list[ReductionStep] = []
     # keys tie only between entries for one term, which are equal, so the
@@ -747,7 +748,7 @@ def reduce_to_star_forests(L: GraphCombination) -> tuple[StandardForm, Reduction
 
     def enqueue(hs: Iterable[tuple]):
         for h in hs:
-            entry = _rewrite(n, h) if len(h) <= max_stored else _rewrite.__wrapped__(n, h)
+            entry = _rewrite(n, h)
             if entry is not None:
                 heapq.heappush(heap, entry)
 
@@ -777,18 +778,11 @@ def replay_certificate(L: GraphCombination, cert: ReductionCertificate) -> Graph
     return _standard_form(L.n, terms).to_combination()
 
 
-# Normal forms of isomorphism classes, shared by every call in the process
-# and kept in least-recently-used order, as `invariants._delcon_memo` is: a
-# hit moves its entry to the end, a full memo drops its first entry.  A key
-# is (n, edges) of a class's canonical representative, a value maps the
-# edges of each R_lambda to a coefficient tuple in powers of (1+t), and no
-# value is changed once stored.  Only classes of at most C(n, 2) edges are
-# kept, so a value has at most p(n) rows of at most C(n, 2) + 1 entries.
-# Reducing K9 fills 15,281 entries; filled to the cap by multigraphs on [7],
-# an entry takes about 3.5 KB and the memo 57 MB on 64-bit CPython 3.11
-# (see README "Bounds").
+# `_class_form`'s values by (n, edges) of a class's canonical representative,
+# never changed once stored.  Only classes of at most C(n, 2) edges are kept,
+# so a value has at most p(n) rows of at most C(n, 2) + 1 entries.
 CLASS_MEMO_CAP = 16384
-_class_memo: dict[tuple, dict] = {}
+_class_memo = LRUCache(CLASS_MEMO_CAP)
 
 
 def _class_form(n: int, edges: tuple, open_classes: set[tuple]) -> dict[tuple, tuple]:
@@ -805,9 +799,8 @@ def _class_form(n: int, edges: tuple, open_classes: set[tuple]) -> dict[tuple, t
     """
     rep = _relabelled(n, edges, _canonical_labelling(n, edges, _unit_weights(n))[1])
     key = (n, rep)
-    form = _class_memo.pop(key, None)
+    form = _class_memo.hit(key)
     if form is not None:
-        _class_memo[key] = form
         return form
     if key in open_classes:
         raise RuntimeError(f"internal fault: the reduction of {Multigraph._unchecked(n, rep)!r} "
@@ -823,10 +816,7 @@ def _class_form(n: int, edges: tuple, open_classes: set[tuple]) -> dict[tuple, t
         for h, m in entry[2]:
             _merge_packed(form, m, _class_form(n, h, open_classes).items())
         open_classes.remove(key)
-    if len(_class_memo) >= CLASS_MEMO_CAP:
-        del _class_memo[next(iter(_class_memo))]
-    _class_memo[key] = form
-    return form
+    return _class_memo.keep(key, form)
 
 
 def reduce_by_classes(L: GraphCombination) -> StandardForm:
@@ -840,7 +830,7 @@ def reduce_by_classes(L: GraphCombination) -> StandardForm:
     class's form is kept in `_class_memo`.  A term of more than C(n, 2)
     edges has a loop or a repeated pair, and every product of its rewrite
     has fewer edges, so such terms are first rewritten as labelled graphs,
-    most edges first, each once, through the unstored rewrite builder.
+    most edges first, each once.
     """
     check_bound(L.n, DEFAULT_REDUCTION_BOUND, "reduction")
     n = L.n
@@ -852,7 +842,7 @@ def reduce_by_classes(L: GraphCombination) -> StandardForm:
     while big:
         h = heapq.heappop(big)[1]
         if h in terms:
-            products = _rewrite.__wrapped__(n, h)[2]
+            products = _rewrite(n, h)[2]
             _merge_packed(terms, terms.pop(h), products)
             for p, _ in products:
                 if len(p) > max_stored:

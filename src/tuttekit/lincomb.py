@@ -65,6 +65,28 @@ def merge_terms(acc: dict, items: Iterable[tuple]) -> dict:
     return acc
 
 
+class LRUCache(dict):
+    """At most `cap` entries, least recently used first: the one eviction rule of the library's memos."""
+
+    def __init__(self, cap: int):
+        super().__init__()
+        self.cap = cap
+
+    def hit(self, key, miss=None):
+        """The entry at key, moved to the end, or miss; a cache that stores None passes a sentinel."""
+        value = self.pop(key, miss)
+        if value is not miss:
+            self[key] = value
+        return value
+
+    def keep(self, key, value):
+        """Store value at key, the oldest entry dropped first if the cache is full; return value."""
+        if len(self) >= self.cap:
+            del self[next(iter(self))]
+        self[key] = value
+        return value
+
+
 class Immutable:
     """A value whose slots are set once, through object.__setattr__.
 

@@ -26,6 +26,7 @@ vectors in N variables are only read in and written out.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import comb
 from operator import itemgetter
@@ -54,7 +55,7 @@ from tuttekit.graphs import (
     endpoints,
 )
 from tuttekit.lincomb import LinComb, Poly, echo, merge_terms
-from tuttekit.symfun import SymFunc, _arrangements
+from tuttekit.symfun import SymFunc
 
 DEFAULT_COLORING_BUDGET = 5_000_000
 
@@ -413,6 +414,29 @@ def tq_from_arc_subsets(D: Digraph, N: int) -> TruncatedQFunc:
     check_subset_count(len(D.arcs), "arc")
     _check_coloring_budget(D, N)
     return _tq_from_labellings(D, N, _flats(D.n, D.arcs))
+
+
+# _arrangements' keys are the partitions truncate_symfunc meets, which nothing else bounds
+ARRANGEMENTS_CACHE_SIZE = 2048
+
+
+@lru_cache(maxsize=ARRANGEMENTS_CACHE_SIZE)
+def _arrangements(mu: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """The distinct rearrangements of mu in lexicographic order (Knuth, TAOCP 7.2.1.2, Algorithm L)."""
+    a = sorted(mu)
+    out = [tuple(a)]
+    while True:
+        i = len(a) - 2
+        while i >= 0 and a[i] >= a[i + 1]:
+            i -= 1
+        if i < 0:
+            return tuple(out)
+        j = len(a) - 1
+        while a[j] <= a[i]:
+            j -= 1
+        a[i], a[j] = a[j], a[i]
+        a[i + 1:] = a[:i:-1]
+        out.append(tuple(a))
 
 
 def truncate_symfunc(f: SymFunc, N: int) -> TruncatedQFunc:

@@ -108,35 +108,6 @@ def _check_degree(d: int):
         raise DomainError(f"degree {d} exceeds the conversion cap {DEFAULT_DEGREE_BOUND}")
 
 
-# Entries kept by _arrangements, which serves only truncate_symfunc; its keys
-# are the partitions of the functions truncated, which nothing else bounds.
-ARRANGEMENTS_CACHE_SIZE = 2048
-
-
-@lru_cache(maxsize=ARRANGEMENTS_CACHE_SIZE)
-def _arrangements(mu: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """The distinct rearrangements of mu."""
-    counts = Counter(mu)
-    values = sorted(counts)
-    vec: list[int] = []
-    out: list[tuple[int, ...]] = []
-
-    def rec():
-        if len(vec) == len(mu):
-            out.append(tuple(vec))
-            return
-        for val in values:
-            if counts[val]:
-                counts[val] -= 1
-                vec.append(val)
-                rec()
-                vec.pop()
-                counts[val] += 1
-
-    rec()
-    return tuple(out)
-
-
 @lru_cache(maxsize=None)
 def _m_coefficients(lam: tuple[int, ...], spread: bool) -> tuple[tuple[tuple[int, ...], int], ...]:
     """m-expansion of e_lam (spread) or p_lam as sorted ((mu, k), ...), cached.

@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from tuttekit import combinatorics
 from tuttekit.combinatorics import (
+    ONEP_T_CACHE_SIZE,
     DomainError,
     TPoly,
     augmentation_factor,
@@ -116,6 +118,16 @@ def test_tpoly_arithmetic():
 def test_onep_t_power_pins():
     assert onep_t_power(0) == TPoly.one()
     assert onep_t_power(2).coeffs == (Fraction(1), Fraction(2), Fraction(1))
+
+
+def test_onep_t_power_keeps_no_row_past_its_cap():
+    # a row grows as k^2, so only the rows below the cap are kept
+    want = reference.onep_t_power(8000)
+    assert onep_t_power(8000) == want == onep_t_power(8000)
+    for k in range(8001, 8006):
+        onep_t_power(k)
+    assert onep_t_power(ONEP_T_CACHE_SIZE - 1) is onep_t_power(ONEP_T_CACHE_SIZE - 1)
+    assert max(combinatorics._onep_t_rows) == ONEP_T_CACHE_SIZE - 1
 
 
 def test_onep_t_transform_pins():

@@ -1,11 +1,12 @@
 """Source guards: no library module imports a name it never uses, no
 private top-level helper is left with no caller, every public top-level
-name serves the library or the bench, and each invariant route reaches
-only the enumerators it is pinned to."""
+name serves the library or the bench, every cache's cap is documented,
+and each invariant route reaches only the enumerators it is pinned to."""
 
 import ast
 import importlib
 import inspect
+import re
 import shutil
 from pathlib import Path
 
@@ -172,6 +173,60 @@ def test_no_public_callable_takes_a_per_call_cap():
                     continue
                 found |= {f"{f.__qualname__}({p})" for p in ("max_n", "budget", "max_degree") if p in params}
     assert not found, f"per-call caps: {sorted(found)}"
+
+
+#### every cache is documented ################################################
+
+
+def _called_name(node: ast.AST) -> str | None:
+    if isinstance(node, ast.Call):
+        node = node.func
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def _cache_caps(root: Path) -> dict[str, str]:
+    """module.name -> the name of its cap, for each module-level LRUCache and
+    each lru_cache (or cache) function of root that takes arguments (one
+    with none holds one entry).  A cache whose size is not a named constant
+    stands for its own cap, so README says what bounds it."""
+    caps: dict[str, str] = {}
+    for path in sorted(root.glob("*.py")):
+        for node in ast.parse(path.read_text(), str(path)).body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)) and _called_name(node.value) == "LRUCache":
+                target = node.targets[0] if isinstance(node, ast.Assign) else node.target
+                cap = node.value.args[0]
+                caps[f"{path.stem}.{target.id}"] = cap.id if isinstance(cap, ast.Name) else target.id
+            elif isinstance(node, ast.FunctionDef) and node.args.args:
+                for dec in node.decorator_list:
+                    if _called_name(dec) in ("lru_cache", "cache"):
+                        sizes = [*dec.args, *(k.value for k in dec.keywords if k.arg == "maxsize")] if isinstance(dec, ast.Call) else []
+                        caps[f"{path.stem}.{node.name}"] = sizes[0].id if sizes and isinstance(sizes[0], ast.Name) else node.name
+    return caps
+
+
+def _readme_bounds() -> str:
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return text.split("\n## Bounds\n", 1)[1].split("\n## ", 1)[0]
+
+
+def test_readme_bounds_names_every_cache_cap():
+    caps = _cache_caps(Path(tuttekit.__file__).resolve().parent)
+    assert {"invariants._delcon_memo", "kernel._rewrites", "kernel._class_memo", "quasi._arrangements"} <= set(caps)
+    bounds = _readme_bounds()
+    missing = [f"{cache} ({cap})" for cache, cap in sorted(caps.items()) if not re.search(rf"\b{cap}\b", bounds)]
+    assert not missing, f"caches whose cap README \"Bounds\" does not name: {missing}"
+
+
+def test_cache_guard_finds_a_planted_cache(tmp_path):
+    root = Path(tuttekit.__file__).resolve().parent
+    shutil.copytree(root, tmp_path / "src")
+    with open(tmp_path / "src" / "graphs.py", "a") as f:
+        f.write("\n\nPLANTED_CAP = 8\n_planted = LRUCache(PLANTED_CAP)\n"
+                "\n\n@lru_cache(maxsize=None)\ndef _grown(k):\n    return k\n")
+    planted = _cache_caps(tmp_path / "src").items() - _cache_caps(root).items()
+    assert planted == {("graphs._planted", "PLANTED_CAP"), ("graphs._grown", "_grown")}
 
 
 #### which enumerators each route reaches ######################################

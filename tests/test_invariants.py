@@ -29,6 +29,7 @@ from tuttekit.invariants import (
     tutte_sym,
     tutte_sym_delcon,
 )
+from tuttekit.lincomb import LRUCache
 from tuttekit.symfun import SymFunc, m_to_e, mtilde_to_m, specialize_t
 
 T = TPoly.t()
@@ -174,7 +175,7 @@ def test_delcon_takes_a_parallel_class_in_one_step(G):
 def test_delcon_memo_does_not_grow_with_edge_multiplicity(G, monkeypatch):
     # an entry counts set partitions by shape and power of (1+t), so its
     # size depends on n; the binomial rows of (1+t)^3000 are not stored
-    monkeypatch.setattr(invariants, "_delcon_memo", {})
+    monkeypatch.setattr(invariants, "_delcon_memo", LRUCache(invariants.DELCON_MEMO_CAP))
     tracemalloc.start()
     try:
         tutte_sym_delcon(G)

@@ -68,6 +68,7 @@ from tuttekit.kernel import (
     witness_graph,
     witness_mtilde_coefficient,
 )
+from tuttekit.lincomb import LRUCache
 from tuttekit.symfun import coefficient_in_onep_t, m_to_e, mtilde_to_m, sigma_l
 
 from reference import c_value, reduction_products
@@ -484,29 +485,41 @@ def test_parallel_edges_take_one_step_per_copy():
 
 
 def test_rewrite_table_stores_no_term_past_c_n_2_edges():
-    kernel._rewrite.cache_clear()
+    kernel._rewrites.clear()
     reduce_to_star_forests(combo(2, (Multigraph(2, [(1, 2)] * 200), 1)))
-    info = kernel._rewrite.cache_info()
     # the two entries are the graphs on [2] with at most C(2, 2) = 1 edge
-    # that the reduction meets: looking both up adds two hits and no entry
-    assert info.currsize == 2
-    for edges in ((), ((1, 2),)):
-        kernel._rewrite(2, edges)
-    after = kernel._rewrite.cache_info()
-    assert (after.hits, after.currsize) == (info.hits + 2, 2)
-    kernel._rewrite.cache_clear()
+    # that the reduction meets: looking both up returns the stored entries
+    # and the length stays 2
+    stored = dict(kernel._rewrites)
+    assert sorted(stored) == [(2, ()), (2, ((1, 2),))]
+    for n, edges in stored:
+        assert kernel._rewrite(n, edges) is stored[n, edges]
+    assert len(kernel._rewrites) == 2
+    kernel._rewrites.clear()
 
 
 def test_a_refused_rewrite_is_not_stored(monkeypatch):
     L = combo(3, (Multigraph(3, [(1, 3)]), 1))
-    kernel._rewrite.cache_clear()
+    kernel._rewrites.clear()
     monkeypatch.setattr(kernel, "_star_forest_map", lambda n, edges: ((2, 1), (3, 2, 1)))
     with pytest.raises(RuntimeError, match=r"onto R\[2, 1\]"):
         reduce_to_star_forests(L)
-    assert kernel._rewrite.cache_info().currsize == 0
+    assert not kernel._rewrites
     monkeypatch.undo()
     assert reduce_to_star_forests(L)[0].shape_triples() == [((2, 1), 0, 1)]
-    kernel._rewrite.cache_clear()
+    kernel._rewrites.clear()
+
+
+def test_an_evicted_rewrite_is_rebuilt_equal(monkeypatch):
+    L = combo(5, (delete_edges(complete(5), [(1, 2), (2, 3), (3, 4)]), 1))
+    kernel._rewrites.clear()
+    want = reduce_to_star_forests(L)[1].to_json_obj()
+    stored = dict(kernel._rewrites)
+    monkeypatch.setattr(kernel, "_rewrites", LRUCache(3))
+    assert reduce_to_star_forests(L)[1].to_json_obj() == want
+    assert len(kernel._rewrites) == 3 and len(stored) > 3
+    for (n, edges), entry in stored.items():
+        assert kernel._rewrite(n, edges) == entry
 
 
 def test_replay_checks_the_rewrite_table(monkeypatch):
@@ -518,7 +531,7 @@ def test_replay_checks_the_rewrite_table(monkeypatch):
         # a sign slip in every multiplier
         return [(h, tuple(-x for x in m)) for h, m in real(step)]
 
-    kernel._rewrite.cache_clear()
+    kernel._rewrites.clear()
     try:
         monkeypatch.setattr(kernel, "_products", faulty)
         reduce_to_star_forests(L)
@@ -528,7 +541,7 @@ def test_replay_checks_the_rewrite_table(monkeypatch):
         assert replay_certificate(L, cert) != result.to_combination()
         assert selfcheck._reduction_fault(G, {}) is not None
     finally:
-        kernel._rewrite.cache_clear()
+        kernel._rewrites.clear()
     result, cert = reduce_to_star_forests(L)
     assert replay_certificate(L, cert) == result.to_combination()
     assert selfcheck._reduction_fault(G, {}) is None
@@ -566,7 +579,7 @@ def test_a_multiplier_fault_can_only_live_in_a_generator(monkeypatch):
     assert not is_tutte_friendly(faulty)[0]
     G = complete(3)
     L = combo(3, (G, 1))
-    kernel._rewrite.cache_clear()
+    kernel._rewrites.clear()
     try:
         monkeypatch.setitem(kernel._RULES, "multi", kernel._rule(faulty))
         assert selfcheck._reduction_fault(G, {}) == "XB not preserved"
@@ -575,7 +588,7 @@ def test_a_multiplier_fault_can_only_live_in_a_generator(monkeypatch):
         assert replay_certificate(L, cert) == result.to_combination()
     finally:
         monkeypatch.undo()
-        kernel._rewrite.cache_clear()
+        kernel._rewrites.clear()
     assert selfcheck._reduction_fault(G, {}) is None
 
 
@@ -599,7 +612,7 @@ def test_certificates_do_not_depend_on_the_rewrite_table():
     Ls = [combo(g.n, (g, 1)) for g in graphs]
     cold = []
     for L in Ls:
-        kernel._rewrite.cache_clear()
+        kernel._rewrites.clear()
         cold.append(reduce_to_star_forests(L)[1].to_json_obj())
     for L in Ls:
         reduce_to_star_forests(L)
@@ -625,7 +638,7 @@ def test_a_step_without_its_placement_is_refused(step, missing):
 
 
 def _clear_reduction_tables():
-    kernel._rewrite.cache_clear()
+    kernel._rewrites.clear()
     kernel._class_memo.clear()
 
 
@@ -664,7 +677,7 @@ def test_an_evicted_class_is_recomputed_to_the_same_form(monkeypatch):
     _clear_reduction_tables()
     want = [reduce_by_classes(L) for L in Ls]
     _clear_reduction_tables()
-    monkeypatch.setattr(kernel, "CLASS_MEMO_CAP", 5)
+    monkeypatch.setattr(kernel._class_memo, "cap", 5)
     assert [reduce_by_classes(L) for L in Ls] == want
     assert len(kernel._class_memo) == 5
     _clear_reduction_tables()

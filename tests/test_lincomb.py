@@ -19,7 +19,7 @@ from tuttekit.combinatorics import DomainError, TPoly
 from tuttekit.graphs import Multigraph, complete, cycle, path
 from tuttekit.invariants import tutte_sym
 from tuttekit.kernel import GraphCombination, witness_mtilde_coefficient
-from tuttekit.lincomb import ECHO_LIMIT, LinComb, echo
+from tuttekit.lincomb import ECHO_LIMIT, LinComb, LRUCache, echo
 from tuttekit.quasi import Digraph, QTPoly, TruncatedQFunc, tq
 from tuttekit.symfun import SymFunc, m_to_e, mtilde_to_m, specialize_t
 
@@ -279,14 +279,14 @@ def test_load_bearing_checks_survive_optimized_mode():
         L = GraphCombination(3, [(Multigraph(3, [(1, 3)]), TPoly.one())])
         # a canonical map whose image is not R_lambda
         kernel._star_forest_map = lambda n, edges: ((2, 1), (3, 2, 1))
-        kernel._rewrite.cache_clear()
+        kernel._rewrites.clear()
         try:
             kernel.reduce_to_star_forests(L)
         except RuntimeError as exc:
             print("map refused:", exc)
         # a canonical map that leaves the term where it is
         kernel._star_forest_map = lambda n, edges: ((2, 1), (1, 2, 3))
-        kernel._rewrite.cache_clear()
+        kernel._rewrites.clear()
         try:
             kernel.reduce_to_star_forests(L)
         except RuntimeError as exc:
@@ -301,7 +301,7 @@ def test_load_bearing_checks_survive_optimized_mode():
         kernel._star_forest_map = _star_forest_map
         real = kernel._products
         kernel._products = lambda step: real(step) + [(step.graph.edges, (1,))]
-        kernel._rewrite.cache_clear()
+        kernel._rewrites.clear()
         K3 = Multigraph(3, [(1, 2), (1, 3), (2, 3)])
         try:
             kernel.reduce_by_classes(GraphCombination(3, [(K3, TPoly.one())]))
@@ -337,3 +337,27 @@ def test_echo_keeps_a_short_repr_and_cuts_a_long_one():
     assert echo(10**5000) == "<int too long to write>"
     with pytest.raises(DomainError, match=r"^coefficient 'x{139}\.\.\. <str of 502 characters>"):
         LinComb({(): "x" * 500})
+
+
+#### the least-recently-used cache #############################################
+
+
+def test_lru_cache_moves_a_hit_to_the_end_and_drops_the_oldest_at_its_cap():
+    cache = LRUCache(3)
+    for key in "abc":
+        assert cache.keep(key, key.upper()) == key.upper()
+    assert cache.hit("a") == "A" and list(cache) == ["b", "c", "a"]
+    assert cache.hit("z") is None and list(cache) == ["b", "c", "a"]
+    cache.keep("d", "D")  # full: drops b, now the oldest
+    assert cache == {"c": "C", "a": "A", "d": "D"} and list(cache) == ["c", "a", "d"]
+
+
+def test_lru_cache_counts_a_stored_none_as_a_hit():
+    cache, miss = LRUCache(2), object()
+    cache.keep("x", None)
+    assert cache.hit("x", miss) is None
+    assert cache.hit("y", miss) is miss and "y" not in cache
+    cache.keep("y", 1)
+    assert cache.hit("x", miss) is None  # x is now the most recent
+    cache.keep("z", 2)
+    assert list(cache) == ["x", "z"]

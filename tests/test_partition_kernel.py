@@ -42,6 +42,7 @@ from tuttekit.kernel import (
     is_tutte_friendly,
     is_x_friendly,
 )
+from tuttekit.lincomb import LRUCache
 from tuttekit.symfun import SymFunc, m_to_p, mtilde_to_m
 
 from reference import c_value, lambda_of
@@ -380,7 +381,7 @@ def test_x_is_xb_at_t_minus_one_through_the_stable_walk(G):
 #### the bounded deletion-contraction memo #####################################
 
 def test_delcon_memo_stays_under_its_cap_and_stays_exact(monkeypatch):
-    monkeypatch.setattr(invariants, "_delcon_memo", {})
+    monkeypatch.setattr(invariants, "_delcon_memo", LRUCache(DELCON_MEMO_CAP))
     memo = invariants._delcon_memo
     # edgeless graphs with distinct weight multisets: one memo entry each
     weight_lists = (w for n in range(1, 6) for w in combinations_with_replacement(range(1, 13), n))
@@ -396,8 +397,7 @@ def test_delcon_memo_stays_under_its_cap_and_stays_exact(monkeypatch):
 
 
 def test_delcon_memo_evicts_least_recently_used(monkeypatch):
-    monkeypatch.setattr(invariants, "_delcon_memo", {})
-    monkeypatch.setattr(invariants, "DELCON_MEMO_CAP", 3)
+    monkeypatch.setattr(invariants, "_delcon_memo", LRUCache(3))
     memo = invariants._delcon_memo
     graphs = [edgeless(1, [w]) for w in range(1, 5)]
     for G in graphs[:3]:
@@ -413,7 +413,7 @@ def test_delcon_memo_evicts_least_recently_used(monkeypatch):
 
 
 def test_delcon_memo_sees_no_loops_or_repeated_pairs(monkeypatch):
-    monkeypatch.setattr(invariants, "_delcon_memo", {})
+    monkeypatch.setattr(invariants, "_delcon_memo", LRUCache(DELCON_MEMO_CAP))
     memo = invariants._delcon_memo
     G = Multigraph(4, [(1, 2), (1, 2), (1, 3), (2, 3), (3, 4), (3, 4), (3, 4)], [2, 1, 1, 3])
     f = tutte_sym_delcon(G)
@@ -438,7 +438,7 @@ def test_delcon_memo_sees_no_loops_or_repeated_pairs(monkeypatch):
 def test_delcon_memo_holds_positive_counts_of_set_partitions(G):
     # an entry is {shape: {power of (1+t): count}}: every set partition of
     # its n vertices is counted once, at the number of edges inside its blocks
-    with patch.object(invariants, "_delcon_memo", {}) as memo:
+    with patch.object(invariants, "_delcon_memo", LRUCache(DELCON_MEMO_CAP)) as memo:
         tutte_sym_delcon(G)
         chromatic_sym_delcon(G)
     for (weights, _), value in memo.items():  # the form leads with the n weights
@@ -448,7 +448,7 @@ def test_delcon_memo_holds_positive_counts_of_set_partitions(G):
 
 
 def test_delcon_values_share_no_dict_with_the_memo(monkeypatch):
-    monkeypatch.setattr(invariants, "_delcon_memo", {})
+    monkeypatch.setattr(invariants, "_delcon_memo", LRUCache(DELCON_MEMO_CAP))
     G = Multigraph(4, [(1, 2), (1, 2), (2, 3), (3, 4), (1, 4)], [2, 1, 1, 3])
     values = [tutte_sym_delcon(G), chromatic_sym_delcon(G)]
     stored = {id(d) for value in invariants._delcon_memo.values() for d in (value, *value.values())}
@@ -465,7 +465,7 @@ def test_delcon_edgeless_base_tallies_the_set_partitions_by_shape(weights):
     walked = Counter()
     for vector, c in Counter(enumerate_set_partitions(n, weights=weights)).items():
         walked[tuple(sorted(vector, reverse=True))] += c
-    with patch.object(invariants, "_delcon_memo", {}):
+    with patch.object(invariants, "_delcon_memo", LRUCache(DELCON_MEMO_CAP)):
         assert invariants._delcon(n, (), tuple(weights)) == {lam: {0: c} for lam, c in walked.items()}
 
 
@@ -478,7 +478,7 @@ def test_delcon_routes_walk_no_set_partitions(monkeypatch):
 
     monkeypatch.setattr(invariants, "enumerate_set_partitions", refuse)
     monkeypatch.setattr(combinatorics, "enumerate_set_partitions", refuse)
-    monkeypatch.setattr(invariants, "_delcon_memo", {})
+    monkeypatch.setattr(invariants, "_delcon_memo", LRUCache(DELCON_MEMO_CAP))
     assert [(tutte_sym_delcon(G), chromatic_sym_delcon(G)) for G in graphs] == expected
 
 
@@ -486,7 +486,7 @@ def test_delcon_past_the_cap_gives_the_potts_function_of_c14(monkeypatch):
     # at x = 1^k, m~_lam is the falling factorial (k)_l(lam): XB(C14) is the
     # Potts function (k+t)^14 + (k-1) t^14, and X the chromatic polynomial
     monkeypatch.setenv("TUTTEKIT_MAX_N", "14")
-    monkeypatch.setattr(invariants, "_delcon_memo", {})
+    monkeypatch.setattr(invariants, "_delcon_memo", LRUCache(DELCON_MEMO_CAP))
     xb, x = tutte_sym_delcon(cycle(14)), chromatic_sym_delcon(cycle(14))
 
     def at_ones(f, k):

@@ -391,6 +391,11 @@ def test_substitution_once_per_coefficient_object(monkeypatch):
     assert f.at_q(0).at_t(-1) == TruncatedQFunc(5, {e: c.at_q(0).at_t(-1) for e, c in f.vectors().items()})
 
 
+def test_arrangements_are_the_distinct_permutations_in_order():
+    for lam in [(), (1,), (2, 1, 1), (3, 2, 2, 1, 1), (4, 3, 2, 1), (2, 2, 2, 2), (5, 3, 3, 1, 1, 1)]:
+        assert quasi._arrangements(lam) == tuple(sorted(set(permutations(lam))))
+
+
 def test_truncate_symfunc_pins():
     f = truncate_symfunc(SymFunc("mtilde", {(2,): 1}), 2)
     assert f.vectors() == {(2, 0): ONE, (0, 2): ONE}
