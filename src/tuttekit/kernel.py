@@ -34,7 +34,6 @@ from tuttekit.combinatorics import (
     multinomial,
     normalize_blocks,
     onep_t_power,
-    partitions_of,
     sorted_partition,
     subsets_by_size,
 )
@@ -65,7 +64,7 @@ from tuttekit.graphs import (
     two_edge_connected,
     vertex_count,
 )
-from tuttekit.invariants import chromatic_sym, tutte_sym
+from tuttekit.invariants import tutte_sym
 from tuttekit.lincomb import LinComb, LRUCache, echo, merge_terms
 from tuttekit.symfun import SymFunc
 
@@ -480,7 +479,8 @@ def witness_mtilde_coefficient(L: GraphCombination, blocks: Iterable[Iterable[in
     aug = augmentation_factor(sizes)
     arr = [0] * (max(powers, default=-1) + 1)
     for k, c in powers.items():
-        arr[k] = Fraction(c, aug)
+        # an int the division leaves whole stays an int, as in `m_to_p`
+        arr[k] = c // aug if type(c) is int and not c % aug else Fraction(c, aug)
     return TPoly.from_onep_t_powers(arr)
 
 
@@ -897,7 +897,8 @@ def two_edge_connected_relation(G: Multigraph, e_i, e_j) -> GraphCombination:
     """
     if not G.unit_weights():
         raise DomainError("relation graphs must have unit weights")
-    # refuse a large graph before the connectivity check, which takes O(m n^2)
+    # the sum walks all 2^m edge subsets, so a graph past the 16-edge cap is
+    # refused first; the connectivity check after it is only O(n + m)
     check_subset_count(len(G.edges))
     if not two_edge_connected(G):
         raise DomainError("graph is not two-edge-connected")
@@ -1038,40 +1039,3 @@ def broom_relation(n: int, k: int) -> GraphCombination:
         t4_edges.append((n, N))
     term4 = Multigraph(N, t4_edges)
     return GraphCombination(N, [(term1, _ONE), (term2, _ONE), (term3, -_ONE), (term4, -_ONE)])
-
-
-#### star-forest basis #########################################################
-
-def star_forest_basis_matrix(n: int):
-    """Rows: chromatic m~-coefficients of R_lambda for every lambda of n."""
-    lams = list(partitions_of(n))
-    cols = {lam: i for i, lam in enumerate(lams)}
-    rows = []
-    for lam in lams:
-        X = chromatic_sym(canonical_star_forest(lam))
-        row = [Fraction(0)] * len(lams)
-        for mu, c in X.terms.items():
-            row[cols[mu]] = c.constant_value()
-        rows.append(row)
-    return lams, rows
-
-
-def star_forest_basis_rank(n: int) -> int:
-    """Rank of the star-forest chromatic matrix; full rank means a basis."""
-    _, rows = star_forest_basis_matrix(n)
-    mat = [row[:] for row in rows]
-    rank = 0
-    ncols = len(mat[0]) if mat else 0
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, len(mat)) if mat[r][col] != 0), None)
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        inv = Fraction(1) / mat[rank][col]
-        mat[rank] = [x * inv for x in mat[rank]]
-        for r in range(len(mat)):
-            if r != rank and mat[r][col] != 0:
-                f = mat[r][col]
-                mat[r] = [x - f * y for x, y in zip(mat[r], mat[rank])]
-        rank += 1
-    return rank

@@ -26,7 +26,6 @@ vectors in N variables are only read in and written out.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations
 from math import comb
 from operator import itemgetter
@@ -416,11 +415,6 @@ def tq_from_arc_subsets(D: Digraph, N: int) -> TruncatedQFunc:
     return _tq_from_labellings(D, N, _flats(D.n, D.arcs))
 
 
-# _arrangements' keys are the partitions truncate_symfunc meets, which nothing else bounds
-ARRANGEMENTS_CACHE_SIZE = 2048
-
-
-@lru_cache(maxsize=ARRANGEMENTS_CACHE_SIZE)
 def _arrangements(mu: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     """The distinct rearrangements of mu in lexicographic order (Knuth, TAOCP 7.2.1.2, Algorithm L)."""
     a = sorted(mu)

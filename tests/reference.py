@@ -15,9 +15,11 @@ from tuttekit.combinatorics import (
     block_index_map,
     echo,
     normalize_blocks,
+    partitions_of,
     sorted_partition,
 )
-from tuttekit.graphs import _component_labels, _pair, _quotient, _without
+from tuttekit.graphs import _component_labels, _pair, _quotient, _without, canonical_star_forest
+from tuttekit.invariants import chromatic_sym
 from tuttekit.quasi import Digraph
 
 
@@ -131,3 +133,39 @@ def reduction_products(step):
     first, dropped = (ac, bc) if ac not in g else (bc, ac)
     base = _without(g, (ab, dropped))
     return [(tuple(sorted(base + extra)), m) for extra, m in (((first,), (-1,)), ((ac, bc), (1,)), ((ab,), (1,)))]
+
+
+def star_forest_basis_matrix(n):
+    """Rows: chromatic m~-coefficients of R_lambda for every lambda of n."""
+    lams = list(partitions_of(n))
+    cols = {lam: i for i, lam in enumerate(lams)}
+    rows = []
+    for lam in lams:
+        X = chromatic_sym(canonical_star_forest(lam))
+        row = [Fraction(0)] * len(lams)
+        for mu, c in X.terms.items():
+            row[cols[mu]] = c.constant_value()
+        rows.append(row)
+    return lams, rows
+
+
+def star_forest_basis_rank(n):
+    """Rank of the star-forest chromatic matrix, by dense Fraction elimination;
+    full rank means a basis."""
+    _, rows = star_forest_basis_matrix(n)
+    mat = [row[:] for row in rows]
+    rank = 0
+    ncols = len(mat[0]) if mat else 0
+    for col in range(ncols):
+        pivot = next((r for r in range(rank, len(mat)) if mat[r][col] != 0), None)
+        if pivot is None:
+            continue
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        inv = Fraction(1) / mat[rank][col]
+        mat[rank] = [x * inv for x in mat[rank]]
+        for r in range(len(mat)):
+            if r != rank and mat[r][col] != 0:
+                f = mat[r][col]
+                mat[r] = [x - f * y for x, y in zip(mat[r], mat[rank])]
+        rank += 1
+    return rank

@@ -22,7 +22,7 @@ CHECKS = {
     9: 20,
     10: 2871,
     11: 8,  # both routes on every (n, k) with 0 <= n <= 3 and 2 <= k <= 3
-    12: 7,
+    12: 10,  # one verdict per n <= 10: X(R_lambda) triangular in the p basis
 }
 
 

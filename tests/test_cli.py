@@ -29,6 +29,8 @@ from tuttekit.quasi import Digraph, tq, xq
 from tuttekit.selfcheck import Suite
 from tuttekit.symfun import m_to_e, mtilde_to_m
 
+from test_acceptance import CHECKS
+
 
 def write_json(tmp_path, name, obj):
     p = tmp_path / name
@@ -562,6 +564,23 @@ def test_reused_parser_keeps_no_state_between_calls(tmp_path, capsys):
 def test_selfcheck_single_criterion(capsys):
     assert main(["selfcheck", "--only", "12"]) == 0
     assert "PASS" in capsys.readouterr().out
+
+
+def test_every_suite_passes_under_python_O():
+    # no suite may rest on an assert: under -O every check must still run and pass
+    src = str(Path(tuttekit.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "tuttekit.cli", "selfcheck"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=600,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    lines = proc.stdout.splitlines()
+    for cid, count in CHECKS.items():
+        assert f"criterion {cid:2d}: PASS" in lines[cid - 1] and f"({count} checks," in lines[cid - 1]
+    assert lines[-1] == f"12/12 suites passed, {sum(CHECKS.values())} checks total"
 
 
 def _with_suite(monkeypatch, planted: Suite) -> None:

@@ -186,23 +186,45 @@ def _called_name(node: ast.AST) -> str | None:
     return node.id if isinstance(node, ast.Name) else None
 
 
+def _stored_dicts(tree: ast.Module) -> set[str]:
+    """Names of the dicts that tree's functions and methods store into, by
+    item assignment or by setdefault or update."""
+    names: set[str] = set()
+    for top in tree.body:
+        if not isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        for node in ast.walk(top):
+            if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store):
+                names.add(_called_name(node.value))
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr in ("setdefault", "update"):
+                names.add(_called_name(node.func.value))
+    return names
+
+
 def _cache_caps(root: Path) -> dict[str, str]:
-    """module.name -> the name of its cap, for each module-level LRUCache and
+    """module.name -> the name of its cap, for each module-level LRUCache,
     each lru_cache (or cache) function of root that takes arguments (one
-    with none holds one entry).  A cache whose size is not a named constant
-    stands for its own cap, so README says what bounds it."""
+    with none holds one entry), and each module-level dict that a function
+    of root stores into.  A cache whose size is not a named constant stands
+    for its own cap, so README says what bounds it; a plain dict always
+    does."""
     caps: dict[str, str] = {}
-    for path in sorted(root.glob("*.py")):
-        for node in ast.parse(path.read_text(), str(path)).body:
-            if isinstance(node, (ast.Assign, ast.AnnAssign)) and _called_name(node.value) == "LRUCache":
+    trees = {path.stem: ast.parse(path.read_text(), str(path)) for path in sorted(root.glob("*.py"))}
+    stored = set().union(*map(_stored_dicts, trees.values()))
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None:
                 target = node.targets[0] if isinstance(node, ast.Assign) else node.target
-                cap = node.value.args[0]
-                caps[f"{path.stem}.{target.id}"] = cap.id if isinstance(cap, ast.Name) else target.id
+                if _called_name(node.value) == "LRUCache":
+                    cap = node.value.args[0]
+                    caps[f"{module}.{target.id}"] = cap.id if isinstance(cap, ast.Name) else target.id
+                elif (isinstance(node.value, ast.Dict) or _called_name(node.value) == "dict") and target.id in stored:
+                    caps[f"{module}.{target.id}"] = target.id
             elif isinstance(node, ast.FunctionDef) and node.args.args:
                 for dec in node.decorator_list:
                     if _called_name(dec) in ("lru_cache", "cache"):
                         sizes = [*dec.args, *(k.value for k in dec.keywords if k.arg == "maxsize")] if isinstance(dec, ast.Call) else []
-                        caps[f"{path.stem}.{node.name}"] = sizes[0].id if sizes and isinstance(sizes[0], ast.Name) else node.name
+                        caps[f"{module}.{node.name}"] = sizes[0].id if sizes and isinstance(sizes[0], ast.Name) else node.name
     return caps
 
 
@@ -213,8 +235,14 @@ def _readme_bounds() -> str:
 
 def test_readme_bounds_names_every_cache_cap():
     caps = _cache_caps(Path(tuttekit.__file__).resolve().parent)
-    assert {"invariants._delcon_memo", "kernel._rewrites", "kernel._class_memo", "quasi._arrangements"} <= set(caps)
     bounds = _readme_bounds()
+    # the caches that the table's rows name, one in each row's first cell
+    listed = set(re.findall(r"^\| `(\w+\.\w+)`", bounds, re.M))
+    assert listed == {
+        "invariants._delcon_memo", "kernel._rewrites", "kernel._class_memo",
+        "combinatorics._onep_t_rows", "symfun._m_coefficients",
+    }
+    assert set(caps) == listed
     missing = [f"{cache} ({cap})" for cache, cap in sorted(caps.items()) if not re.search(rf"\b{cap}\b", bounds)]
     assert not missing, f"caches whose cap README \"Bounds\" does not name: {missing}"
 
@@ -224,9 +252,11 @@ def test_cache_guard_finds_a_planted_cache(tmp_path):
     shutil.copytree(root, tmp_path / "src")
     with open(tmp_path / "src" / "graphs.py", "a") as f:
         f.write("\n\nPLANTED_CAP = 8\n_planted = LRUCache(PLANTED_CAP)\n"
-                "\n\n@lru_cache(maxsize=None)\ndef _grown(k):\n    return k\n")
+                "\n\n@lru_cache(maxsize=None)\ndef _grown(k):\n    return k\n"
+                "\n\n_rows: dict = {}\n_table = {1: 2}\n\n\ndef _fill(k):\n    _rows[k] = _table[k]\n")
     planted = _cache_caps(tmp_path / "src").items() - _cache_caps(root).items()
-    assert planted == {("graphs._planted", "PLANTED_CAP"), ("graphs._grown", "_grown")}
+    # _table is only read, so it is no cache
+    assert planted == {("graphs._planted", "PLANTED_CAP"), ("graphs._grown", "_grown"), ("graphs._rows", "_rows")}
 
 
 #### which enumerators each route reaches ######################################

@@ -13,6 +13,7 @@ from tuttekit.graphs import (
     MAX_VERTICES,
     Multigraph,
     canonical_form,
+    canonical_star_forest,
     complete,
     cycle,
     delete_edges,
@@ -62,8 +63,6 @@ from tuttekit.kernel import (
     replay_certificate,
     s_pair,
     standard_form,
-    star_forest_basis_matrix,
-    star_forest_basis_rank,
     two_edge_connected_relation,
     witness_graph,
     witness_mtilde_coefficient,
@@ -71,7 +70,7 @@ from tuttekit.kernel import (
 from tuttekit.lincomb import LRUCache
 from tuttekit.symfun import coefficient_in_onep_t, m_to_e, mtilde_to_m, sigma_l
 
-from reference import c_value, reduction_products
+from reference import c_value, reduction_products, star_forest_basis_matrix, star_forest_basis_rank
 
 T = TPoly.t()
 ONE = TPoly.one()
@@ -193,6 +192,18 @@ def test_witness_two_block_cross_check():
     co = witness_mtilde_coefficient(L, [[1], [2]])
     assert not co.is_zero()
     assert combination_tutte_sym(extend(L, W)).coefficient((3, 3)) == co
+
+
+def test_witness_coefficient_keeps_int_coefficients():
+    # r((3, 3))! = 2 divides every count here, so the coefficients stay ints,
+    # as they do on the direct route; a Fraction coefficient gives Fractions
+    for c, kind in [(1, int), (Fraction(1, 2), Fraction)]:
+        L = combo(2, (complete(2), TPoly([c])))
+        W = witness_graph(L, [[1], [2]])
+        co = witness_mtilde_coefficient(L, [[1], [2]])
+        direct = combination_tutte_sym(extend(L, W)).coefficient((3, 3))
+        assert co == direct == TPoly([10, 36, 54, 36, 9]) * c
+        assert [type(x) for x in co.coeffs] == [type(x) for x in direct.coeffs] == [kind] * 5
 
 
 def test_witness_validation(monkeypatch):
@@ -924,11 +935,22 @@ def test_broom_relation_validation():
 
 
 def test_star_forest_basis_rank_is_full():
-    for n in range(1, 6):
+    # the dense rank that suite 12's triangularity implies
+    for n in range(1, 8):
         lams, rows = star_forest_basis_matrix(n)
         npart = sum(1 for _ in partitions_of(n))
         assert len(lams) == len(rows) == npart
         assert star_forest_basis_rank(n) == npart
+
+
+def test_suite_12_catches_x_of_another_star_forest(monkeypatch):
+    # X of R_(3,1) read as X of R_(2,2): at n = 4 the coefficient of p_(3,1) is 0
+    wrong = {canonical_star_forest((3, 1)): canonical_star_forest((2, 2))}
+    monkeypatch.setattr(selfcheck, "chromatic_sym", lambda G: chromatic_sym(wrong.get(G, G)))
+    (suite,) = [s for s in selfcheck.SUITES if s.id == 12]
+    r = suite.run()
+    assert not r["passed"] and r["checks"] == 10
+    assert r["failure_count"] == 1 and r["failures"][0].startswith("n=4: (3, 1): coefficient 0 at p_(3, 1)")
 
 
 #### vertex caps ###############################################################
@@ -963,8 +985,6 @@ CAPPED = {
     "reduce_by_classes": lambda n: reduce_by_classes(_path_combo(n)),
     "kernel_membership": lambda n: kernel_membership(_path_combo(n)),
     "broom_relation": lambda n: broom_relation(n - 2, 2),
-    "star_forest_basis_matrix": lambda n: star_forest_basis_matrix(n),
-    "star_forest_basis_rank": lambda n: star_forest_basis_rank(n),
 }
 
 
