@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import heapq
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product as iproduct
@@ -64,7 +65,6 @@ from tuttekit.graphs import (
     two_edge_connected,
     vertex_count,
 )
-from tuttekit.invariants import tutte_sym
 from tuttekit.lincomb import LinComb, LRUCache, echo, merge_terms
 from tuttekit.symfun import SymFunc
 
@@ -124,11 +124,52 @@ class GraphCombination(LinComb):
 
 
 def combination_tutte_sym(L: GraphCombination) -> SymFunc:
-    """Termwise XB of a combination (exact)."""
-    total = SymFunc.zero("mtilde")
-    for g, c in L.terms.items():
-        total = total + tutte_sym(g).scale(c)
-    return total
+    """XB of a combination in the augmented monomial basis (exact).
+
+    XB(L) = sum over partitions pi of [n] of B(L; pi) m~_lambda(pi), where
+    B(L; pi) sums c (1+t)^e over the terms c G, e the edges of G inside
+    blocks of pi.  So one walk of the Bell(n) partitions serves every term,
+    counting each term's internal edges at once.  B is formed once per count
+    vector, from each term's c (1+t)^e formed once per e; partitions whose B
+    is zero are skipped, and the rest are tallied by (shape, count vector)
+    before B is multiplied in.  The value is the termwise sum of `tutte_sym`,
+    but no term's XB is formed and nothing here reaches a reducer, so
+    `kernel_membership` checks the reducer against a route of its own.
+    Like that sum, the empty combination is zero on any [n].
+    """
+    if not L.terms:
+        return SymFunc.zero("mtilde")
+    check_bound(L.n, DEFAULT_ENUMERATION_BOUND, "partition enumeration")
+    # a constant coefficient scales the row of (1+t)^e instead of multiplying two polynomials
+    coeffs = [c.terms[0] if c.degree() == 0 else c for c in L.terms.values()]
+    shifted: list[dict[int, dict]] = [{} for _ in coeffs]  # [term][e]: c (1+t)^e by power of t
+    b_at: dict[tuple[int, ...], dict[int, Fraction | int]] = {}
+    by_shape: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}  # lambda -> count vector -> partitions
+    walk = enumerate_set_partitions(L.n, edge_sets=[g.edges for g in L.terms], weights=(1,) * L.n)
+    for (sizes, counts), x in Counter(walk).items():
+        b = b_at.get(counts)
+        if b is None:
+            acc: dict[int, Fraction | int] = {}
+            for c, by_e, e in zip(coeffs, shifted, counts):
+                p = by_e.get(e)
+                if p is None:
+                    p = by_e[e] = (onep_t_power(e) * c).terms
+                for i, v in p.items():
+                    acc[i] = acc.get(i, 0) + v
+            b = b_at[counts] = {i: v for i, v in acc.items() if v}
+        if b:
+            tally = by_shape.setdefault(tuple(sorted(sizes, reverse=True)), {})
+            tally[counts] = tally.get(counts, 0) + x
+    terms = {}
+    for lam, tally in by_shape.items():
+        row: dict[int, Fraction | int] = {}
+        for counts, x in tally.items():
+            for i, v in b_at[counts].items():
+                row[i] = row.get(i, 0) + x * v
+        row = {i: v for i, v in row.items() if v}
+        if row:
+            terms[lam] = row
+    return SymFunc("mtilde")._like_nested(terms)
 
 
 #### standard form #############################################################

@@ -66,23 +66,31 @@ def merge_terms(acc: dict, items: Iterable[tuple]) -> dict:
 
 
 class LRUCache(dict):
-    """At most `cap` entries, least recently used first: the one eviction rule of the library's memos."""
+    """At most `cap` entries, least recently used first: the one eviction rule of the library's memos.
+
+    `hits`, `misses` and `evictions` count what `hit` and `keep` did since the cache was made.
+    """
 
     def __init__(self, cap: int):
         super().__init__()
         self.cap = cap
+        self.hits = self.misses = self.evictions = 0
 
     def hit(self, key, miss=None):
         """The entry at key, moved to the end, or miss; a cache that stores None passes a sentinel."""
         value = self.pop(key, miss)
         if value is not miss:
             self[key] = value
+            self.hits += 1
+        else:
+            self.misses += 1
         return value
 
     def keep(self, key, value):
         """Store value at key, the oldest entry dropped first if the cache is full; return value."""
         if len(self) >= self.cap:
             del self[next(iter(self))]
+            self.evictions += 1
         self[key] = value
         return value
 

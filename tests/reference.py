@@ -19,8 +19,9 @@ from tuttekit.combinatorics import (
     sorted_partition,
 )
 from tuttekit.graphs import _component_labels, _pair, _quotient, _without, canonical_star_forest
-from tuttekit.invariants import chromatic_sym
+from tuttekit.invariants import chromatic_sym, tutte_sym
 from tuttekit.quasi import Digraph
+from tuttekit.symfun import SymFunc
 
 
 def lambda_of(blocks, weights=None):
@@ -41,6 +42,15 @@ def c_value(L, blocks):
         if all(vmap[u] != vmap[v] for u, v in g.edges):
             acc += c.constant_value()
     return acc
+
+
+def combination_tutte_sym(L):
+    """XB of a combination term by term, one `tutte_sym` walk per term and
+    TPoly arithmetic for the sum: the reference for the one-walk sum."""
+    total = SymFunc.zero("mtilde")
+    for g, c in L.terms.items():
+        total = total + tutte_sym(g).scale(c)
+    return total
 
 
 def contract_arc_set(D, S):

@@ -311,7 +311,9 @@ def _top_level_reach(root: Path, start: tuple[str, str]) -> set[tuple[str, str]]
 
 # route -> the enumerators it reaches; tutte_sym walks the set partitions,
 # X walks its own stable partitions, and the TQ and XQ routes walk ordered
-# set partitions only, so each route checks the others from apart
+# set partitions only, so each route checks the others from apart; the
+# direct check of kernel membership walks the set partitions and reaches
+# neither delcon nor the stable walk
 ROUTE_ENUMERATORS = {
     ("invariants", "tutte_sym"): {"enumerate_set_partitions"},
     ("invariants", "chromatic_sym"): {"_stable_counts"},
@@ -323,6 +325,7 @@ ROUTE_ENUMERATORS = {
     ("quasi", "tq"): {"_packed_sum"},
     ("quasi", "tq_from_connected_partitions"): {"_packed_sum", "connected_partitions"},
     ("quasi", "tq_from_arc_subsets"): {"_packed_sum", "_flats"},
+    ("kernel", "combination_tutte_sym"): {"enumerate_set_partitions"},
 }
 
 

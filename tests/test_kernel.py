@@ -71,6 +71,7 @@ from tuttekit.lincomb import LRUCache
 from tuttekit.symfun import coefficient_in_onep_t, m_to_e, mtilde_to_m, sigma_l
 
 from reference import c_value, reduction_products, star_forest_basis_matrix, star_forest_basis_rank
+from reference import combination_tutte_sym as termwise_xb
 
 T = TPoly.t()
 ONE = TPoly.one()
@@ -352,6 +353,101 @@ def test_kernel_membership():
     assert not kernel_membership(combo(2, (complete(2), 1)))
 
 
+#### XB of a combination ######################################################
+
+
+def _ints(polys):
+    return all(type(x) is int for p in polys for x in p.terms.values())
+
+
+@st.composite
+def xb_combinations(draw):
+    """Combinations on [n], n <= 6, with loops and parallel edges; each
+    coefficient an int, a Fraction, (1+t)^k c or a t-polynomial."""
+    n = draw(st.integers(0, 6))
+    vertex = st.integers(1, max(n, 1))
+    edges = st.lists(st.tuples(vertex, vertex), max_size=6) if n else st.just([])
+    scalar = st.one_of(st.integers(-3, 3), st.fractions(-2, 2, max_denominator=4))
+    coeff = st.one_of(
+        scalar,
+        st.builds(lambda k, c: (ONE + T) ** k * c, st.integers(0, 3), scalar),
+        st.lists(scalar, max_size=4).map(TPoly),
+    )
+    terms = draw(st.lists(st.tuples(edges, coeff), max_size=5))
+    return GraphCombination(n, [(Multigraph(n, es), c) for es, c in terms])
+
+
+@settings(max_examples=150, deadline=None)
+@given(xb_combinations())
+def test_combination_xb_matches_the_termwise_sum(L):
+    got = combination_tutte_sym(L)
+    assert got == termwise_xb(L)
+    if _ints(L.terms.values()):
+        assert _ints(got.terms.values())
+
+
+def _host_8():
+    # the 8-cycle with chords 1-5 and 2-6, holding the 5-cycle 1-2-3-4-5
+    return Multigraph(8, [(i, i + 1) for i in range(1, 8)] + [(1, 8), (1, 5), (2, 6)])
+
+
+XB_PINS = {
+    "C6-relation": lambda: two_edge_connected_relation(cycle(6), 1, 2),
+    "cycle-relation-on-8": lambda: cycle_relation(_host_8(), [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)], 1, 2),
+    **{f"broom-{n}-{k}": (lambda n=n, k=k: broom_relation(n, k)) for n in range(4) for k in (2, 3)},
+    "os-plus-on-a-path": lambda: extend(ell_os_plus(), path(5)),
+    "one-term": lambda: combo(5, (relabel(complete(5), (3, 5, 1, 4, 2)), T + 2)),
+    "one-term-of-t-degree-40": lambda: combo(3, (path(3), TPoly(range(-20, 21)))),
+    **{f"empty-on-{n}": (lambda n=n: GraphCombination(n)) for n in (0, 4, 11)},
+}
+
+
+@pytest.mark.parametrize("name", XB_PINS)
+def test_combination_xb_pins(name):
+    L = XB_PINS[name]()
+    got = combination_tutte_sym(L)
+    assert got == termwise_xb(L)
+    assert got.is_zero() == (not name.startswith("one-term"))
+    assert _ints(got.terms.values())
+
+
+def test_combination_xb_refuses_past_the_enumeration_cap():
+    L = combo(11, (path(11), 1))
+    with pytest.raises(DomainError) as got:
+        combination_tutte_sym(L)
+    with pytest.raises(DomainError) as want:
+        termwise_xb(L)
+    assert str(got.value) == str(want.value) == (
+        "partition enumeration limited to 10 vertices, got 11; raise the cap with TUTTEKIT_MAX_N"
+    )
+
+
+def _planted_walk(fault):
+    def walk(n, **kwargs):
+        items = list(enumerate_set_partitions(n, **kwargs))
+        if fault == "one_partition_dropped":
+            # the first partition at which the terms' internal edge counts differ
+            del items[next(i for i, (_, counts) in enumerate(items) if len(set(counts)) > 1)]
+        else:  # one_count_off: one edge of the first term left out of the single block
+            sizes, counts = items[0]
+            items[0] = sizes, (counts[0] - 1, *counts[1:])
+        return iter(items)
+    return walk
+
+
+@pytest.mark.parametrize("fault, L", [
+    # B vanishes at every partition of a friendly combination, so a dropped
+    # partition shows only on a member that is not friendly
+    ("one_partition_dropped", ell_iso(path(3), (2, 1, 3))),
+    ("one_count_off", extend(ell_os_plus(), Multigraph(5, [(1, 4), (3, 5), (4, 5)]))),
+])
+def test_membership_catches_a_planted_fault_in_the_direct_walk(fault, L, monkeypatch):
+    assert kernel_membership(L)
+    monkeypatch.setattr(kernel, "enumerate_set_partitions", _planted_walk(fault))
+    with pytest.raises(RuntimeError, match="^internal fault: reduction verdict True disagrees"):
+        kernel_membership(L)
+
+
 def _smallest_multi_pair(g):
     seen = set()
     for e in g.edges:
@@ -550,12 +646,12 @@ def test_replay_checks_the_rewrite_table(monkeypatch):
         # the table still holds the faulty entries; replay recomputes them
         result, cert = reduce_to_star_forests(L)
         assert replay_certificate(L, cert) != result.to_combination()
-        assert selfcheck._reduction_fault(G, {}) is not None
+        assert selfcheck._reduction_fault(G) is not None
     finally:
         kernel._rewrites.clear()
     result, cert = reduce_to_star_forests(L)
     assert replay_certificate(L, cert) == result.to_combination()
-    assert selfcheck._reduction_fault(G, {}) is None
+    assert selfcheck._reduction_fault(G) is None
 
 
 def _same_products(step):
@@ -593,14 +689,14 @@ def test_a_multiplier_fault_can_only_live_in_a_generator(monkeypatch):
     kernel._rewrites.clear()
     try:
         monkeypatch.setitem(kernel._RULES, "multi", kernel._rule(faulty))
-        assert selfcheck._reduction_fault(G, {}) == "XB not preserved"
+        assert selfcheck._reduction_fault(G) == "XB not preserved"
         # replay reads the same definitions, so it agrees with the result
         result, cert = reduce_to_star_forests(L)
         assert replay_certificate(L, cert) == result.to_combination()
     finally:
         monkeypatch.undo()
         kernel._rewrites.clear()
-    assert selfcheck._reduction_fault(G, {}) is None
+    assert selfcheck._reduction_fault(G) is None
 
 
 def test_replay_refuses_a_step_its_term_does_not_fit():

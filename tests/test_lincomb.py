@@ -361,3 +361,14 @@ def test_lru_cache_counts_a_stored_none_as_a_hit():
     assert cache.hit("x", miss) is None  # x is now the most recent
     cache.keep("z", 2)
     assert list(cache) == ["x", "z"]
+
+
+def test_lru_cache_counts_hits_misses_and_evictions():
+    cache, miss = LRUCache(2), object()
+    assert (cache.hits, cache.misses, cache.evictions) == (0, 0, 0)
+    cache.keep("a", None)
+    cache.keep("b", 1)
+    assert cache.hit("a", miss) is None and cache.hit("c", miss) is miss and cache.hit("b") == 1
+    cache.keep("c", 2)  # full: drops a, now the oldest
+    assert cache.hit("a", miss) is miss
+    assert (cache.hits, cache.misses, cache.evictions) == (2, 2, 1)
