@@ -71,7 +71,6 @@ from tuttekit.kernel import (
     is_tutte_friendly,
     is_x_friendly,
     kernel_membership,
-    reduce_by_classes,
     reduce_to_star_forests,
     replay_certificate,
     s_pair,

@@ -345,7 +345,7 @@ _COMMANDS = {
         ("--a", {"type": int, "help": "(1+t)-power to certify"}),
     ), _witness),
     "reduce": ("reduce a combination to canonical star forests", "combination", (), _reduce),
-    "member": ("kernel membership (reduction + direct check)", "combination", (), _member),
+    "member": ("kernel membership (two independent XB evaluations)", "combination", (), _member),
     "relation": ("named kernel relations", None, (
         ("kind", {"choices": tuple(_RELATIONS)}),
         ("graph", {"nargs": "?", "help": "graph JSON file (cycle / two-edge-connected)"}),

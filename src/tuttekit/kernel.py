@@ -41,14 +41,12 @@ from tuttekit.combinatorics import (
 from tuttekit.graphs import (
     MAX_VERTICES,
     Multigraph,
-    _canonical_labelling,
     _components_of,
     _dull_triple,
     _norm_edge,
     _pair,
     _relabelled,
     _star_forest_map,
-    _unit_weights,
     _without,
     broom,
     canonical_star_forest,
@@ -65,6 +63,7 @@ from tuttekit.graphs import (
     two_edge_connected,
     vertex_count,
 )
+from tuttekit.invariants import tutte_sym_delcon
 from tuttekit.lincomb import LinComb, LRUCache, echo, merge_terms
 from tuttekit.symfun import SymFunc
 
@@ -133,8 +132,8 @@ def combination_tutte_sym(L: GraphCombination) -> SymFunc:
     vector, from each term's c (1+t)^e formed once per e; partitions whose B
     is zero are skipped, and the rest are tallied by (shape, count vector)
     before B is multiplied in.  The value is the termwise sum of `tutte_sym`,
-    but no term's XB is formed and nothing here reaches a reducer, so
-    `kernel_membership` checks the reducer against a route of its own.
+    but no term's XB is formed and nothing here reaches deletion-contraction,
+    so `kernel_membership` checks that route against one of its own.
     Like that sum, the empty combination is zero on any [n].
     """
     if not L.terms:
@@ -579,7 +578,7 @@ _MINUS = (-1,)
 # bright star forest onto its canonical representative
 _CLASSES = ("loop", "multi", "os_plus", "iso")
 
-# the rewrites `_rewrite` keeps for both reducers, of graphs of at most C(n, 2) edges
+# the rewrites `_rewrite` keeps for the reducer, of graphs of at most C(n, 2) edges
 REWRITE_CACHE_SIZE = 4096
 _rewrites = LRUCache(REWRITE_CACHE_SIZE)
 _MISS = object()
@@ -819,98 +818,24 @@ def replay_certificate(L: GraphCombination, cert: ReductionCertificate) -> Graph
     return _standard_form(L.n, terms).to_combination()
 
 
-# `_class_form`'s values by (n, edges) of a class's canonical representative,
-# never changed once stored.  Only classes of at most C(n, 2) edges are kept,
-# so a value has at most p(n) rows of at most C(n, 2) + 1 entries.
-CLASS_MEMO_CAP = 16384
-_class_memo = LRUCache(CLASS_MEMO_CAP)
+def kernel_membership(L: GraphCombination) -> bool:
+    """Is L in the kernel of XB?  Decided by two evaluations of XB(L) that
+    share no enumeration: the termwise sum of deletion-contraction, and the
+    one partition walk of `combination_tutte_sym`.
 
-
-def _class_form(n: int, edges: tuple, open_classes: set[tuple]) -> dict[tuple, tuple]:
-    """NF of the isomorphism class of ([n], edges), at most C(n, 2) edges, as
-    {R_lambda edges: coefficient tuple}: the rewrite of the class's canonical
-    representative, each product's class form scaled by its multiplier.
-
-    No termination proof is known for this recursion: a canonical
-    relabelling does not respect the termination order that bounds the
-    labelled reducer.  open_classes holds the keys of the classes whose
-    forms are being computed, apart from the bounded memo so that no
-    eviction drops one; meeting one again raises RuntimeError, under
-    `python -O` too.
-    """
-    rep = _relabelled(n, edges, _canonical_labelling(n, edges, _unit_weights(n))[1])
-    key = (n, rep)
-    form = _class_memo.hit(key)
-    if form is not None:
-        return form
-    if key in open_classes:
-        raise RuntimeError(f"internal fault: the reduction of {Multigraph._unchecked(n, rep)!r} "
-                           "comes back to its own isomorphism class")
-    entry = _rewrite(n, rep)
-    if entry is None:
-        form = {rep: _PLUS}
-    elif entry[1].gen == "iso":
-        form = {entry[2][0][0]: _PLUS}
-    else:
-        open_classes.add(key)
-        form = {}
-        for h, m in entry[2]:
-            _merge_packed(form, m, _class_form(n, h, open_classes).items())
-        open_classes.remove(key)
-    return _class_memo.keep(key, form)
-
-
-def reduce_by_classes(L: GraphCombination) -> StandardForm:
-    """The star-forest normal form of L, as `reduce_to_star_forests` gives
-    it, computed once per isomorphism class and with no certificate.
-
-    The R_lambda (1+t)^k are a basis of the image of XB, so the normal form
-    NF is linear and NF(sigma H) = NF(H) for every relabelling sigma:
-    NF(H) is the sum of m * NF(P) over the products (P, m) of the rewrite
-    of H's canonical representative, and NF(R_lambda) = R_lambda.  Each
-    class's form is kept in `_class_memo`.  A term of more than C(n, 2)
-    edges has a loop or a repeated pair, and every product of its rewrite
-    has fewer edges, so such terms are first rewritten as labelled graphs,
-    most edges first, each once.
+    The two verdicts must agree; disagreement is an internal fault, not a
+    domain error.  Like the reducer, membership is refused past
+    `DEFAULT_REDUCTION_BOUND` vertices.
     """
     check_bound(L.n, DEFAULT_REDUCTION_BOUND, "reduction")
-    n = L.n
-    max_stored = n * (n - 1) // 2
-    terms = _packed(L)
-    # popped most edges first, so a rewritten term never comes back
-    big = [(-len(h), h) for h in terms if len(h) > max_stored]
-    heapq.heapify(big)
-    while big:
-        h = heapq.heappop(big)[1]
-        if h in terms:
-            products = _rewrite(n, h)[2]
-            _merge_packed(terms, terms.pop(h), products)
-            for p, _ in products:
-                if len(p) > max_stored:
-                    heapq.heappush(big, (-len(p), p))
-    result: dict[tuple, tuple] = {}
-    open_classes: set[tuple] = set()
-    for h, c in terms.items():
-        _merge_packed(result, c, _class_form(n, h, open_classes).items())
-    return _standard_form(n, result)
-
-
-def kernel_membership(L: GraphCombination) -> bool:
-    """Is L in the kernel of XB?  Decided by the class reducer, cross-checked
-    directly.
-
-    The reduction verdict (all canonical star-forest coefficients zero) and
-    the direct verdict (termwise XB sums to zero) must agree; disagreement
-    is an internal fault, not a domain error.
-    """
-    by_reduction = reduce_by_classes(L).is_zero()
-    by_evaluation = combination_tutte_sym(L).is_zero()
-    if by_reduction != by_evaluation:
+    termwise = sum((tutte_sym_delcon(g).scale(c) for g, c in L.terms.items()), SymFunc.zero("mtilde"))
+    by_delcon, by_walk = termwise.is_zero(), combination_tutte_sym(L).is_zero()
+    if by_delcon != by_walk:
         raise RuntimeError(
-            "internal fault: reduction verdict "
-            f"{by_reduction} disagrees with direct XB evaluation {by_evaluation}"
+            f"internal fault: deletion-contraction verdict {by_delcon} "
+            f"disagrees with the partition walk's verdict {by_walk}"
         )
-    return by_reduction
+    return by_delcon
 
 
 #### named relations ###########################################################

@@ -56,7 +56,6 @@ from tuttekit.kernel import (
     is_x_friendly,
     kernel_membership,
     nontrivial_friendly_pair,
-    reduce_by_classes,
     reduce_to_star_forests,
     replay_certificate,
     two_edge_connected_relation,
@@ -284,9 +283,7 @@ def _reduction_fault(G: Multigraph) -> str | None:
     """Why reducing G is unsound, or None.
 
     The termination order needs no check here: every rewrite the reducer
-    applies raises RuntimeError when a product fails to come later.  The
-    class reducer, which `kernel_membership` decides by, must give the same
-    result."""
+    applies raises RuntimeError when a product fails to come later."""
     L = GraphCombination(G.n, [(G, TPoly.one())])
     result, cert = reduce_to_star_forests(L)
     for _, _, g in result.terms:
@@ -297,14 +294,12 @@ def _reduction_fault(G: Multigraph) -> str | None:
         return "XB not preserved"
     if replay_certificate(L, cert) != R:
         return "certificate replay mismatch"
-    if reduce_by_classes(L) != result:
-        return "the class reducer disagrees with the labelled reduction"
     return None
 
 
 def star_forest_reduction() -> Iterator[str | None]:
     """Reduction terminates on all simple [5] graphs, preserving XB and order,
-    and both reducers agree on them."""
+    and membership's two evaluations of XB agree on random combinations."""
     for G in simple_graphs(5):
         bad = _reduction_fault(G)
         yield None if bad is None else f"{G!r}: {bad}"
@@ -313,7 +308,7 @@ def star_forest_reduction() -> Iterator[str | None]:
     for _ in range(200):
         L = _random_combination(rng)
         try:
-            # raises RuntimeError when the two routes disagree
+            # raises RuntimeError when delcon and the partition walk disagree
             members += kernel_membership(L)
         except RuntimeError as exc:
             yield str(exc)

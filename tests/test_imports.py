@@ -239,7 +239,7 @@ def test_readme_bounds_names_every_cache_cap():
     # the caches that the table's rows name, one in each row's first cell
     listed = set(re.findall(r"^\| `(\w+\.\w+)`", bounds, re.M))
     assert listed == {
-        "invariants._delcon_memo", "kernel._rewrites", "kernel._class_memo",
+        "invariants._delcon_memo", "kernel._rewrites",
         "combinatorics._onep_t_rows", "symfun._m_coefficients",
     }
     assert set(caps) == listed
@@ -312,8 +312,8 @@ def _top_level_reach(root: Path, start: tuple[str, str]) -> set[tuple[str, str]]
 # route -> the enumerators it reaches; tutte_sym walks the set partitions,
 # X walks its own stable partitions, and the TQ and XQ routes walk ordered
 # set partitions only, so each route checks the others from apart; the
-# direct check of kernel membership walks the set partitions and reaches
-# neither delcon nor the stable walk
+# combination walk reaches neither delcon nor the stable walk, and kernel
+# membership compares delcon with it
 ROUTE_ENUMERATORS = {
     ("invariants", "tutte_sym"): {"enumerate_set_partitions"},
     ("invariants", "chromatic_sym"): {"_stable_counts"},
@@ -326,6 +326,7 @@ ROUTE_ENUMERATORS = {
     ("quasi", "tq_from_connected_partitions"): {"_packed_sum", "connected_partitions"},
     ("quasi", "tq_from_arc_subsets"): {"_packed_sum", "_flats"},
     ("kernel", "combination_tutte_sym"): {"enumerate_set_partitions"},
+    ("kernel", "kernel_membership"): {"enumerate_set_partitions", "_delcon"},
 }
 
 
@@ -338,3 +339,6 @@ def test_each_route_reaches_the_enumerators_it_is_pinned_to():
     assert got == ROUTE_ENUMERATORS
     assert "enumerate_set_partitions" in got["invariants", "tutte_sym"]
     assert not any("enumerate_set_partitions" in got[route] for route in got if route[0] == "quasi")
+    # the reducer stays an outside check on membership
+    membership = {name for _, name in _top_level_reach(root, ("kernel", "kernel_membership"))}
+    assert not membership & {"reduce_to_star_forests", "_rewrite"}

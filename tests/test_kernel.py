@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tuttekit import kernel, selfcheck
-from tuttekit.combinatorics import DomainError, TPoly, enumerate_set_partitions, partitions_of
+from tuttekit import invariants, kernel, selfcheck
+from tuttekit.combinatorics import DomainError, TPoly, enumerate_set_partitions, onep_t_power, partitions_of
 from tuttekit.graphs import (
     MAX_VERTICES,
     Multigraph,
+    _canonical_labelling,
     canonical_form,
     canonical_star_forest,
     complete,
@@ -58,7 +59,6 @@ from tuttekit.kernel import (
     is_x_friendly,
     kernel_membership,
     nontrivial_friendly_pair,
-    reduce_by_classes,
     reduce_to_star_forests,
     replay_certificate,
     s_pair,
@@ -444,7 +444,7 @@ def _planted_walk(fault):
 def test_membership_catches_a_planted_fault_in_the_direct_walk(fault, L, monkeypatch):
     assert kernel_membership(L)
     monkeypatch.setattr(kernel, "enumerate_set_partitions", _planted_walk(fault))
-    with pytest.raises(RuntimeError, match="^internal fault: reduction verdict True disagrees"):
+    with pytest.raises(RuntimeError, match="^internal fault: deletion-contraction verdict True disagrees"):
         kernel_membership(L)
 
 
@@ -741,90 +741,45 @@ def test_a_step_without_its_placement_is_refused(step, missing):
         replay_certificate(combo(step.graph.n, (step.graph, 1)), cert)
 
 
-#### reduction by isomorphism classes ##########################################
-
-
-def _clear_reduction_tables():
-    kernel._rewrites.clear()
-    kernel._class_memo.clear()
+#### membership by two evaluations of XB ######################################
 
 
 @settings(max_examples=150, deadline=None)
 @given(reducible_combinations())
-def test_class_reducer_matches_the_labelled_reducer(L):
-    result = reduce_by_classes(L)
-    assert result == reduce_to_star_forests(L)[0]
-    assert kernel_membership(L) == result.is_zero() == combination_tutte_sym(L).is_zero()
+def test_membership_matches_the_labelled_reducer_and_the_walk(L):
+    assert kernel_membership(L) == reduce_to_star_forests(L)[0].is_zero() == combination_tutte_sym(L).is_zero()
 
 
-def test_class_reducer_gives_each_relabelling_one_entry():
-    K5_P4 = delete_edges(complete(5), [(1, 2), (2, 3), (3, 4)])
-    _clear_reduction_tables()
-    want = reduce_by_classes(combo(5, (K5_P4, 1)))
-    size = len(kernel._class_memo)
-    for p in [(2, 1, 3, 4, 5), (5, 4, 3, 2, 1), (3, 5, 1, 4, 2)]:
-        assert reduce_by_classes(combo(5, (relabel(K5_P4, p), 1))) == want
-    assert len(kernel._class_memo) == size
-    # both terms of G - sigma(G) read one class's form, which cancels
-    assert kernel_membership(ell_iso(K5_P4, (3, 5, 1, 4, 2)))
-
-
-def test_class_reducer_rewrites_terms_past_c_n_2_edges_as_labelled_graphs():
-    # 300 parallel edges, a loop and a triangle on [3]: no class of more than
-    # C(3, 2) = 3 edges is kept, and no recursion runs 300 deep
-    g = Multigraph(3, [(1, 2)] * 300 + [(1, 1), (1, 3), (2, 3)])
-    L = combo(3, (g, T), (complete(3), -1))
-    _clear_reduction_tables()
-    assert reduce_by_classes(L) == reduce_to_star_forests(L)[0]
-    assert kernel._class_memo and all(len(edges) <= 3 for _, edges in kernel._class_memo)
-
-
-def test_an_evicted_class_is_recomputed_to_the_same_form(monkeypatch):
-    Ls = [combo(5, (simple_graph(5, mask), 1)) for mask in range(0, 1 << 10, 37)]
-    _clear_reduction_tables()
-    want = [reduce_by_classes(L) for L in Ls]
-    _clear_reduction_tables()
-    monkeypatch.setattr(kernel._class_memo, "cap", 5)
-    assert [reduce_by_classes(L) for L in Ls] == want
-    assert len(kernel._class_memo) == 5
-    _clear_reduction_tables()
-
-
-def test_a_corrupt_class_form_fails_membership_and_suite_6():
+def test_a_corrupt_delcon_entry_fails_membership_and_suite_6():
     (suite,) = [s for s in selfcheck.SUITES if s.id == 6]
     L = combo(5, (edgeless(5), 1))
-    _clear_reduction_tables()
+    invariants._delcon_memo.clear()
     try:
-        reduce_by_classes(L)
-        # the edgeless class on [5] now reduces to zero
-        kernel._class_memo[(5, ())] = {}
-        with pytest.raises(RuntimeError, match="reduction verdict True disagrees"):
+        # XB of the edgeless class on [5] now reads zero
+        invariants._delcon_memo[_canonical_labelling(5, (), (1,) * 5)[0]] = {}
+        with pytest.raises(RuntimeError, match="^internal fault: deletion-contraction verdict True disagrees"):
             kernel_membership(L)
         report = suite.run()
         assert not report["passed"]
-        assert any("the class reducer disagrees" in f for f in report["failures"])
+        assert any("deletion-contraction verdict" in f for f in report["failures"])
     finally:
-        _clear_reduction_tables()
+        invariants._delcon_memo.clear()
     assert not kernel_membership(L)
 
 
-def test_a_class_that_comes_back_to_itself_is_refused(monkeypatch):
-    real = kernel._products
+@pytest.mark.parametrize("L, member", [
+    (combo(2, (Multigraph(2, [(1, 2)] * 4000), 1)), False),
+    # XB(uv^m) - XB(uv^(m-1)) = t (1+t)^(m-1) m~_2 = (1+t)^(m-1) (XB(uv) - XB(E2))
+    (combo(2, (Multigraph(2, [(1, 2)] * 4000), 1), (Multigraph(2, [(1, 2)] * 3999), -1),
+           (complete(2), -onep_t_power(3999)), (edgeless(2), onep_t_power(3999))), True),
+    (combo(3, (Multigraph(3, [(1, 2)] * 300 + [(1, 1), (1, 3), (2, 3)]), T), (complete(3), -1)), False),
+], ids=["4000-edges", "4000-edges-member", "300-edges-loop-triangle"])
+def test_membership_on_parallel_edges_runs_no_rewrite(L, member, monkeypatch):
+    def refuse(n, edges):
+        raise AssertionError("membership reached the reducer")
 
-    def cyclic(step):
-        # every rewrite keeps its own term among its products
-        return real(step) + [(step.graph.edges, (1,))]
-
-    L = combo(3, (complete(3), 1))
-    _clear_reduction_tables()
-    try:
-        monkeypatch.setattr(kernel, "_products", cyclic)
-        with pytest.raises(RuntimeError, match="^internal fault: .* comes back to its own isomorphism class$"):
-            reduce_by_classes(L)
-    finally:
-        monkeypatch.undo()
-        _clear_reduction_tables()
-    assert reduce_by_classes(L) == reduce_to_star_forests(L)[0]
+    monkeypatch.setattr(kernel, "_rewrite", refuse)
+    assert kernel_membership(L) == combination_tutte_sym(L).is_zero() == member
 
 
 def test_membership_past_the_default_cap_through_the_knob(monkeypatch):
@@ -1078,7 +1033,6 @@ CAPPED = {
     "is_tutte_friendly": lambda n: is_tutte_friendly(_path_combo(n)),
     "is_x_friendly": lambda n: is_x_friendly(_path_combo(n)),
     "reduce_to_star_forests": lambda n: reduce_to_star_forests(_path_combo(n)),
-    "reduce_by_classes": lambda n: reduce_by_classes(_path_combo(n)),
     "kernel_membership": lambda n: kernel_membership(_path_combo(n)),
     "broom_relation": lambda n: broom_relation(n - 2, 2),
 }
