@@ -74,7 +74,6 @@ from tuttekit.kernel import (
     reduce_to_star_forests,
     replay_certificate,
     s_pair,
-    standard_form,
     two_edge_connected_relation,
     witness_graph,
     witness_mtilde_coefficient,

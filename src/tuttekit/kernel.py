@@ -55,7 +55,6 @@ from tuttekit.graphs import (
     delete_edges,
     graph_from_json_obj,
     graph_to_json_obj,
-    internal_edge_count,
     relabel,
     right_endpoint_key,
     simple_graph,
@@ -63,7 +62,7 @@ from tuttekit.graphs import (
     two_edge_connected,
     vertex_count,
 )
-from tuttekit.invariants import tutte_sym_delcon
+from tuttekit.invariants import _delcon
 from tuttekit.lincomb import LinComb, LRUCache, echo, merge_terms
 from tuttekit.symfun import SymFunc
 
@@ -191,11 +190,6 @@ class StandardForm:
     def shape_triples(self) -> list[tuple[tuple[int, ...], int, Fraction]]:
         """(lambda, k, c) rows for star-forest supported forms."""
         return [(star_forest_shape(g), k, c) for c, k, g in self.terms]
-
-
-def standard_form(L: GraphCombination) -> StandardForm:
-    """Expand every TPoly coefficient into exact (1+t)-powers."""
-    return _standard_form(L.n, _packed(L))
 
 
 #### friendliness ##############################################################
@@ -408,9 +402,16 @@ def extend(L: GraphCombination, G: Multigraph) -> GraphCombination:
     )
 
 
-def _witness_M(sf: StandardForm, blocks) -> int:
-    worst = max(k + internal_edge_count(g, blocks) for _, k, g in sf.terms)
-    return len(blocks) * (1 + worst)
+def _witness_terms(L: GraphCombination, blocks) -> tuple[tuple, list, int, dict]:
+    """pi validated; L's packed terms (edges, (1+t)-power coefficients, edges
+    inside blocks of pi) in edge order; the cloud size M = l (1 + the top
+    (1+t)-power a term reaches at pi); B(L; pi) as {(1+t)-power: coefficient}."""
+    blocks = normalize_blocks(L.n, blocks)
+    vmap, packed = block_index_map(blocks), _packed(L)
+    terms = [(h, packed[h], sum(1 for u, v in h if vmap[u] == vmap[v])) for h in sorted(packed)]
+    b = merge_terms({}, ((k + e, c) for _, cs, e in terms for k, c in enumerate(cs)))
+    M = len(blocks) * (1 + max((len(cs) - 1 + e for _, cs, e in terms), default=-1))
+    return blocks, terms, M, b
 
 
 def witness_graph(L: GraphCombination, blocks: Iterable[Iterable[int]], a: int | None = None) -> Multigraph:
@@ -424,19 +425,13 @@ def witness_graph(L: GraphCombination, blocks: Iterable[Iterable[int]], a: int |
     `graphs.MAX_VERTICES` vertices or `MAX_WITNESS_EDGES` edges is refused
     before it is built.
     """
-    blocks = normalize_blocks(L.n, blocks)
+    blocks, _, M, b = _witness_terms(L, blocks)
     a = None if a is None else as_int(a, "(1+t)-power index")
-    b = b_value(L, blocks)
-    if b.is_zero():
+    if not b:
         raise DomainError("combination is friendly at this partition; no witness exists")
-    powers = b.onep_t_powers()
-    if a is None:
-        a = next(i for i, c in enumerate(powers) if c != 0)
-    elif not (0 <= a < len(powers)) or powers[a] == 0:
+    if a is not None and a not in b:
         raise DomainError(f"(1+t)^{a} has zero coefficient in B(L; pi)")
-    n0 = L.n
-    l = len(blocks)
-    M = _witness_M(standard_form(L), blocks)
+    n0, l = L.n, len(blocks)
     size, edge_count = n0 + l * M, (l - 1) * n0 * M + l * (l - 1) // 2 * M * M
     if size > MAX_VERTICES or edge_count > MAX_WITNESS_EDGES:
         raise DomainError(
@@ -467,10 +462,8 @@ def witness_mtilde_coefficient(L: GraphCombination, blocks: Iterable[Iterable[in
     witness's vertex set.  WITNESS_BUDGET, read at the call, caps the loop
     iterations counted below.
     """
-    blocks = normalize_blocks(L.n, blocks)
-    sf = standard_form(L)
+    blocks, terms, M, _ = _witness_terms(L, blocks)
     n0, l = L.n, len(blocks)
-    M = _witness_M(sf, blocks)
     sizes = [len(b) + M for b in blocks]
     blk = block_index_map(blocks)
     # l^n0 assignments; then, for each matrix (at most prod_j C(|B_j|+l-1, l-1))
@@ -493,9 +486,9 @@ def witness_mtilde_coefficient(L: GraphCombination, blocks: Iterable[Iterable[in
         for v, b in enumerate(phi, 1):
             a[b][blk[v]] += 1
         if all(sum(row) <= size for row, size in zip(a, sizes)):
-            merge_terms(by_matrix.setdefault(tuple(map(tuple, a)), {}), (
-                (k + sum(1 for u, v in g.edges if phi[u - 1] == phi[v - 1]), c) for c, k, g in sf.terms
-            ))
+            inside = [sum(1 for u, v in h if phi[u - 1] == phi[v - 1]) for h, _, _ in terms]
+            merge_terms(by_matrix.setdefault(tuple(map(tuple, a)), {}),
+                        ((k + e, c) for (_, cs, _), e in zip(terms, inside) for k, c in enumerate(cs)))
     powers: dict[int, Fraction | int] = {}
     for a, base in by_matrix.items():
         # room left in each slot -> {(1+t)-power: coefficient times ways}
@@ -818,18 +811,36 @@ def replay_certificate(L: GraphCombination, cert: ReductionCertificate) -> Graph
     return _standard_form(L.n, terms).to_combination()
 
 
+def _delcon_sum(L: GraphCombination) -> dict[tuple[int, ...], dict[int, Fraction | int]]:
+    """XB(L) as {lam: {power of t: coefficient}}: per (lam, k), coefficient
+    times deletion-contraction count adds up in t (loops off as in
+    `tutte_sym_delcon`), and a sum that does not cancel is multiplied by
+    the row of (1+t)^k.  No coefficient is expanded in (1+t)-powers."""
+    acc: dict[tuple[int, ...], dict[int, dict[int, Fraction | int]]] = {}
+    for g, c in L.terms.items():
+        edges = tuple(e for e in g.edges if e[0] != e[1])
+        loops = len(g.edges) - len(edges)
+        for lam, counts in _delcon(g.n, edges, g.weights).items():
+            by_k = acc.setdefault(lam, {})
+            for k, x in counts.items():
+                merge_terms(by_k.setdefault(k + loops, {}), ((j, x * v) for j, v in c.terms.items()))
+    return {lam: row for lam, by_k in acc.items() if (row := merge_terms({}, (
+        (i + j, b * v) for k, poly in by_k.items() if poly
+        for i, b in onep_t_power(k).terms.items() for j, v in poly.items()
+    )))}
+
+
 def kernel_membership(L: GraphCombination) -> bool:
     """Is L in the kernel of XB?  Decided by two evaluations of XB(L) that
-    share no enumeration: the termwise sum of deletion-contraction, and the
-    one partition walk of `combination_tutte_sym`.
+    share no enumeration: the sum of deletion-contraction counts of
+    `_delcon_sum`, and the one partition walk of `combination_tutte_sym`.
 
     The two verdicts must agree; disagreement is an internal fault, not a
     domain error.  Like the reducer, membership is refused past
     `DEFAULT_REDUCTION_BOUND` vertices.
     """
     check_bound(L.n, DEFAULT_REDUCTION_BOUND, "reduction")
-    termwise = sum((tutte_sym_delcon(g).scale(c) for g, c in L.terms.items()), SymFunc.zero("mtilde"))
-    by_delcon, by_walk = termwise.is_zero(), combination_tutte_sym(L).is_zero()
+    by_delcon, by_walk = not _delcon_sum(L), combination_tutte_sym(L).is_zero()
     if by_delcon != by_walk:
         raise RuntimeError(
             f"internal fault: deletion-contraction verdict {by_delcon} "

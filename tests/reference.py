@@ -18,8 +18,9 @@ from tuttekit.combinatorics import (
     partitions_of,
     sorted_partition,
 )
-from tuttekit.graphs import _component_labels, _pair, _quotient, _without, canonical_star_forest
-from tuttekit.invariants import chromatic_sym, tutte_sym
+from tuttekit.graphs import _component_labels, _pair, _quotient, _without, canonical_star_forest, internal_edge_count
+from tuttekit.invariants import chromatic_sym, tutte_sym, tutte_sym_delcon
+from tuttekit.kernel import _packed, _standard_form
 from tuttekit.quasi import Digraph
 from tuttekit.symfun import SymFunc
 
@@ -51,6 +52,24 @@ def combination_tutte_sym(L):
     for g, c in L.terms.items():
         total = total + tutte_sym(g).scale(c)
     return total
+
+
+def delcon_sum(L):
+    """XB of a combination as the sum of each term's `tutte_sym_delcon`
+    scaled by its coefficient, one SymFunc per term."""
+    return sum((tutte_sym_delcon(g).scale(c) for g, c in L.terms.items()), SymFunc.zero("mtilde"))
+
+
+def standard_form(L):
+    """L with every TPoly coefficient expanded into exact (1+t)-powers."""
+    return _standard_form(L.n, _packed(L))
+
+
+def witness_M(L, blocks):
+    """The witness cloud size at pi from the standard form's rows c (1+t)^k g:
+    l (1 + the largest k plus internal edges of g)."""
+    worst = max(k + internal_edge_count(g, blocks) for _, k, g in standard_form(L).terms)
+    return len(tuple(blocks)) * (1 + worst)
 
 
 def contract_arc_set(D, S):

@@ -4,7 +4,7 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tuttekit import invariants, kernel, selfcheck
@@ -19,6 +19,7 @@ from tuttekit.graphs import (
     cycle,
     delete_edges,
     edgeless,
+    internal_edge_count,
     is_bright_star_forest,
     broom,
     path,
@@ -62,15 +63,22 @@ from tuttekit.kernel import (
     reduce_to_star_forests,
     replay_certificate,
     s_pair,
-    standard_form,
     two_edge_connected_relation,
     witness_graph,
     witness_mtilde_coefficient,
 )
 from tuttekit.lincomb import LRUCache
-from tuttekit.symfun import coefficient_in_onep_t, m_to_e, mtilde_to_m, sigma_l
+from tuttekit.symfun import SymFunc, coefficient_in_onep_t, m_to_e, mtilde_to_m, sigma_l
 
-from reference import c_value, reduction_products, star_forest_basis_matrix, star_forest_basis_rank
+from reference import (
+    c_value,
+    delcon_sum,
+    reduction_products,
+    standard_form,
+    star_forest_basis_matrix,
+    star_forest_basis_rank,
+    witness_M,
+)
 from reference import combination_tutte_sym as termwise_xb
 
 T = TPoly.t()
@@ -213,6 +221,22 @@ def test_witness_validation(monkeypatch):
     L = combo(2, (complete(2), 1), (edgeless(2), -1))
     with pytest.raises(DomainError):
         witness_graph(L, [[1, 2]], a=5)
+    # each refusal keeps its text and its place in the order of checks
+    with pytest.raises(DomainError, match="^repeated element inside block"):
+        witness_graph(L, [[1, 1], [2]], a="x")
+    with pytest.raises(DomainError, match="^repeated element inside block"):
+        witness_mtilde_coefficient(L, [[1, 1], [2]])
+    with pytest.raises(DomainError, match=r"^\(1\+t\)-power index must be an integer"):
+        witness_graph(L, [[1], [2]], a=True)
+    with pytest.raises(DomainError, match="^combination is friendly at this partition"):
+        witness_graph(L, [[1], [2]], a=-1)
+    for a in (-1, 2, 5):
+        with pytest.raises(DomainError, match=rf"^\(1\+t\)\^{a} has zero coefficient in B\(L; pi\)$"):
+            witness_graph(L, [[1, 2]], a=a)
+    # the empty combination has B zero at every pi and no witness
+    with pytest.raises(DomainError, match="^combination is friendly at this partition"):
+        witness_graph(combo(2), [[1], [2]])
+    assert witness_mtilde_coefficient(combo(2), [[1], [2]]).is_zero()
     monkeypatch.setattr(kernel, "WITNESS_BUDGET", 10)
     with pytest.raises(DomainError):
         witness_mtilde_coefficient(combo(2, (complete(2), 1)), [[1], [2]])
@@ -275,6 +299,28 @@ def test_witness_coefficient_matches_xb_of_the_extension():
             assert witness_mtilde_coefficient(L, pi) == want, (L, pi)
             checked += 1
     assert checked == 6680
+
+
+def test_witness_terms_match_b_value_and_the_standard_form_route():
+    """At every pi of the witness corpus, the one pass of `_witness_terms`
+    gives B(L; pi) as `b_value` expanded in (1+t)-powers, each term's
+    internal edges as `internal_edge_count`, and the cloud size M that the
+    standard form's rows give."""
+    checked = 0
+    for L in _witness_corpus():
+        for pi in enumerate_set_partitions(L.n):
+            blocks, terms, M, b = kernel._witness_terms(L, pi)
+            assert blocks == pi
+            want = list(b_value(L, pi).onep_t_powers())
+            while want and want[-1] == 0:
+                want.pop()
+            assert [b.get(k, 0) for k in range(max(b, default=-1) + 1)] == want, (L, pi)
+            assert 0 not in b.values()
+            assert M == witness_M(L, pi), (L, pi)
+            assert [h for h, _, _ in terms] == sorted(g.edges for g in L.terms)
+            assert [e for _, _, e in terms] == [internal_edge_count(Multigraph(L.n, h), pi) for h, _, _ in terms]
+            checked += 1
+    assert checked == 32320
 
 
 def test_combination_vertex_count_is_checked():
@@ -750,6 +796,16 @@ def test_membership_matches_the_labelled_reducer_and_the_walk(L):
     assert kernel_membership(L) == reduce_to_star_forests(L)[0].is_zero() == combination_tutte_sym(L).is_zero()
 
 
+@settings(max_examples=150, deadline=None)
+@given(reducible_combinations())
+@example(combo(3, (Multigraph(3, [(1, 2)] * 3 + [(1, 1), (2, 2)]), TPoly([Fraction(1, 2), 0, -1])),
+               (complete(3), T), (Multigraph(3, [(3, 3)]), Fraction(-2, 3))))
+def test_membership_sums_the_delcon_counts_as_the_termwise_route_does(L):
+    got = kernel._delcon_sum(L)
+    assert all(row and 0 not in row.values() for row in got.values())
+    assert SymFunc("mtilde")._like_nested(got) == delcon_sum(L)
+
+
 def test_a_corrupt_delcon_entry_fails_membership_and_suite_6():
     (suite,) = [s for s in selfcheck.SUITES if s.id == 6]
     L = combo(5, (edgeless(5), 1))
@@ -778,7 +834,12 @@ def test_membership_on_parallel_edges_runs_no_rewrite(L, member, monkeypatch):
     def refuse(n, edges):
         raise AssertionError("membership reached the reducer")
 
+    def refuse_shift(p):
+        raise AssertionError("membership expanded a coefficient in (1+t)-powers")
+
     monkeypatch.setattr(kernel, "_rewrite", refuse)
+    # a coefficient of degree d takes O(d^2) to shift; (1+t)^3999 would take seconds
+    monkeypatch.setattr(TPoly, "onep_t_powers", refuse_shift)
     assert kernel_membership(L) == combination_tutte_sym(L).is_zero() == member
 
 
